@@ -10,7 +10,7 @@ are seeded and check output is sorted by check id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,15 +40,15 @@ from .cover import (
 )
 from .errors import ModularityError
 from .qseries import (
+    CERTIFY_CONFIG,
+    NAMED_FORMS,
     QSeriesConfig,
     eisenstein,
-    eisenstein_form,
     eta,
     eta_character,
     eta_fn,
-    eta_form,
     eta_hat,
-    eta_hat_form,
+    eta_multiplier_index,
     lattice_sum,
     triangular_product,
     triangular_product_factored,
@@ -93,9 +93,7 @@ class CertifySetup:
     points: Optional[tuple[complex, ...]] = None
     pair_count: int = 500
     force: bool = False
-    qcfg: QSeriesConfig = field(
-        default_factory=lambda: QSeriesConfig(tail_tolerance=1e-17, max_terms=2_000_000, min_im=1e-6)
-    )
+    qcfg: QSeriesConfig = CERTIFY_CONFIG
 
 
 class _Env:
@@ -108,8 +106,7 @@ class _Env:
         self.lower = tuple(z.conjugate() for z in self.upper)
         self.grid = self.upper + self.lower
         self.rng = np.random.default_rng(setup.seed)
-        self.qcfg_raw = QSeriesConfig(setup.qcfg.tail_tolerance, setup.qcfg.max_terms,
-                                      setup.qcfg.min_im, reduce=False)
+        self.qcfg_raw = replace(setup.qcfg, reduce=False)
         self._forms: dict = {}
 
     def tol(self, pinned: float) -> float:
@@ -121,19 +118,10 @@ class _Env:
                 f"{len(cov.matrices())} distinct matrices ({len(cov.sl_matrices())} with det +1); "
                 f"{len(self.upper)} upper sample points plus conjugates")
 
-    def form(self, name: str):
+    def form(self, name: str) -> VVForm:
+        """The form registered under ``name`` in ``NAMED_FORMS``, built once."""
         if name not in self._forms:
-            cfg = self.setup.qcfg
-            if name == "eta_hat":
-                self._forms[name] = eta_hat_form(cfg)
-            elif name == "e4_even":
-                self._forms[name] = eisenstein_form(4, cfg)
-            elif name == "e6_even":
-                self._forms[name] = eisenstein_form(6, cfg)
-            elif name == "eta":
-                self._forms[name] = eta_form(cfg)
-            else:
-                raise KeyError(name)
+            self._forms[name] = NAMED_FORMS[name][0](self.setup.qcfg)
         return self._forms[name]
 
     def sample_pairs(self, count: int) -> list[tuple[MetaElt, MetaElt]]:
@@ -424,13 +412,13 @@ def check_action_composition(env: _Env) -> CheckReport:
     pairs = env.sample_pairs(env.setup.pair_count)
     combos = {}
     worst, witness = 0.0, None
-    for form_name, weight in (("eta_hat", Weight(1)), ("e4_even", Weight(8))):
-        fn = env.form(form_name).fn
+    for label, name in (("eta_hat", "eta-hat"), ("e4_even", "e4")):
+        form = env.form(name)
         for x, y in pairs:
             combos[(x.det(), y.det())] = combos.get((x.det(), y.det()), 0) + 1
-            r = composition_residual(fn, weight, x, y, env.grid)
+            r = composition_residual(form.fn, form.weight, x, y, env.grid)
             if r > worst:
-                worst, witness = r, {"form": form_name, "x": str(x), "y": str(y)}
+                worst, witness = r, {"form": label, "x": str(x), "y": str(y)}
     return _report("action_composition",
                    {"pairs": len(pairs), "forms": ["eta_hat (w=1)", "e4_even (w=8)"],
                     "det_combinations": {f"({sx},{sy})": c // 2 for (sx, sy), c in sorted(combos.items())}},
@@ -441,7 +429,7 @@ def check_action_reflection_forms(env: _Env) -> CheckReport:
     """The four-case action agrees with both reflection-route formulas on det -1 elements."""
     tol = env.tol(1e-9)
     elts = [e for e in env.cover.elements() if e.det() == -1][:40]
-    fn = env.form("eta_hat").fn
+    fn = env.form("eta-hat").fn
     weight = Weight(1)
     worst, witness = 0.0, None
     for x in elts:
@@ -463,7 +451,7 @@ def check_action_classical_match(env: _Env) -> CheckReport:
     power of (c z + d), no square roots involved.
     """
     tol = env.tol(1e-9)
-    fn = env.form("e4_even").fn
+    fn = env.form("e4").fn
     weight = Weight(8)
     elts = env.cover.sl_elements()[:80]
     worst, witness = 0.0, None
@@ -597,7 +585,7 @@ def check_rep_induction_matrices(env: _Env) -> CheckReport:
 def check_restriction_round_trip(env: _Env) -> CheckReport:
     tol = env.tol(1e-10)
     worst, witness = 0.0, None
-    e4 = env.form("e4_even")
+    e4 = env.form("e4")
     upper_only = HoloFn(1, e4.fn.upper, None)
     rebuilt = extend_form(upper_only, Weight(8), Rep.trivial("GL"), points=env.upper)
     if rebuilt.fn.upper is not upper_only.upper:
@@ -606,7 +594,7 @@ def check_restriction_round_trip(env: _Env) -> CheckReport:
         r = float(np.max(np.abs(rebuilt.at(z) - e4.at(z))))
         if r > worst:
             worst, witness = r, {"form": "e4_even", "z": _fmt_z(z)}
-    hat = env.form("eta_hat")
+    hat = env.form("eta-hat")
     hat_upper = HoloFn(2, hat.fn.upper, None)
     hat_rebuilt = extend_form(hat_upper, Weight(1), hat.rep, points=env.upper)
     for z in env.lower:
@@ -627,7 +615,7 @@ def check_induction_round_trip(env: _Env) -> CheckReport:
     tol = env.tol(1e-10)
     cfg = env.setup.qcfg
     worst, witness = 0.0, None
-    hat = env.form("eta_hat")
+    hat = env.form("eta-hat")
     first, second = project_components(hat)
     ef = eta_fn(cfg)
     for z in env.upper:
@@ -645,7 +633,7 @@ def check_induction_round_trip(env: _Env) -> CheckReport:
         if r > worst:
             worst, witness = r, {"form": "eta_hat rebuild", "z": _fmt_z(z)}
     # a second instance with both components nonzero
-    e4 = env.form("e4_even")
+    e4 = env.form("e4")
     f_up = HoloFn(1, e4.fn.upper, None)
     g_up = f_up.scale(0.5)
     f_form = VVForm(f_up, Weight(8), Rep.trivial("SL"))
@@ -706,8 +694,10 @@ def check_eta_point_value(env: _Env) -> CheckReport:
 
 
 def check_eta_multiplier_universe(env: _Env) -> CheckReport:
-    """Every eta multiplier over the enumerated SL part is a 24th root of unity
-    and reproduces the analytic transformation of eta itself."""
+    """Every eta multiplier over the enumerated SL part is a 24th root of unity,
+    reproduces the analytic transformation of eta itself, and matches the closed
+    form: phi_g = b sqrt(c z + d) with b from ``branch_profile``, so rho([g, eps])
+    has the index ``eta_multiplier_index(g)``, plus 12 when eps * b = -1."""
     snap_tol = env.tol(1e-10)
     transform_tol = env.tol(1e-9)
     cfg = env.qcfg_raw
@@ -715,11 +705,17 @@ def check_eta_multiplier_universe(env: _Env) -> CheckReport:
     f = eta_fn(cfg)
     base = {z: f.at(z) for z in env.upper}
     worst_snap, worst_transform, witness = 0.0, 0.0, None
+    mismatches, index_witness = 0, None
     elements = env.cover.sl_elements()
     for x in elements:
         val = rho.evaluate(x)[0, 0]
-        _, _, dist = snap_to_root_of_unity(val, 24, tol=1.0)
+        _, index, dist = snap_to_root_of_unity(val, 24, tol=1.0)
         worst_snap = max(worst_snap, dist)
+        flip = x.eps * branch_profile(x.gamma, env.upper) == -1
+        closed = (eta_multiplier_index(x.gamma) + 12 * flip) % 24
+        if index != closed:
+            mismatches += 1
+            index_witness = index_witness or {"x": str(x), "numeric_index": index, "closed_form_index": closed}
         acted = slash(f, Weight(1), x)
         for z in env.upper:
             r = float(np.max(np.abs(acted.at(z) - val * base[z])))
@@ -727,11 +723,15 @@ def check_eta_multiplier_universe(env: _Env) -> CheckReport:
                 worst_transform = r
                 witness = {"x": str(x), "z": _fmt_z(z)}
     residual = max(worst_snap, worst_transform)
-    passed = worst_snap <= snap_tol and worst_transform <= transform_tol
+    numeric_ok = worst_snap <= snap_tol and worst_transform <= transform_tol
+    passed = numeric_ok and mismatches == 0
+    if numeric_ok:
+        witness = index_witness
     return CheckReport("eta_multiplier_universe",
                        {"elements": len(elements), "snap_tolerance": snap_tol,
                         "transform_tolerance": transform_tol,
-                        "worst_snap": worst_snap, "worst_transform": worst_transform},
+                        "worst_snap": worst_snap, "worst_transform": worst_transform,
+                        "closed_form_mismatches": mismatches},
                        env.universe_tag(), residual, passed,
                        None if passed else witness)
 
@@ -798,15 +798,15 @@ def check_eisenstein_even_extension(env: _Env) -> CheckReport:
     tol = env.tol(1e-9)
     gens = (LIFT_S, LIFT_T, LIFT_R)
     worst, witness = 0.0, None
-    for name, weight in (("e4_even", Weight(8)), ("e6_even", Weight(12))):
+    for label, name in (("e4_even", "e4"), ("e6_even", "e6")):
         form = env.form(name)
         r = form.residual(gens, env.grid)
         if r > worst:
-            worst, witness = r, {"form": name}
+            worst, witness = r, {"form": label}
         for z in env.upper:
             even = float(np.max(np.abs(form.at(-z) - form.at(z))))
             if even > worst:
-                worst, witness = even, {"form": name, "z": _fmt_z(z), "detail": "even symmetry"}
+                worst, witness = even, {"form": label, "z": _fmt_z(z), "detail": "even symmetry"}
     return _report("eisenstein_even_extension",
                    {"forms": ["e4_even (w=8)", "e6_even (w=12)"], "generators": 3},
                    env.universe_tag(), worst, tol, witness)
@@ -834,7 +834,7 @@ def check_triangular_parity(env: _Env) -> CheckReport:
 def check_eta_hat_identities(env: _Env) -> CheckReport:
     tol = env.tol(1e-10)
     cfg = env.setup.qcfg
-    hat = env.form("eta_hat")
+    hat = env.form("eta-hat")
     flip = np.array([[0, -1j], [1j, 0]], dtype=complex)
     r_image = np.array([[0, 1], [-1, 0]], dtype=complex)
     worst, witness = 0.0, None

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +19,7 @@ from . import __version__
 from .certify import run_certification
 from .cover import Mat2, MetaElt, parse_word, word_lift
 from .errors import DomainError, ModularityError, ResourceLimitError
-from .qseries import (
-    DEFAULT_CONFIG,
-    QSeriesConfig,
-    eisenstein_form,
-    eta_form,
-    eta_hat_form,
-    triangular_product,
-)
+from .qseries import CERTIFY_CONFIG, DEFAULT_CONFIG, NAMED_FORMS, QSeriesConfig, triangular_product
 from .reps import Rep, modularity_residual
 from .sampling import format_complex, full_grid, load_points, parse_complex, upper_grid
 from .slash import Weight
@@ -34,15 +28,10 @@ USAGE_ERROR = 2
 
 
 def _named_form(name: str, cfg: QSeriesConfig):
-    """Form registry: returns (VVForm-or-evaluator, natural doubled weight)."""
-    if name == "eta":
-        return eta_form(cfg), 1
-    if name == "e4":
-        return eisenstein_form(4, cfg), 8
-    if name == "e6":
-        return eisenstein_form(6, cfg), 12
-    if name == "eta-hat":
-        return eta_hat_form(cfg), 1
+    """(VVForm-or-evaluator, natural doubled weight) of a ``NAMED_FORMS`` entry or of ``zn:N``."""
+    if name in NAMED_FORMS:
+        build, weight = NAMED_FORMS[name]
+        return build(cfg), weight
     if name.startswith("zn:"):
         try:
             n = int(name.split(":", 1)[1])
@@ -62,7 +51,7 @@ def _format_vector(values) -> str:
 
 
 def _cmd_certify(args) -> int:
-    qcfg = QSeriesConfig(tail_tolerance=1e-17, max_terms=2_000_000, min_im=args.min_im)
+    qcfg = replace(CERTIFY_CONFIG, min_im=args.min_im)
     points = load_points(args.samples) if args.samples else None
     report = run_certification(
         max_word_len=args.max_word_len,
@@ -97,7 +86,7 @@ def _cmd_eval(args) -> int:
         return 0
     if args.form is None or args.z is None:
         raise DomainError("need either --elem/--matrix or --form with --z")
-    cfg = QSeriesConfig(min_im=args.min_im) if args.min_im != DEFAULT_CONFIG.min_im else DEFAULT_CONFIG
+    cfg = replace(DEFAULT_CONFIG, min_im=args.min_im)
     form, _ = _named_form(args.form, cfg)
     z = parse_complex(args.z)
     value = form(z) if callable(form) else form.at(z)
@@ -106,7 +95,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = QSeriesConfig(min_im=args.min_im) if args.min_im != DEFAULT_CONFIG.min_im else DEFAULT_CONFIG
+    cfg = replace(DEFAULT_CONFIG, min_im=args.min_im)
     form, natural_w = _named_form(args.form, cfg)
     if natural_w is None:
         raise DomainError(f"form {args.form!r} is not modular; nothing to check")
@@ -160,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--pairs", type=int, default=500, help="random pair count per pair-based check")
     cert.add_argument("--force", action="store_true",
                       help="allow enumeration deeper than the configured bound of 8")
-    cert.add_argument("--min-im", type=float, default=1e-6,
+    cert.add_argument("--min-im", type=float, default=CERTIFY_CONFIG.min_im,
                       help="near-axis refusal threshold for the q-series during certification")
 
     ev = sub.add_parser("eval", help="evaluate a cover element word or a named form")

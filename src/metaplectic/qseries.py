@@ -11,12 +11,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
-from .automorphy import phi_upper, require_off_axis, require_upper
-from .cover import IDENT, Mat2, MetaElt, S_MAT
+from .automorphy import principal_sqrt, require_off_axis, require_upper
+from .cover import IDENT, Mat2, S_MAT
 from .errors import DomainError, ResourceLimitError
 from .reps import Rep, VVForm, character_of, extend_form, induce_form
 from .slash import HoloFn, Weight, cpow_int, mobius
@@ -44,6 +46,9 @@ class QSeriesConfig:
 
 
 DEFAULT_CONFIG = QSeriesConfig()
+
+# the certification suite's budget: Moebius images of its grid come within ~1e-6 of the axis
+CERTIFY_CONFIG = QSeriesConfig(tail_tolerance=1e-17, max_terms=2_000_000, min_im=1e-6)
 
 
 def _require_workable(z, cfg: QSeriesConfig) -> complex:
@@ -85,19 +90,62 @@ def reduce_to_fundamental(z, max_steps: int = 500) -> tuple[Mat2, complex]:
     raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {z}")
 
 
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """Dedekind sum s(h, k) for k > 0 and gcd(h, k) = 1, exactly.
+
+    Runs the reciprocity law s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4
+    along the Euclidean algorithm, so the cost is O(log k).
+    """
+    if k <= 0 or math.gcd(h, k) != 1:
+        raise DomainError(f"Dedekind sum needs k > 0 and gcd(h, k) = 1, got ({h}, {k})")
+    num, den, sign = 0, 1, 1
+    h %= k
+    while k > 1:
+        # add sign * ((h^2 + k^2 + 1) / (12 h k) - 1/4), then continue with s(k mod h, h)
+        step = 12 * h * k
+        num, den = num * step + sign * (h * h + k * k + 1 - 3 * h * k) * den, den * step
+        h, k, sign = k % h, h, -sign
+    return Fraction(num, den)
+
+
+def eta_multiplier_index(g: Mat2) -> int:
+    """Exponent n mod 24 with eta(g z) = e^(2 pi i n/24) sqrt(c z + d) eta(z).
+
+    ``g`` is any determinant-one matrix and sqrt the principal branch.  For
+    c > 0 this is the classical exp(pi i ((a + d)/(12 c) - s(d, c) - 1/4))
+    (Apostol, Modular Functions and Dirichlet Series, Thm 3.4); other
+    matrices are negated to c > 0 or c = 0, d = 1 first, which turns the
+    principal root of c z + d by i (c < 0) or -i (c z + d = -1).
+    """
+    if g.det() != 1:
+        raise DomainError("the eta multiplier is defined on determinant +1 matrices")
+    a, b, c, d = g.entries()
+    turn = 0
+    if c < 0 or (c == 0 and d < 0):
+        a, b, c, d = -a, -b, -c, -d
+        turn = 6 if c > 0 else 18
+    if c == 0:
+        return (b + turn) % 24
+    s = dedekind_sum(d, c)
+    n, rem = divmod((a + d) * s.denominator - 12 * c * s.numerator, c * s.denominator)
+    if rem:
+        raise ArithmeticError(f"eta multiplier exponent of {g} is not an integer")
+    return (n - 3 + turn) % 24
+
+
 def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     """Weight-1/2 eta product on the upper half-plane.
 
-    With ``cfg.reduce``, arguments below the fundamental domain are moved up
-    by an exact integer matrix and the value is carried back through the
-    multiplier (a snapped 24th root of unity) and the square-root automorphy
-    factor; the raw product is only ever summed at well-separated points.
+    With ``cfg.reduce``, arguments below Im z = 0.25 are moved up by an exact
+    integer matrix and the value is carried back through the exact 24th root
+    of unity of ``eta_multiplier_index`` and the principal sqrt(c z + d); the
+    raw product is only ever summed at well-separated points.
     """
     z = _require_workable(z, cfg)
     if cfg.reduce and z.imag < 0.25:
         g, w0 = reduce_to_fundamental(z)
-        mult = _eta_raw_character(cfg).evaluate(MetaElt(g, 1))[0, 0]
-        return _eta_series(w0, cfg) / (mult * phi_upper(g, z))
+        root = cmath.exp(1j * cmath.pi * eta_multiplier_index(g) / 12)
+        return _eta_series(w0, cfg) / (root * principal_sqrt(g.c * z + g.d))
     return _eta_series(z, cfg)
 
 
@@ -203,14 +251,6 @@ def eta_fn(cfg: QSeriesConfig = DEFAULT_CONFIG) -> HoloFn:
 
 
 @lru_cache(maxsize=None)
-def _eta_raw_character(cfg: QSeriesConfig) -> Rep:
-    # character used inside the reduction path; extracted from the raw
-    # product at a well-separated point, so there is no self-reference
-    raw = QSeriesConfig(cfg.tail_tolerance, cfg.max_terms, cfg.min_im, reduce=False)
-    return character_of(eta_fn(raw), Weight(1), z0=0.1 + 1.3j, order=24)
-
-
-@lru_cache(maxsize=None)
 def eta_character(cfg: QSeriesConfig = DEFAULT_CONFIG, z0: complex = 0.1 + 1.3j) -> Rep:
     """The 24th-root-of-unity character of eta, extracted numerically at z0."""
     return character_of(eta_fn(cfg), Weight(1), z0=z0, order=24)
@@ -239,3 +279,12 @@ def eisenstein_form(k: int, cfg: QSeriesConfig = DEFAULT_CONFIG) -> VVForm:
     """Even extension of E_k as a GL-cover form with trivial representation."""
     upper = HoloFn(1, lambda z: np.array([eisenstein(k, z, cfg)], dtype=complex), None)
     return extend_form(upper, Weight(2 * k), Rep.trivial("GL"))
+
+
+# name -> (form builder, doubled weight w = 2k); shared by the CLI and the certification suite
+NAMED_FORMS: dict[str, tuple[Callable[[QSeriesConfig], VVForm], int]] = {
+    "eta": (eta_form, 1),
+    "eta-hat": (eta_hat_form, 1),
+    "e4": (partial(eisenstein_form, 4), 8),
+    "e6": (partial(eisenstein_form, 6), 12),
+}

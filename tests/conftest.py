@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from metaplectic.cover import enumerate_cover
-from metaplectic.qseries import QSeriesConfig
+from metaplectic.qseries import CERTIFY_CONFIG
 
 
 @pytest.fixture(scope="session")
@@ -13,10 +15,10 @@ def cover4():
 @pytest.fixture(scope="session")
 def qcfg():
     """Series config used by the certification suite (reduction on)."""
-    return QSeriesConfig(tail_tolerance=1e-17, max_terms=2_000_000, min_im=1e-6)
+    return CERTIFY_CONFIG
 
 
 @pytest.fixture(scope="session")
 def raw_cfg():
     """Same truncation budget with fundamental-domain reduction disabled."""
-    return QSeriesConfig(tail_tolerance=1e-17, max_terms=2_000_000, min_im=1e-6, reduce=False)
+    return replace(CERTIFY_CONFIG, reduce=False)

@@ -1,16 +1,21 @@
 import cmath
+import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from metaplectic.automorphy import principal_sqrt
-from metaplectic.cover import IDENT, LIFT_R, LIFT_S, LIFT_T
+from metaplectic.cover import IDENT, LIFT_R, LIFT_S, LIFT_T, NEG_IDENT, S_MAT, T_MAT, Mat2
 from metaplectic.errors import DomainError, ResourceLimitError
 from metaplectic.qseries import (
     QSeriesConfig,
+    dedekind_sum,
     eisenstein,
     eisenstein_form,
     eta,
+    eta_multiplier_index,
     eta_hat,
     eta_hat_form,
     even_extension,
@@ -69,6 +74,65 @@ def test_eta_reduction_matches_raw(qcfg, raw_cfg):
     for z in (0.04 + 0.012j, -0.7 + 0.06j, 1.3 + 0.2j, 0.4 + 0.09j):
         a, b = eta(z, qcfg), eta(z, raw_cfg)
         assert abs(a - b) / abs(b) < 1e-10
+
+
+def _sawtooth(x: Fraction) -> Fraction:
+    return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
+
+
+def test_dedekind_sum_reciprocity_matches_definition():
+    for k in range(2, 61):
+        for h in range(1, k):
+            if math.gcd(h, k) != 1:
+                continue
+            defining = sum(_sawtooth(Fraction(r, k)) * _sawtooth(Fraction(h * r, k)) for r in range(1, k))
+            assert dedekind_sum(h, k) == defining, (h, k)
+            assert dedekind_sum(h - 3 * k, k) == defining
+    assert dedekind_sum(5, 1) == 0
+    with pytest.raises(DomainError):
+        dedekind_sum(2, 4)
+
+
+def test_eta_multiplier_index_known_values():
+    assert eta_multiplier_index(T_MAT) == 1           # eta(z + 1) = e^(pi i/12) eta(z)
+    assert eta_multiplier_index(S_MAT) == 21          # eta(-1/z) = e^(-pi i/4) sqrt(z) eta(z)
+    assert eta_multiplier_index(NEG_IDENT) == 18      # eta(z) = -i sqrt(-1) eta(z)
+    assert eta_multiplier_index(IDENT) == 0
+    with pytest.raises(DomainError):
+        eta_multiplier_index(Mat2(-1, 0, 0, 1))
+
+
+def test_eta_multiplier_index_transforms_raw_eta(cover4, raw_cfg):
+    # every sign of c and d, against the unreduced product at well-separated points
+    for g in cover4.sl_matrices():
+        root = cmath.exp(2j * cmath.pi * eta_multiplier_index(g) / 24)
+        for z in (0.1 + 1.3j, -0.3 + 0.9j):
+            gz = mobius(g, z)
+            if gz.imag < 0.3:
+                continue
+            want = root * principal_sqrt(g.c * z + g.d) * eta(z, raw_cfg)
+            assert abs(eta(gz, raw_cfg) - want) < 1e-12 * max(1.0, abs(want)), (str(g), z)
+
+
+def _eta_mpmath(z: complex) -> mpmath.mpc:
+    """The eta q-product at 30 digits, truncated where |q|^n < 1e-32."""
+    with mpmath.workdps(30):
+        zz = mpmath.mpc(z.real, z.imag)
+        q = mpmath.exp(2j * mpmath.pi * zz)
+        n = math.ceil(32 * math.log(10) / (2 * math.pi * z.imag))
+        prod, qn = mpmath.mpc(1), mpmath.mpc(1)
+        for _ in range(n):
+            qn *= q
+            prod *= 1 - qn
+        return mpmath.exp(1j * mpmath.pi * zz / 12) * prod
+
+
+def test_reduced_eta_matches_high_precision(qcfg):
+    for y in (1e-3, 1e-2, 0.05, 0.2):
+        for x in (-0.37, 0.2, 0.61):
+            z = complex(x, y)
+            got, want = eta(z, qcfg), _eta_mpmath(z)
+            assert abs(got - complex(want)) <= 1e-10 * abs(complex(want)), z
 
 
 def test_reduce_to_fundamental():
