@@ -1,11 +1,11 @@
 """Holomorphic square-root automorphy factors on both half-planes.
 
 The section is pinned constructively: the lifted generators [S,1] and [T,1]
-carry the principal branches sqrt(z) and 1.  The factor of any other
-determinant-one matrix is built by decomposing it into a generator word,
-composing the per-generator factors through the pair product, and correcting
-by the exact cover sign of the lifted word, so that ``phi_upper(gamma, .)``
-is the factor attached to [gamma, +1].
+carry the principal branches sqrt(z) and 1, and any other determinant-one
+matrix carries the pair-product factor of its generator word times the exact
+cover sign of the lifted word (``word_factor`` over ``_word_data``).  That is
+the square root of c*z + d with argument in [-pi, pi), which ``phi_upper``
+evaluates in closed form; the word route stays as its certified reference.
 """
 
 from __future__ import annotations
@@ -80,8 +80,10 @@ class Phase4:
         raise DomainError(f"sign must be +1 or -1, got {s!r}")
 
 
-def _mobius(m: Mat2, z: complex) -> complex:
-    return (m.a * z + m.b) / (m.c * z + m.d)
+def mobius(gamma: Mat2, z) -> complex:
+    """Fractional-linear action; det +1 preserves the halves, det -1 swaps them."""
+    z = require_off_axis(z)
+    return (gamma.a * z + gamma.b) / (gamma.c * z + gamma.d)
 
 
 # factor carried by each lifted generator token in the pair realisation
@@ -101,7 +103,7 @@ def word_factor(word: Word, z: complex) -> complex:
         if tok == "R":
             raise DomainError("word_factor is defined for determinant +1 words only")
         fac = _TOKEN_FACTORS[tok](w) * fac
-        w = _mobius(TOKEN_MATS[tok], w)
+        w = mobius(TOKEN_MATS[tok], w)
     return fac
 
 
@@ -114,12 +116,14 @@ def _word_data(gamma: Mat2) -> tuple[Word, int]:
 
 
 def phi_upper(gamma: Mat2, z) -> complex:
-    """Automorphy factor of [gamma, +1] on the upper half-plane; squares to c*z + d."""
+    """Automorphy factor of [gamma, +1] on the upper half-plane: sqrt(c*z + d) with argument
+    in [-pi, pi), i.e. the principal root, or -i at c = 0, d = -1, the only case on the cut."""
     if gamma.det() != 1:
         raise DomainError("phi_upper needs a determinant +1 matrix")
     z = require_upper(z)
-    word, eps = _word_data(gamma)
-    return eps * word_factor(word, z)
+    if gamma.c == 0 and gamma.d < 0:
+        return -1j
+    return principal_sqrt(gamma.c * z + gamma.d)
 
 
 def phi_lower(gamma: Mat2, z) -> complex:
@@ -131,15 +135,17 @@ def phi_lower(gamma: Mat2, z) -> complex:
 
 
 def branch_profile(gamma: Mat2, points, tol: float = 1e-9) -> int:
-    """Compare phi_upper against the raw principal branch of sqrt(c*z + d).
+    """Compare the word-route factor against the raw principal branch of sqrt(c*z + d).
 
     Returns the constant sign phi/sqrt over the sampled points, or raises if
-    the ratio is not a constant sign (it must be, by holomorphy).
+    the ratio is not a constant sign (it must be, by holomorphy).  The factor
+    comes from the generator word, so the sign measures the constructive section.
     """
+    word, eps = _word_data(gamma)
     sign = 0
     for z in points:
         z = require_upper(z)
-        ratio = phi_upper(gamma, z) / principal_sqrt(gamma.c * z + gamma.d)
+        ratio = eps * word_factor(word, z) / principal_sqrt(gamma.c * z + gamma.d)
         snapped = 1 if abs(ratio - 1) < abs(ratio + 1) else -1
         if abs(ratio - snapped) > tol:
             raise DomainError(f"phi/sqrt ratio {ratio} at {z} is not a sign for {gamma}")

@@ -31,6 +31,7 @@ from .cover import (
     T_MAT,
     CoverSet,
     cocycle,
+    cocycle_bit,
     conj_by_reflection,
     enumerate_cover,
     format_word,
@@ -206,17 +207,15 @@ def check_cocycle_triples(env: _Env) -> CheckReport:
     pc, pd = prod[:, :, 1, 0], prod[:, :, 1, 1]
     s_p = np.where(pc != 0, pc < 0, pd < 0)
     d_p = dbit[:, None] ^ dbit[None, :]
-    a_pair = (dbit[:, None] & dbit[None, :]) ^ ((s_p ^ sbit[:, None]) & (s_p ^ sbit[None, :] ^ dbit[:, None]))
+    a_pair = cocycle_bit(dbit[:, None], dbit[None, :], sbit[:, None], sbit[None, :], s_p)
     violations = 0
     witness = None
     for k in range(n):
         c3 = pc * a[k] + pd * c[k]
         d3 = pc * b[k] + pd * d[k]
         s3 = np.where(c3 != 0, c3 < 0, d3 < 0)
-        a2 = (d_p & dbit[k]) ^ ((s3 ^ s_p) & (s3 ^ sbit[k] ^ d_p))
-        d_bg = d_p[:, k]
-        s_bg = s_p[:, k]
-        a3 = (dbit[:, None] & d_bg[None, :]) ^ ((s3 ^ sbit[:, None]) & (s3 ^ s_bg[None, :] ^ dbit[:, None]))
+        a2 = cocycle_bit(d_p, dbit[k], s_p, sbit[k], s3)
+        a3 = cocycle_bit(dbit[:, None], d_p[:, k][None, :], sbit[:, None], s_p[:, k][None, :], s3)
         bad = a_pair ^ a2 ^ a3 ^ a_pair[:, k][None, :]
         count = int(bad.sum())
         if count and witness is None:
@@ -386,7 +385,8 @@ def check_phi_well_defined(env: _Env) -> CheckReport:
 
 
 def check_phi_branch_profile(env: _Env) -> CheckReport:
-    plus = minus = 0
+    """The word-route factor is a constant sign times sqrt(c z + d), the sign ``phi_upper`` carries."""
+    plus = minus = mismatches = 0
     bad = None
     for g in env.cover.sl_matrices():
         try:
@@ -398,9 +398,13 @@ def check_phi_branch_profile(env: _Env) -> CheckReport:
             plus += 1
         else:
             minus += 1
+        if any(phi_upper(g, z) != sign * principal_sqrt(g.c * z + g.d) for z in env.upper):
+            mismatches += 1
+            bad = bad or {"gamma": str(g), "word_route_sign": sign}
     return _report("phi_branch_profile",
-                   {"agrees_with_raw_principal_branch": plus, "negated": minus},
-                   env.universe_tag(), "exact" if bad is None else 1, "exact", bad)
+                   {"agrees_with_raw_principal_branch": plus, "negated": minus,
+                    "closed_form_mismatches": mismatches},
+                   env.universe_tag(), "exact" if bad is None else max(mismatches, 1), "exact", bad)
 
 
 # ---------------------------------------------------------------------------
@@ -925,9 +929,9 @@ CHECKS: tuple[tuple[str, Callable[[_Env], CheckReport]], ...] = (
 ALGEBRA_CHECK_IDS = tuple(name for name, _ in CHECKS if name.startswith("algebra_"))
 
 
-def run_certification(max_word_len: int = 5, *, tol: float | None = None,
+def run_certification(max_word_len: int = CertifySetup.max_word_len, *, tol: float | None = None,
                       points: Sequence[complex] | None = None, seed: int = DEFAULT_SEED,
-                      pair_count: int = 500, force: bool = False,
+                      pair_count: int = CertifySetup.pair_count, force: bool = False,
                       qcfg: QSeriesConfig | None = None,
                       check_filter: Sequence[str] | None = None) -> dict:
     """Run the suite and return the report dictionary.

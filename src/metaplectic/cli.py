@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import run_certification
+from .certify import DEFAULT_SEED, CertifySetup, run_certification
 from .cover import Mat2, MetaElt, parse_word, word_lift
 from .errors import DomainError, ModularityError, ResourceLimitError
 from .qseries import CERTIFY_CONFIG, DEFAULT_CONFIG, NAMED_FORMS, QSeriesConfig, triangular_product
@@ -138,19 +138,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cert = sub.add_parser("certify", help="run the full certification suite")
-    cert.add_argument("--max-word-len", type=int, default=5,
-                      help="generator-word length bound for the enumeration (default 5)")
+    cert.add_argument("--max-word-len", type=int, default=CertifySetup.max_word_len,
+                      help="generator-word length bound for the enumeration (default %(default)s)")
     cert.add_argument("--samples", type=str, default=None,
                       help="JSON file with an array of 'a+bi' sample points (upper half)")
     cert.add_argument("--tol", type=float, default=None,
                       help="override every numeric tolerance (default: per-check pinned values)")
     cert.add_argument("--json", type=str, default=None, help="write the JSON report here")
-    cert.add_argument("--seed", type=int, default=20250405, help="seed for the random pair draws")
-    cert.add_argument("--pairs", type=int, default=500, help="random pair count per pair-based check")
+    cert.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the random pair draws (default %(default)s)")
+    cert.add_argument("--pairs", type=int, default=CertifySetup.pair_count, help="random pair count per pair-based check (default %(default)s)")
     cert.add_argument("--force", action="store_true",
                       help="allow enumeration deeper than the configured bound of 8")
     cert.add_argument("--min-im", type=float, default=CERTIFY_CONFIG.min_im,
-                      help="near-axis refusal threshold for the q-series during certification")
+                      help="near-axis refusal threshold for the q-series during certification (default %(default)s)")
 
     ev = sub.add_parser("eval", help="evaluate a cover element word or a named form")
     ev.add_argument("--elem", type=str, default=None, help="generator word, e.g. 'R R' or 'S T T'")
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--form", type=str, default=None, help="eta | e4 | e6 | eta-hat | zn:N")
     ev.add_argument("--z", type=str, default=None, help="evaluation point 'a+bi'")
     ev.add_argument("--min-im", type=float, default=DEFAULT_CONFIG.min_im,
-                    help="near-axis refusal threshold (default 0.05)")
+                    help="near-axis refusal threshold (default %(default)s)")
 
     chk = sub.add_parser("check", help="residual of the slash-vs-representation identity")
     chk.add_argument("--form", type=str, required=True, help="eta | e4 | e6 | eta-hat")

@@ -3,17 +3,15 @@
 Cover elements are pairs ``[gamma, eps]`` with ``gamma`` an integer matrix of
 determinant +-1 and ``eps`` a sign, multiplied through a {+1,-1}-valued
 2-cocycle assembled from the real-place Hilbert symbol and Kubota's chi
-function.  Everything here is exact: matrix entries are Python integers, the
-cocycle ratios are ``fractions.Fraction``, and only their signs enter the
-symbols.
+function.  Everything here is exact: matrix entries are Python integers, and
+the cocycle only sees the sign bits of the determinants and of chi, combined
+in one bit formula (``cocycle_bit``) that also runs on numpy arrays.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -101,17 +99,23 @@ def hilbert_symbol(a, b) -> int:
     return -1 if (a < 0 and b < 0) else 1
 
 
-def cocycle(alpha: Mat2, beta: Mat2) -> int:
-    """Sign 2-cocycle on GL2(Z) twisting the pair product.
+def cocycle_bit(da, db, sa, sb, sab):
+    """Cocycle sign bit (True for -1) from the negativity bits of det a, det b,
+    chi(a), chi(b) and chi(ab); works on bools and elementwise on numpy arrays.
 
-    The two ratio arguments are exact rationals; only their signs matter to
-    the Hilbert symbols, but they are formed exactly to match the defining
-    formula literally.
+    The Hilbert symbol's ratios chi(ab)/chi(a) and chi(ab)/(chi(b) det a) are
+    negative exactly when sab ^ sa resp. sab ^ sb ^ da is set.
     """
-    chi_ab = kubota_chi(alpha * beta)
-    r1 = Fraction(chi_ab, kubota_chi(alpha))
-    r2 = Fraction(chi_ab, kubota_chi(beta) * alpha.det())
-    return hilbert_symbol(alpha.det(), beta.det()) * hilbert_symbol(r1, r2)
+    return (da & db) ^ ((sab ^ sa) & (sab ^ sb ^ da))
+
+
+def cocycle(alpha: Mat2, beta: Mat2) -> int:
+    """Sign 2-cocycle on GL2(Z) twisting the pair product:
+    (det a, det b) (chi(ab)/chi(a), chi(ab)/(chi(b) det a)) in real Hilbert
+    symbols, which only see the argument signs, so ``cocycle_bit`` evaluates it."""
+    bit = cocycle_bit(alpha.det() < 0, beta.det() < 0, kubota_chi(alpha) < 0,
+                      kubota_chi(beta) < 0, kubota_chi(alpha * beta) < 0)
+    return -1 if bit else 1
 
 
 def reflection_sign(gamma: Mat2) -> int:
@@ -241,8 +245,7 @@ def _free_reduce(tokens: list[str]) -> list[str]:
 
 def _best_shift(c: int, d: int) -> int:
     # Exponent n minimising |d + n*c|; ties prefer the larger (nonnegative) n.
-    x = Fraction(-d, c)
-    lo = math.floor(x)
+    lo = -d // c
     candidates = (lo, lo + 1)
     best = min(candidates, key=lambda n: (abs(d + n * c), -n))
     return best

@@ -18,10 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .automorphy import principal_sqrt, require_off_axis, require_upper
-from .cover import IDENT, Mat2, S_MAT
+from .cover import Mat2
 from .errors import DomainError, ResourceLimitError
 from .reps import Rep, VVForm, character_of, extend_form, induce_form
-from .slash import HoloFn, Weight, cpow_int, mobius
+from .slash import HoloFn, Weight, cpow_int
 
 ZETA_4 = math.pi ** 4 / 90
 ZETA_6 = math.pi ** 6 / 945
@@ -76,17 +76,17 @@ def reduce_to_fundamental(z, max_steps: int = 500) -> tuple[Mat2, complex]:
     the original z at every step, so the pair (g, g.z) is reproducible.
     """
     z = require_upper(z)
-    g = IDENT
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(max_steps):
-        w = mobius(g, z)
+        w = (a * z + b) / (c * z + d)
         shift = -round(w.real)
         if shift:
-            g = Mat2(1, shift, 0, 1) * g
+            a, b = a + shift * c, b + shift * d  # T^shift * g
             w = w + shift
         if abs(w) < 0.999999:
-            g = S_MAT * g
+            a, b, c, d = -c, -d, a, b  # S * g
         else:
-            return g, w
+            return Mat2(a, b, c, d), w
     raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {z}")
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automorphy import Phase4, require_upper
+from .automorphy import Phase4, _word_data, require_upper
 from .cover import (
     LIFT_R,
     LIFT_S,
@@ -24,8 +24,6 @@ from .cover import (
     MetaElt,
     Word,
     conj_by_reflection,
-    word_decompose,
-    word_lift,
 )
 from .errors import DomainError, ModularityError
 from .sampling import full_grid, upper_grid
@@ -88,9 +86,9 @@ class Rep:
         """Lift-and-correct value at an arbitrary cover element."""
         if self.group == "SL" and x.det() != 1:
             raise DomainError("SL-cover representation cannot take determinant -1 elements")
-        word = word_decompose(x.gamma)
+        word, eps = _word_data(x.gamma)
         out = self.word_image(word)
-        if word_lift(word).eps != x.eps:
+        if eps != x.eps:
             out = out @ self.central_image()
         return out
 

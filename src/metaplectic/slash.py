@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .automorphy import Phase4, phi_upper, require_off_axis
+from .automorphy import Phase4, mobius, phi_upper, require_off_axis
 from .cover import Mat2, MetaElt, R_MAT, cocycle, reflection_sign
 from .errors import DomainError
 
@@ -112,12 +112,6 @@ class HoloFn:
         up = None if self.lower is None else (lambda z, s=self.lower: _coerce(s(-z), self.dim))
         lo = None if self.upper is None else (lambda z, s=self.upper: _coerce(s(-z), self.dim))
         return HoloFn(self.dim, up, lo)
-
-
-def mobius(gamma: Mat2, z) -> complex:
-    """Fractional-linear action; det +1 preserves the halves, det -1 swaps them."""
-    z = require_off_axis(z)
-    return (gamma.a * z + gamma.b) / (gamma.c * z + gamma.d)
 
 
 def _case_evaluator(src: Optional[Evaluator], dim: int, gamma: Mat2, phi_mat: Mat2,

@@ -14,7 +14,7 @@ from metaplectic.automorphy import (
     require_upper,
     word_factor,
 )
-from metaplectic.cover import Mat2, R_MAT, S_MAT, T_MAT, cocycle, reflection_sign
+from metaplectic.cover import Mat2, R_MAT, S_MAT, T_MAT, cocycle, reflection_sign, word_decompose, word_lift
 from metaplectic.errors import DomainError
 from metaplectic.sampling import lower_grid, upper_grid
 
@@ -60,6 +60,21 @@ def test_generator_factors():
         assert phi_upper(T_MAT, z) == 1
         assert phi_upper(Mat2(1, -1, 0, 1), z) == 1
     assert abs(phi_upper(S_MAT, 1j) - EIGHTH) < 1e-15
+
+
+def test_phi_upper_matches_word_route(cover4):
+    # the closed form against the constructive section: lifted generator word, corrected by its cover sign.
+    # Near-axis points keep off the cusps -d/c, where c*z + d nearly cancels and the word walk loses digits.
+    near_axis = tuple(x + 1j * y for x in (-1.37, 0.23, 0.61, 2.09) for y in (1e-6, 1e-3))
+    for g in cover4.sl_matrices():
+        word = word_decompose(g)
+        eps = word_lift(word).eps
+        for z in upper_grid() + near_axis:
+            reference = eps * word_factor(word, z)
+            assert abs(phi_upper(g, z) - reference) <= 1e-12 * abs(reference)
+    for n in (-3, 0, 1, 5):
+        for z in (1j, -2.5 + 0.01j, 0.4 + 1e-6j):
+            assert phi_upper(Mat2(-1, n, 0, -1), z) == -1j
 
 
 def test_phi_upper_domain():

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from metaplectic.cover import (
     S_MAT,
     T_MAT,
     cocycle,
+    cocycle_bit,
     conj_by_reflection,
     enumerate_cover,
     format_word,
@@ -83,6 +87,27 @@ def test_cocycle_worked_values():
     for g in (S_MAT, T_MAT, R_MAT, NEG_IDENT, Mat2(2, 5, 1, 3)):
         assert cocycle(g, IDENT) == 1
         assert cocycle(IDENT, g) == 1
+
+
+def _cocycle_oracle(alpha, beta):
+    """The defining formula, literally: Hilbert symbols of exact rational ratios."""
+    chi_ab = kubota_chi(alpha * beta)
+    r1 = Fraction(chi_ab, kubota_chi(alpha))
+    r2 = Fraction(chi_ab, kubota_chi(beta) * alpha.det())
+    return hilbert_symbol(alpha.det(), beta.det()) * hilbert_symbol(r1, r2)
+
+
+def test_cocycle_matches_defining_formula(cover4):
+    mats = cover4.matrices()
+    assert {m.det() for m in mats} == {1, -1}
+    pairs = [(a, b) for a in mats for b in mats]
+    expected = np.array([_cocycle_oracle(a, b) == -1 for a, b in pairs])
+    assert np.array_equal(np.array([cocycle(a, b) == -1 for a, b in pairs]), expected)
+    bits = lambda f: np.array([f(a, b) < 0 for a, b in pairs])
+    got = cocycle_bit(bits(lambda a, b: a.det()), bits(lambda a, b: b.det()),
+                      bits(lambda a, b: kubota_chi(a)), bits(lambda a, b: kubota_chi(b)),
+                      bits(lambda a, b: kubota_chi(a * b)))
+    assert got.dtype == bool and np.array_equal(got, expected)
 
 
 def test_reflection_sign_values():
