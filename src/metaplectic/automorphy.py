@@ -115,23 +115,27 @@ def _word_data(gamma: Mat2) -> tuple[Word, int]:
     return word, lift.eps
 
 
+def section_root(c: int, d: int, z: complex) -> complex:
+    """sqrt(c*z + d) with argument in [-pi, pi): the principal root, or -i at c = 0, d < 0,
+    the only case on the cut.  Unchecked; callers validate the matrix and the point."""
+    if c == 0 and d < 0:
+        return -1j
+    return principal_sqrt(c * z + d)
+
+
 def phi_upper(gamma: Mat2, z) -> complex:
-    """Automorphy factor of [gamma, +1] on the upper half-plane: sqrt(c*z + d) with argument
-    in [-pi, pi), i.e. the principal root, or -i at c = 0, d = -1, the only case on the cut."""
+    """Automorphy factor of [gamma, +1] on the upper half-plane, ``section_root`` of its bottom row."""
     if gamma.det() != 1:
         raise DomainError("phi_upper needs a determinant +1 matrix")
-    z = require_upper(z)
-    if gamma.c == 0 and gamma.d < 0:
-        return -1j
-    return principal_sqrt(gamma.c * z + gamma.d)
+    return section_root(gamma.c, gamma.d, require_upper(z))
 
 
 def phi_lower(gamma: Mat2, z) -> complex:
-    """Automorphy factor of [gamma, +1] on the lower half-plane."""
+    """Automorphy factor of [gamma, +1] on the lower half-plane: the reflection sign times
+    phi_upper(RgR, -z), whose argument -c*(-z) + d is c*z + d."""
     if gamma.det() != 1:
         raise DomainError("phi_lower needs a determinant +1 matrix")
-    z = require_lower(z)
-    return reflection_sign(gamma) * phi_upper(gamma.reflect_conjugate(), -z)
+    return reflection_sign(gamma) * section_root(gamma.c, gamma.d, require_lower(z))
 
 
 def branch_profile(gamma: Mat2, points, tol: float = 1e-9) -> int:

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import sampling
-from .automorphy import branch_profile, phi_lower, phi_upper, principal_sqrt, word_factor
+from .automorphy import branch_profile, phi_lower, phi_upper, principal_sqrt, require_upper, word_factor
 from .cover import (
     CENTER_FLIP,
     IDENT,
@@ -103,7 +103,8 @@ class _Env:
     def __init__(self, setup: CertifySetup):
         self.setup = setup
         self.cover: CoverSet = enumerate_cover(setup.max_word_len, force=setup.force)
-        self.upper = tuple(setup.points) if setup.points else sampling.upper_grid()
+        # validated here, so a bad sample is named before any check runs
+        self.upper = tuple(map(require_upper, setup.points)) if setup.points else sampling.upper_grid()
         self.lower = tuple(z.conjugate() for z in self.upper)
         self.grid = self.upper + self.lower
         self.rng = np.random.default_rng(setup.seed)

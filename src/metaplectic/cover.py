@@ -133,7 +133,7 @@ class MetaElt:
     eps: int
 
     def __post_init__(self):
-        if self.eps not in (1, -1):
+        if not isinstance(self.eps, int) or self.eps not in (1, -1):
             raise DomainError(f"cover sign must be +1 or -1, got {self.eps!r}")
 
     def __mul__(self, other: "MetaElt") -> "MetaElt":

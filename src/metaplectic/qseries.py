@@ -214,9 +214,7 @@ def lattice_sum(k: int, z, m_cutoff: int) -> complex:
 
 def even_extension(f_upper) -> HoloFn:
     """Extend a scalar upper-half-plane evaluator by f(z) = f(-z)."""
-    up = lambda z: np.array([f_upper(z)], dtype=complex)
-    lo = lambda z: np.array([f_upper(-z)], dtype=complex)
-    return HoloFn(1, up, lo)
+    return HoloFn.from_scalar(upper=f_upper, lower=lambda z: f_upper(-z))
 
 
 def triangular_product(n_factors: int, z) -> complex:
@@ -247,7 +245,8 @@ def triangular_product_factored(n_factors: int, z) -> complex:
 
 def eta_fn(cfg: QSeriesConfig = DEFAULT_CONFIG) -> HoloFn:
     """Eta as an upper-half-plane-only function object."""
-    return HoloFn(1, lambda z: np.array([eta(z, cfg)], dtype=complex), None)
+    # ``eta`` is looked up per call, so a wrapper bound to ``qseries.eta`` later still sees every call
+    return HoloFn.from_scalar(upper=lambda z: eta(z, cfg))
 
 
 @lru_cache(maxsize=None)
@@ -277,7 +276,7 @@ def eta_hat(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 def eisenstein_form(k: int, cfg: QSeriesConfig = DEFAULT_CONFIG) -> VVForm:
     """Even extension of E_k as a GL-cover form with trivial representation."""
-    upper = HoloFn(1, lambda z: np.array([eisenstein(k, z, cfg)], dtype=complex), None)
+    upper = HoloFn.from_scalar(upper=lambda z: eisenstein(k, z, cfg))
     return extend_form(upper, Weight(2 * k), Rep.trivial("GL"))
 
 

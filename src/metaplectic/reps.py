@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -40,6 +40,8 @@ class Rep:
     group: str  # "SL" or "GL"
     dim: int
     images: dict[str, np.ndarray]
+    # generator token -> image, with the inverses of S and T and the central image S^4
+    _table: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.group not in ("SL", "GL"):
@@ -56,6 +58,9 @@ class Rep:
                 raise DomainError(f"image of {key} is not invertible")
             fixed[key] = arr
         object.__setattr__(self, "images", fixed)
+        object.__setattr__(self, "_table", {
+            **fixed, "S^-1": np.linalg.inv(fixed["S"]), "T^-1": np.linalg.inv(fixed["T"]),
+            "center": np.linalg.matrix_power(fixed["S"], 4)})
 
     @classmethod
     def trivial(cls, group: str) -> "Rep":
@@ -63,23 +68,16 @@ class Rep:
         eye = np.eye(1, dtype=complex)
         return cls(group, 1, {k: eye for k in keys})
 
-    def _token_image(self, token: str) -> np.ndarray:
-        if token == "R":
-            if "R" not in self.images:
-                raise DomainError("SL-cover representation has no reflection image")
-            return self.images["R"]
-        base, _, inv = token.partition("^")
-        mat = self.images[base]
-        return np.linalg.inv(mat) if inv else mat
-
     def central_image(self) -> np.ndarray:
         """Image of the central sign flip [I,-1], namely image(S)^4."""
-        return np.linalg.matrix_power(self.images["S"], 4)
+        return self._table["center"]
 
     def word_image(self, word: Word) -> np.ndarray:
         out = np.eye(self.dim, dtype=complex)
         for tok in word:
-            out = out @ self._token_image(tok)
+            if tok == "R" and "R" not in self.images:
+                raise DomainError("SL-cover representation has no reflection image")
+            out = out @ self._table[tok]
         return out
 
     def evaluate(self, x: MetaElt) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .automorphy import Phase4, mobius, phi_upper, require_off_axis
+from .automorphy import Phase4, mobius, require_off_axis, section_root  # mobius: re-exported as slash.mobius
 from .cover import Mat2, MetaElt, R_MAT, cocycle, reflection_sign
 from .errors import DomainError
 
@@ -70,8 +70,9 @@ class HoloFn:
     """Function on the double half-plane given by per-half evaluators.
 
     Either evaluator may be None for a function only defined on one half.
-    Evaluators return a complex vector of length ``dim`` (scalars are fine
-    for dim 1).
+    Evaluators return a complex numpy vector of length ``dim`` (scalars are fine
+    for dim 1); ``at`` validates the point and the shape once, so derived
+    evaluators pass inner values through as they are.
     """
 
     dim: int
@@ -104,30 +105,25 @@ class HoloFn:
 
     def scale(self, factor: complex) -> "HoloFn":
         factor = complex(factor)
-        mk = lambda side: (None if side is None else (lambda z, s=side: factor * _coerce(s(z), self.dim)))
+        mk = lambda side: (None if side is None else (lambda z, s=side: factor * s(z)))
         return HoloFn(self.dim, mk(self.upper), mk(self.lower))
 
     def compose_reflection(self) -> "HoloFn":
         """The function z -> f(-z); swaps the two half-plane evaluators."""
-        up = None if self.lower is None else (lambda z, s=self.lower: _coerce(s(-z), self.dim))
-        lo = None if self.upper is None else (lambda z, s=self.upper: _coerce(s(-z), self.dim))
+        up = None if self.lower is None else (lambda z, s=self.lower: s(-z))
+        lo = None if self.upper is None else (lambda z, s=self.upper: s(-z))
         return HoloFn(self.dim, up, lo)
 
 
-def _case_evaluator(src: Optional[Evaluator], dim: int, gamma: Mat2, phi_mat: Mat2,
-                    negate_arg: bool, sign: int, i_exp: int, w: int) -> Optional[Evaluator]:
+def _case_evaluator(src: Optional[Evaluator], gamma: Mat2, sign: int, i_exp: int,
+                    w: int) -> Optional[Evaluator]:
     if src is None:
         return None
-    phase = Phase4(i_exp)
-    if sign == -1 and w % 2 == 1:
-        phase = phase * Phase4(2)
-    exact = phase.value
+    exact = (Phase4(i_exp) * Phase4.from_sign(sign) ** w).value
+    a, b, c, d = gamma.entries()
 
-    def evaluator(z: complex) -> np.ndarray:
-        target = mobius(gamma, z)
-        arg = -z if negate_arg else z
-        pref = exact * cpow_int(phi_upper(phi_mat, arg), -w)
-        return _coerce(src(target), dim) * pref
+    def evaluator(z: complex):
+        return src((a * z + b) / (c * z + d)) * (exact * cpow_int(section_root(c, d, z), -w))
 
     return evaluator
 
@@ -143,20 +139,17 @@ def slash(f: HoloFn, weight: Weight, x: MetaElt) -> HoloFn:
     * det -1, lower:  f+(gz) (i eps A B' phi+_{gR}(-z))^(-2k)
 
     with A the cocycle against the reflection, B/B' the reflection signs of
-    gamma resp. R*gamma.
+    gamma resp. R*gamma.  All four factors are phi+ at c z + d, since RgR and gR
+    at -z, and Rg at z, have bottom rows (-c, d) resp. (c, d).
     """
     g, eps, w = x.gamma, x.eps, weight.w
     if g.det() == 1:
-        upper = _case_evaluator(f.upper, f.dim, g, g, False, eps, 0, w)
-        lower = _case_evaluator(
-            f.lower, f.dim, g, g.reflect_conjugate(), True, eps * reflection_sign(g), 0, w
-        )
+        upper = _case_evaluator(f.upper, g, eps, 0, w)
+        lower = _case_evaluator(f.lower, g, eps * reflection_sign(g), 0, w)
     else:
         a_sign = cocycle(R_MAT, g)
-        upper = _case_evaluator(f.lower, f.dim, g, R_MAT * g, False, eps * a_sign, -w, w)
-        lower = _case_evaluator(
-            f.upper, f.dim, g, g * R_MAT, True, eps * a_sign * reflection_sign(R_MAT * g), -w, w
-        )
+        upper = _case_evaluator(f.lower, g, eps * a_sign, -w, w)
+        lower = _case_evaluator(f.upper, g, eps * a_sign * reflection_sign(R_MAT * g), -w, w)
     return HoloFn(f.dim, upper, lower)
 
 

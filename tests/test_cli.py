@@ -155,6 +155,12 @@ def test_certify_with_sample_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert run_cli(capsys, "certify", "--max-word-len", "2", "--samples", str(bad))[0] == 2
+    lower = tmp_path / "lower.json"
+    lower.write_text(json.dumps(["0.3-0.8i", "0.1+0.9i"]))
+    code, out, err = run_cli(capsys, "certify", "--max-word-len", "2", "--samples", str(lower))
+    assert code == 2
+    assert out == ""  # refused before any check runs
+    assert "point (0.3-0.8j) is not in the upper half-plane" in err
 
 
 def test_certify_depth_bound(capsys):

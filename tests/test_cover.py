@@ -257,3 +257,5 @@ def test_sign_validation():
         MetaElt(S_MAT, 0)
     with pytest.raises(DomainError):
         MetaElt(S_MAT, 2)
+    with pytest.raises(DomainError):
+        MetaElt(S_MAT, 1.0)  # a float sign would break the ;+1 witness format

@@ -43,6 +43,8 @@ def test_trivial_rep_evaluation(cover4):
     sl = Rep.trivial("SL")
     with pytest.raises(DomainError):
         sl.evaluate(LIFT_R)
+    with pytest.raises(DomainError, match="no reflection image"):
+        sl.word_image(("S", "R"))
 
 
 def test_snap_to_root():
