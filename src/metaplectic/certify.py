@@ -10,7 +10,9 @@ are seeded and check output is sorted by check id.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import product, starmap
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,12 +26,14 @@ from .cover import (
     LIFT_S,
     LIFT_T,
     LIFT_Z,
+    Mat2,
     MetaElt,
     NEG_IDENT,
     R_MAT,
     S_MAT,
     T_MAT,
     CoverSet,
+    chi_negative,
     cocycle,
     cocycle_bit,
     conj_by_reflection,
@@ -39,7 +43,7 @@ from .cover import (
     kubota_chi,
     reflection_sign,
 )
-from .errors import ModularityError
+from .errors import DomainError, ModularityError, ResourceLimitError
 from .qseries import (
     CERTIFY_CONFIG,
     NAMED_FORMS,
@@ -101,6 +105,8 @@ class _Env:
     """Shared, lazily-built state for the individual checks."""
 
     def __init__(self, setup: CertifySetup):
+        if setup.pair_count < 1:
+            raise DomainError(f"pair count must be at least 1, got {setup.pair_count}")
         self.setup = setup
         self.cover: CoverSet = enumerate_cover(setup.max_word_len, force=setup.force)
         # validated here, so a bad sample is named before any check runs
@@ -109,16 +115,15 @@ class _Env:
         self.grid = self.upper + self.lower
         self.rng = np.random.default_rng(setup.seed)
         self.qcfg_raw = replace(setup.qcfg, reduce=False)
+        cov = self.cover
+        self.universe = (f"cover words of length <= {cov.max_len}: {len(cov.words)} elements, "
+                         f"{len(cov.matrices())} distinct matrices ({len(cov.sl_matrices())} with det +1); "
+                         f"{len(self.upper)} upper sample points plus conjugates")
         self._forms: dict = {}
+        self.check_id = ""  # the running check, set by run_certification
 
     def tol(self, pinned: float) -> float:
         return self.setup.tol_override if self.setup.tol_override is not None else pinned
-
-    def universe_tag(self) -> str:
-        cov = self.cover
-        return (f"cover words of length <= {cov.max_len}: {len(cov.words)} elements, "
-                f"{len(cov.matrices())} distinct matrices ({len(cov.sl_matrices())} with det +1); "
-                f"{len(self.upper)} upper sample points plus conjugates")
 
     def form(self, name: str) -> VVForm:
         """The form registered under ``name`` in ``NAMED_FORMS``, built once."""
@@ -141,23 +146,56 @@ class _Env:
         return pairs
 
 
-def _fmt_z(z: complex) -> str:
-    return sampling.format_complex(z)
+def _gap(a, b) -> float:
+    """Largest entrywise distance between two values or arrays."""
+    return float(np.max(np.abs(a - b)))
 
 
-def _report(check_id: str, params: dict, universe: str, residual, tol,
-            counterexample: Optional[dict] = None) -> CheckReport:
-    if tol == "exact":
-        passed = residual == 0 or residual == "exact"
-        shown = "exact" if passed else residual
-    else:
-        passed = float(residual) <= tol
-        shown = float(residual)
-        params = {**params, "tolerance": tol}
-    if not passed and counterexample is None:
+def _shown(value):
+    """A witness field as reported: points as ``a+bi``, matrices and cover elements as text."""
+    if isinstance(value, complex):
+        return sampling.format_complex(value)
+    return str(value) if isinstance(value, (Mat2, MetaElt)) else value
+
+
+def _verdict(env: _Env, params: dict, shown, passed: bool, counterexample: Optional[dict],
+             universe: Optional[str] = None) -> CheckReport:
+    """The running check's report; the universe defaults to the enumerated cover."""
+    universe = env.universe if universe is None else universe
+    if passed:
+        return CheckReport(env.check_id, params, universe, shown, True)
+    if counterexample is None:
         counterexample = {"detail": "no witness captured; see params"}
-    return CheckReport(check_id, params, universe, shown, passed,
-                       counterexample if not passed else None)
+    return CheckReport(env.check_id, params, universe, shown, False,
+                       {key: _shown(value) for key, value in counterexample.items()})
+
+
+def _report(env: _Env, params: dict, residual, pinned: float, counterexample: Optional[dict] = None,
+            universe: Optional[str] = None) -> CheckReport:
+    """Numeric verdict: passes when ``residual`` is within the pinned tolerance (or the override)."""
+    tol = env.tol(pinned)
+    return _verdict(env, {**params, "tolerance": tol}, float(residual), float(residual) <= tol,
+                    counterexample, universe)
+
+
+def _exact(env: _Env, params: dict, bad: Optional[dict], count=1,
+           universe: Optional[str] = None) -> CheckReport:
+    """Exact verdict: passes when there is no counterexample ``bad``; ``count`` is shown otherwise."""
+    return _verdict(env, params, "exact" if bad is None else count, bad is None, bad, universe)
+
+
+class _Worst:
+    """Running maximum of a residual, keeping the first witness that reached it."""
+
+    def __init__(self):
+        self.value, self.witness = 0.0, None
+
+    def see(self, r, **witness) -> None:
+        if r > self.value:
+            self.value, self.witness = r, witness
+
+    def report(self, env: _Env, params: dict, pinned: float, universe: Optional[str] = None) -> CheckReport:
+        return _report(env, params, self.value, pinned, self.witness, universe)
 
 
 # ---------------------------------------------------------------------------
@@ -183,30 +221,23 @@ def check_unit_values(env: _Env) -> CheckReport:
         ("reflection_sign(T)", reflection_sign(T_MAT), 1),
         ("reflection_sign(-I)", reflection_sign(NEG_IDENT), -1),
     ]
-    bad = [(name, got, want) for name, got, want in cases if got != want]
-    return _report(
-        "algebra_unit_values", {"cases": len(cases)}, "hand-checked generator identities",
-        "exact" if not bad else f"{len(bad)} mismatches", "exact",
-        {"mismatches": [{"case": n, "got": g, "want": w} for n, g, w in bad]} if bad else None)
-
-
-def _sign_bits(mats: np.ndarray):
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, d = mats[:, 1, 0], mats[:, 1, 1]
-    dets = a * d - b * c
-    dbit = dets < 0
-    sbit = np.where(c != 0, c < 0, d < 0)
-    return a, b, c, d, dbit, sbit
+    bad = [{"case": name, "got": got, "want": want} for name, got, want in cases if got != want]
+    return _exact(env, {"cases": len(cases)}, {"mismatches": bad} if bad else None,
+                  f"{len(bad)} mismatches", universe="hand-checked generator identities")
 
 
 def check_cocycle_triples(env: _Env) -> CheckReport:
     """Cocycle identity A(a,b)A(ab,c) = A(a,bc)A(b,c) on every enumerated triple."""
-    mats = np.array([m.entries() for m in env.cover.matrices()], dtype=np.int64).reshape(-1, 2, 2)
+    mats_list = env.cover.matrices()
+    mats = np.array([m.entries() for m in mats_list], dtype=np.int64).reshape(-1, 2, 2)
     n = len(mats)
-    a, b, c, d, dbit, sbit = _sign_bits(mats)
+    a, b = mats[:, 0, 0], mats[:, 0, 1]
+    c, d = mats[:, 1, 0], mats[:, 1, 1]
+    dbit = a * d - b * c < 0
+    sbit = chi_negative(c, d)
     prod = np.einsum("iab,jbc->ijac", mats, mats)
     pc, pd = prod[:, :, 1, 0], prod[:, :, 1, 1]
-    s_p = np.where(pc != 0, pc < 0, pd < 0)
+    s_p = chi_negative(pc, pd)
     d_p = dbit[:, None] ^ dbit[None, :]
     a_pair = cocycle_bit(dbit[:, None], dbit[None, :], sbit[:, None], sbit[None, :], s_p)
     violations = 0
@@ -214,81 +245,65 @@ def check_cocycle_triples(env: _Env) -> CheckReport:
     for k in range(n):
         c3 = pc * a[k] + pd * c[k]
         d3 = pc * b[k] + pd * d[k]
-        s3 = np.where(c3 != 0, c3 < 0, d3 < 0)
+        s3 = chi_negative(c3, d3)
         a2 = cocycle_bit(d_p, dbit[k], s_p, sbit[k], s3)
         a3 = cocycle_bit(dbit[:, None], d_p[:, k][None, :], sbit[:, None], s_p[:, k][None, :], s3)
         bad = a_pair ^ a2 ^ a3 ^ a_pair[:, k][None, :]
         count = int(bad.sum())
         if count and witness is None:
             i, j = np.argwhere(bad)[0]
-            mats_list = env.cover.matrices()
-            witness = {"alpha": str(mats_list[i]), "beta": str(mats_list[j]), "gamma": str(mats_list[k])}
+            witness = {"alpha": mats_list[i], "beta": mats_list[j], "gamma": mats_list[k]}
         violations += count
-    return _report(
-        "algebra_cocycle_triples",
-        {"matrices": n, "triples": n ** 3},
-        env.universe_tag(),
-        "exact" if violations == 0 else violations, "exact", witness)
+    return _exact(env, {"matrices": n, "triples": n ** 3}, witness, violations)
 
 
 def check_reflection_sign_lemma(env: _Env) -> CheckReport:
-    bad = None
-    checked = 0
-    for g in env.cover.sl_matrices():
+    def bad(g):
         want = -reflection_sign(g)
         lhs1 = cocycle(R_MAT, g) * cocycle(R_MAT * g, R_MAT)
         lhs2 = cocycle(R_MAT, g * R_MAT) * cocycle(g, R_MAT)
-        checked += 1
         if lhs1 != want or lhs2 != want:
-            bad = {"gamma": str(g), "lhs1": lhs1, "lhs2": lhs2, "want": want}
-            break
-    return _report("algebra_reflection_sign_lemma", {"matrices": checked}, env.universe_tag(),
-                   "exact" if bad is None else 1, "exact", bad)
+            return {"gamma": g, "lhs1": lhs1, "lhs2": lhs2, "want": want}
+
+    mats = env.cover.sl_matrices()
+    return _exact(env, {"matrices": len(mats)}, next(filter(None, map(bad, mats)), None))
 
 
 def check_conjugation_lemma(env: _Env) -> CheckReport:
     r_inv = LIFT_R.inv()
-    bad = None
-    checked = 0
-    for x in env.cover.sl_elements():
+
+    def bad(x):
         via_products = LIFT_R * x * r_inv
         closed = MetaElt(x.gamma.reflect_conjugate(), reflection_sign(x.gamma) * x.eps)
-        checked += 1
         if conj_by_reflection(x) != via_products or closed != via_products:
-            bad = {"x": str(x), "products": str(via_products), "closed_form": str(closed)}
-            break
-    return _report("algebra_conjugation_lemma", {"elements": checked}, env.universe_tag(),
-                   "exact" if bad is None else 1, "exact", bad)
+            return {"x": x, "products": via_products, "closed_form": closed}
+
+    elts = env.cover.sl_elements()
+    return _exact(env, {"elements": len(elts)}, next(filter(None, map(bad, elts)), None))
 
 
 def check_generator_inversion(env: _Env) -> CheckReport:
     ok = (conj_by_reflection(LIFT_S) == LIFT_S.inv()
           and conj_by_reflection(LIFT_T) == LIFT_T.inv())
-    return _report("algebra_generator_inversion", {}, "the lifted generators S, T",
-                   "exact" if ok else 1, "exact",
-                   None if ok else {"conj_S": str(conj_by_reflection(LIFT_S)), "inv_S": str(LIFT_S.inv()),
-                                    "conj_T": str(conj_by_reflection(LIFT_T)), "inv_T": str(LIFT_T.inv())})
+    return _exact(env, {}, None if ok else {"conj_S": conj_by_reflection(LIFT_S), "inv_S": LIFT_S.inv(),
+                                            "conj_T": conj_by_reflection(LIFT_T), "inv_T": LIFT_T.inv()},
+                  universe="the lifted generators S, T")
 
 
 def check_product_bbb_lemma(env: _Env) -> CheckReport:
     """cocycle(a,b) cocycle(RaR,RbR) = B(a) B(b) B(ab) on enumerated det-one pairs."""
     mats = env.cover.sl_matrices()
     bsign = {m: reflection_sign(m) for m in mats}
-    bad = None
-    checked = 0
-    for alpha in mats:
-        ra = alpha.reflect_conjugate()
-        for beta in mats:
-            lhs = cocycle(alpha, beta) * cocycle(ra, beta.reflect_conjugate())
-            rhs = bsign[alpha] * bsign[beta] * reflection_sign(alpha * beta)
-            checked += 1
-            if lhs != rhs:
-                bad = {"alpha": str(alpha), "beta": str(beta), "lhs": lhs, "rhs": rhs}
-                break
-        if bad:
-            break
-    return _report("algebra_product_bbb_lemma", {"pairs": checked}, env.universe_tag(),
-                   "exact" if bad is None else 1, "exact", bad)
+    conj = {m: m.reflect_conjugate() for m in mats}
+
+    def bad(alpha, beta):
+        lhs = cocycle(alpha, beta) * cocycle(conj[alpha], conj[beta])
+        rhs = bsign[alpha] * bsign[beta] * reflection_sign(alpha * beta)
+        if lhs != rhs:
+            return {"alpha": alpha, "beta": beta, "lhs": lhs, "rhs": rhs}
+
+    return _exact(env, {"pairs": len(mats) ** 2},
+                  next(filter(None, starmap(bad, product(mats, repeat=2))), None))
 
 
 def check_order_relations(env: _Env) -> CheckReport:
@@ -299,10 +314,9 @@ def check_order_relations(env: _Env) -> CheckReport:
     problems = {}
     if not (s4 == z2 == r2 == CENTER_FLIP):
         problems["orders"] = {"S^4": str(s4), "Z^2": str(z2), "R^2": str(r2)}
-    for x in env.cover.elements():
-        if x * CENTER_FLIP != CENTER_FLIP * x:
-            problems["centrality"] = {"x": str(x)}
-            break
+    off_center = next((x for x in env.cover.elements() if x * CENTER_FLIP != CENTER_FLIP * x), None)
+    if off_center is not None:
+        problems["centrality"] = {"x": str(off_center)}
     if LIFT_Z * LIFT_R == LIFT_R * LIFT_Z:
         problems["z_not_central"] = {"ZR": str(LIFT_Z * LIFT_R), "RZ": str(LIFT_R * LIFT_Z)}
     params = {
@@ -312,19 +326,14 @@ def check_order_relations(env: _Env) -> CheckReport:
         "s_squared_matches_nominal": s2 == LIFT_Z,
         "elements_checked_for_centrality": len(env.cover.elements()),
     }
-    return _report("algebra_order_relations", params, env.universe_tag(),
-                   "exact" if not problems else len(problems), "exact", problems or None)
+    return _exact(env, params, problems or None, len(problems))
 
 
 def check_inverse_involution(env: _Env) -> CheckReport:
     ident = MetaElt.identity()
-    bad = None
-    for x in env.cover.elements():
-        if x.inv().inv() != x or x * x.inv() != ident or x.inv() * x != ident:
-            bad = {"x": str(x), "inv": str(x.inv())}
-            break
-    return _report("algebra_inverse_involution", {"elements": len(env.cover.elements())},
-                   env.universe_tag(), "exact" if bad is None else 1, "exact", bad)
+    elts = env.cover.elements()
+    bad = next((x for x in elts if x.inv().inv() != x or x * x.inv() != ident or x.inv() * x != ident), None)
+    return _exact(env, {"elements": len(elts)}, None if bad is None else {"x": bad, "inv": bad.inv()})
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +341,10 @@ def check_inverse_involution(env: _Env) -> CheckReport:
 
 
 def check_phi_section(env: _Env) -> CheckReport:
-    tol = env.tol(1e-10)
     mats = env.cover.sl_matrices()
     count = env.setup.pair_count
     idx = env.rng.integers(0, len(mats), size=(count, 2))
-    worst, witness = 0.0, None
+    worst = _Worst()
     for i, j in idx:
         alpha, beta = mats[i], mats[j]
         sign = cocycle(alpha, beta)
@@ -344,68 +352,49 @@ def check_phi_section(env: _Env) -> CheckReport:
         for z in env.upper:
             lhs = phi_upper(alpha, mobius(beta, z)) * phi_upper(beta, z)
             rhs = sign * phi_upper(ab, z)
-            r = abs(lhs - rhs)
-            if r > worst:
-                worst, witness = r, {"alpha": str(alpha), "beta": str(beta), "z": _fmt_z(z)}
-    return _report("phi_section_consistency",
-                   {"pairs": count, "points": len(env.upper)},
-                   env.universe_tag(), worst, tol, witness)
+            worst.see(abs(lhs - rhs), alpha=alpha, beta=beta, z=z)
+    return worst.report(env, {"pairs": count, "points": len(env.upper)}, 1e-10)
 
 
 def check_phi_squaring(env: _Env) -> CheckReport:
-    tol = env.tol(1e-12)
-    worst, witness = 0.0, None
-    for g in env.cover.sl_matrices():
+    mats = env.cover.sl_matrices()
+    worst = _Worst()
+    for g in mats:
         for z in env.upper:
-            r = abs(phi_upper(g, z) ** 2 - (g.c * z + g.d))
-            if r > worst:
-                worst, witness = r, {"gamma": str(g), "z": _fmt_z(z), "half": "upper"}
+            worst.see(abs(phi_upper(g, z) ** 2 - (g.c * z + g.d)), gamma=g, z=z, half="upper")
         for z in env.lower:
-            r = abs(phi_lower(g, z) ** 2 - (g.c * z + g.d))
-            if r > worst:
-                worst, witness = r, {"gamma": str(g), "z": _fmt_z(z), "half": "lower"}
-    return _report("phi_squaring", {"matrices": len(env.cover.sl_matrices())},
-                   env.universe_tag(), worst, tol, witness)
+            worst.see(abs(phi_lower(g, z) ** 2 - (g.c * z + g.d)), gamma=g, z=z, half="lower")
+    return worst.report(env, {"matrices": len(mats)}, 1e-12)
 
 
 def check_phi_well_defined(env: _Env) -> CheckReport:
-    tol = env.tol(1e-12)
     usable = [(e, w1, w2) for (e, w1, w2) in env.cover.alternates
               if e.det() == 1 and "R" not in w1 and "R" not in w2]
-    worst, witness = 0.0, None
+    worst = _Worst()
     for elt, w1, w2 in usable:
         for z in env.upper[:4]:
-            direct = elt.eps * phi_upper(elt.gamma, z)
-            r = max(abs(word_factor(w1, z) - word_factor(w2, z)),
-                    abs(word_factor(w1, z) - direct))
-            if r > worst:
-                worst, witness = r, {"element": str(elt), "word_1": format_word(w1),
-                                     "word_2": format_word(w2), "z": _fmt_z(z)}
-    return _report("phi_well_defined", {"word_pairs": len(usable)}, env.universe_tag(),
-                   worst, tol, witness)
+            first = word_factor(w1, z)
+            r = max(abs(first - word_factor(w2, z)), abs(first - elt.eps * phi_upper(elt.gamma, z)))
+            worst.see(r, element=elt, word_1=format_word(w1), word_2=format_word(w2), z=z)
+    return worst.report(env, {"word_pairs": len(usable)}, 1e-12)
 
 
 def check_phi_branch_profile(env: _Env) -> CheckReport:
     """The word-route factor is a constant sign times sqrt(c z + d), the sign ``phi_upper`` carries."""
-    plus = minus = mismatches = 0
-    bad = None
+    signs = Counter()
+    mismatches, bad = 0, None
     for g in env.cover.sl_matrices():
         try:
             sign = branch_profile(g, env.upper)
         except Exception as exc:  # sign flipped across points: not holomorphic
-            bad = {"gamma": str(g), "error": str(exc)}
+            bad = {"gamma": g, "error": str(exc)}
             break
-        if sign > 0:
-            plus += 1
-        else:
-            minus += 1
+        signs[sign > 0] += 1
         if any(phi_upper(g, z) != sign * principal_sqrt(g.c * z + g.d) for z in env.upper):
             mismatches += 1
-            bad = bad or {"gamma": str(g), "word_route_sign": sign}
-    return _report("phi_branch_profile",
-                   {"agrees_with_raw_principal_branch": plus, "negated": minus,
-                    "closed_form_mismatches": mismatches},
-                   env.universe_tag(), "exact" if bad is None else max(mismatches, 1), "exact", bad)
+            bad = bad or {"gamma": g, "word_route_sign": sign}
+    return _exact(env, {"agrees_with_raw_principal_branch": signs[True], "negated": signs[False],
+                        "closed_form_mismatches": mismatches}, bad, max(mismatches, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -413,40 +402,31 @@ def check_phi_branch_profile(env: _Env) -> CheckReport:
 
 
 def check_action_composition(env: _Env) -> CheckReport:
-    tol = env.tol(1e-9)
     pairs = env.sample_pairs(env.setup.pair_count)
-    combos = {}
-    worst, witness = 0.0, None
+    worst = _Worst()
     for label, name in (("eta_hat", "eta-hat"), ("e4_even", "e4")):
         form = env.form(name)
         for x, y in pairs:
-            combos[(x.det(), y.det())] = combos.get((x.det(), y.det()), 0) + 1
-            r = composition_residual(form.fn, form.weight, x, y, env.grid)
-            if r > worst:
-                worst, witness = r, {"form": label, "x": str(x), "y": str(y)}
-    return _report("action_composition",
-                   {"pairs": len(pairs), "forms": ["eta_hat (w=1)", "e4_even (w=8)"],
-                    "det_combinations": {f"({sx},{sy})": c // 2 for (sx, sy), c in sorted(combos.items())}},
-                   env.universe_tag(), worst, tol, witness)
+            worst.see(composition_residual(form.fn, form.weight, x, y, env.grid), form=label, x=x, y=y)
+    combos = Counter((x.det(), y.det()) for x, y in pairs)
+    det_combinations = {f"({sx},{sy})": c for (sx, sy), c in sorted(combos.items())}
+    return worst.report(env, {"pairs": len(pairs), "forms": ["eta_hat (w=1)", "e4_even (w=8)"],
+                              "det_combinations": det_combinations}, 1e-9)
 
 
 def check_action_reflection_forms(env: _Env) -> CheckReport:
     """The four-case action agrees with both reflection-route formulas on det -1 elements."""
-    tol = env.tol(1e-9)
     elts = [e for e in env.cover.elements() if e.det() == -1][:40]
     fn = env.form("eta-hat").fn
     weight = Weight(1)
-    worst, witness = 0.0, None
+    worst = _Worst()
     for x in elts:
         direct = slash(fn, weight, x)
         for variant in ("direct", "inverse"):
             alt = slash_via_reflection_rule(fn, weight, x, variant)
             for z in env.grid:
-                r = float(np.max(np.abs(direct.at(z) - alt.at(z))))
-                if r > worst:
-                    worst, witness = r, {"x": str(x), "variant": variant, "z": _fmt_z(z)}
-    return _report("action_reflection_forms", {"elements": len(elts)}, env.universe_tag(),
-                   worst, tol, witness)
+                worst.see(_gap(direct.at(z), alt.at(z)), x=x, variant=variant, z=z)
+    return worst.report(env, {"elements": len(elts)}, 1e-9)
 
 
 def check_action_classical_match(env: _Env) -> CheckReport:
@@ -455,22 +435,16 @@ def check_action_classical_match(env: _Env) -> CheckReport:
     Independent route for even doubled weight: the prefactor is an integer
     power of (c z + d), no square roots involved.
     """
-    tol = env.tol(1e-9)
     fn = env.form("e4").fn
-    weight = Weight(8)
     elts = env.cover.sl_elements()[:80]
-    worst, witness = 0.0, None
+    worst = _Worst()
     for x in elts:
-        acted = slash(fn, weight, x)
-        sign_pow = 1 if weight.w % 2 == 0 or x.eps == 1 else -1
+        acted = slash(fn, Weight(8), x)
+        g = x.gamma
         for z in env.upper:
-            g = x.gamma
-            classical = fn.at(mobius(g, z)) * (sign_pow / (g.c * z + g.d) ** 4)
-            r = float(np.max(np.abs(acted.at(z) - classical)))
-            if r > worst:
-                worst, witness = r, {"x": str(x), "z": _fmt_z(z)}
-    return _report("action_classical_match", {"elements": len(elts)}, env.universe_tag(),
-                   worst, tol, witness)
+            classical = fn.at(mobius(g, z)) * (1 / (g.c * z + g.d) ** 4)
+            worst.see(_gap(acted.at(z), classical), x=x, z=z)
+    return worst.report(env, {"elements": len(elts)}, 1e-9)
 
 
 def check_action_lambda_sets(env: _Env) -> CheckReport:
@@ -481,106 +455,84 @@ def check_action_lambda_sets(env: _Env) -> CheckReport:
     got = {w: set(admissible_reflection_scalars(Weight(w))) for w in expected}
     bad = {w: sorted(map(str, got[w])) for w in expected if got[w] != expected[w]}
     odd_obstruction = all(1 not in got[w] for w in (1, 3))
-    return _report("action_lambda_sets",
-                   {"odd_weights_exclude_trivial_scalar": odd_obstruction},
-                   "doubled weights 1..4 and 8",
-                   "exact" if not bad and odd_obstruction else 1, "exact",
-                   {"mismatches": bad} if bad or not odd_obstruction else None)
+    return _exact(env, {"odd_weights_exclude_trivial_scalar": odd_obstruction},
+                  {"mismatches": bad} if bad or not odd_obstruction else None,
+                  universe="doubled weights 1..4 and 8")
 
 
 # ---------------------------------------------------------------------------
 # representations
 
 
-def _central_pairs(env: _Env):
-    cfg = env.setup.qcfg
-    rho = eta_character(cfg)
-    return [
+def check_rep_central_scalar(env: _Env) -> CheckReport:
+    rho = eta_character(env.setup.qcfg)
+    reps = [
         ("eta_character", rho, 1),
         ("trivial_SL", Rep.trivial("SL"), 8),
         ("induced_eta", rho.induce(Weight(1)), 1),
         ("trivial_GL", Rep.trivial("GL"), 8),
         ("trivial_GL", Rep.trivial("GL"), 12),
     ]
-
-
-def check_rep_central_scalar(env: _Env) -> CheckReport:
-    tol = env.tol(1e-12)
-    worst, witness = 0.0, None
-    for name, rep, w in _central_pairs(env):
-        want = ((-1) ** w) * np.eye(rep.dim)
-        r = float(np.max(np.abs(rep.evaluate(CENTER_FLIP) - want)))
-        if r > worst:
-            worst, witness = r, {"rep": name, "w": w}
-    return _report("rep_central_scalar", {"reps": len(_central_pairs(env))},
-                   "representations attached to weight-w form spaces", worst, tol, witness)
+    worst = _Worst()
+    for name, rep, w in reps:
+        worst.see(_gap(rep.evaluate(CENTER_FLIP), ((-1) ** w) * np.eye(rep.dim)), rep=name, w=w)
+    return worst.report(env, {"reps": len(reps)}, 1e-12,
+                        universe="representations attached to weight-w form spaces")
 
 
 def check_rep_well_defined(env: _Env) -> CheckReport:
-    tol = env.tol(1e-10)
     rho_hat = eta_character(env.setup.qcfg).induce(Weight(1))
-    worst, witness = 0.0, None
+    worst = _Worst()
     for elt, w1, w2 in env.cover.alternates:
-        r = float(np.max(np.abs(rho_hat.word_image(w1) - rho_hat.word_image(w2))))
-        if r > worst:
-            worst, witness = r, {"element": str(elt), "word_1": format_word(w1), "word_2": format_word(w2)}
-    return _report("rep_well_defined", {"word_pairs": len(env.cover.alternates)},
-                   env.universe_tag(), worst, tol, witness)
+        worst.see(_gap(rho_hat.word_image(w1), rho_hat.word_image(w2)),
+                  element=elt, word_1=format_word(w1), word_2=format_word(w2))
+    return worst.report(env, {"word_pairs": len(env.cover.alternates)}, 1e-10)
 
 
 def check_rep_homomorphism(env: _Env) -> CheckReport:
-    tol = env.tol(1e-10)
     rho = eta_character(env.setup.qcfg)
     rho_hat = rho.induce(Weight(1))
     pairs = env.sample_pairs(env.setup.pair_count)
-    sl = [e for e in env.cover.sl_elements()]
+    sl = env.cover.sl_elements()
     sl_idx = env.rng.integers(0, len(sl), size=(env.setup.pair_count, 2))
-    worst, witness = 0.0, None
+    worst = _Worst()
     for x, y in pairs:
-        r = float(np.max(np.abs(rho_hat.evaluate(x * y) - rho_hat.evaluate(x) @ rho_hat.evaluate(y))))
-        if r > worst:
-            worst, witness = r, {"rep": "induced_eta", "x": str(x), "y": str(y)}
+        worst.see(_gap(rho_hat.evaluate(x * y), rho_hat.evaluate(x) @ rho_hat.evaluate(y)),
+                  rep="induced_eta", x=x, y=y)
     for i, j in sl_idx:
         x, y = sl[i], sl[j]
-        r = float(np.max(np.abs(rho.evaluate(x * y) - rho.evaluate(x) @ rho.evaluate(y))))
-        if r > worst:
-            worst, witness = r, {"rep": "eta_character", "x": str(x), "y": str(y)}
-    ident_err = float(np.max(np.abs(rho_hat.evaluate(MetaElt.identity()) - np.eye(2))))
-    worst = max(worst, ident_err)
-    return _report("rep_homomorphism", {"pairs_per_rep": env.setup.pair_count},
-                   env.universe_tag(), worst, tol, witness)
+        worst.see(_gap(rho.evaluate(x * y), rho.evaluate(x) @ rho.evaluate(y)),
+                  rep="eta_character", x=x, y=y)
+    ident = MetaElt.identity()
+    worst.see(_gap(rho_hat.evaluate(ident), np.eye(2)), rep="induced_eta", x=ident)
+    return worst.report(env, {"pairs_per_rep": env.setup.pair_count}, 1e-10)
 
 
 def check_rep_twist_properties(env: _Env) -> CheckReport:
-    tol = env.tol(1e-12)
     rho = eta_character(env.setup.qcfg)
     twist = rho.r_twist()
-    worst = float(np.max(np.abs(twist.images["T"] - rho.evaluate(LIFT_T.inv()))))
     triv = Rep.trivial("SL")
+    gaps = [_gap(twist.images["T"], rho.evaluate(LIFT_T.inv()))]
     for key in ("S", "T"):
-        worst = max(worst, float(np.max(np.abs(triv.r_twist().images[key] - triv.images[key]))))
-        worst = max(worst, float(np.max(np.abs(twist.r_twist().images[key] - rho.images[key]))))
-    return _report("rep_twist_properties", {}, "eta character and the trivial representation",
-                   worst, tol, None if worst <= tol else {"detail": "twist identities"})
+        gaps.append(_gap(triv.r_twist().images[key], triv.images[key]))
+        gaps.append(_gap(twist.r_twist().images[key], rho.images[key]))
+    return _report(env, {}, max(gaps), 1e-12, {"detail": "twist identities"},
+                   universe="eta character and the trivial representation")
 
 
 def check_rep_induction_matrices(env: _Env) -> CheckReport:
-    tol = env.tol(1e-12)
     rho = eta_character(env.setup.qcfg)
     rho_hat = rho.induce(Weight(1))
-    t_val = rho.images["T"][0, 0]
-    worst = float(np.max(np.abs(rho_hat.images["R"] - np.array([[0, 1], [-1, 0]], dtype=complex))))
-    want_t = np.diag([t_val, np.conj(t_val)])
-    worst = max(worst, float(np.max(np.abs(rho_hat.images["T"] - want_t))))
+    want_t = np.diag([rho.images["T"][0, 0], np.conj(rho.images["T"][0, 0])])
     res = rho_hat.restrict()
-    worst = max(worst, float(np.max(np.abs(res.images["T"] - want_t))))
+    worst = max(_gap(rho_hat.images["R"], np.array([[0, 1], [-1, 0]], dtype=complex)),
+                _gap(rho_hat.images["T"], want_t), _gap(res.images["T"], want_t))
     dims_ok = res.dim == 2 * rho.dim and rho_hat.dim == 2 * rho.dim
     triv_ok = Rep.trivial("GL").restrict().images["S"].shape == (1, 1)
     params = {"restricted_dim_doubles": dims_ok, "trivial_restricts": triv_ok}
-    passed_exact = dims_ok and triv_ok
-    if not passed_exact:
+    if not (dims_ok and triv_ok):
         worst = max(worst, 1.0)
-    return _report("rep_induction_matrices", params, "the induced eta character", worst, tol, None)
+    return _report(env, params, worst, 1e-12, universe="the induced eta character")
 
 
 # ---------------------------------------------------------------------------
@@ -588,55 +540,43 @@ def check_rep_induction_matrices(env: _Env) -> CheckReport:
 
 
 def check_restriction_round_trip(env: _Env) -> CheckReport:
-    tol = env.tol(1e-10)
-    worst, witness = 0.0, None
+    worst = _Worst()
     e4 = env.form("e4")
     upper_only = HoloFn(1, e4.fn.upper, None)
     rebuilt = extend_form(upper_only, Weight(8), Rep.trivial("GL"), points=env.upper)
     if rebuilt.fn.upper is not upper_only.upper:
-        worst, witness = 1.0, {"detail": "extension must reuse the given upper evaluator"}
+        worst.see(1.0, detail="extension must reuse the given upper evaluator")
     for z in env.lower:
-        r = float(np.max(np.abs(rebuilt.at(z) - e4.at(z))))
-        if r > worst:
-            worst, witness = r, {"form": "e4_even", "z": _fmt_z(z)}
+        worst.see(_gap(rebuilt.at(z), e4.at(z)), form="e4_even", z=z)
     hat = env.form("eta-hat")
     hat_upper = HoloFn(2, hat.fn.upper, None)
     hat_rebuilt = extend_form(hat_upper, Weight(1), hat.rep, points=env.upper)
     for z in env.lower:
-        r = float(np.max(np.abs(hat_rebuilt.at(z) - hat.at(z))))
-        if r > worst:
-            worst, witness = r, {"form": "eta_hat", "z": _fmt_z(z)}
+        worst.see(_gap(hat_rebuilt.at(z), hat.at(z)), form="eta_hat", z=z)
     # the eta character is no restriction: extension must refuse it
     try:
         extend_form(eta_fn(env.setup.qcfg), Weight(1), Rep.trivial("GL"), points=env.upper)
-        worst, witness = 1.0, {"detail": "eta must be rejected by scalar extension"}
+        worst.see(1.0, detail="eta must be rejected by scalar extension")
     except ModularityError:
         pass
-    return _report("form_restriction_round_trip", {"instances": ["e4_even", "eta_hat", "eta (rejected)"]},
-                   env.universe_tag(), worst, tol, witness)
+    return worst.report(env, {"instances": ["e4_even", "eta_hat", "eta (rejected)"]}, 1e-10)
 
 
 def check_induction_round_trip(env: _Env) -> CheckReport:
-    tol = env.tol(1e-10)
     cfg = env.setup.qcfg
-    worst, witness = 0.0, None
+    worst = _Worst()
     hat = env.form("eta-hat")
     first, second = project_components(hat)
     ef = eta_fn(cfg)
     for z in env.upper:
-        exact_first = np.max(np.abs(first.at(z) - ef.at(z)))
-        exact_second = np.max(np.abs(second.at(z)))
-        if max(exact_first, exact_second) != 0.0:
-            worst = max(worst, float(max(exact_first, exact_second)))
-            witness = {"detail": "projections must recover (eta, 0) exactly", "z": _fmt_z(z)}
+        worst.see(max(_gap(first.at(z), ef.at(z)), _gap(second.at(z), 0)),
+                  detail="projections must recover (eta, 0) exactly", z=z)
     rebuilt = induce_form(
         VVForm(first, Weight(1), eta_character(cfg)),
         VVForm(second, Weight(1), eta_character(cfg).r_twist()),
         points=env.grid)
     for z in env.grid:
-        r = float(np.max(np.abs(rebuilt.at(z) - hat.at(z))))
-        if r > worst:
-            worst, witness = r, {"form": "eta_hat rebuild", "z": _fmt_z(z)}
+        worst.see(_gap(rebuilt.at(z), hat.at(z)), form="eta_hat rebuild", z=z)
     # a second instance with both components nonzero
     e4 = env.form("e4")
     f_up = HoloFn(1, e4.fn.upper, None)
@@ -646,18 +586,12 @@ def check_induction_round_trip(env: _Env) -> CheckReport:
     stacked = induce_form(f_form, g_form, points=env.grid)
     p1, p2 = project_components(stacked)
     for z in env.upper:
-        r = max(float(np.max(np.abs(p1.at(z) - f_up.at(z)))),
-                float(np.max(np.abs(p2.at(z) - g_up.at(z)))))
-        if r != 0.0 and r > worst:
-            worst, witness = r, {"detail": "projection must be exact", "z": _fmt_z(z)}
+        worst.see(max(_gap(p1.at(z), f_up.at(z)), _gap(p2.at(z), g_up.at(z))),
+                  detail="projection must be exact", z=z)
     for z in env.lower:
         want = np.concatenate([g_up.at(-z), f_up.at(-z)])  # (-i)^8 = i^8 = 1
-        r = float(np.max(np.abs(stacked.at(z) - want)))
-        if r > worst:
-            worst, witness = r, {"form": "e4 stack", "z": _fmt_z(z)}
-    return _report("form_induction_round_trip",
-                   {"instances": ["Ind(eta, 0)", "Ind(e4, e4/2)"]},
-                   env.universe_tag(), worst, tol, witness)
+        worst.see(_gap(stacked.at(z), want), form="e4 stack", z=z)
+    return worst.report(env, {"instances": ["Ind(eta, 0)", "Ind(e4, e4/2)"]}, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -665,37 +599,28 @@ def check_induction_round_trip(env: _Env) -> CheckReport:
 
 
 def check_eta_shift_law(env: _Env) -> CheckReport:
-    tol = env.tol(1e-12)
     cfg = env.qcfg_raw
     phase = np.exp(1j * np.pi / 12)
-    worst, witness = 0.0, None
+    worst = _Worst()
     for z in env.upper:
-        r = abs(eta(z + 1, cfg) - phase * eta(z, cfg))
-        if r > worst:
-            worst, witness = r, {"z": _fmt_z(z)}
-    return _report("eta_shift_law", {"points": len(env.upper)},
-                   f"{len(env.upper)} upper sample points", worst, tol, witness)
+        worst.see(abs(eta(z + 1, cfg) - phase * eta(z, cfg)), z=z)
+    return worst.report(env, {"points": len(env.upper)}, 1e-12,
+                        universe=f"{len(env.upper)} upper sample points")
 
 
 def check_eta_inversion_law(env: _Env) -> CheckReport:
-    tol = env.tol(1e-10)
     cfg = env.qcfg_raw
-    worst, witness = 0.0, None
+    worst = _Worst()
     for z in env.upper:
-        r = abs(eta(-1 / z, cfg) - principal_sqrt(-1j * z) * eta(z, cfg))
-        if r > worst:
-            worst, witness = r, {"z": _fmt_z(z)}
-    return _report("eta_inversion_law", {"points": len(env.upper)},
-                   f"{len(env.upper)} upper sample points", worst, tol, witness)
+        worst.see(abs(eta(-1 / z, cfg) - principal_sqrt(-1j * z) * eta(z, cfg)), z=z)
+    return worst.report(env, {"points": len(env.upper)}, 1e-10,
+                        universe=f"{len(env.upper)} upper sample points")
 
 
 def check_eta_point_value(env: _Env) -> CheckReport:
-    tol = env.tol(1e-12)
     value = eta(1j, env.qcfg_raw)
-    r = abs(value - ETA_AT_I)
-    return _report("eta_point_value",
-                   {"computed": f"{value.real:.16f}{value.imag:+.3e}i", "frozen": f"{ETA_AT_I:.16f}"},
-                   "the point i", r, tol, {"computed": str(value)} if r > tol else None)
+    return _report(env, {"computed": f"{value.real:.16f}{value.imag:+.3e}i", "frozen": f"{ETA_AT_I:.16f}"},
+                   abs(value - ETA_AT_I), 1e-12, {"computed": str(value)}, universe="the point i")
 
 
 def check_eta_multiplier_universe(env: _Env) -> CheckReport:
@@ -709,7 +634,7 @@ def check_eta_multiplier_universe(env: _Env) -> CheckReport:
     rho = eta_character(cfg)
     f = eta_fn(cfg)
     base = {z: f.at(z) for z in env.upper}
-    worst_snap, worst_transform, witness = 0.0, 0.0, None
+    worst_snap, transform = 0.0, _Worst()
     mismatches, index_witness = 0, None
     elements = env.cover.sl_elements()
     for x in elements:
@@ -720,25 +645,17 @@ def check_eta_multiplier_universe(env: _Env) -> CheckReport:
         closed = (eta_multiplier_index(x.gamma) + 12 * flip) % 24
         if index != closed:
             mismatches += 1
-            index_witness = index_witness or {"x": str(x), "numeric_index": index, "closed_form_index": closed}
+            index_witness = index_witness or {"x": x, "numeric_index": index, "closed_form_index": closed}
         acted = slash(f, Weight(1), x)
         for z in env.upper:
-            r = float(np.max(np.abs(acted.at(z) - val * base[z])))
-            if r > worst_transform:
-                worst_transform = r
-                witness = {"x": str(x), "z": _fmt_z(z)}
-    residual = max(worst_snap, worst_transform)
-    numeric_ok = worst_snap <= snap_tol and worst_transform <= transform_tol
-    passed = numeric_ok and mismatches == 0
-    if numeric_ok:
-        witness = index_witness
-    return CheckReport("eta_multiplier_universe",
-                       {"elements": len(elements), "snap_tolerance": snap_tol,
-                        "transform_tolerance": transform_tol,
-                        "worst_snap": worst_snap, "worst_transform": worst_transform,
-                        "closed_form_mismatches": mismatches},
-                       env.universe_tag(), residual, passed,
-                       None if passed else witness)
+            transform.see(_gap(acted.at(z), val * base[z]), x=x, z=z)
+    numeric_ok = worst_snap <= snap_tol and transform.value <= transform_tol
+    return _verdict(env, {"elements": len(elements), "snap_tolerance": snap_tol,
+                          "transform_tolerance": transform_tol,
+                          "worst_snap": worst_snap, "worst_transform": transform.value,
+                          "closed_form_mismatches": mismatches},
+                    max(worst_snap, transform.value), numeric_ok and mismatches == 0,
+                    index_witness if numeric_ok else transform.witness)
 
 
 def check_eta_reduction_agreement(env: _Env) -> CheckReport:
@@ -747,34 +664,29 @@ def check_eta_reduction_agreement(env: _Env) -> CheckReport:
     Relative agreement; the raw series' own rounding noise near the axis
     dominates the residual, a sign or cocycle error would show up at O(1).
     """
-    tol = env.tol(1e-9)
     cfg, raw = env.setup.qcfg, env.qcfg_raw
     points = [complex(x, y) for x in (-0.7, 0.04, 0.4, 1.3) for y in (0.012, 0.06, 0.2)]
-    worst, witness = 0.0, None
+    worst = _Worst()
     for z in points:
         a, b = eta(z, cfg), eta(z, raw)
-        r = abs(a - b) / max(abs(b), 1e-300)
-        if r > worst:
-            worst, witness = r, {"z": _fmt_z(z)}
-        ek = abs(eisenstein(4, z, cfg) - eisenstein(4, z, raw)) / abs(eisenstein(4, z, raw))
-        if ek > worst:
-            worst, witness = ek, {"z": _fmt_z(z), "series": "e4"}
-    return _report("eta_reduction_agreement", {"points": len(points), "relative": True},
-                   "near-axis points where the raw truncation is still sharp", worst, tol, witness)
+        worst.see(abs(a - b) / max(abs(b), 1e-300), z=z)
+        e4_raw = eisenstein(4, z, raw)
+        worst.see(abs(eisenstein(4, z, cfg) - e4_raw) / abs(e4_raw), z=z, series="e4")
+    return worst.report(env, {"points": len(points), "relative": True}, 1e-9,
+                        universe="near-axis points where the raw truncation is still sharp")
 
 
 def check_eisenstein_lattice_match(env: _Env) -> CheckReport:
     tol = env.tol(1e-6)
     cfg = env.setup.qcfg
     params = {}
-    worst, witness = 0.0, None
+    worst = _Worst()
     for z in (2j, 1 + 2j):
         series = eisenstein(4, z, cfg)
         trunc = lattice_sum(4, z, 200)
         rel = abs(series - trunc) / abs(series)
-        params[f"z={_fmt_z(z)}"] = {"absolute": abs(series - trunc), "relative": rel}
-        if rel > worst:
-            worst, witness = rel, {"z": _fmt_z(z), "series": str(series), "lattice": str(trunc)}
+        params[f"z={sampling.format_complex(z)}"] = {"absolute": abs(series - trunc), "relative": rel}
+        worst.see(rel, z=z, series=str(series), lattice=str(trunc))
     drift = abs(lattice_sum(4, 2j, 200) - lattice_sum(4, 2j, 400))
     params["cutoff_drift_200_vs_400"] = drift
     sym = max(abs(lattice_sum(4, z, 60) - lattice_sum(4, -z, 60)) for z in (2j, 0.4 + 0.8j))
@@ -793,88 +705,63 @@ def check_eisenstein_lattice_match(env: _Env) -> CheckReport:
                        / abs(eisenstein(k, z, raw)))
     params["raw_series_laws"] = laws
     if drift > tol or sym != 0.0 or hand != 0.0 or laws > env.tol(1e-9):
-        worst = max(worst, drift, sym, hand, laws)
-        witness = witness or {"detail": "cutoff drift / symmetry / hand sum / raw series laws"}
-    return _report("eisenstein_lattice_match", params,
-                   "square cutoffs at z in {2i, 1+2i}; series laws on the upper grid", worst, tol, witness)
+        # the oracle terms raise the residual but keep a lattice witness when there is one
+        worst.value = max(worst.value, drift, sym, hand, laws)
+        worst.witness = worst.witness or {"detail": "cutoff drift / symmetry / hand sum / raw series laws"}
+    return worst.report(env, params, 1e-6,
+                        universe="square cutoffs at z in {2i, 1+2i}; series laws on the upper grid")
 
 
 def check_eisenstein_even_extension(env: _Env) -> CheckReport:
-    tol = env.tol(1e-9)
     gens = (LIFT_S, LIFT_T, LIFT_R)
-    worst, witness = 0.0, None
+    worst = _Worst()
     for label, name in (("e4_even", "e4"), ("e6_even", "e6")):
         form = env.form(name)
-        r = form.residual(gens, env.grid)
-        if r > worst:
-            worst, witness = r, {"form": label}
+        worst.see(form.residual(gens, env.grid), form=label)
         for z in env.upper:
-            even = float(np.max(np.abs(form.at(-z) - form.at(z))))
-            if even > worst:
-                worst, witness = even, {"form": label, "z": _fmt_z(z), "detail": "even symmetry"}
-    return _report("eisenstein_even_extension",
-                   {"forms": ["e4_even (w=8)", "e6_even (w=12)"], "generators": 3},
-                   env.universe_tag(), worst, tol, witness)
+            worst.see(_gap(form.at(-z), form.at(z)), form=label, z=z, detail="even symmetry")
+    return worst.report(env, {"forms": ["e4_even (w=8)", "e6_even (w=12)"], "generators": 3}, 1e-9)
 
 
 def check_triangular_parity(env: _Env) -> CheckReport:
-    tol = env.tol(1e-12)
     points = env.upper[:3] + env.lower[:3]
-    worst, witness = 0.0, None
+    worst = _Worst()
     for n in range(0, 13):
         sign = (-1) ** n
         for z in points:
             direct = triangular_product(n, z)
-            mirrored = triangular_product(n, -z)
-            r = abs(mirrored - sign * direct) / max(1.0, abs(direct))
-            if r > worst:
-                worst, witness = r, {"n": n, "z": _fmt_z(z), "identity": "parity"}
-            rf = abs(direct - triangular_product_factored(n, z)) / max(1.0, abs(direct))
-            if rf > worst:
-                worst, witness = rf, {"n": n, "z": _fmt_z(z), "identity": "factored form"}
-    return _report("triangular_parity", {"max_factors": 12, "points": len(points), "relative": True},
-                   "factor counts 0..12 on six grid points", worst, tol, witness)
+            scale = max(1.0, abs(direct))
+            worst.see(abs(triangular_product(n, -z) - sign * direct) / scale, n=n, z=z, identity="parity")
+            worst.see(abs(direct - triangular_product_factored(n, z)) / scale,
+                      n=n, z=z, identity="factored form")
+    return worst.report(env, {"max_factors": 12, "points": len(points), "relative": True}, 1e-12,
+                        universe="factor counts 0..12 on six grid points")
 
 
 def check_eta_hat_identities(env: _Env) -> CheckReport:
-    tol = env.tol(1e-10)
     cfg = env.setup.qcfg
     hat = env.form("eta-hat")
     flip = np.array([[0, -1j], [1j, 0]], dtype=complex)
     r_image = np.array([[0, 1], [-1, 0]], dtype=complex)
-    worst, witness = 0.0, None
-    image_err = float(np.max(np.abs(hat.rep.images["R"] - r_image)))
-    if image_err > worst:
-        worst, witness = image_err, {"detail": "induced reflection image"}
+    worst = _Worst()
+    worst.see(_gap(hat.rep.images["R"], r_image), detail="induced reflection image")
     acted = slash(hat.fn, Weight(1), LIFT_R)
     for z in env.grid:
-        r = float(np.max(np.abs(acted.at(z) - r_image @ hat.at(z))))
-        if r > worst:
-            worst, witness = r, {"identity": "slash by the reflection lift", "z": _fmt_z(z)}
-        r2 = float(np.max(np.abs(hat.at(-z) - flip @ hat.at(z))))
-        if r2 > worst:
-            worst, witness = r2, {"identity": "reflection matrix identity", "z": _fmt_z(z)}
+        worst.see(_gap(acted.at(z), r_image @ hat.at(z)), identity="slash by the reflection lift", z=z)
+        worst.see(_gap(hat.at(-z), flip @ hat.at(z)), identity="reflection matrix identity", z=z)
     for z in env.upper:
         direct = eta_hat(z, cfg)
-        if abs(direct[1]) != 0.0:
-            worst, witness = max(worst, abs(direct[1])), {"detail": "upper second component must vanish"}
-        r = float(np.max(np.abs(direct - hat.at(z))))
-        if r > worst:
-            worst, witness = r, {"identity": "direct vs induced evaluator", "z": _fmt_z(z)}
+        worst.see(abs(direct[1]), detail="upper second component must vanish")
+        worst.see(_gap(direct, hat.at(z)), identity="direct vs induced evaluator", z=z)
     for z in env.lower:
-        r = float(np.max(np.abs(eta_hat(z, cfg) - hat.at(z))))
-        if r > worst:
-            worst, witness = r, {"identity": "direct vs induced evaluator", "z": _fmt_z(z)}
-    return _report("eta_hat_identities", {"points": len(env.grid)}, env.universe_tag(),
-                   worst, tol, witness)
+        worst.see(_gap(eta_hat(z, cfg), hat.at(z)), identity="direct vs induced evaluator", z=z)
+    return worst.report(env, {"points": len(env.grid)}, 1e-10)
 
 
 def check_holomorphy_probes(env: _Env) -> CheckReport:
-    tol = env.tol(1e-6)
     cfg = env.setup.qcfg
     step = 1e-5
     probes = [z for z in env.upper if z.imag >= 0.8][:6]
-    worst, witness = 0.0, None
     series = {
         "eta": (lambda z: np.array([eta(z, cfg)]), probes),
         "e4": (lambda z: np.array([eisenstein(4, z, cfg)]), probes),
@@ -882,13 +769,12 @@ def check_holomorphy_probes(env: _Env) -> CheckReport:
         "eta_hat_upper": (lambda z: eta_hat(z, cfg), probes),
         "eta_hat_lower": (lambda z: eta_hat(z, cfg), [z.conjugate() for z in probes]),
     }
+    worst = _Worst()
     for name, (fn, pts) in series.items():
         for z in pts:
-            r = holomorphy_residual(fn, z, step)
-            if r > worst:
-                worst, witness = r, {"series": name, "z": _fmt_z(z)}
-    return _report("holomorphy_probes", {"step": step, "points": len(probes)},
-                   "grid points with Im z >= 0.8", worst, tol, witness)
+            worst.see(holomorphy_residual(fn, z, step), series=name, z=z)
+    return worst.report(env, {"step": step, "points": len(probes)}, 1e-6,
+                        universe="grid points with Im z >= 0.8")
 
 
 CHECKS: tuple[tuple[str, Callable[[_Env], CheckReport]], ...] = (
@@ -929,7 +815,6 @@ CHECKS: tuple[tuple[str, Callable[[_Env], CheckReport]], ...] = (
 
 ALGEBRA_CHECK_IDS = tuple(name for name, _ in CHECKS if name.startswith("algebra_"))
 
-
 def run_certification(max_word_len: int = CertifySetup.max_word_len, *, tol: float | None = None,
                       points: Sequence[complex] | None = None, seed: int = DEFAULT_SEED,
                       pair_count: int = CertifySetup.pair_count, force: bool = False,
@@ -938,20 +823,32 @@ def run_certification(max_word_len: int = CertifySetup.max_word_len, *, tol: flo
     """Run the suite and return the report dictionary.
 
     ``tol`` overrides every numeric tolerance when given; exact sign/integer
-    checks are unaffected.  ``check_filter`` restricts to the named checks.
+    checks are unaffected.  ``check_filter`` restricts to the named checks and
+    refuses ids that name no check.  A check that raises one of the package's
+    own errors fails with the error text as its counterexample; the others
+    still run.
     """
+    if isinstance(check_filter, str):
+        raise DomainError(f"check_filter takes a sequence of check ids, not the string {check_filter!r}")
+    wanted = set(check_filter) if check_filter else None
+    unknown = (wanted or set()) - {name for name, _ in CHECKS}
+    if unknown:
+        raise DomainError(f"unknown check ids: {', '.join(sorted(unknown))}")
     setup = CertifySetup(max_word_len=max_word_len, tol_override=tol,
                          points=tuple(points) if points else None,
                          seed=seed, pair_count=pair_count, force=force)
     if qcfg is not None:
         setup.qcfg = qcfg
     env = _Env(setup)
-    wanted = set(check_filter) if check_filter else None
     reports = []
     for name, fn in CHECKS:
         if wanted is not None and name not in wanted:
             continue
-        reports.append(fn(env))
+        env.check_id = name
+        try:
+            reports.append(fn(env))
+        except (DomainError, ModularityError, ResourceLimitError) as exc:
+            reports.append(_verdict(env, {}, "error", False, {"error": f"{type(exc).__name__}: {exc}"}))
     reports.sort(key=lambda rep: rep.check_id)
     return {
         "version": REPORT_VERSION,

@@ -1,8 +1,8 @@
 """Command-line surface: certification runs, element/form evaluation, and
 single-identity residual checks.
 
-Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage or
-resource error.
+Exit codes: 0 all requested checks pass, 1 a check failed (a check that raises
+one of the package's own errors fails on its own), 2 usage or resource error.
 """
 
 from __future__ import annotations

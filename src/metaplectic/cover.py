@@ -92,6 +92,12 @@ def kubota_chi(m: Mat2) -> int:
     return m.c if m.c != 0 else m.d
 
 
+def chi_negative(c, d):
+    """Sign bit of ``kubota_chi`` (True when chi < 0) from the bottom row (c, d);
+    works on ints and elementwise on numpy arrays."""
+    return (c < 0) | ((c == 0) & (d < 0))
+
+
 def hilbert_symbol(a, b) -> int:
     """Real-place Hilbert symbol: -1 iff both arguments are negative."""
     if a == 0 or b == 0:
@@ -113,8 +119,9 @@ def cocycle(alpha: Mat2, beta: Mat2) -> int:
     """Sign 2-cocycle on GL2(Z) twisting the pair product:
     (det a, det b) (chi(ab)/chi(a), chi(ab)/(chi(b) det a)) in real Hilbert
     symbols, which only see the argument signs, so ``cocycle_bit`` evaluates it."""
-    bit = cocycle_bit(alpha.det() < 0, beta.det() < 0, kubota_chi(alpha) < 0,
-                      kubota_chi(beta) < 0, kubota_chi(alpha * beta) < 0)
+    ab = alpha * beta
+    bit = cocycle_bit(alpha.det() < 0, beta.det() < 0, chi_negative(alpha.c, alpha.d),
+                      chi_negative(beta.c, beta.d), chi_negative(ab.c, ab.d))
     return -1 if bit else 1
 
 

@@ -138,6 +138,10 @@ def test_certify_impossible_tolerance(capsys, tmp_path):
     assert "algebra_cocycle_triples" in exact_ids
     for check in failed:
         assert check["counterexample"] is not None
+    # every failing numeric check names its witness; only the induction-matrix
+    # check reports no witness by design
+    placeholder = {"detail": "no witness captured; see params"}
+    assert [c["check_id"] for c in failed if c["counterexample"] == placeholder] == ["rep_induction_matrices"]
 
 
 def test_certify_reports_are_reproducible(capsys, tmp_path):
@@ -165,3 +169,33 @@ def test_certify_with_sample_file(capsys, tmp_path):
 
 def test_certify_depth_bound(capsys):
     assert run_cli(capsys, "certify", "--max-word-len", "9")[0] == 2
+    for pairs in ("-1", "0"):
+        code, out, err = run_cli(capsys, "certify", "--max-word-len", "0", "--pairs", pairs)
+        assert code == 2
+        assert out == ""  # refused before any check runs
+        assert f"pair count must be at least 1, got {pairs}" in err
+
+
+def test_certify_check_error_becomes_that_checks_failure(capsys, tmp_path, monkeypatch):
+    from metaplectic import qseries
+    from metaplectic.certify import CHECKS
+    from metaplectic.errors import ModularityError
+
+    def broken(cfg):
+        raise ModularityError("induced form fails certification (residual 1.5e+00 > 1.0e-09)")
+
+    monkeypatch.setitem(qseries.NAMED_FORMS, "eta-hat", (broken, 1))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "certify", "--max-word-len", "1", "--json", str(out_path))
+    assert code == 1
+    report = json.loads(out_path.read_text())
+    assert report["pass"] is False
+    assert sorted(c["check_id"] for c in report["checks"]) == sorted(cid for cid, _ in CHECKS)
+    failed = {c["check_id"]: c for c in report["checks"] if not c["pass"]}
+    assert set(failed) == {"action_composition", "action_reflection_forms", "form_restriction_round_trip",
+                           "form_induction_round_trip", "eta_hat_identities"}
+    for check in failed.values():
+        assert set(check) == {"check_id", "params", "universe", "max_residual", "pass", "counterexample"}
+        assert check["counterexample"] == {
+            "error": "ModularityError: induced form fails certification (residual 1.5e+00 > 1.0e-09)"}
+    assert "FAIL  eta_hat_identities" in out

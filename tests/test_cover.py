@@ -19,6 +19,7 @@ from metaplectic.cover import (
     R_MAT,
     S_MAT,
     T_MAT,
+    chi_negative,
     cocycle,
     cocycle_bit,
     conj_by_reflection,
@@ -108,6 +109,14 @@ def test_cocycle_matches_defining_formula(cover4):
                       bits(lambda a, b: kubota_chi(a)), bits(lambda a, b: kubota_chi(b)),
                       bits(lambda a, b: kubota_chi(a * b)))
     assert got.dtype == bool and np.array_equal(got, expected)
+    # the sign bit of chi from the bottom row, on scalars and on arrays; the
+    # universe has both signs of chi with c = 0 and with c != 0
+    chi_neg = [kubota_chi(m) < 0 for m in mats]
+    both = (False, True)
+    assert {(m.c == 0, neg) for m, neg in zip(mats, chi_neg)} == {(a, b) for a in both for b in both}
+    assert [chi_negative(m.c, m.d) for m in mats] == chi_neg
+    got = chi_negative(np.array([m.c for m in mats]), np.array([m.d for m in mats]))
+    assert got.dtype == bool and np.array_equal(got, chi_neg)
 
 
 def test_reflection_sign_values():
