@@ -11,7 +11,6 @@ evaluates in closed form; the word route stays as its certified reference.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cover import Mat2, Word, TOKEN_MATS, reflection_sign, word_decompose, word_lift
@@ -52,32 +51,12 @@ def principal_sqrt(w) -> complex:
     return cmath.sqrt(w)
 
 
-@dataclass(frozen=True)
-class Phase4:
-    """Exact fourth root of unity i**e, e mod 4."""
+_I_POWERS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))  # all zeros +0.0, unlike -1j
 
-    e: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "e", self.e % 4)
-
-    def __mul__(self, other: "Phase4") -> "Phase4":
-        return Phase4(self.e + other.e)
-
-    def __pow__(self, n: int) -> "Phase4":
-        return Phase4(self.e * n)
-
-    @property
-    def value(self) -> complex:
-        return (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))[self.e]
-
-    @classmethod
-    def from_sign(cls, s: int) -> "Phase4":
-        if s == 1:
-            return cls(0)
-        if s == -1:
-            return cls(2)
-        raise DomainError(f"sign must be +1 or -1, got {s!r}")
+def i_power(e: int) -> complex:
+    """Exact i**e for an integer e; a sign s in {+1, -1} has s**w = i**(w * (1 - s))."""
+    return _I_POWERS[e % 4]
 
 
 def mobius(gamma: Mat2, z) -> complex:

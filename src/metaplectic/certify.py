@@ -386,7 +386,7 @@ def check_phi_branch_profile(env: _Env) -> CheckReport:
     for g in env.cover.sl_matrices():
         try:
             sign = branch_profile(g, env.upper)
-        except Exception as exc:  # sign flipped across points: not holomorphic
+        except DomainError as exc:  # not a constant sign across points: not holomorphic
             bad = {"gamma": g, "error": str(exc)}
             break
         signs[sign > 0] += 1

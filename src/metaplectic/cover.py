@@ -126,10 +126,11 @@ def cocycle(alpha: Mat2, beta: Mat2) -> int:
 
 
 def reflection_sign(gamma: Mat2) -> int:
-    """Sign picked up by a determinant-one lift under conjugation by the reflection lift."""
+    """Sign a determinant-one lift picks up under conjugation by the reflection lift: the Hilbert
+    symbol (chi(g), chi(gR)) with chi(gR) = -c (c != 0) or d (c = 0), so -1 exactly on -T^n."""
     if gamma.det() != 1:
         raise DomainError("reflection_sign is defined on determinant +1 matrices only")
-    return hilbert_symbol(kubota_chi(gamma), kubota_chi(gamma * R_MAT))
+    return -1 if gamma.c == 0 and gamma.d < 0 else 1
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .automorphy import principal_sqrt, require_off_axis, require_upper
-from .cover import Mat2
+from .cover import Mat2, chi_negative
 from .errors import DomainError, ResourceLimitError
 from .reps import Rep, VVForm, character_of, extend_form, induce_form
 from .slash import HoloFn, Weight, cpow_int
@@ -121,7 +121,7 @@ def eta_multiplier_index(g: Mat2) -> int:
         raise DomainError("the eta multiplier is defined on determinant +1 matrices")
     a, b, c, d = g.entries()
     turn = 0
-    if c < 0 or (c == 0 and d < 0):
+    if chi_negative(c, d):
         a, b, c, d = -a, -b, -c, -d
         turn = 6 if c > 0 else 18
     if c == 0:
@@ -188,27 +188,31 @@ def lattice_sum(k: int, z, m_cutoff: int) -> complex:
     """Doubly-truncated lattice sum over |m|,|n| <= cutoff, (0,0) excluded.
 
     Cross-check oracle only; needs even k >= 4 for absolute convergence.
-    Rows are combined symmetrically in m so the sum is exactly invariant
-    under z -> -z (the terms pair off bitwise).
+    Rows are summed one m at a time and combined symmetrically in m so the
+    sum is exactly invariant under z -> -z (the terms pair off bitwise).
     """
     if k % 2 != 0 or k < 4:
         raise DomainError(f"lattice sum needs even k >= 4, got {k}")
     if m_cutoff < 1:
         raise DomainError("cutoff must be at least 1")
     z = require_off_axis(z)
-    ms = np.arange(-m_cutoff, m_cutoff + 1)
     ns = np.arange(-m_cutoff, m_cutoff + 1)
-    w = ms[:, None] * z + ns[None, :]
-    w[m_cutoff, m_cutoff] = 1.0  # placeholder at (0, 0); zeroed below
-    power = w * w
-    for _ in range(k // 2 - 1):
-        power = power * (w * w)
-    terms = 1.0 / power
-    terms[m_cutoff, m_cutoff] = 0.0  # (m, n) = (0, 0)
-    rows = terms.sum(axis=1)
-    total = complex(rows[m_cutoff])
+
+    def row(m: int):
+        w = m * z + ns
+        if m == 0:
+            w[m_cutoff] = 1.0  # placeholder at (0, 0); zeroed below
+        power = sq = w * w  # named, so numpy cannot swap operands by multiplying in place
+        for _ in range(k // 2 - 1):
+            power = power * sq
+        terms = 1.0 / power
+        if m == 0:
+            terms[m_cutoff] = 0.0  # (m, n) = (0, 0)
+        return terms.sum()
+
+    total = complex(row(0))
     for j in range(1, m_cutoff + 1):
-        total += complex(rows[m_cutoff + j] + rows[m_cutoff - j])
+        total += complex(row(j) + row(-j))
     return total
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automorphy import Phase4, _word_data, require_upper
+from .automorphy import _word_data, i_power, require_upper
 from .cover import (
     LIFT_R,
     LIFT_S,
@@ -54,7 +54,7 @@ class Rep:
             arr = np.asarray(mat, dtype=complex)
             if arr.shape != (self.dim, self.dim):
                 raise DomainError(f"image of {key} has shape {arr.shape}, expected ({self.dim},{self.dim})")
-            if not np.isfinite(np.linalg.cond(arr)):
+            if np.linalg.matrix_rank(arr) < self.dim:
                 raise DomainError(f"image of {key} is not invertible")
             fixed[key] = arr
         object.__setattr__(self, "images", fixed)
@@ -239,7 +239,7 @@ def extend_form(f_plus: HoloFn, weight: Weight, rep: Rep, *,
         raise ModularityError(
             f"upper function is not modular for the restricted representation "
             f"(residual {res:.3e} > {tol:.1e})", residual=res)
-    phase = Phase4(weight.w).value
+    phase = i_power(weight.w)
     r_inv = np.linalg.inv(rep.images["R"])
     upper = f_plus.upper
     dim = f_plus.dim
@@ -273,8 +273,8 @@ def induce_form(f: VVForm, g: VVForm, *, points: Sequence[complex] | None = None
     f_up, g_up = f.fn.upper, g.fn.upper
     if f_up is None or g_up is None:
         raise DomainError("induction needs upper-half-plane evaluators")
-    phase_plus = Phase4(w).value        # i^w
-    phase_minus = Phase4(3 * w).value   # (-i)^w
+    phase_plus = i_power(w)        # i^w
+    phase_minus = i_power(3 * w)   # (-i)^w
 
     def upper(z):
         return np.concatenate([

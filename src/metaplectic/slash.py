@@ -1,9 +1,9 @@
 """Weight-k right action of the cover on functions over the double half-plane.
 
 The normative definition is the four-case prescription (split by determinant
-and half-plane).  All unit-modulus prefactors (signs, powers of i) are done
-in exact phase arithmetic; only automorphy-factor values are floating point,
-and their (-2k)-th powers are integer powers of the complex reciprocal.
+and half-plane).  All unit-modulus prefactors (signs, powers of i) add up to
+one exact integer power of i per case; only automorphy-factor values are
+floating point, and their (-2k)-th powers are integer powers of the reciprocal.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .automorphy import Phase4, mobius, require_off_axis, section_root  # mobius: re-exported as slash.mobius
+from .automorphy import i_power, mobius, require_off_axis, section_root  # mobius: re-exported as slash.mobius
 from .cover import Mat2, MetaElt, R_MAT, cocycle, reflection_sign
 from .errors import DomainError
 
@@ -34,10 +34,6 @@ class Weight:
     @property
     def k(self) -> Fraction:
         return Fraction(self.w, 2)
-
-    @property
-    def phase_i2k(self) -> Phase4:
-        return Phase4(self.w)
 
     def __str__(self) -> str:
         return f"w={self.w} (k={self.k})"
@@ -115,11 +111,10 @@ class HoloFn:
         return HoloFn(self.dim, up, lo)
 
 
-def _case_evaluator(src: Optional[Evaluator], gamma: Mat2, sign: int, i_exp: int,
-                    w: int) -> Optional[Evaluator]:
+def _case_evaluator(src: Optional[Evaluator], gamma: Mat2, i_exp: int, w: int) -> Optional[Evaluator]:
     if src is None:
         return None
-    exact = (Phase4(i_exp) * Phase4.from_sign(sign) ** w).value
+    exact = i_power(i_exp)
     a, b, c, d = gamma.entries()
 
     def evaluator(z: complex):
@@ -140,16 +135,17 @@ def slash(f: HoloFn, weight: Weight, x: MetaElt) -> HoloFn:
 
     with A the cocycle against the reflection, B/B' the reflection signs of
     gamma resp. R*gamma.  All four factors are phi+ at c z + d, since RgR and gR
-    at -z, and Rg at z, have bottom rows (-c, d) resp. (c, d).
+    at -z, and Rg at z, have bottom rows (-c, d) resp. (c, d).  With s the product
+    of a case's signs, s^(-w) = i^(w (1 - s)) and i^(-w) s^(-w) = i^(-w s).
     """
     g, eps, w = x.gamma, x.eps, weight.w
     if g.det() == 1:
-        upper = _case_evaluator(f.upper, g, eps, 0, w)
-        lower = _case_evaluator(f.lower, g, eps * reflection_sign(g), 0, w)
+        upper = _case_evaluator(f.upper, g, w * (1 - eps), w)
+        lower = _case_evaluator(f.lower, g, w * (1 - eps * reflection_sign(g)), w)
     else:
-        a_sign = cocycle(R_MAT, g)
-        upper = _case_evaluator(f.lower, g, eps * a_sign, -w, w)
-        lower = _case_evaluator(f.upper, g, eps * a_sign * reflection_sign(R_MAT * g), -w, w)
+        s = eps * cocycle(R_MAT, g)
+        upper = _case_evaluator(f.lower, g, -w * s, w)
+        lower = _case_evaluator(f.upper, g, -w * s * reflection_sign(R_MAT * g), w)
     return HoloFn(f.dim, upper, lower)
 
 
@@ -167,10 +163,10 @@ def slash_via_reflection_rule(f: HoloFn, weight: Weight, x: MetaElt, variant: st
     a_sign = cocycle(R_MAT, x.gamma)
     reflected = f.compose_reflection()
     if variant == "direct":
-        phase = Phase4(weight.w).value
+        phase = i_power(weight.w)
         rest = MetaElt(R_MAT * x.gamma, -a_sign * x.eps)
     elif variant == "inverse":
-        phase = Phase4(-weight.w).value
+        phase = i_power(-weight.w)
         rest = MetaElt(R_MAT * x.gamma, a_sign * x.eps)
     else:
         raise DomainError(f"unknown variant {variant!r}")
@@ -198,7 +194,7 @@ def admissible_reflection_scalars(weight: Weight) -> tuple[complex, ...]:
     for e in range(4):
         # i^(2we) == i^(2w)  <=>  w(e - 1) even
         if (weight.w * (e - 1)) % 2 == 0:
-            out.append(Phase4(e).value)
+            out.append(i_power(e))
     return tuple(out)
 
 

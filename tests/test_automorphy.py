@@ -1,11 +1,12 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from metaplectic.automorphy import (
-    Phase4,
     branch_profile,
+    i_power,
     phi_lower,
     phi_upper,
     principal_sqrt,
@@ -44,15 +45,23 @@ def test_principal_sqrt_branch():
         principal_sqrt(0)
 
 
-def test_phase4_arithmetic():
-    assert Phase4(1).value == 1j
-    assert Phase4(5).e == 1
-    assert (Phase4(3) * Phase4(2)).value == 1j
-    assert (Phase4(1) ** -1).value == complex(0, -1)
-    assert Phase4.from_sign(-1).value == -1
-    assert Phase4.from_sign(1).value == 1
-    with pytest.raises(DomainError):
-        Phase4.from_sign(0)
+def test_i_power():
+    values = (1, 1j, -1, -1j)
+    for e in range(-41, 42):
+        assert i_power(e) == values[e % 4] == 1j ** (e % 4)
+    assert i_power(10**20 + 3) == -1j and i_power(-(10**20) - 1) == -1j
+    assert i_power(-1) == -1j and i_power(-2) == -1 and i_power(-3) == 1j
+    # i^(2k) for w = 2k: i^3 = -i, its square -1, and i^8 = 1
+    assert (i_power(3), i_power(6), i_power(8)) == (-1j, -1, 1)
+    # a sign s has s^w = i^(w (1 - s))
+    for w in range(-5, 6):
+        for s in (1, -1):
+            assert i_power(w * (1 - s)) == s ** w
+    # the zero parts are +0.0 (unlike the literal -1j), so products keep their zero signs
+    for e in range(4):
+        value = i_power(e)
+        assert type(value) is complex
+        assert math.copysign(1.0, value.real if e % 2 else value.imag) == 1.0
 
 
 def test_generator_factors():

@@ -127,6 +127,16 @@ def test_reflection_sign_values():
         reflection_sign(R_MAT)  # det -1 outside the domain
 
 
+def test_reflection_sign_matches_hilbert_definition(cover4):
+    """The closed form against its definition, the Hilbert symbol (chi(g), chi(gR))."""
+    mats = cover4.sl_matrices()
+    minus_t = [m for m in mats if m.c == 0 and m.d < 0]  # the matrices -T^n
+    assert len({m.b for m in minus_t}) >= 3
+    for m in mats:
+        assert reflection_sign(m) == hilbert_symbol(kubota_chi(m), kubota_chi(m * R_MAT)), m
+    assert {reflection_sign(m) for m in minus_t} == {-1}
+
+
 def test_cover_product_examples():
     assert LIFT_R * LIFT_R == CENTER_FLIP
     assert LIFT_S * LIFT_S == MetaElt(NEG_IDENT, cocycle(S_MAT, S_MAT))

@@ -186,6 +186,39 @@ def test_lattice_matches_series(qcfg):
         assert abs(series - trunc) / abs(series) < 1e-6
 
 
+def _lattice_sum_grid(k, z, m_cutoff):
+    """The whole-grid form of ``lattice_sum``: every term of the (2m+1)^2 grid at once.
+
+    The square is bound to a name because numpy may evaluate a temporary-producing
+    ``power * (w * w)`` on an array above 256 KiB in place, as ``(w * w) * power``,
+    and complex multiplication with fused multiply-add rounds differently with the
+    operands swapped.  For k = 4 both operands are the same square, so the order
+    cannot matter there.
+    """
+    ms = np.arange(-m_cutoff, m_cutoff + 1)
+    ns = np.arange(-m_cutoff, m_cutoff + 1)
+    w = ms[:, None] * z + ns[None, :]
+    w[m_cutoff, m_cutoff] = 1.0
+    power = sq = w * w
+    for _ in range(k // 2 - 1):
+        power = power * sq
+    terms = 1.0 / power
+    terms[m_cutoff, m_cutoff] = 0.0
+    rows = terms.sum(axis=1)
+    total = complex(rows[m_cutoff])
+    for j in range(1, m_cutoff + 1):
+        total += complex(rows[m_cutoff + j] + rows[m_cutoff - j])
+    return total
+
+
+def test_lattice_rows_match_whole_grid():
+    for k in (4, 6, 8):
+        for z in (1j, 2j, 0.4 + 0.8j, -0.7 + 0.3j, 0.3 - 1.7j):
+            for m_cutoff in (1, 7, 60, 64, 200):
+                assert lattice_sum(k, z, m_cutoff) == _lattice_sum_grid(k, z, m_cutoff), (k, z, m_cutoff)
+    assert lattice_sum(4, 2j, 400) == _lattice_sum_grid(4, 2j, 400)
+
+
 def test_lattice_validation():
     with pytest.raises(DomainError):
         lattice_sum(3, 1j, 10)

@@ -33,6 +33,8 @@ def test_rep_validation():
         Rep("SL", 2, {"S": eye, "T": eye})  # wrong shape
     with pytest.raises(DomainError):
         Rep("SL", 1, {"S": np.zeros((1, 1)), "T": eye})  # singular
+    with pytest.raises(DomainError, match="image of S is not invertible"):
+        Rep("SL", 2, {"S": [[1, 2], [2, 4]], "T": np.eye(2)})  # singular, but its cond is finite
 
 
 def test_trivial_rep_evaluation(cover4):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from metaplectic.automorphy import Phase4, phi_upper
+from metaplectic.automorphy import i_power, phi_upper
 from metaplectic.cover import LIFT_R, LIFT_S, Mat2, MetaElt, CENTER_FLIP, R_MAT, cocycle, reflection_sign, word_lift
 from metaplectic.errors import DomainError
 from metaplectic.sampling import full_grid, upper_grid
@@ -31,10 +31,6 @@ def test_weight_semantics():
     assert w.k == Fraction(1, 2)
     assert Weight(8).k == 4
     assert "k=1/2" in str(w)
-    # i^(2k) lives in exact phase arithmetic; (-1)^(2k) is its square
-    assert Weight(3).phase_i2k.value == complex(0, -1)
-    assert (Weight(3).phase_i2k ** 2).value == -1
-    assert Weight(8).phase_i2k.value == 1
     with pytest.raises(DomainError):
         Weight(1.5)
 
@@ -148,10 +144,9 @@ def four_case_oracle(f: HoloFn, w: int, x: MetaElt, z: complex) -> np.ndarray:
     else:
         a_sign = cocycle(R_MAT, g)
         src, phi_mat, arg, sign, i_exp = f.upper, g * R_MAT, -z, eps * a_sign * reflection_sign(R_MAT * g), -w
-    phase = Phase4(i_exp)
-    if sign == -1 and w % 2 == 1:
-        phase = phase * Phase4(2)  # sign^(-w)
-    return src(mobius(g, z)) * (phase.value * cpow_int(phi_upper(phi_mat, arg), -w))
+    # i^(i_exp) sign^(-w), where sign^(-w) = -1 = i^2 exactly for sign -1 and odd w
+    phase = i_power(i_exp + (2 if sign == -1 and w % 2 == 1 else 0))
+    return src(mobius(g, z)) * (phase * cpow_int(phi_upper(phi_mat, arg), -w))
 
 
 def test_slash_matches_four_case_oracle(cover4):
