@@ -35,7 +35,6 @@ from .qseries import (
     eta_form,
     eta_hat,
     eta_hat_form,
-    even_extension,
     lattice_sum,
     triangular_product,
     triangular_product_factored,

@@ -21,6 +21,8 @@ AXIS_TOLERANCE = 1e-12
 
 def require_off_axis(z) -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"point {z} is not a finite complex number")
     if abs(z.imag) <= AXIS_TOLERANCE:
         raise DomainError(f"point {z} is on (or within {AXIS_TOLERANCE} of) the real axis")
     return z
@@ -117,7 +119,7 @@ def phi_lower(gamma: Mat2, z) -> complex:
     return reflection_sign(gamma) * section_root(gamma.c, gamma.d, require_lower(z))
 
 
-def branch_profile(gamma: Mat2, points, tol: float = 1e-9) -> int:
+def branch_profile(gamma: Mat2, points) -> int:
     """Compare the word-route factor against the raw principal branch of sqrt(c*z + d).
 
     Returns the constant sign phi/sqrt over the sampled points, or raises if
@@ -130,7 +132,7 @@ def branch_profile(gamma: Mat2, points, tol: float = 1e-9) -> int:
         z = require_upper(z)
         ratio = eps * word_factor(word, z) / principal_sqrt(gamma.c * z + gamma.d)
         snapped = 1 if abs(ratio - 1) < abs(ratio + 1) else -1
-        if abs(ratio - snapped) > tol:
+        if abs(ratio - snapped) > 1e-9:
             raise DomainError(f"phi/sqrt ratio {ratio} at {z} is not a sign for {gamma}")
         if sign == 0:
             sign = snapped

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .certify import DEFAULT_SEED, CertifySetup, run_certification
-from .cover import Mat2, MetaElt, parse_word, word_lift
+from .cover import ENUMERATION_LIMIT, Mat2, MetaElt, parse_word, word_lift
 from .errors import DomainError, ModularityError, ResourceLimitError
 from .qseries import CERTIFY_CONFIG, DEFAULT_CONFIG, NAMED_FORMS, QSeriesConfig, triangular_product
 from .reps import Rep, modularity_residual
@@ -103,6 +103,8 @@ def _cmd_check(args) -> int:
         raise DomainError(f"form {args.form!r} has doubled weight {natural_w}, got --weight {args.weight}")
     elt = word_lift(parse_word(args.elem))
     rep = Rep.load(args.rep) if args.rep else form.rep
+    if rep.dim != form.fn.dim:
+        raise DomainError(f"representation has dimension {rep.dim}, form {args.form!r} has dimension {form.fn.dim}")
     if rep.group == "SL" and elt.det() != 1:
         raise DomainError("an SL-cover representation cannot check a determinant -1 element")
     if form.fn.lower is None:
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the random pair draws (default %(default)s)")
     cert.add_argument("--pairs", type=int, default=CertifySetup.pair_count, help="random pair count per pair-based check (default %(default)s)")
     cert.add_argument("--force", action="store_true",
-                      help="allow enumeration deeper than the configured bound of 8")
+                      help=f"allow enumeration deeper than the configured bound of {ENUMERATION_LIMIT}")
     cert.add_argument("--min-im", type=float, default=CERTIFY_CONFIG.min_im,
                       help="near-axis refusal threshold for the q-series during certification (default %(default)s)")
 

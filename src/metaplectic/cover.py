@@ -295,6 +295,9 @@ def word_decompose(m: Mat2) -> Word:
 # ---------------------------------------------------------------------------
 # enumeration
 
+ENUMERATION_LIMIT = 8  # deepest word length enumerated without force=True
+
+
 @dataclass(frozen=True)
 class CoverSet:
     """All products of lifted generators up to a word length, with witness words.
@@ -324,14 +327,13 @@ class CoverSet:
         return [m for m in self.matrices() if m.det() == 1]
 
 
-def enumerate_cover(max_len: int, *, limit: int = 8, force: bool = False,
-                    alternate_cap: int = 120) -> CoverSet:
+def enumerate_cover(max_len: int, *, force: bool = False) -> CoverSet:
     """Breadth-first closure of the five lifted generators up to ``max_len``."""
     if max_len < 0:
         raise DomainError("word length bound must be nonnegative")
-    if max_len > limit and not force:
+    if max_len > ENUMERATION_LIMIT and not force:
         raise ResourceLimitError(
-            f"enumeration depth {max_len} exceeds the configured bound {limit}; pass force=True to override"
+            f"enumeration depth {max_len} exceeds the configured bound {ENUMERATION_LIMIT}; pass force=True to override"
         )
     words: dict[MetaElt, Word] = {MetaElt.identity(): ()}
     alternates: list[tuple[MetaElt, Word, Word]] = []
@@ -344,7 +346,7 @@ def enumerate_cover(max_len: int, *, limit: int = 8, force: bool = False,
                 new = elt * TOKEN_LIFTS[tok]
                 word = base + (tok,)
                 if new in words:
-                    if len(alternates) < alternate_cap and words[new] != word:
+                    if len(alternates) < 120 and words[new] != word:
                         alternates.append((new, words[new], word))
                 else:
                     words[new] = word

@@ -69,7 +69,7 @@ def _truncation_index(im: float, cfg: QSeriesConfig, extra_log: float = 0.0) -> 
     return n
 
 
-def reduce_to_fundamental(z, max_steps: int = 500) -> tuple[Mat2, complex]:
+def reduce_to_fundamental(z) -> tuple[Mat2, complex]:
     """Exact determinant-one matrix g with g.z in the standard fundamental domain.
 
     The matrix is tracked in integers and the moving point is recomputed from
@@ -77,7 +77,7 @@ def reduce_to_fundamental(z, max_steps: int = 500) -> tuple[Mat2, complex]:
     """
     z = require_upper(z)
     a, b, c, d = 1, 0, 0, 1
-    for _ in range(max_steps):
+    for _ in range(500):
         w = (a * z + b) / (c * z + d)
         shift = -round(w.real)
         if shift:
@@ -216,11 +216,6 @@ def lattice_sum(k: int, z, m_cutoff: int) -> complex:
     return total
 
 
-def even_extension(f_upper) -> HoloFn:
-    """Extend a scalar upper-half-plane evaluator by f(z) = f(-z)."""
-    return HoloFn.from_scalar(upper=f_upper, lower=lambda z: f_upper(-z))
-
-
 def triangular_product(n_factors: int, z) -> complex:
     """The finite product prod_{n<=N} (e^{-pi i n z} - e^{pi i n z}); entire in z."""
     if n_factors < 0:
@@ -254,9 +249,9 @@ def eta_fn(cfg: QSeriesConfig = DEFAULT_CONFIG) -> HoloFn:
 
 
 @lru_cache(maxsize=None)
-def eta_character(cfg: QSeriesConfig = DEFAULT_CONFIG, z0: complex = 0.1 + 1.3j) -> Rep:
-    """The 24th-root-of-unity character of eta, extracted numerically at z0."""
-    return character_of(eta_fn(cfg), Weight(1), z0=z0, order=24)
+def eta_character(cfg: QSeriesConfig = DEFAULT_CONFIG) -> Rep:
+    """The 24th-root-of-unity character of eta, extracted numerically."""
+    return character_of(eta_fn(cfg), Weight(1))
 
 
 def eta_form(cfg: QSeriesConfig = DEFAULT_CONFIG) -> VVForm:

@@ -139,7 +139,7 @@ class Rep:
                 for key, mat in data["images"].items()
             }
             return cls(data["group"], int(data["dim"]), images)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad representation serialisation: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
@@ -165,12 +165,11 @@ def snap_to_root_of_unity(value: complex, order: int, tol: float = 1e-10) -> tup
     return root, best_j, dist
 
 
-def character_of(f: HoloFn, weight: Weight, *, z0: complex = 0.1 + 1.3j,
-                 order: int = 24, tol: float = 1e-10) -> Rep:
+def character_of(f: HoloFn, weight: Weight, *, z0: complex = 0.1 + 1.3j) -> Rep:
     """Extract the 1-dimensional SL-cover character of a scalar form.
 
     The generator images are the ratios (f|_k g)(z0) / f(z0), snapped to
-    exact order-th roots of unity.
+    exact 24th roots of unity: the metaplectic cover of SL2(Z) abelianises to Z/24.
     """
     if f.dim != 1:
         raise DomainError("character extraction needs a 1-dimensional form")
@@ -181,7 +180,7 @@ def character_of(f: HoloFn, weight: Weight, *, z0: complex = 0.1 + 1.3j,
     images = {}
     for key, gen in (("S", LIFT_S), ("T", LIFT_T)):
         ratio = slash(f, weight, gen).at(z0)[0] / base
-        root, _, _ = snap_to_root_of_unity(ratio, order, tol)
+        root, _, _ = snap_to_root_of_unity(ratio, 24)
         images[key] = np.array([[root]], dtype=complex)
     return Rep("SL", 1, images)
 
@@ -221,8 +220,18 @@ class VVForm:
         return cls(HoloFn.zero(rep.dim), weight, rep)
 
 
+ISOMORPHISM_TOL = 1e-9  # gate of the construction-time certification of extension and induction
+
+
+def _from_upper(dim: int, upper, weight: Weight, rep: Rep) -> VVForm:
+    """The one extension rule: below the axis, F(z) = i^w rep(R~)^(-1) F+(-z)."""
+    phase = i_power(weight.w)
+    r_inv = np.linalg.inv(rep.images["R"])
+    return VVForm(HoloFn(dim, upper, lambda z: phase * (r_inv @ upper(-z))), weight, rep)
+
+
 def extend_form(f_plus: HoloFn, weight: Weight, rep: Rep, *,
-                points: Sequence[complex] | None = None, tol: float = 1e-9) -> VVForm:
+                points: Sequence[complex] | None = None) -> VVForm:
     """Extend an upper-half-plane form to the double half-plane.
 
     The lower evaluator is z -> i^w rep(R~)^(-1) f+(-z).  The upper function
@@ -235,28 +244,20 @@ def extend_form(f_plus: HoloFn, weight: Weight, rep: Rep, *,
         raise DomainError("extension needs an upper-half-plane evaluator")
     pts = tuple(points) if points is not None else upper_grid()
     res = modularity_residual(f_plus, weight, rep.restrict(), (LIFT_S, LIFT_T), pts)
-    if res > tol:
+    if res > ISOMORPHISM_TOL:
         raise ModularityError(
             f"upper function is not modular for the restricted representation "
-            f"(residual {res:.3e} > {tol:.1e})", residual=res)
-    phase = i_power(weight.w)
-    r_inv = np.linalg.inv(rep.images["R"])
-    upper = f_plus.upper
-    dim = f_plus.dim
-
-    def lower(z):
-        return phase * (r_inv @ np.atleast_1d(np.asarray(upper(-z), dtype=complex)))
-
-    return VVForm(HoloFn(dim, upper, lower), weight, rep)
+            f"(residual {res:.3e} > {ISOMORPHISM_TOL:.1e})", residual=res)
+    return _from_upper(f_plus.dim, f_plus.upper, weight, rep)
 
 
-def induce_form(f: VVForm, g: VVForm, *, points: Sequence[complex] | None = None,
-                tol: float = 1e-9) -> VVForm:
+def induce_form(f: VVForm, g: VVForm, *, points: Sequence[complex] | None = None) -> VVForm:
     """Stack a pair (f, g) into a double-half-plane form for the induced rep.
 
-    Above: (f, g).  Below: ((-i)^w g(-z), i^w f(-z)).  ``g`` must carry the
-    reflection twist of ``f``'s representation; the result is certified
-    against the induced representation on the three generators.
+    Above: (f, g).  Below: ((-i)^w g(-z), i^w f(-z)), which is the extension
+    rule for the induced image of R~, [[0, I], [(-1)^w I, 0]].  ``g`` must
+    carry the reflection twist of ``f``'s representation; the result is
+    certified against the induced representation on the three generators.
     """
     if f.weight != g.weight:
         raise DomainError(f"weights differ: {f.weight} vs {g.weight}")
@@ -268,34 +269,18 @@ def induce_form(f: VVForm, g: VVForm, *, points: Sequence[complex] | None = None
     for key in _SL_KEYS:
         if not np.allclose(g.rep.images[key], twist.images[key], atol=1e-8):
             raise DomainError("second form's representation is not the reflection twist of the first's")
-    w = f.weight.w
-    dim = f.fn.dim
     f_up, g_up = f.fn.upper, g.fn.upper
     if f_up is None or g_up is None:
         raise DomainError("induction needs upper-half-plane evaluators")
-    phase_plus = i_power(w)        # i^w
-    phase_minus = i_power(3 * w)   # (-i)^w
-
-    def upper(z):
-        return np.concatenate([
-            np.atleast_1d(np.asarray(f_up(z), dtype=complex)),
-            np.atleast_1d(np.asarray(g_up(z), dtype=complex)),
-        ])
-
-    def lower(z):
-        return np.concatenate([
-            phase_minus * np.atleast_1d(np.asarray(g_up(-z), dtype=complex)),
-            phase_plus * np.atleast_1d(np.asarray(f_up(-z), dtype=complex)),
-        ])
-
-    out = VVForm(HoloFn(2 * dim, upper, lower), f.weight, f.rep.induce(f.weight))
+    out = _from_upper(2 * f.fn.dim, lambda z: np.concatenate((f_up(z), g_up(z))),
+                      f.weight, f.rep.induce(f.weight))
     pts = tuple(points) if points is not None else full_grid()
     if pts:
         res = out.residual((LIFT_S, LIFT_T, LIFT_R), pts)
-        if res > tol:
+        if res > ISOMORPHISM_TOL:
             raise ModularityError(
                 f"induced form fails certification against the induced representation "
-                f"(residual {res:.3e} > {tol:.1e})", residual=res)
+                f"(residual {res:.3e} > {ISOMORPHISM_TOL:.1e})", residual=res)
     return out
 
 
@@ -307,6 +292,6 @@ def project_components(F: VVForm) -> tuple[HoloFn, HoloFn]:
     src = F.fn.upper
     if src is None:
         raise DomainError("projection needs an upper evaluator")
-    first = HoloFn(d, lambda z: np.asarray(src(z), dtype=complex)[:d], None)
-    second = HoloFn(d, lambda z: np.asarray(src(z), dtype=complex)[d:], None)
+    first = HoloFn(d, lambda z: src(z)[:d], None)
+    second = HoloFn(d, lambda z: src(z)[d:], None)
     return first, second

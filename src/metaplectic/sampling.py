@@ -31,10 +31,10 @@ def parse_complex(text: str) -> complex:
         raise DomainError(f"bad complex literal {text!r}") from exc
 
 
-def format_complex(z: complex, digits: int = 12) -> str:
+def format_complex(z: complex) -> str:
     z = complex(z)
-    re_part = f"{z.real:.{digits}g}"
-    im_part = f"{abs(z.imag):.{digits}g}"
+    re_part = f"{z.real:.12g}"
+    im_part = f"{abs(z.imag):.12g}"
     sign = "+" if z.imag >= 0 else "-"
     return f"{re_part}{sign}{im_part}i"
 

@@ -55,7 +55,7 @@ def cpow_int(base: complex, n: int) -> complex:
 
 
 def _coerce(value, dim: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=complex))
+    arr = np.asarray(value, dtype=complex)
     if arr.shape != (dim,):
         raise DomainError(f"evaluator returned shape {arr.shape}, expected ({dim},)")
     return arr
@@ -66,9 +66,9 @@ class HoloFn:
     """Function on the double half-plane given by per-half evaluators.
 
     Either evaluator may be None for a function only defined on one half.
-    Evaluators return a complex numpy vector of length ``dim`` (scalars are fine
-    for dim 1); ``at`` validates the point and the shape once, so derived
-    evaluators pass inner values through as they are.
+    An evaluator returns a complex array of shape ``(dim,)``, also for dim 1 (``from_scalar``
+    adapts scalar functions); ``at`` validates the point and the shape once and refuses
+    anything else, so derived evaluators pass inner values through as they are.
     """
 
     dim: int

@@ -28,6 +28,9 @@ def test_point_validation():
         require_off_axis(3.0)
     with pytest.raises(DomainError):
         require_off_axis(1 + 1e-13j)
+    for bad in (complex(0.3, math.nan), complex(0.1, math.inf), complex(math.nan, 1.0), complex(-math.inf, 2.0)):
+        with pytest.raises(DomainError, match="is not a finite complex number"):
+            require_off_axis(bad)
     with pytest.raises(DomainError):
         require_upper(1 - 1j)
     with pytest.raises(DomainError):

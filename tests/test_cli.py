@@ -60,6 +60,10 @@ def test_eval_usage_errors(capsys):
     assert run_cli(capsys, "eval", "--form", "nope", "--z", "1i")[0] == 2
     assert run_cli(capsys, "eval", "--form", "eta", "--z", "0.5")[0] == 2  # on the axis
     assert run_cli(capsys, "eval", "--form", "eta", "--z", "0-1i")[0] == 2  # lower half
+    for form, z, shown in (("eta", "0.1+nani", "(0.1+nanj)"), ("e4", "0.1+1e400i", "(0.1+infj)")):
+        code, out, err = run_cli(capsys, "eval", "--form", form, "--z", z)
+        assert code == 2 and out == ""
+        assert f"point {shown} is not a finite complex number" in err
     assert run_cli(capsys, "eval", "--elem", "Q")[0] == 2
     assert run_cli(capsys, "eval")[0] == 2
     assert run_cli(capsys, "bogus-command")[0] == 2
@@ -100,13 +104,22 @@ def test_check_with_rep_file(capsys, tmp_path, qcfg):
     assert code == 0 and "PASS" in out
 
 
-def test_check_usage_errors(capsys):
+def test_check_usage_errors(capsys, tmp_path, qcfg):
+    from metaplectic.qseries import eta_character
+    from metaplectic.slash import Weight
+
     # weight inconsistent with the form
     assert run_cli(capsys, "check", "--form", "eta", "--weight", "2", "--elem", "T")[0] == 2
     # eta is upper-only; determinant -1 cannot be checked
     assert run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "R")[0] == 2
     # zn is not modular
     assert run_cli(capsys, "check", "--form", "zn:3", "--weight", "1", "--elem", "T")[0] == 2
+    # a 2-dimensional SL rep against the scalar eta
+    path = tmp_path / "rep2.json"
+    eta_character(qcfg).induce(Weight(1)).restrict().save(path)
+    code, out, err = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T", "--rep", str(path))
+    assert code == 2 and out == ""
+    assert "representation has dimension 2, form 'eta' has dimension 1" in err
 
 
 def test_certify_degenerate_universe(capsys, tmp_path):
@@ -165,6 +178,12 @@ def test_certify_with_sample_file(capsys, tmp_path):
     assert code == 2
     assert out == ""  # refused before any check runs
     assert "point (0.3-0.8j) is not in the upper half-plane" in err
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps(["0.1+0.9i", "0.3+nani"]))
+    code, out, err = run_cli(capsys, "certify", "--max-word-len", "2", "--samples", str(nan))
+    assert code == 2
+    assert out == ""  # refused before any check runs
+    assert "point (0.3+nanj) is not a finite complex number" in err
 
 
 def test_certify_depth_bound(capsys):

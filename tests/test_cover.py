@@ -268,7 +268,7 @@ def test_enumeration_shortest_witness(cover4):
 def test_enumeration_resource_bound():
     with pytest.raises(ResourceLimitError):
         enumerate_cover(9)
-    assert enumerate_cover(9, force=True, alternate_cap=0).max_len == 9
+    assert enumerate_cover(9, force=True).max_len == 9
 
 
 def test_sign_validation():

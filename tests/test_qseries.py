@@ -18,7 +18,6 @@ from metaplectic.qseries import (
     eta_multiplier_index,
     eta_hat,
     eta_hat_form,
-    even_extension,
     lattice_sum,
     reduce_to_fundamental,
     triangular_product,
@@ -226,15 +225,6 @@ def test_lattice_validation():
         lattice_sum(2, 1j, 10)
     with pytest.raises(DomainError):
         lattice_sum(4, 1j, 0)
-
-
-def test_even_extension():
-    const = even_extension(lambda z: 1.0)
-    for z in full_grid()[:6]:
-        assert const.at(z)[0] == 1.0
-    square = even_extension(lambda z: z * z)
-    for z in upper_grid()[:4]:
-        assert square.at(-z)[0] == square.at(z)[0]  # exact by construction
 
 
 def test_triangular_product_basics():

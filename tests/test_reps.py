@@ -1,8 +1,10 @@
 import cmath
+import json
 
 import numpy as np
 import pytest
 
+from metaplectic.automorphy import i_power
 from metaplectic.cover import CENTER_FLIP, LIFT_R, LIFT_S, LIFT_T, MetaElt
 from metaplectic.errors import DomainError, ModularityError
 from metaplectic.qseries import eta, eta_character, eta_fn, eta_form, eta_hat_form, eisenstein_form
@@ -139,6 +141,9 @@ def test_rep_serialisation_round_trip(tmp_path, qcfg):
     bad.write_text("{\"group\": \"GL\"}")
     with pytest.raises(DomainError):
         Rep.load(bad)
+    bad.write_text(json.dumps({"group": "SL", "dim": 1, "images": [1, 2]}))  # images not a mapping
+    with pytest.raises(DomainError, match="bad representation serialisation"):
+        Rep.load(bad)
 
 
 def test_extend_form_even_weight(qcfg):
@@ -172,6 +177,29 @@ def test_induce_form_eta_hat(qcfg):
         low = hat.at(-z)
         assert low[0] == 0
         assert low[1] == pytest.approx(1j * eta(z, qcfg))
+
+
+def _induced_by_formula(f_up, g_up, w):
+    """The induced form written out: (f, g) above, ((-i)^w g(-z), i^w f(-z)) below."""
+    def value(z):
+        if z.imag > 0:
+            return np.concatenate([f_up(z), g_up(z)])
+        return np.concatenate([i_power(3 * w) * g_up(-z), i_power(w) * f_up(-z)])
+    return value
+
+
+def test_induce_form_matches_formula_exactly(qcfg):
+    eta_f = eta_form(qcfg)
+    e4_up = HoloFn(1, eisenstein_form(4, qcfg).fn.upper, None)
+    pairs = [
+        (eta_f, VVForm.zero(Weight(1), eta_f.rep.r_twist())),
+        (VVForm(e4_up, Weight(8), Rep.trivial("SL")), VVForm(e4_up.scale(0.5), Weight(8), Rep.trivial("SL"))),
+    ]
+    for f, g in pairs:
+        induced = induce_form(f, g)
+        want = _induced_by_formula(f.fn.upper, g.fn.upper, f.weight.w)
+        for z in full_grid():
+            assert np.array_equal(induced.at(z), want(z)), (f.weight, z)
 
 
 def test_induce_form_checks_inputs(qcfg):

@@ -74,6 +74,9 @@ def test_holofn_interface():
     bad_dim = HoloFn(2, lambda z: np.array([z]), None)
     with pytest.raises(DomainError):
         bad_dim.at(1j)
+    # an evaluator returns an array of shape (dim,); a scalar is refused, not widened
+    with pytest.raises(DomainError, match=r"shape \(\)"):
+        HoloFn(1, lambda z: z, None).at(1j)
     assert np.all(HoloFn.zero(3).at(1j) == 0)
     assert HoloFn.zero(3).dim == 3
     scaled = f.scale(2j)
