@@ -39,7 +39,7 @@ from .qseries import (
     triangular_product,
     triangular_product_factored,
 )
-from .reps import Rep, VVForm, character_of, extend_form, induce_form, modularity_residual, project_components
+from .reps import Rep, VVForm, extend_form, induce_form, modularity_residual, project_components
 from .slash import (
     HoloFn,
     Weight,

@@ -13,16 +13,21 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 
-from .cover import Mat2, Word, TOKEN_MATS, reflection_sign, word_decompose, word_lift
+from .cover import Mat2, Word, TOKEN_MATS, minus_t_row, reflection_sign, word_decompose, word_lift
 from .errors import DomainError
 
 AXIS_TOLERANCE = 1e-12
 
 
-def require_off_axis(z) -> complex:
+def require_finite(z) -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"point {z} is not a finite complex number")
+    return z
+
+
+def require_off_axis(z) -> complex:
+    z = require_finite(z)
     if abs(z.imag) <= AXIS_TOLERANCE:
         raise DomainError(f"point {z} is on (or within {AXIS_TOLERANCE} of) the real axis")
     return z
@@ -99,7 +104,7 @@ def _word_data(gamma: Mat2) -> tuple[Word, int]:
 def section_root(c: int, d: int, z: complex) -> complex:
     """sqrt(c*z + d) with argument in [-pi, pi): the principal root, or -i at c = 0, d < 0,
     the only case on the cut.  Unchecked; callers validate the matrix and the point."""
-    if c == 0 and d < 0:
+    if minus_t_row(c, d):
         return -1j
     return principal_sqrt(c * z + d)
 

@@ -10,6 +10,7 @@ are seeded and check output is sorted by check id.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import product, starmap
@@ -58,8 +59,8 @@ from .qseries import (
     triangular_product,
     triangular_product_factored,
 )
-from .reps import Rep, VVForm, extend_form, induce_form, project_components, snap_to_root_of_unity
-from .slash import HoloFn, Weight, admissible_reflection_scalars, composition_residual, holomorphy_residual, mobius, slash, slash_via_reflection_rule
+from .reps import Rep, VVForm, extend_form, induce_form, project_components, root24, snap_to_root_of_unity
+from .slash import HoloFn, Weight, admissible_reflection_scalars, composition_residual, holomorphy_residual, mobius, slash, slash_via_reflection_rule, worst_residual
 
 REPORT_VERSION = "1"
 DEFAULT_SEED = 20250405
@@ -107,6 +108,8 @@ class _Env:
     def __init__(self, setup: CertifySetup):
         if setup.pair_count < 1:
             raise DomainError(f"pair count must be at least 1, got {setup.pair_count}")
+        if setup.tol_override is not None and not math.isfinite(setup.tol_override):
+            raise DomainError(f"tolerance must be a finite number, got {setup.tol_override}")
         self.setup = setup
         self.cover: CoverSet = enumerate_cover(setup.max_word_len, force=setup.force)
         # validated here, so a bad sample is named before any check runs
@@ -185,13 +188,13 @@ def _exact(env: _Env, params: dict, bad: Optional[dict], count=1,
 
 
 class _Worst:
-    """Running maximum of a residual, keeping the first witness that reached it."""
+    """Running maximum of a residual, keeping the first witness that reached it (NaN beats any number)."""
 
     def __init__(self):
         self.value, self.witness = 0.0, None
 
     def see(self, r, **witness) -> None:
-        if r > self.value:
+        if r > self.value or (math.isnan(r) and not math.isnan(self.value)):
             self.value, self.witness = r, witness
 
     def report(self, env: _Env, params: dict, pinned: float, universe: Optional[str] = None) -> CheckReport:
@@ -374,7 +377,7 @@ def check_phi_well_defined(env: _Env) -> CheckReport:
     for elt, w1, w2 in usable:
         for z in env.upper[:4]:
             first = word_factor(w1, z)
-            r = max(abs(first - word_factor(w2, z)), abs(first - elt.eps * phi_upper(elt.gamma, z)))
+            r = worst_residual((abs(first - word_factor(w2, z)), abs(first - elt.eps * phi_upper(elt.gamma, z))))
             worst.see(r, element=elt, word_1=format_word(w1), word_2=format_word(w2), z=z)
     return worst.report(env, {"word_pairs": len(usable)}, 1e-12)
 
@@ -465,7 +468,7 @@ def check_action_lambda_sets(env: _Env) -> CheckReport:
 
 
 def check_rep_central_scalar(env: _Env) -> CheckReport:
-    rho = eta_character(env.setup.qcfg)
+    rho = eta_character()
     reps = [
         ("eta_character", rho, 1),
         ("trivial_SL", Rep.trivial("SL"), 8),
@@ -481,7 +484,7 @@ def check_rep_central_scalar(env: _Env) -> CheckReport:
 
 
 def check_rep_well_defined(env: _Env) -> CheckReport:
-    rho_hat = eta_character(env.setup.qcfg).induce(Weight(1))
+    rho_hat = eta_character().induce(Weight(1))
     worst = _Worst()
     for elt, w1, w2 in env.cover.alternates:
         worst.see(_gap(rho_hat.word_image(w1), rho_hat.word_image(w2)),
@@ -490,7 +493,7 @@ def check_rep_well_defined(env: _Env) -> CheckReport:
 
 
 def check_rep_homomorphism(env: _Env) -> CheckReport:
-    rho = eta_character(env.setup.qcfg)
+    rho = eta_character()
     rho_hat = rho.induce(Weight(1))
     pairs = env.sample_pairs(env.setup.pair_count)
     sl = env.cover.sl_elements()
@@ -509,30 +512,29 @@ def check_rep_homomorphism(env: _Env) -> CheckReport:
 
 
 def check_rep_twist_properties(env: _Env) -> CheckReport:
-    rho = eta_character(env.setup.qcfg)
+    rho = eta_character()
     twist = rho.r_twist()
     triv = Rep.trivial("SL")
     gaps = [_gap(twist.images["T"], rho.evaluate(LIFT_T.inv()))]
     for key in ("S", "T"):
         gaps.append(_gap(triv.r_twist().images[key], triv.images[key]))
         gaps.append(_gap(twist.r_twist().images[key], rho.images[key]))
-    return _report(env, {}, max(gaps), 1e-12, {"detail": "twist identities"},
+    return _report(env, {}, worst_residual(gaps), 1e-12, {"detail": "twist identities"},
                    universe="eta character and the trivial representation")
 
 
 def check_rep_induction_matrices(env: _Env) -> CheckReport:
-    rho = eta_character(env.setup.qcfg)
+    rho = eta_character()
     rho_hat = rho.induce(Weight(1))
     want_t = np.diag([rho.images["T"][0, 0], np.conj(rho.images["T"][0, 0])])
     res = rho_hat.restrict()
-    worst = max(_gap(rho_hat.images["R"], np.array([[0, 1], [-1, 0]], dtype=complex)),
-                _gap(rho_hat.images["T"], want_t), _gap(res.images["T"], want_t))
     dims_ok = res.dim == 2 * rho.dim and rho_hat.dim == 2 * rho.dim
     triv_ok = Rep.trivial("GL").restrict().images["S"].shape == (1, 1)
-    params = {"restricted_dim_doubles": dims_ok, "trivial_restricts": triv_ok}
-    if not (dims_ok and triv_ok):
-        worst = max(worst, 1.0)
-    return _report(env, params, worst, 1e-12, universe="the induced eta character")
+    worst = worst_residual((_gap(rho_hat.images["R"], np.array([[0, 1], [-1, 0]], dtype=complex)),
+                            _gap(rho_hat.images["T"], want_t), _gap(res.images["T"], want_t),
+                            0.0 if dims_ok and triv_ok else 1.0))
+    return _report(env, {"restricted_dim_doubles": dims_ok, "trivial_restricts": triv_ok}, worst, 1e-12,
+                   universe="the induced eta character")
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +571,11 @@ def check_induction_round_trip(env: _Env) -> CheckReport:
     first, second = project_components(hat)
     ef = eta_fn(cfg)
     for z in env.upper:
-        worst.see(max(_gap(first.at(z), ef.at(z)), _gap(second.at(z), 0)),
+        worst.see(worst_residual((_gap(first.at(z), ef.at(z)), _gap(second.at(z), 0))),
                   detail="projections must recover (eta, 0) exactly", z=z)
     rebuilt = induce_form(
-        VVForm(first, Weight(1), eta_character(cfg)),
-        VVForm(second, Weight(1), eta_character(cfg).r_twist()),
+        VVForm(first, Weight(1), eta_character()),
+        VVForm(second, Weight(1), eta_character().r_twist()),
         points=env.grid)
     for z in env.grid:
         worst.see(_gap(rebuilt.at(z), hat.at(z)), form="eta_hat rebuild", z=z)
@@ -586,7 +588,7 @@ def check_induction_round_trip(env: _Env) -> CheckReport:
     stacked = induce_form(f_form, g_form, points=env.grid)
     p1, p2 = project_components(stacked)
     for z in env.upper:
-        worst.see(max(_gap(p1.at(z), f_up.at(z)), _gap(p2.at(z), g_up.at(z))),
+        worst.see(worst_residual((_gap(p1.at(z), f_up.at(z)), _gap(p2.at(z), g_up.at(z)))),
                   detail="projection must be exact", z=z)
     for z in env.lower:
         want = np.concatenate([g_up.at(-z), f_up.at(-z)])  # (-i)^8 = i^8 = 1
@@ -600,7 +602,7 @@ def check_induction_round_trip(env: _Env) -> CheckReport:
 
 def check_eta_shift_law(env: _Env) -> CheckReport:
     cfg = env.qcfg_raw
-    phase = np.exp(1j * np.pi / 12)
+    phase = root24(1)
     worst = _Worst()
     for z in env.upper:
         worst.see(abs(eta(z + 1, cfg) - phase * eta(z, cfg)), z=z)
@@ -624,23 +626,24 @@ def check_eta_point_value(env: _Env) -> CheckReport:
 
 
 def check_eta_multiplier_universe(env: _Env) -> CheckReport:
-    """Every eta multiplier over the enumerated SL part is a 24th root of unity,
-    reproduces the analytic transformation of eta itself, and matches the closed
-    form: phi_g = b sqrt(c z + d) with b from ``branch_profile``, so rho([g, eps])
-    has the index ``eta_multiplier_index(g)``, plus 12 when eps * b = -1."""
+    """Eta's character, stored by its exact generator images only, takes a 24th root of
+    unity on every enumerated SL element, and that root is the closed form there: the index
+    comparison certifies that lift-and-correct along generator words reproduces
+    ``eta_multiplier_index``.  phi_g = b sqrt(c z + d) with b from ``branch_profile``, so
+    rho([g, eps]) has the index ``eta_multiplier_index(g)``, plus 12 when eps * b = -1.
+    The transform gate slashes the raw-series eta itself, which ties the character to eta."""
     snap_tol = env.tol(1e-10)
     transform_tol = env.tol(1e-9)
-    cfg = env.qcfg_raw
-    rho = eta_character(cfg)
-    f = eta_fn(cfg)
+    rho = eta_character()
+    f = eta_fn(env.qcfg_raw)
     base = {z: f.at(z) for z in env.upper}
-    worst_snap, transform = 0.0, _Worst()
+    snaps, transform = [], _Worst()
     mismatches, index_witness = 0, None
     elements = env.cover.sl_elements()
     for x in elements:
         val = rho.evaluate(x)[0, 0]
-        _, index, dist = snap_to_root_of_unity(val, 24, tol=1.0)
-        worst_snap = max(worst_snap, dist)
+        _, index, dist = snap_to_root_of_unity(val)
+        snaps.append(dist)
         flip = x.eps * branch_profile(x.gamma, env.upper) == -1
         closed = (eta_multiplier_index(x.gamma) + 12 * flip) % 24
         if index != closed:
@@ -649,12 +652,13 @@ def check_eta_multiplier_universe(env: _Env) -> CheckReport:
         acted = slash(f, Weight(1), x)
         for z in env.upper:
             transform.see(_gap(acted.at(z), val * base[z]), x=x, z=z)
+    worst_snap = worst_residual(snaps)
     numeric_ok = worst_snap <= snap_tol and transform.value <= transform_tol
     return _verdict(env, {"elements": len(elements), "snap_tolerance": snap_tol,
                           "transform_tolerance": transform_tol,
                           "worst_snap": worst_snap, "worst_transform": transform.value,
                           "closed_form_mismatches": mismatches},
-                    max(worst_snap, transform.value), numeric_ok and mismatches == 0,
+                    worst_residual((worst_snap, transform.value)), numeric_ok and mismatches == 0,
                     index_witness if numeric_ok else transform.witness)
 
 
@@ -689,24 +693,23 @@ def check_eisenstein_lattice_match(env: _Env) -> CheckReport:
         worst.see(rel, z=z, series=str(series), lattice=str(trunc))
     drift = abs(lattice_sum(4, 2j, 200) - lattice_sum(4, 2j, 400))
     params["cutoff_drift_200_vs_400"] = drift
-    sym = max(abs(lattice_sum(4, z, 60) - lattice_sum(4, -z, 60)) for z in (2j, 0.4 + 0.8j))
+    sym = worst_residual(abs(lattice_sum(4, z, 60) - lattice_sum(4, -z, 60)) for z in (2j, 0.4 + 0.8j))
     params["reflection_symmetry"] = sym
     hand = abs(lattice_sum(4, 1j, 1) - 3.0)
     params["hand_sum_m1_at_i"] = hand
     # series laws with reduction disabled, so they are not built-in
     raw = env.qcfg_raw
-    laws = 0.0
-    for z in env.upper:
-        for k in (4, 6):
-            laws = max(laws, abs(eisenstein(k, z + 1, raw) - eisenstein(k, z, raw)))
-            laws = max(laws, abs(eisenstein(k, -1 / z, raw) - z ** k * eisenstein(k, z, raw))
-                       / abs(eisenstein(k, z, raw)))
-            laws = max(laws, abs(eisenstein(k, z, raw) - eisenstein(k, z, cfg))
-                       / abs(eisenstein(k, z, raw)))
+
+    def law_gaps(k, z):
+        value = eisenstein(k, z, raw)
+        return (abs(eisenstein(k, z + 1, raw) - value), abs(eisenstein(k, -1 / z, raw) - z ** k * value) / abs(value),
+                abs(value - eisenstein(k, z, cfg)) / abs(value))
+
+    laws = worst_residual(gap for z in env.upper for k in (4, 6) for gap in law_gaps(k, z))
     params["raw_series_laws"] = laws
-    if drift > tol or sym != 0.0 or hand != 0.0 or laws > env.tol(1e-9):
+    if not (drift <= tol and sym == 0.0 and hand == 0.0 and laws <= env.tol(1e-9)):
         # the oracle terms raise the residual but keep a lattice witness when there is one
-        worst.value = max(worst.value, drift, sym, hand, laws)
+        worst.value = worst_residual((worst.value, drift, sym, hand, laws))
         worst.witness = worst.witness or {"detail": "cutoff drift / symmetry / hand sum / raw series laws"}
     return worst.report(env, params, 1e-6,
                         universe="square cutoffs at z in {2i, 1+2i}; series laws on the upper grid")

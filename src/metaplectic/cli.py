@@ -95,6 +95,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if not np.isfinite(args.tol):
+        raise DomainError(f"tolerance must be a finite number, got {args.tol}")
     cfg = replace(DEFAULT_CONFIG, min_im=args.min_im)
     form, natural_w = _named_form(args.form, cfg)
     if natural_w is None:

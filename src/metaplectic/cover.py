@@ -125,12 +125,17 @@ def cocycle(alpha: Mat2, beta: Mat2) -> int:
     return -1 if bit else 1
 
 
+def minus_t_row(c: int, d: int) -> bool:
+    """Whether (c, d) is the bottom row of a -T^n: where c*z + d is on the cut and the reflection flips a lift."""
+    return c == 0 and d < 0
+
+
 def reflection_sign(gamma: Mat2) -> int:
     """Sign a determinant-one lift picks up under conjugation by the reflection lift: the Hilbert
     symbol (chi(g), chi(gR)) with chi(gR) = -c (c != 0) or d (c = 0), so -1 exactly on -T^n."""
     if gamma.det() != 1:
         raise DomainError("reflection_sign is defined on determinant +1 matrices only")
-    return -1 if gamma.c == 0 and gamma.d < 0 else 1
+    return -1 if minus_t_row(gamma.c, gamma.d) else 1
 
 
 @dataclass(frozen=True)

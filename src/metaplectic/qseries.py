@@ -17,10 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .automorphy import principal_sqrt, require_off_axis, require_upper
-from .cover import Mat2, chi_negative
+from .automorphy import principal_sqrt, require_finite, require_off_axis, require_upper
+from .cover import S_MAT, T_MAT, Mat2, chi_negative
 from .errors import DomainError, ResourceLimitError
-from .reps import Rep, VVForm, character_of, extend_form, induce_form
+from .reps import Rep, VVForm, extend_form, induce_form, root24
 from .slash import HoloFn, Weight, cpow_int
 
 ZETA_4 = math.pi ** 4 / 90
@@ -144,7 +144,7 @@ def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     z = _require_workable(z, cfg)
     if cfg.reduce and z.imag < 0.25:
         g, w0 = reduce_to_fundamental(z)
-        root = cmath.exp(1j * cmath.pi * eta_multiplier_index(g) / 12)
+        root = root24(eta_multiplier_index(g))
         return _eta_series(w0, cfg) / (root * principal_sqrt(g.c * z + g.d))
     return _eta_series(z, cfg)
 
@@ -220,7 +220,7 @@ def triangular_product(n_factors: int, z) -> complex:
     """The finite product prod_{n<=N} (e^{-pi i n z} - e^{pi i n z}); entire in z."""
     if n_factors < 0:
         raise DomainError("the number of factors must be nonnegative")
-    z = complex(z)
+    z = require_finite(z)
     out = 1 + 0j
     for n in range(1, n_factors + 1):
         arg = 1j * cmath.pi * n * z
@@ -232,7 +232,7 @@ def triangular_product_factored(n_factors: int, z) -> complex:
     """Same product in the pulled-out form e^{-pi i z N(N+1)/2} prod (1 - e^{2 pi i n z})."""
     if n_factors < 0:
         raise DomainError("the number of factors must be nonnegative")
-    z = complex(z)
+    z = require_finite(z)
     out = cmath.exp(-1j * cmath.pi * z * n_factors * (n_factors + 1) / 2)
     for n in range(1, n_factors + 1):
         out *= 1 - cmath.exp(2j * cmath.pi * n * z)
@@ -249,13 +249,15 @@ def eta_fn(cfg: QSeriesConfig = DEFAULT_CONFIG) -> HoloFn:
 
 
 @lru_cache(maxsize=None)
-def eta_character(cfg: QSeriesConfig = DEFAULT_CONFIG) -> Rep:
-    """The 24th-root-of-unity character of eta, extracted numerically."""
-    return character_of(eta_fn(cfg), Weight(1))
+def eta_character() -> Rep:
+    """The character of eta on the SL cover: the lifted generators [S,1] and [T,1] carry the
+    section sqrt(z) resp. 1, so their images are the closed-form multipliers e^(2 pi i n/24)."""
+    return Rep("SL", 1, {key: np.array([[root24(eta_multiplier_index(g))]], dtype=complex)
+                         for key, g in (("S", S_MAT), ("T", T_MAT))})
 
 
 def eta_form(cfg: QSeriesConfig = DEFAULT_CONFIG) -> VVForm:
-    return VVForm(eta_fn(cfg), Weight(1), eta_character(cfg))
+    return VVForm(eta_fn(cfg), Weight(1), eta_character())
 
 
 def eta_hat_form(cfg: QSeriesConfig = DEFAULT_CONFIG) -> VVForm:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automorphy import _word_data, i_power, require_upper
+from .automorphy import _word_data, i_power
 from .cover import (
     LIFT_R,
     LIFT_S,
@@ -27,7 +27,7 @@ from .cover import (
 )
 from .errors import DomainError, ModularityError
 from .sampling import full_grid, upper_grid
-from .slash import HoloFn, Weight, slash
+from .slash import HoloFn, Weight, slash, worst_residual
 
 _SL_KEYS = ("S", "T")
 _GL_KEYS = ("S", "T", "R")
@@ -154,47 +154,22 @@ class Rep:
         return cls.from_json_dict(data)
 
 
-def snap_to_root_of_unity(value: complex, order: int, tol: float = 1e-10) -> tuple[complex, int, float]:
-    """Nearest order-th root of unity; errors if the distance exceeds ``tol``."""
-    value = complex(value)
-    best_j = min(range(order), key=lambda j: abs(value - cmath.exp(2j * cmath.pi * j / order)))
-    root = cmath.exp(2j * cmath.pi * best_j / order)
-    dist = abs(value - root)
-    if dist > tol:
-        raise DomainError(f"value {value} is {dist:.3e} away from the nearest {order}-th root of unity")
-    return root, best_j, dist
+def root24(n: int) -> complex:
+    """The 24th root of unity e^(2 pi i n/24)."""
+    return cmath.exp(2j * cmath.pi * n / 24)
 
 
-def character_of(f: HoloFn, weight: Weight, *, z0: complex = 0.1 + 1.3j) -> Rep:
-    """Extract the 1-dimensional SL-cover character of a scalar form.
-
-    The generator images are the ratios (f|_k g)(z0) / f(z0), snapped to
-    exact 24th roots of unity: the metaplectic cover of SL2(Z) abelianises to Z/24.
-    """
-    if f.dim != 1:
-        raise DomainError("character extraction needs a 1-dimensional form")
-    z0 = require_upper(z0)
-    base = f.at(z0)[0]
-    if base == 0:
-        raise DomainError("character extraction needs a point where the form is nonzero")
-    images = {}
-    for key, gen in (("S", LIFT_S), ("T", LIFT_T)):
-        ratio = slash(f, weight, gen).at(z0)[0] / base
-        root, _, _ = snap_to_root_of_unity(ratio, 24)
-        images[key] = np.array([[root]], dtype=complex)
-    return Rep("SL", 1, images)
+def snap_to_root_of_unity(value: complex) -> tuple[complex, int, float]:
+    """Nearest 24th root of unity to ``value``, its index and its distance."""
+    index = min(range(24), key=lambda j: abs(value - root24(j)))
+    return root24(index), index, abs(value - root24(index))
 
 
 def modularity_residual(f: HoloFn, weight: Weight, rep: Rep,
                         elements: Sequence[MetaElt], points: Sequence[complex]) -> float:
     """max over elements, points, components of |(f|_k x)(z) - rep(x) f(z)|."""
-    worst = 0.0
-    for x in elements:
-        acted = slash(f, weight, x)
-        mat = rep.evaluate(x)
-        for z in points:
-            worst = max(worst, float(np.max(np.abs(acted.at(z) - mat @ f.at(z)))))
-    return worst
+    acts = ((slash(f, weight, x), rep.evaluate(x)) for x in elements)
+    return worst_residual(np.max(np.abs(acted.at(z) - mat @ f.at(z))) for acted, mat in acts for z in points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +219,7 @@ def extend_form(f_plus: HoloFn, weight: Weight, rep: Rep, *,
         raise DomainError("extension needs an upper-half-plane evaluator")
     pts = tuple(points) if points is not None else upper_grid()
     res = modularity_residual(f_plus, weight, rep.restrict(), (LIFT_S, LIFT_T), pts)
-    if res > ISOMORPHISM_TOL:
+    if not res <= ISOMORPHISM_TOL:  # NaN fails too
         raise ModularityError(
             f"upper function is not modular for the restricted representation "
             f"(residual {res:.3e} > {ISOMORPHISM_TOL:.1e})", residual=res)
@@ -277,7 +252,7 @@ def induce_form(f: VVForm, g: VVForm, *, points: Sequence[complex] | None = None
     pts = tuple(points) if points is not None else full_grid()
     if pts:
         res = out.residual((LIFT_S, LIFT_T, LIFT_R), pts)
-        if res > ISOMORPHISM_TOL:
+        if not res <= ISOMORPHISM_TOL:
             raise ModularityError(
                 f"induced form fails certification against the induced representation "
                 f"(residual {res:.3e} > {ISOMORPHISM_TOL:.1e})", residual=res)

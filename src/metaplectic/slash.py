@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .automorphy import i_power, mobius, require_off_axis, section_root  # mobius: re-exported as slash.mobius
-from .cover import Mat2, MetaElt, R_MAT, cocycle, reflection_sign
+from .cover import Mat2, MetaElt, R_MAT, cocycle, minus_t_row
 from .errors import DomainError
 
 Evaluator = Callable[[complex], np.ndarray]
@@ -134,18 +134,20 @@ def slash(f: HoloFn, weight: Weight, x: MetaElt) -> HoloFn:
     * det -1, lower:  f+(gz) (i eps A B' phi+_{gR}(-z))^(-2k)
 
     with A the cocycle against the reflection, B/B' the reflection signs of
-    gamma resp. R*gamma.  All four factors are phi+ at c z + d, since RgR and gR
-    at -z, and Rg at z, have bottom rows (-c, d) resp. (c, d).  With s the product
-    of a case's signs, s^(-w) = i^(w (1 - s)) and i^(-w) s^(-w) = i^(-w s).
+    gamma resp. R*gamma, both read off gamma's bottom row, which R leaves as it is.
+    All four factors are phi+ at c z + d, since RgR and gR at -z, and Rg at z,
+    have bottom rows (-c, d) resp. (c, d).  With s the product of a case's signs,
+    s^(-w) = i^(w (1 - s)) and i^(-w) s^(-w) = i^(-w s).
     """
     g, eps, w = x.gamma, x.eps, weight.w
+    b = -1 if minus_t_row(g.c, g.d) else 1
     if g.det() == 1:
         upper = _case_evaluator(f.upper, g, w * (1 - eps), w)
-        lower = _case_evaluator(f.lower, g, w * (1 - eps * reflection_sign(g)), w)
+        lower = _case_evaluator(f.lower, g, w * (1 - eps * b), w)
     else:
         s = eps * cocycle(R_MAT, g)
         upper = _case_evaluator(f.lower, g, -w * s, w)
-        lower = _case_evaluator(f.upper, g, -w * s * reflection_sign(R_MAT * g), w)
+        lower = _case_evaluator(f.upper, g, -w * s * b, w)
     return HoloFn(f.dim, upper, lower)
 
 
@@ -173,15 +175,17 @@ def slash_via_reflection_rule(f: HoloFn, weight: Weight, x: MetaElt, variant: st
     return slash(reflected, weight, rest).scale(phase)
 
 
+def worst_residual(residuals) -> float:
+    """Largest of ``residuals``, 0.0 for none; NaN when any is NaN, so a NaN cannot pass a gate."""
+    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
+
+
 def composition_residual(f: HoloFn, weight: Weight, x: MetaElt, y: MetaElt,
                          points: Sequence[complex]) -> float:
     """max over points and components of |((f|x)|y - f|(x*y))(z)|."""
     lhs = slash(slash(f, weight, x), weight, y)
     rhs = slash(f, weight, x * y)
-    worst = 0.0
-    for z in points:
-        worst = max(worst, float(np.max(np.abs(lhs.at(z) - rhs.at(z)))))
-    return worst
+    return worst_residual(np.max(np.abs(lhs.at(z) - rhs.at(z))) for z in points)
 
 
 def admissible_reflection_scalars(weight: Weight) -> tuple[complex, ...]:

@@ -5,6 +5,7 @@ import pytest
 from metaplectic.cli import main
 from metaplectic.sampling import format_complex, parse_complex
 from metaplectic.errors import DomainError
+from metaplectic.qseries import triangular_product
 
 
 def run_cli(capsys, *argv):
@@ -54,13 +55,18 @@ def test_eval_triangular(capsys):
     code, out, _ = run_cli(capsys, "eval", "--form", "zn:0", "--z", "0.4+0.8i")
     assert code == 0
     assert out.strip() == "1+0i"
+    # the product is entire, so a point on the real axis is still evaluated
+    code, out, _ = run_cli(capsys, "eval", "--form", "zn:3", "--z", "0.25")
+    assert code == 0
+    assert parse_complex(out.strip()) == pytest.approx(triangular_product(3, 0.25))
 
 
 def test_eval_usage_errors(capsys):
     assert run_cli(capsys, "eval", "--form", "nope", "--z", "1i")[0] == 2
     assert run_cli(capsys, "eval", "--form", "eta", "--z", "0.5")[0] == 2  # on the axis
     assert run_cli(capsys, "eval", "--form", "eta", "--z", "0-1i")[0] == 2  # lower half
-    for form, z, shown in (("eta", "0.1+nani", "(0.1+nanj)"), ("e4", "0.1+1e400i", "(0.1+infj)")):
+    for form, z, shown in (("eta", "0.1+nani", "(0.1+nanj)"), ("e4", "0.1+1e400i", "(0.1+infj)"),
+                           ("zn:3", "0.1+nani", "(0.1+nanj)"), ("zn:0", "nan", "(nan+0j)")):
         code, out, err = run_cli(capsys, "eval", "--form", form, "--z", z)
         assert code == 2 and out == ""
         assert f"point {shown} is not a finite complex number" in err
@@ -93,18 +99,18 @@ def test_check_eta_hat_reflection_json(capsys):
     assert payload["residual"] < 1e-9
 
 
-def test_check_with_rep_file(capsys, tmp_path, qcfg):
+def test_check_with_rep_file(capsys, tmp_path):
     from metaplectic.qseries import eta_character
     from metaplectic.slash import Weight
 
     path = tmp_path / "rep.json"
-    eta_character(qcfg).induce(Weight(1)).save(path)
+    eta_character().induce(Weight(1)).save(path)
     code, out, _ = run_cli(capsys, "check", "--form", "eta-hat", "--weight", "1",
                            "--elem", "R T", "--rep", str(path))
     assert code == 0 and "PASS" in out
 
 
-def test_check_usage_errors(capsys, tmp_path, qcfg):
+def test_check_usage_errors(capsys, tmp_path):
     from metaplectic.qseries import eta_character
     from metaplectic.slash import Weight
 
@@ -116,7 +122,7 @@ def test_check_usage_errors(capsys, tmp_path, qcfg):
     assert run_cli(capsys, "check", "--form", "zn:3", "--weight", "1", "--elem", "T")[0] == 2
     # a 2-dimensional SL rep against the scalar eta
     path = tmp_path / "rep2.json"
-    eta_character(qcfg).induce(Weight(1)).restrict().save(path)
+    eta_character().induce(Weight(1)).restrict().save(path)
     code, out, err = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T", "--rep", str(path))
     assert code == 2 and out == ""
     assert "representation has dimension 2, form 'eta' has dimension 1" in err
@@ -193,6 +199,17 @@ def test_certify_depth_bound(capsys):
         assert code == 2
         assert out == ""  # refused before any check runs
         assert f"pair count must be at least 1, got {pairs}" in err
+
+
+def test_non_finite_tolerance_is_refused(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    for tol in ("nan", "inf"):
+        message = f"tolerance must be a finite number, got {float(tol)}"
+        code, out, err = run_cli(capsys, "certify", "--max-word-len", "0", "--tol", tol, "--json", str(out_path))
+        assert code == 2 and out == "" and message in err
+        assert not out_path.exists()  # refused before any check runs
+        code, out, err = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T", "--tol", tol)
+        assert code == 2 and out == "" and message in err
 
 
 def test_certify_check_error_becomes_that_checks_failure(capsys, tmp_path, monkeypatch):

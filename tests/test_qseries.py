@@ -235,6 +235,10 @@ def test_triangular_product_basics():
     assert abs(one - (cmath.exp(-1j * cmath.pi * z) - cmath.exp(1j * cmath.pi * z))) == 0
     with pytest.raises(DomainError):
         triangular_product(-1, z)
+    for product in (triangular_product, triangular_product_factored):
+        for bad in (complex("nan"), complex(0.1, math.inf)):
+            with pytest.raises(DomainError, match="is not a finite complex number"):
+                product(3, bad)
 
 
 def test_triangular_parity_exact():

@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ from metaplectic.qseries import eta, eta_character, eta_fn, eta_form, eta_hat_fo
 from metaplectic.reps import (
     Rep,
     VVForm,
-    character_of,
     extend_form,
     induce_form,
+    modularity_residual,
     project_components,
+    root24,
     snap_to_root_of_unity,
 )
 from metaplectic.sampling import full_grid, upper_grid
-from metaplectic.slash import HoloFn, Weight
+from metaplectic.slash import HoloFn, Weight, slash
 
 T24 = cmath.exp(1j * cmath.pi / 12)
 
@@ -52,36 +54,40 @@ def test_trivial_rep_evaluation(cover4):
 
 
 def test_snap_to_root():
-    root, j, dist = snap_to_root_of_unity(T24 * (1 + 1e-13), 24)
+    root, j, dist = snap_to_root_of_unity(T24 * (1 + 1e-13))
     assert j == 1 and dist < 1e-12
-    with pytest.raises(DomainError):
-        snap_to_root_of_unity(1.2 + 0.4j, 24, tol=1e-10)
 
 
-def test_eta_character_images(qcfg):
-    rho = eta_character(qcfg)
+def test_eta_character_images():
+    rho = eta_character()
     assert rho.group == "SL" and rho.dim == 1
-    assert abs(rho.images["T"][0, 0] - T24) < 1e-15
+    assert rho.images["T"][0, 0] == root24(1)
+    assert rho.images["S"][0, 0] == root24(21)
     assert abs(rho.images["S"][0, 0] - cmath.exp(-1j * cmath.pi / 4)) < 1e-15
 
 
-def test_eta_character_z0_independent(qcfg):
-    a = character_of(eta_fn(qcfg), Weight(1), z0=0.1 + 1.3j)
-    b = character_of(eta_fn(qcfg), Weight(1), z0=-0.4 + 0.9j)
-    for key in ("S", "T"):
-        assert np.array_equal(a.images[key], b.images[key])  # snapped to exact roots
+def test_eta_character_z0_independent(qcfg, raw_cfg):
+    # numeric oracle: at any z0, (eta|[g,1])(z0) / eta(z0) is the character's image of g
+    rho = eta_character()
+    for cfg in (qcfg, raw_cfg):
+        f = eta_fn(cfg)
+        for z0 in (0.1 + 1.3j, -0.4 + 0.9j, 0.3 + 0.5j, -0.05 + 0.35j, 1.7 + 2.1j, 0.45 + 0.95j):
+            base = f.at(z0)[0]
+            for key, gen in (("S", LIFT_S), ("T", LIFT_T)):
+                ratio = slash(f, Weight(1), gen).at(z0)[0] / base
+                assert abs(ratio - rho.images[key][0, 0]) < 1e-12, (cfg.reduce, z0, key)
 
 
-def test_rep_evaluate_examples(qcfg):
-    rho = eta_character(qcfg)
+def test_rep_evaluate_examples():
+    rho = eta_character()
     assert abs(rho.evaluate(LIFT_T)[0, 0] - T24) < 1e-15
     # central sign flip evaluates to (-1)^w for the weight-1/2 character
     assert abs(rho.evaluate(CENTER_FLIP)[0, 0] + 1) < 1e-14
     assert np.array_equal(rho.evaluate(MetaElt.identity()), np.eye(1))
 
 
-def test_rep_homomorphism_sampled(cover4, qcfg):
-    rho = eta_character(qcfg)
+def test_rep_homomorphism_sampled(cover4):
+    rho = eta_character()
     rho_hat = rho.induce(Weight(1))
     rng = np.random.default_rng(17)
     elems = cover4.elements()
@@ -93,14 +99,14 @@ def test_rep_homomorphism_sampled(cover4, qcfg):
         assert rho.evaluate(u * v) == pytest.approx(rho.evaluate(u) @ rho.evaluate(v), abs=1e-13)
 
 
-def test_rep_well_defined_on_alternate_words(cover4, qcfg):
-    rho_hat = eta_character(qcfg).induce(Weight(1))
+def test_rep_well_defined_on_alternate_words(cover4):
+    rho_hat = eta_character().induce(Weight(1))
     for elt, w1, w2 in cover4.alternates:
         assert rho_hat.word_image(w1) == pytest.approx(rho_hat.word_image(w2), abs=1e-12)
 
 
-def test_r_twist(qcfg):
-    rho = eta_character(qcfg)
+def test_r_twist():
+    rho = eta_character()
     twist = rho.r_twist()
     assert abs(twist.images["T"][0, 0] - T24.conjugate()) < 1e-14
     triv = Rep.trivial("SL")
@@ -111,8 +117,8 @@ def test_r_twist(qcfg):
         Rep.trivial("GL").r_twist()
 
 
-def test_induce_and_restrict(qcfg):
-    rho = eta_character(qcfg)
+def test_induce_and_restrict():
+    rho = eta_character()
     hat = rho.induce(Weight(1))
     assert hat.group == "GL" and hat.dim == 2
     assert hat.images["R"] == pytest.approx(np.array([[0, 1], [-1, 0]], dtype=complex))
@@ -129,8 +135,8 @@ def test_induce_and_restrict(qcfg):
     assert even.images["R"] == pytest.approx(np.array([[0, 1], [1, 0]], dtype=complex))
 
 
-def test_rep_serialisation_round_trip(tmp_path, qcfg):
-    hat = eta_character(qcfg).induce(Weight(1))
+def test_rep_serialisation_round_trip(tmp_path):
+    hat = eta_character().induce(Weight(1))
     path = tmp_path / "rep.json"
     hat.save(path)
     loaded = Rep.load(path)
@@ -215,8 +221,8 @@ def test_induce_form_checks_inputs(qcfg):
         induce_form(f, other_dim)
 
 
-def test_induce_form_zero_pair(qcfg):
-    rho = eta_character(qcfg)
+def test_induce_form_zero_pair():
+    rho = eta_character()
     zero = induce_form(VVForm.zero(Weight(1), rho), VVForm.zero(Weight(1), rho.r_twist()))
     for z in full_grid()[:6]:
         assert np.all(zero.at(z) == 0)
@@ -240,6 +246,13 @@ def test_modularity_residual_eta(cover4, qcfg):
     assert f.residual(elems, upper_grid()[:4]) < 1e-9
 
 
-def test_vvform_dim_mismatch(qcfg):
+def test_vvform_dim_mismatch():
     with pytest.raises(DomainError):
         VVForm(HoloFn.zero(2), Weight(1), Rep.trivial("SL"))
+
+
+def test_nan_form_is_not_modular():
+    f = HoloFn.from_scalar(upper=lambda z: complex("nan"))
+    assert math.isnan(modularity_residual(f, Weight(8), Rep.trivial("SL"), (LIFT_S, LIFT_T), upper_grid()))
+    with pytest.raises(ModularityError, match="residual nan"):
+        extend_form(f, Weight(8), Rep.trivial("GL"))

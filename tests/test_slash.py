@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from metaplectic.slash import (
     mobius,
     slash,
     slash_via_reflection_rule,
+    worst_residual,
 )
 
 
@@ -169,6 +171,16 @@ def test_composition_trivial_cases():
     ident = MetaElt.identity()
     assert composition_residual(f, Weight(3), ident, ident, full_grid()) == 0.0
     assert composition_residual(f, Weight(3), LIFT_R, LIFT_R, full_grid()) < 1e-12
+
+
+def test_composition_residual_keeps_nan():
+    nan = lambda z: complex("nan")
+    f = HoloFn.from_scalar(upper=nan, lower=nan)
+    assert math.isnan(composition_residual(f, Weight(3), LIFT_S, LIFT_R, full_grid()))
+    assert worst_residual([]) == 0.0
+    assert worst_residual([0.5, 2.0, 1.0]) == 2.0
+    for values in ([float("nan"), 2.0], [2.0, float("nan")], [0.0, float("nan"), 1.0]):
+        assert math.isnan(worst_residual(values))
 
 
 def test_composition_all_det_cases(cover4):
