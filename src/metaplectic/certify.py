@@ -2,7 +2,7 @@
 and emits machine-readable reports.
 
 Exact sign/integer algebra is checked exhaustively over an enumerated
-universe (the cocycle triple check is vectorised in numpy bit arithmetic);
+universe (the cocycle triple and B(a)B(b)B(ab) checks are numpy bit kernels);
 numeric checks run over the standard sample grid with tolerances pinned per
 check.  Reports are deterministic for a fixed setup: the random pair draws
 are seeded and check output is sorted by check id.
@@ -13,52 +13,18 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import product, starmap
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import sampling
 from .automorphy import branch_profile, phi_lower, phi_upper, principal_sqrt, require_upper, word_factor
-from .cover import (
-    CENTER_FLIP,
-    IDENT,
-    LIFT_R,
-    LIFT_S,
-    LIFT_T,
-    LIFT_Z,
-    Mat2,
-    MetaElt,
-    NEG_IDENT,
-    R_MAT,
-    S_MAT,
-    T_MAT,
-    CoverSet,
-    chi_negative,
-    cocycle,
-    cocycle_bit,
-    conj_by_reflection,
-    enumerate_cover,
-    format_word,
-    hilbert_symbol,
-    kubota_chi,
-    reflection_sign,
-)
+from .cover import (CENTER_FLIP, IDENT, LIFT_R, LIFT_S, LIFT_T, LIFT_Z, NEG_IDENT, R_MAT, S_MAT, T_MAT, CoverSet, Mat2,
+                    MetaElt, chi_negative, cocycle, cocycle_bit, conj_by_reflection, enumerate_cover, format_word,
+                    hilbert_symbol, kubota_chi, minus_t_row, reflection_sign)
 from .errors import DomainError, ModularityError, ResourceLimitError
-from .qseries import (
-    CERTIFY_CONFIG,
-    NAMED_FORMS,
-    QSeriesConfig,
-    eisenstein,
-    eta,
-    eta_character,
-    eta_fn,
-    eta_hat,
-    eta_multiplier_index,
-    lattice_sum,
-    triangular_product,
-    triangular_product_factored,
-)
+from .qseries import (CERTIFY_CONFIG, NAMED_FORMS, QSeriesConfig, eisenstein, eta, eta_character, eta_fn, eta_hat,
+                      eta_multiplier_index, lattice_sum, triangular_product, triangular_product_factored)
 from .reps import Rep, VVForm, extend_form, induce_form, project_components, root24, snap_to_root_of_unity
 from .slash import HoloFn, Weight, admissible_reflection_scalars, composition_residual, holomorphy_residual, mobius, slash, slash_via_reflection_rule, worst_residual
 
@@ -229,35 +195,58 @@ def check_unit_values(env: _Env) -> CheckReport:
                   f"{len(bad)} mismatches", universe="hand-checked generator identities")
 
 
-def check_cocycle_triples(env: _Env) -> CheckReport:
-    """Cocycle identity A(a,b)A(ab,c) = A(a,bc)A(b,c) on every enumerated triple."""
-    mats_list = env.cover.matrices()
-    mats = np.array([m.entries() for m in mats_list], dtype=np.int64).reshape(-1, 2, 2)
-    n = len(mats)
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, d = mats[:, 1, 0], mats[:, 1, 1]
-    dbit = a * d - b * c < 0
-    sbit = chi_negative(c, d)
-    prod = np.einsum("iab,jbc->ijac", mats, mats)
-    pc, pd = prod[:, :, 1, 0], prod[:, :, 1, 1]
-    s_p = chi_negative(pc, pd)
-    d_p = dbit[:, None] ^ dbit[None, :]
-    a_pair = cocycle_bit(dbit[:, None], dbit[None, :], sbit[:, None], sbit[None, :], s_p)
-    violations = 0
-    witness = None
-    for k in range(n):
-        c3 = pc * a[k] + pd * c[k]
-        d3 = pc * b[k] + pd * d[k]
-        s3 = chi_negative(c3, d3)
-        a2 = cocycle_bit(d_p, dbit[k], s_p, sbit[k], s3)
-        a3 = cocycle_bit(dbit[:, None], d_p[:, k][None, :], sbit[:, None], s_p[:, k][None, :], s3)
-        bad = a_pair ^ a2 ^ a3 ^ a_pair[:, k][None, :]
-        count = int(bad.sum())
+def _entry_rows(mats: Sequence[Mat2], power: int) -> np.ndarray:
+    """The entries a, b, c, d of ``mats`` as four rows of the narrowest integer type that holds every
+    entry of a product of ``power`` of them, which is at most 2^(power-1) max|entry|^power."""
+    bound = 2 ** (power - 1) * max(abs(x) for m in mats for x in m.entries()) ** power
+    dtype = next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), None)
+    if dtype is None:
+        raise ResourceLimitError(f"products of {power} enumerated matrices reach {bound}, beyond int64")
+    return np.array([m.entries() for m in mats], dtype=dtype).T.copy()
+
+
+def cocycle_triple_violations(mats: Sequence[Mat2]) -> tuple[int, Optional[dict]]:
+    """Triples (a, b, c) of ``mats`` breaking A(a,b) A(ab,c) = A(a,bc) A(b,c), and the first one:
+    first c, then the first (a, b) in row-major order.
+
+    Once s3, the chi bit of (ab)c, is fixed, the identity's four cocycle bits split into a part in
+    (a, b) that sees c only through its det and chi bits and a part in (b, c) that sees a only
+    through its bits.  Both are tabled for the four kinds of bits and for either s3, as C and D in
+    C ^ (s3 & D); each slice over c then computes s3 alone.
+    """
+    a, b, c, d = _entry_rows(mats, 3)
+    det_neg, chi_neg = a * d - b * c < 0, chi_negative(c, d)
+    kinds = ((False, False), (False, True), (True, False), (True, True))
+    kind = 2 * det_neg + chi_neg  # index of each matrix's (det, chi) bits in ``kinds``
+    pc, pd = c[:, None] * a + d[:, None] * c, c[:, None] * b + d[:, None] * d  # bottom rows of the pair products
+    d_p, s_p = det_neg[:, None] ^ det_neg, chi_negative(pc, pd)
+    a_p = cocycle_bit(det_neg[:, None], det_neg, chi_neg[:, None], chi_neg, s_p)
+
+    def parts(s3):  # A(a,b) ^ A(ab,c) as [kind of c, a, b] and A(a,bc) ^ A(b,c) as [kind of a, c, b]
+        return (np.stack([a_p ^ cocycle_bit(d_p, dk, s_p, sk, s3) for dk, sk in kinds]),
+                np.stack([a_p.T ^ cocycle_bit(di, d_p, si, s_p.T, s3) for di, si in kinds]))
+
+    c_ab, c_bc = parts(False)
+    d_ab, d_bc = (c ^ t for c, t in zip((c_ab, c_bc), parts(True)))
+    c3, d3, term = np.empty_like(pc), np.empty_like(pc), np.empty_like(pc)  # reused: no n^2 allocations per slice
+    violations, witness = 0, None
+    for k in range(len(mats)):
+        np.add(np.multiply(pc, a[k], out=c3), np.multiply(pd, c[k], out=term), out=c3)
+        np.add(np.multiply(pc, b[k], out=d3), np.multiply(pd, d[k], out=term), out=d3)
+        bad = c_ab[kind[k]] ^ c_bc[kind, k] ^ (chi_negative(c3, d3) & (d_ab[kind[k]] ^ d_bc[kind, k]))
+        count = int(np.count_nonzero(bad))
         if count and witness is None:
             i, j = np.argwhere(bad)[0]
-            witness = {"alpha": mats_list[i], "beta": mats_list[j], "gamma": mats_list[k]}
+            witness = {"alpha": mats[i], "beta": mats[j], "gamma": mats[k]}
         violations += count
-    return _exact(env, {"matrices": n, "triples": n ** 3}, witness, violations)
+    return violations, witness
+
+
+def check_cocycle_triples(env: _Env) -> CheckReport:
+    """Cocycle identity A(a,b)A(ab,c) = A(a,bc)A(b,c) on every enumerated triple."""
+    mats = env.cover.matrices()
+    violations, witness = cocycle_triple_violations(mats)
+    return _exact(env, {"matrices": len(mats), "triples": len(mats) ** 3}, witness, violations)
 
 
 def check_reflection_sign_lemma(env: _Env) -> CheckReport:
@@ -293,20 +282,28 @@ def check_generator_inversion(env: _Env) -> CheckReport:
                   universe="the lifted generators S, T")
 
 
+def bbb_violations(mats: Sequence[Mat2]) -> tuple[int, Optional[dict]]:
+    """Pairs of determinant-one ``mats`` breaking cocycle(a,b) cocycle(RaR,RbR) = B(a) B(b) B(ab), and the
+    first one in row-major order.  With (pc, pd) the bottom row of ab, RaR has (-c, d) and R(ab)R has
+    (-pc, pd): chi bits give the cocycles and ``minus_t_row`` gives B."""
+    a, b, c, d = _entry_rows(mats, 2)
+    pc, pd = c[:, None] * a + d[:, None] * c, c[:, None] * b + d[:, None] * d
+    chi, chi_r = chi_negative(c, d), chi_negative(-c, d)
+    lhs = (cocycle_bit(False, False, chi[:, None], chi, chi_negative(pc, pd))
+           ^ cocycle_bit(False, False, chi_r[:, None], chi_r, chi_negative(-pc, pd)))
+    rhs = minus_t_row(c, d)[:, None] ^ minus_t_row(c, d) ^ minus_t_row(pc, pd)
+    bad = lhs ^ rhs
+    if not bad.any():
+        return 0, None
+    i, j = np.argwhere(bad)[0]
+    return int(np.count_nonzero(bad)), {"alpha": mats[i], "beta": mats[j],
+                                        "lhs": -1 if lhs[i, j] else 1, "rhs": -1 if rhs[i, j] else 1}
+
+
 def check_product_bbb_lemma(env: _Env) -> CheckReport:
     """cocycle(a,b) cocycle(RaR,RbR) = B(a) B(b) B(ab) on enumerated det-one pairs."""
     mats = env.cover.sl_matrices()
-    bsign = {m: reflection_sign(m) for m in mats}
-    conj = {m: m.reflect_conjugate() for m in mats}
-
-    def bad(alpha, beta):
-        lhs = cocycle(alpha, beta) * cocycle(conj[alpha], conj[beta])
-        rhs = bsign[alpha] * bsign[beta] * reflection_sign(alpha * beta)
-        if lhs != rhs:
-            return {"alpha": alpha, "beta": beta, "lhs": lhs, "rhs": rhs}
-
-    return _exact(env, {"pairs": len(mats) ** 2},
-                  next(filter(None, starmap(bad, product(mats, repeat=2))), None))
+    return _exact(env, {"pairs": len(mats) ** 2}, bbb_violations(mats)[1])
 
 
 def check_order_relations(env: _Env) -> CheckReport:

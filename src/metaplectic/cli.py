@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,6 +51,19 @@ def _format_vector(values) -> str:
     return "(" + ", ".join(format_complex(v) for v in vals) + ")"
 
 
+def _strict_json(value) -> str:
+    """Indented, key-sorted JSON of ``value`` with every non-finite float written as the string
+    "nan", "inf" or "-inf", so that strict parsers accept it."""
+    def finite(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return str(v)
+        if isinstance(v, dict):
+            return {key: finite(x) for key, x in v.items()}
+        return [finite(x) for x in v] if isinstance(v, (list, tuple)) else v
+
+    return json.dumps(finite(value), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _cmd_certify(args) -> int:
     qcfg = replace(CERTIFY_CONFIG, min_im=args.min_im)
     points = load_points(args.samples) if args.samples else None
@@ -70,7 +84,7 @@ def _cmd_certify(args) -> int:
             print(f"      counterexample: {json.dumps(check['counterexample'], sort_keys=True)}")
     print(f"{'PASS' if report['pass'] else 'FAIL'}  overall ({len(report['checks'])} checks)")
     if args.json:
-        Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        Path(args.json).write_text(_strict_json(report) + "\n")
     return 0 if report["pass"] else 1
 
 
@@ -126,7 +140,7 @@ def _cmd_check(args) -> int:
         "pass": residual <= args.tol,
     }
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_strict_json(payload))
     else:
         print(f"{'PASS' if payload['pass'] else 'FAIL'}  |{args.form}|_{{w={args.weight}}} {args.elem!r}: "
               f"residual={residual:.3e} (tol {args.tol:.1e})")

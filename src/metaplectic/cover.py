@@ -42,7 +42,7 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
+        return _known_mat2(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -50,15 +50,15 @@ class Mat2:
         )
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        return _known_mat2(-self.a, -self.b, -self.c, -self.d)
 
     def inv(self) -> "Mat2":
         det = self.det()
-        return Mat2(self.d * det, -self.b * det, -self.c * det, self.a * det)
+        return _known_mat2(self.d * det, -self.b * det, -self.c * det, self.a * det)
 
     def reflect_conjugate(self) -> "Mat2":
         """Conjugate by the reflection diag(-1, 1): flips the off-diagonal signs."""
-        return Mat2(self.a, -self.b, -self.c, self.d)
+        return _known_mat2(self.a, -self.b, -self.c, self.d)
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -78,6 +78,15 @@ class Mat2:
         ):
             raise DomainError(f"bad matrix syntax {text!r}: need [[a,b],[c,d]] with integers")
         return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
+
+
+def _known_mat2(a: int, b: int, c: int, d: int) -> Mat2:
+    """A ``Mat2`` built from other ``Mat2`` entries (a product, inverse, negation or conjugate), so its
+    entries are ints and its determinant is +-1 already: skips the checks of ``Mat2.__post_init__``."""
+    m = object.__new__(Mat2)
+    fields = m.__dict__
+    fields["a"], fields["b"], fields["c"], fields["d"] = a, b, c, d
+    return m
 
 
 IDENT = Mat2(1, 0, 0, 1)
@@ -125,9 +134,10 @@ def cocycle(alpha: Mat2, beta: Mat2) -> int:
     return -1 if bit else 1
 
 
-def minus_t_row(c: int, d: int) -> bool:
-    """Whether (c, d) is the bottom row of a -T^n: where c*z + d is on the cut and the reflection flips a lift."""
-    return c == 0 and d < 0
+def minus_t_row(c, d):
+    """Whether (c, d) is the bottom row of a -T^n: where c*z + d is on the cut and the reflection flips a lift;
+    works on ints and elementwise on numpy arrays."""
+    return (c == 0) & (d < 0)
 
 
 def reflection_sign(gamma: Mat2) -> int:

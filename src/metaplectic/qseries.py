@@ -75,7 +75,11 @@ def reduce_to_fundamental(z) -> tuple[Mat2, complex]:
     The matrix is tracked in integers and the moving point is recomputed from
     the original z at every step, so the pair (g, g.z) is reproducible.
     """
-    z = require_upper(z)
+    return _reduce(require_upper(z))
+
+
+def _reduce(z: complex) -> tuple[Mat2, complex]:
+    """``reduce_to_fundamental`` of a point that ``require_upper`` has already returned."""
     a, b, c, d = 1, 0, 0, 1
     for _ in range(500):
         w = (a * z + b) / (c * z + d)
@@ -143,7 +147,7 @@ def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     """
     z = _require_workable(z, cfg)
     if cfg.reduce and z.imag < 0.25:
-        g, w0 = reduce_to_fundamental(z)
+        g, w0 = _reduce(z)
         root = root24(eta_multiplier_index(g))
         return _eta_series(w0, cfg) / (root * principal_sqrt(g.c * z + g.d))
     return _eta_series(z, cfg)
@@ -170,7 +174,7 @@ def eisenstein(k: int, z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
         raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
     z = _require_workable(z, cfg)
     if cfg.reduce:
-        g, w0 = reduce_to_fundamental(z)
+        g, w0 = _reduce(z)
         return _eisenstein_series(k, w0, cfg) * cpow_int(g.c * z + g.d, -k)
     return _eisenstein_series(k, z, cfg)
 

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from metaplectic import certify
-from metaplectic.certify import run_certification
+from metaplectic import certify, cover
+from metaplectic.certify import ALGEBRA_CHECK_IDS, run_certification
+from metaplectic.cover import S_MAT, T_MAT, Mat2, enumerate_cover
 from metaplectic.errors import DomainError
 
 
@@ -40,3 +42,89 @@ def test_nan_residual_fails_its_check(monkeypatch):
     (check,) = report["checks"]
     assert check["pass"] is False and math.isnan(check["max_residual"])
     assert report["pass"] is False
+
+
+def test_cocycle_triple_kernel_counts_a_broken_chi(monkeypatch):
+    """A wrong chi sign (the lower-left entry's sign alone) breaks the cocycle identity; the kernel's
+    count and first witness are pinned to those of the former per-slice loop."""
+    monkeypatch.setattr(certify, "chi_negative", lambda c, d: c < 0)
+    (check,) = run_certification(4, check_filter=["algebra_cocycle_triples"])["checks"]
+    assert check["pass"] is False and check["max_residual"] == 27680
+    assert check["counterexample"] == {"alpha": "[[-1,0],[0,-1]]", "beta": "[[0,-1],[1,0]]",
+                                       "gamma": "[[0,-1],[1,0]]"}
+
+
+def test_cocycle_triple_kernel_widens_its_dtype():
+    """Triple products over T^40 and [[40,41],[39,40]] reach past int16 (4 * 41^3 > 2^15): the kernel
+    holds them in int32 and still finds no violation."""
+    t40, m = T_MAT, Mat2(40, 41, 39, 40)
+    for _ in range(39):
+        t40 = t40 * T_MAT
+    small = enumerate_cover(2).matrices()
+    mats = small + [t40, t40.inv(), m, m.inv(), m * S_MAT, S_MAT * m.inv()]
+    assert certify._entry_rows(small, 3).dtype == np.int16
+    assert certify._entry_rows(mats, 3).dtype == np.int32
+    assert certify.cocycle_triple_violations(mats) == (0, None)
+
+
+def _cocycle_triple_loop(mats):
+    """Scalar oracle for ``cocycle_triple_violations`` through ``cocycle``, in its order: c, then a, then b."""
+    bad = [{"alpha": a, "beta": b, "gamma": c} for c in mats for a in mats for b in mats
+           if cover.cocycle(a, b) * cover.cocycle(a * b, c) != cover.cocycle(a, b * c) * cover.cocycle(b, c)]
+    return len(bad), (bad[0] if bad else None)
+
+
+def _bbb_loop(mats):
+    """Scalar oracle for ``bbb_violations``: the lemma pair by pair through ``cocycle`` and ``reflection_sign``."""
+    bad = []
+    for alpha in mats:
+        for beta in mats:
+            lhs = cover.cocycle(alpha, beta) * cover.cocycle(alpha.reflect_conjugate(), beta.reflect_conjugate())
+            rhs = cover.reflection_sign(alpha) * cover.reflection_sign(beta) * cover.reflection_sign(alpha * beta)
+            if lhs != rhs:
+                bad.append({"alpha": alpha, "beta": beta, "lhs": lhs, "rhs": rhs})
+    return len(bad), (bad[0] if bad else None)
+
+
+def _flip_at(rule, c0, d0):
+    """``rule`` with its bit flipped on the one bottom row (c0, d0), on ints and on arrays."""
+    return lambda c, d: rule(c, d) ^ ((c == c0) & (d == d0))
+
+
+@pytest.mark.parametrize("name, row", [(None, None), ("chi_negative", (1, 2)), ("chi_negative", (3, 2)),
+                                       ("chi_negative", (-1, 0)), ("minus_t_row", (0, 1)),
+                                       ("minus_t_row", (2, 1))])
+def test_bbb_kernel_matches_the_scalar_loop(cover4, monkeypatch, name, row):
+    """The pair kernel against the pair-by-pair loop on the det-one universe, as it stands and with one
+    input bit flipped in both: the same number of failing pairs and the same first witness."""
+    mats = cover4.sl_matrices()
+    if name is not None:
+        flipped = _flip_at(getattr(cover, name), *row)
+        monkeypatch.setattr(cover, name, flipped)
+        monkeypatch.setattr(certify, name, flipped)
+    count, witness = certify.bbb_violations(mats)
+    assert (count, witness) == _bbb_loop(mats)
+    assert (count > 0) == (name is not None)
+
+
+@pytest.mark.parametrize("row", [None, (1, 0), (0, -1), (2, 1)])
+def test_cocycle_triple_kernel_matches_the_scalar_loop(monkeypatch, row):
+    """The triple kernel against the triple-by-triple loop on the word-length-2 universe, as it stands and
+    with chi flipped on one bottom row in both: the same count and the same first witness."""
+    mats = enumerate_cover(2).matrices()
+    if row is not None:
+        flipped = _flip_at(cover.chi_negative, *row)
+        monkeypatch.setattr(cover, "chi_negative", flipped)
+        monkeypatch.setattr(certify, "chi_negative", flipped)
+    count, witness = certify.cocycle_triple_violations(mats)
+    assert (count, witness) == _cocycle_triple_loop(mats)
+    assert (count > 0) == (row is not None)
+
+
+def test_algebra_checks_pass_on_the_deep_universe():
+    """Word length 7: 544 matrices, all 161M cocycle triples and all 340^2 det-one pairs."""
+    report = run_certification(7, check_filter=ALGEBRA_CHECK_IDS)
+    checks = {c["check_id"]: c for c in report["checks"]}
+    assert set(checks) == set(ALGEBRA_CHECK_IDS) and report["pass"] is True
+    assert checks["algebra_cocycle_triples"]["params"] == {"matrices": 544, "triples": 160989184}
+    assert checks["algebra_product_bbb_lemma"]["params"] == {"pairs": 115600}

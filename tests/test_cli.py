@@ -235,3 +235,24 @@ def test_certify_check_error_becomes_that_checks_failure(capsys, tmp_path, monke
         assert check["counterexample"] == {
             "error": "ModularityError: induced form fails certification (residual 1.5e+00 > 1.0e-09)"}
     assert "FAIL  eta_hat_identities" in out
+
+
+def test_certify_report_is_strict_json(capsys, tmp_path, monkeypatch):
+    """A non-finite residual is written as a string, so a strict parser accepts the report."""
+    from metaplectic import certify, cli
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    monkeypatch.setattr(certify, "composition_residual", lambda *args: float("nan"))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "certify", "--max-word-len", "2", "--json", str(out_path))
+    assert code == 1
+    assert "FAIL  action_composition               residual=nan" in out
+    report = json.loads(out_path.read_text(), parse_constant=refuse)
+    (check,) = [c for c in report["checks"] if c["check_id"] == "action_composition"]
+    assert check["max_residual"] == "nan" and check["pass"] is False
+    assert [c["check_id"] for c in report["checks"] if not c["pass"]] == ["action_composition"]
+    monkeypatch.setattr(cli, "modularity_residual", lambda *args: float("inf"))
+    code, out, _ = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T", "--json")
+    assert code == 1 and json.loads(out, parse_constant=refuse)["residual"] == "inf"

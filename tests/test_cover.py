@@ -44,12 +44,26 @@ def test_matrix_invariants():
         Mat2(1, 0, 0, 2)  # det 2
     with pytest.raises(DomainError):
         Mat2(1, 0, 0, 0)  # singular
+    with pytest.raises(DomainError):
+        Mat2(1.0, 0, 0, 1)  # not an integer entry
     assert S_MAT.det() == 1 and R_MAT.det() == -1
     assert S_MAT * S_MAT == NEG_IDENT
     assert R_MAT * R_MAT == IDENT
     assert S_MAT.inv() == -S_MAT
     assert T_MAT.inv() == Mat2(1, -1, 0, 1)
     assert T_MAT.reflect_conjugate() == T_MAT.inv()
+
+
+def test_internal_products_equal_checked_matrices(cover4):
+    """Products, inverses, negations and conjugates skip the constructor checks; they must still be
+    the same values, with the same hash, as the checked matrices of their entries."""
+    mats = cover4.matrices()[:30]
+    derived = [a * b for a in mats for b in mats] + [f(m) for m in mats
+                                                    for f in (Mat2.inv, Mat2.__neg__, Mat2.reflect_conjugate)]
+    for m in derived:
+        checked = Mat2(*m.entries())
+        assert m == checked and hash(m) == hash(checked) and str(m) == str(checked)
+        assert all(type(x) is int for x in m.entries()) and m.det() in (1, -1)
 
 
 def test_matrix_text_format():

@@ -141,6 +141,10 @@ def test_reduce_to_fundamental():
     assert w.imag > 0.5 and abs(w.real) <= 0.5 + 1e-9
     g0, w0 = reduce_to_fundamental(0.1 + 2j)
     assert g0 == IDENT and w0 == 0.1 + 2j
+    # the public entry point validates its point; eta and eisenstein validate before they reduce
+    for bad in (0.3 - 0.8j, 0.3 + 0j, complex(0.1, math.nan)):
+        with pytest.raises(DomainError):
+            reduce_to_fundamental(bad)
 
 
 def test_eisenstein_validation():
