@@ -13,6 +13,8 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 
+import numpy as np
+
 from .cover import Mat2, Word, TOKEN_MATS, minus_t_row, reflection_sign, word_decompose, word_lift
 from .errors import DomainError
 
@@ -107,6 +109,13 @@ def section_root(c: int, d: int, z: complex) -> complex:
     if minus_t_row(c, d):
         return -1j
     return principal_sqrt(c * z + d)
+
+
+def section_roots(c: np.ndarray, d: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``section_root`` elementwise over integer arrays c, d and a complex array z."""
+    w = c * z + d
+    w = np.where(w.imag == 0, w.real + 0j, w)  # the closed cut of ``principal_sqrt``
+    return np.where(minus_t_row(c, d), -1j, np.sqrt(w))
 
 
 def phi_upper(gamma: Mat2, z) -> complex:

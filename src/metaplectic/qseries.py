@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .automorphy import principal_sqrt, require_finite, require_off_axis, require_upper
-from .cover import S_MAT, T_MAT, Mat2, chi_negative
+from .automorphy import AXIS_TOLERANCE, principal_sqrt, require_finite, require_off_axis, require_upper
+from .cover import S_MAT, T_MAT, Mat2, _known_mat2, chi_negative
 from .errors import DomainError, ResourceLimitError
 from .reps import Rep, VVForm, extend_form, induce_form, root24
 from .slash import HoloFn, Weight, cpow_int
@@ -47,6 +47,8 @@ class QSeriesConfig:
 
 DEFAULT_CONFIG = QSeriesConfig()
 
+REDUCTION_STEPS = 500  # cap on the steps of a fundamental-domain reduction
+
 # the certification suite's budget: Moebius images of its grid come within ~1e-6 of the axis
 CERTIFY_CONFIG = QSeriesConfig(tail_tolerance=1e-17, max_terms=2_000_000, min_im=1e-6)
 
@@ -69,6 +71,15 @@ def _truncation_index(im: float, cfg: QSeriesConfig, extra_log: float = 0.0) -> 
     return n
 
 
+def _truncation_indices(im: np.ndarray, cfg: QSeriesConfig, extra_log=0.0) -> np.ndarray:
+    """``_truncation_index`` elementwise: the point needing the most terms raises its error."""
+    n = np.maximum(np.ceil((math.log(1 / cfg.tail_tolerance) + extra_log) / (2 * math.pi * im)), 1)
+    if n.max(initial=1) > cfg.max_terms:
+        i = np.argmax(n)
+        _truncation_index(float(im[i]), cfg, float(np.broadcast_to(extra_log, im.shape)[i]))
+    return n.astype(np.int64)
+
+
 def reduce_to_fundamental(z) -> tuple[Mat2, complex]:
     """Exact determinant-one matrix g with g.z in the standard fundamental domain.
 
@@ -81,7 +92,7 @@ def reduce_to_fundamental(z) -> tuple[Mat2, complex]:
 def _reduce(z: complex) -> tuple[Mat2, complex]:
     """``reduce_to_fundamental`` of a point that ``require_upper`` has already returned."""
     a, b, c, d = 1, 0, 0, 1
-    for _ in range(500):
+    for _ in range(REDUCTION_STEPS):
         w = (a * z + b) / (c * z + d)
         shift = -round(w.real)
         if shift:
@@ -90,8 +101,32 @@ def _reduce(z: complex) -> tuple[Mat2, complex]:
         if abs(w) < 0.999999:
             a, b, c, d = -c, -d, a, b  # S * g
         else:
-            return Mat2(a, b, c, d), w
+            return _known_mat2(a, b, c, d), w  # products of T^n and S: determinant one
     raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {z}")
+
+
+def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refuse as ``_require_workable`` does (the first refused point raises), then ``_reduce`` where ``todo``:
+    every point's matrix as a column of int64 rows (a, b, c, d) below 2^31, and the reduced points."""
+    bad = ~np.isfinite(z) | (z.imag <= AXIS_TOLERANCE) | (z.imag < cfg.min_im)
+    if bad.any():
+        _require_workable(complex(z[np.argmax(bad)]), cfg)
+    m = np.repeat(np.array([[1], [0], [0], [1]], dtype=np.int64), z.size, axis=1)
+    w0, todo = z.copy(), np.flatnonzero(todo)
+    for _ in range(REDUCTION_STEPS):
+        a, b, c, d = m[:, todo]
+        w = (a * z[todo] + b) / (c * z[todo] + d)
+        shift = -np.round(w.real)
+        if max(np.abs(shift).max(initial=0), np.abs(m[:, todo]).max(initial=0)) >= 2 ** 31:
+            raise ResourceLimitError(f"fundamental-domain reduction of {complex(z[todo[0]])} leaves int64")
+        a, b = a + shift.astype(np.int64) * c, b + shift.astype(np.int64) * d  # T^shift * g
+        w0[todo] = w = w + shift
+        flip = np.abs(w) < 0.999999
+        m[:, todo] = np.where(flip, (-c, -d, a, b), (a, b, c, d))  # S * g where flipped
+        todo = todo[flip]
+        if not todo.size:
+            return m, w0
+    raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {complex(z[todo[0]])}")
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -160,6 +195,19 @@ def _eta_series(z: complex, cfg: QSeriesConfig) -> complex:
     return cmath.exp(1j * cmath.pi * z / 12) * complex(np.prod(factors))
 
 
+def eta_batch(z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """``eta`` at every point of the complex array ``z``, with its refusals, reductions and per-point
+    truncations: one pass per product term over all points, one multiplier per reducing matrix."""
+    m, arg = _reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
+    keys = list(zip(*m.tolist()))
+    roots = {g: root24(eta_multiplier_index(_known_mat2(*g))) for g in set(keys)}
+    n, prod = _truncation_indices(arg.imag, cfg), np.ones_like(z)
+    for k in range(1, n.max(initial=0) + 1):
+        prod = prod * np.where(k <= n, 1.0 - np.exp((2j * np.pi * arg) * k), 1)
+    # c z + d is 1 where nothing was reduced, and off the cut where it was (c != 0, as Im went up)
+    return np.exp(1j * np.pi * arg / 12) * prod / (np.array([roots[g] for g in keys]) * np.sqrt(m[2] * z + m[3]))
+
+
 def eisenstein(k: int, z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     """Weight-k Eisenstein series in full lattice-sum normalisation, k in {4, 6}.
 
@@ -186,6 +234,20 @@ def _eisenstein_series(k: int, z: complex, cfg: QSeriesConfig) -> complex:
     qd = np.exp((2j * np.pi * z) * ds)
     lam = (ds.astype(float) ** (k - 1)) * qd / (1.0 - qd)
     return 2 * _EIS_ZETA[k] * (1 + _EIS_COEFF[k] * complex(lam.sum()))
+
+
+def eisenstein_batch(k: int, z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """``eisenstein`` at every point of the complex array ``z``, with its refusals, reductions and
+    per-point truncations: one pass per Lambert term over all points."""
+    if k not in _EIS_COEFF:
+        raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
+    m, arg = _reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
+    base = _truncation_indices(arg.imag, cfg)
+    n, total = _truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0)), np.zeros_like(z)
+    for d in range(1, n.max(initial=0) + 1):
+        qd = np.exp((2j * np.pi * arg) * d)
+        total = total + np.where(d <= n, float(d) ** (k - 1) * qd / (1.0 - qd), 0)
+    return 2 * _EIS_ZETA[k] * (1 + _EIS_COEFF[k] * total) * cpow_int(m[2] * z + m[3], -k)
 
 
 def lattice_sum(k: int, z, m_cutoff: int) -> complex:
@@ -248,8 +310,8 @@ def triangular_product_factored(n_factors: int, z) -> complex:
 
 def eta_fn(cfg: QSeriesConfig = DEFAULT_CONFIG) -> HoloFn:
     """Eta as an upper-half-plane-only function object."""
-    # ``eta`` is looked up per call, so a wrapper bound to ``qseries.eta`` later still sees every call
-    return HoloFn.from_scalar(upper=lambda z: eta(z, cfg))
+    # the series are looked up per call, so a wrapper bound to ``qseries.eta`` later still sees every call
+    return HoloFn.from_scalar(upper=lambda z: eta_batch(z, cfg) if isinstance(z, np.ndarray) else eta(z, cfg))
 
 
 @lru_cache(maxsize=None)
@@ -281,7 +343,8 @@ def eta_hat(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 def eisenstein_form(k: int, cfg: QSeriesConfig = DEFAULT_CONFIG) -> VVForm:
     """Even extension of E_k as a GL-cover form with trivial representation."""
-    upper = HoloFn.from_scalar(upper=lambda z: eisenstein(k, z, cfg))
+    upper = HoloFn.from_scalar(
+        upper=lambda z: eisenstein_batch(k, z, cfg) if isinstance(z, np.ndarray) else eisenstein(k, z, cfg))
     return extend_form(upper, Weight(2 * k), Rep.trivial("GL"))
 
 

@@ -199,10 +199,10 @@ ISOMORPHISM_TOL = 1e-9  # gate of the construction-time certification of extensi
 
 
 def _from_upper(dim: int, upper, weight: Weight, rep: Rep) -> VVForm:
-    """The one extension rule: below the axis, F(z) = i^w rep(R~)^(-1) F+(-z)."""
+    """The one extension rule: below the axis, F(z) = i^w rep(R~)^(-1) F+(-z), at a point or an (n,) array."""
     phase = i_power(weight.w)
-    r_inv = np.linalg.inv(rep.images["R"])
-    return VVForm(HoloFn(dim, upper, lambda z: phase * (r_inv @ upper(-z))), weight, rep)
+    r_inv_t = np.linalg.inv(rep.images["R"]).T
+    return VVForm(HoloFn(dim, upper, lambda z: phase * np.dot(upper(-z), r_inv_t)), weight, rep)
 
 
 def extend_form(f_plus: HoloFn, weight: Weight, rep: Rep, *,
@@ -247,7 +247,7 @@ def induce_form(f: VVForm, g: VVForm, *, points: Sequence[complex] | None = None
     f_up, g_up = f.fn.upper, g.fn.upper
     if f_up is None or g_up is None:
         raise DomainError("induction needs upper-half-plane evaluators")
-    out = _from_upper(2 * f.fn.dim, lambda z: np.concatenate((f_up(z), g_up(z))),
+    out = _from_upper(2 * f.fn.dim, lambda z: np.concatenate((f_up(z), g_up(z)), axis=-1),
                       f.weight, f.rep.induce(f.weight))
     pts = tuple(points) if points is not None else full_grid()
     if pts:

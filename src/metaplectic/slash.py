@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .automorphy import i_power, mobius, require_off_axis, section_root  # mobius: re-exported as slash.mobius
+from .automorphy import i_power, mobius, require_off_axis, section_root, section_roots  # mobius is re-exported
 from .cover import Mat2, MetaElt, R_MAT, cocycle, minus_t_row
 from .errors import DomainError
 
@@ -39,25 +39,25 @@ class Weight:
         return f"w={self.w} (k={self.k})"
 
 
-def cpow_int(base: complex, n: int) -> complex:
-    """base**n for integer n by binary powering; no complex logs involved."""
+def cpow_int(base, n: int):
+    """base**n for integer n by binary powering, also elementwise on a complex array; no complex logs involved."""
     if n < 0:
         base = 1 / base
         n = -n
     out = 1 + 0j
-    acc = complex(base)
+    acc = base if isinstance(base, np.ndarray) else complex(base)
     while n:
         if n & 1:
-            out *= acc
-        acc *= acc
+            out = out * acc
+        acc = acc * acc
         n >>= 1
     return out
 
 
-def _coerce(value, dim: int) -> np.ndarray:
+def _coerce(value, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
-    if arr.shape != (dim,):
-        raise DomainError(f"evaluator returned shape {arr.shape}, expected ({dim},)")
+    if arr.shape != shape:
+        raise DomainError(f"evaluator returned shape {arr.shape}, expected {shape}")
     return arr
 
 
@@ -68,8 +68,8 @@ class HoloFn:
     Either evaluator may be None for a function only defined on one half.
     An evaluator returns a complex array of shape ``(dim,)``, also for dim 1 (``from_scalar``
     adapts scalar functions); ``at`` validates the point and the shape once and refuses
-    anything else, so derived evaluators pass inner values through as they are.
-    """
+    anything else, so derived evaluators pass inner values through as they are.  Given an
+    ``(n,)`` array (``composition_residuals``), an evaluator returns ``(n, dim)``."""
 
     dim: int
     upper: Optional[Evaluator]
@@ -87,16 +87,17 @@ class HoloFn:
         name = "upper" if z.imag > 0 else "lower"
         if side is None:
             raise DomainError(f"function has no {name} half-plane evaluator")
-        return _coerce(side(z), self.dim)
+        return _coerce(side(z), (self.dim,))
 
     @classmethod
     def from_scalar(cls, upper=None, lower=None) -> "HoloFn":
-        wrap = lambda f: (None if f is None else (lambda z, f=f: np.array([f(z)], dtype=complex)))
+        """Dimension 1 from scalar functions; one that also maps an ``(n,)`` array to ``(n,)`` serves batches."""
+        wrap = lambda f: (None if f is None else (lambda z, f=f: np.asarray(f(z), dtype=complex)[..., None]))
         return cls(1, wrap(upper), wrap(lower))
 
     @classmethod
     def zero(cls, dim: int = 1) -> "HoloFn":
-        zero = lambda z: np.zeros(dim, dtype=complex)
+        zero = lambda z: np.zeros(z.shape + (dim,) if isinstance(z, np.ndarray) else dim, dtype=complex)
         return cls(dim, zero, zero)
 
     def scale(self, factor: complex) -> "HoloFn":
@@ -123,6 +124,16 @@ def _case_evaluator(src: Optional[Evaluator], gamma: Mat2, i_exp: int, w: int) -
     return evaluator
 
 
+def _case_exponents(w: int, x: MetaElt) -> tuple[int, int]:
+    """The exact i-exponents of ``slash``'s factor for ``x`` on the upper and on the lower half-plane."""
+    g, eps = x.gamma, x.eps
+    b = -1 if minus_t_row(g.c, g.d) else 1
+    if g.det() == 1:
+        return w * (1 - eps), w * (1 - eps * b)
+    s = eps * cocycle(R_MAT, g)
+    return -w * s, -w * s * b
+
+
 def slash(f: HoloFn, weight: Weight, x: MetaElt) -> HoloFn:
     """Apply the weight-k action of the cover element ``x`` to ``f``.
 
@@ -139,16 +150,10 @@ def slash(f: HoloFn, weight: Weight, x: MetaElt) -> HoloFn:
     have bottom rows (-c, d) resp. (c, d).  With s the product of a case's signs,
     s^(-w) = i^(w (1 - s)) and i^(-w) s^(-w) = i^(-w s).
     """
-    g, eps, w = x.gamma, x.eps, weight.w
-    b = -1 if minus_t_row(g.c, g.d) else 1
-    if g.det() == 1:
-        upper = _case_evaluator(f.upper, g, w * (1 - eps), w)
-        lower = _case_evaluator(f.lower, g, w * (1 - eps * b), w)
-    else:
-        s = eps * cocycle(R_MAT, g)
-        upper = _case_evaluator(f.lower, g, -w * s, w)
-        lower = _case_evaluator(f.upper, g, -w * s * b, w)
-    return HoloFn(f.dim, upper, lower)
+    g, w = x.gamma, weight.w
+    e_upper, e_lower = _case_exponents(w, x)
+    src_upper, src_lower = (f.upper, f.lower) if g.det() == 1 else (f.lower, f.upper)
+    return HoloFn(f.dim, _case_evaluator(src_upper, g, e_upper, w), _case_evaluator(src_lower, g, e_lower, w))
 
 
 def slash_via_reflection_rule(f: HoloFn, weight: Weight, x: MetaElt, variant: str = "direct") -> HoloFn:
@@ -186,6 +191,52 @@ def composition_residual(f: HoloFn, weight: Weight, x: MetaElt, y: MetaElt,
     lhs = slash(slash(f, weight, x), weight, y)
     rhs = slash(f, weight, x * y)
     return worst_residual(np.max(np.abs(lhs.at(z) - rhs.at(z))) for z in points)
+
+
+_CHUNK_POINTS = 3000  # points per array pass of ``composition_residuals``; bounds its temporaries
+_I_POWER_ARRAY = np.array([i_power(e) for e in range(4)])
+
+
+def _pullbacks(rows: np.ndarray, z: np.ndarray, upper: np.ndarray, w: int):
+    """One step of the four-case rule at every point, whose element is a column (a, b, c, d, det, e_upper,
+    e_lower) of ``rows``: the images, the factors i^e section_root^(-w), and the source's half-planes."""
+    a, b, c, d, det, e_upper, e_lower = rows
+    factor = _I_POWER_ARRAY[np.where(upper, e_upper, e_lower) % 4] * cpow_int(section_roots(c, d, z), -w)
+    return (a * z + b) / (c * z + d), factor, upper ^ (det < 0)
+
+
+def _composition_values(f: HoloFn, w: int, pairs: Sequence[tuple[MetaElt, MetaElt]], points: np.ndarray):
+    """((f|x)|y)(z) and (f|xy)(z) at every pair and point, pair-major, as two ``(n, dim)`` arrays."""
+    elts = [x for x, _ in pairs] + [y for _, y in pairs] + [x * y for x, y in pairs]
+    table = {x: (*x.gamma.entries(), x.det(), *_case_exponents(w, x)) for x in set(elts)}
+    rows = np.array([table[x] for x in elts], dtype=np.int64).T.repeat(points.size, axis=1)
+    rows_x, rows_y, rows_xy = np.split(rows, 3, axis=1)
+    z = np.tile(points, len(pairs))
+    image, factor, src = _pullbacks(rows_xy, z, z.imag > 0, w)
+    mid, factor_y, src_y = _pullbacks(rows_y, z, z.imag > 0, w)
+    inner, factor_x, src_x = _pullbacks(rows_x, mid, src_y, w)
+    at, upper = np.concatenate((inner, image)), np.concatenate((src_x, src))
+    values = np.empty((at.size, f.dim), dtype=complex)
+    for side, mask, name in ((f.upper, upper, "upper"), (f.lower, ~upper, "lower")):  # one call per half
+        if mask.any():
+            if side is None:
+                raise DomainError(f"function has no {name} half-plane evaluator")
+            values[mask] = _coerce(side(at[mask]), (np.count_nonzero(mask), f.dim))
+    return (values[:z.size] * factor_x[:, None]) * factor_y[:, None], values[z.size:] * factor[:, None]
+
+
+def composition_residuals(f: HoloFn, weight: Weight, pairs: Sequence[tuple[MetaElt, MetaElt]],
+                          points: Sequence[complex]) -> np.ndarray:
+    """``composition_residual`` of every pair, as an array: per chunk of pairs, each pullback is one
+    array step and ``f``'s evaluators take an ``(n,)`` array of points once per half-plane."""
+    points = np.array([require_off_axis(z) for z in points], dtype=complex)
+    per_chunk = max(_CHUNK_POINTS // max(points.size, 1), 1)
+    out = np.zeros(len(pairs))
+    for i in range(0, len(pairs), per_chunk):
+        chunk = pairs[i:i + per_chunk]
+        lhs, rhs = _composition_values(f, weight.w, chunk, points)
+        out[i:i + len(chunk)] = np.abs(lhs - rhs).reshape(len(chunk), -1).max(axis=1, initial=0.0)
+    return out
 
 
 def admissible_reflection_scalars(weight: Weight) -> tuple[complex, ...]:

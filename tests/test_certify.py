@@ -7,6 +7,8 @@ from metaplectic import certify, cover
 from metaplectic.certify import ALGEBRA_CHECK_IDS, run_certification
 from metaplectic.cover import S_MAT, T_MAT, Mat2, enumerate_cover
 from metaplectic.errors import DomainError
+from metaplectic.sampling import full_grid
+from metaplectic.slash import HoloFn, Weight, _composition_values, composition_residual, composition_residuals, slash
 
 
 def test_check_filter_refuses_unknown_ids():
@@ -37,7 +39,7 @@ def test_worst_keeps_the_first_nan():
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
-    monkeypatch.setattr(certify, "composition_residual", lambda *args: float("nan"))
+    monkeypatch.setattr(certify, "composition_residuals", lambda f, weight, pairs, points: np.full(len(pairs), np.nan))
     report = run_certification(2, check_filter=["action_composition"])
     (check,) = report["checks"]
     assert check["pass"] is False and math.isnan(check["max_residual"])
@@ -107,6 +109,16 @@ def test_bbb_kernel_matches_the_scalar_loop(cover4, monkeypatch, name, row):
     assert (count > 0) == (name is not None)
 
 
+def test_bbb_report_shows_the_kernel_count(cover4, monkeypatch):
+    """A failing B(a)B(b)B(ab) report shows how many pairs fail, not 1."""
+    flipped = _flip_at(cover.chi_negative, 1, 2)
+    monkeypatch.setattr(cover, "chi_negative", flipped)
+    monkeypatch.setattr(certify, "chi_negative", flipped)
+    (check,) = run_certification(4, check_filter=["algebra_product_bbb_lemma"])["checks"]
+    assert check["pass"] is False
+    assert check["max_residual"] == certify.bbb_violations(cover4.sl_matrices())[0] == 386
+
+
 @pytest.mark.parametrize("row", [None, (1, 0), (0, -1), (2, 1)])
 def test_cocycle_triple_kernel_matches_the_scalar_loop(monkeypatch, row):
     """The triple kernel against the triple-by-triple loop on the word-length-2 universe, as it stands and
@@ -128,3 +140,46 @@ def test_algebra_checks_pass_on_the_deep_universe():
     assert set(checks) == set(ALGEBRA_CHECK_IDS) and report["pass"] is True
     assert checks["algebra_cocycle_triples"]["params"] == {"matrices": 544, "triples": 160989184}
     assert checks["algebra_product_bbb_lemma"]["params"] == {"pairs": 115600}
+
+
+def test_batch_composition_matches_the_scalar_slash(monkeypatch):
+    """At every pair and grid point of the word-length-5 action_composition sample, for both forms, the
+    batch values of f|xy and (f|x)|y agree with ``slash(...).at(z)`` to 1e-12 relative to max(1, |v|)."""
+    calls = []
+    batch = certify.composition_residuals
+
+    def spy(f, weight, pairs, points):
+        calls.append((f, weight, pairs, points))
+        return batch(f, weight, pairs, points)
+
+    monkeypatch.setattr(certify, "composition_residuals", spy)
+    assert run_certification(5)["pass"] is True
+    assert len(calls) == 2
+    for f, weight, pairs, points in calls:
+        lhs, rhs = _composition_values(f, weight.w, pairs, np.array(points))
+        lhs, rhs = (v.reshape(len(pairs), len(points), f.dim) for v in (lhs, rhs))
+        for i, (x, y) in enumerate(pairs):
+            nested, direct = slash(slash(f, weight, x), weight, y), slash(f, weight, x * y)
+            for j, z in enumerate(points):
+                for got, want in ((lhs[i, j], nested.at(z)), (rhs[i, j], direct.at(z))):
+                    assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) <= 1e-12, (str(x), str(y), z)
+
+
+def test_batch_nan_reaches_the_pair_and_the_first_witness(cover4):
+    """A NaN value makes exactly the pairs NaN that the scalar residual makes NaN, and ``_Worst`` keeps the
+    first of them, as action_composition feeds it."""
+    def up(z):  # a point or an (n,) array; NaN right of Re z = 1
+        return np.where(np.real(z) > 1, np.nan, np.exp(2j * np.pi * z / 5) + 0.3 * z)
+
+    f, weight, points = HoloFn.from_scalar(upper=up, lower=up), Weight(3), full_grid()
+    elts = cover4.elements()
+    pairs = [(elts[i], elts[(7 * i + 3) % len(elts)]) for i in range(0, len(elts), 9)]
+    got = composition_residuals(f, weight, pairs, points)
+    want = np.array([composition_residual(f, weight, x, y, points) for x, y in pairs])
+    assert np.array_equal(np.isnan(got), np.isnan(want)) and 0 < np.isnan(got).sum() < len(pairs)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True)
+    worst = certify._Worst()
+    for (x, y), r in zip(pairs, got):
+        worst.see(r, x=x, y=y)
+    first = int(np.argmax(np.isnan(got)))
+    assert math.isnan(worst.value) and worst.witness == {"x": pairs[first][0], "y": pairs[first][1]}

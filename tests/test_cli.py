@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from metaplectic.cli import main
@@ -244,7 +245,7 @@ def test_certify_report_is_strict_json(capsys, tmp_path, monkeypatch):
     def refuse(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
-    monkeypatch.setattr(certify, "composition_residual", lambda *args: float("nan"))
+    monkeypatch.setattr(certify, "composition_residuals", lambda f, weight, pairs, points: np.full(len(pairs), np.nan))
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "certify", "--max-word-len", "2", "--json", str(out_path))
     assert code == 1

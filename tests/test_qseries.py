@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 
 from metaplectic.automorphy import principal_sqrt
-from metaplectic.cover import IDENT, LIFT_R, LIFT_S, LIFT_T, NEG_IDENT, S_MAT, T_MAT, Mat2
+from metaplectic.cover import IDENT, LIFT_R, LIFT_S, LIFT_T, NEG_IDENT, S_MAT, T_MAT, Mat2, MetaElt
 from metaplectic.errors import DomainError, ResourceLimitError
+from metaplectic import qseries
 from metaplectic.qseries import (
     QSeriesConfig,
     dedekind_sum,
     eisenstein,
+    eisenstein_batch,
     eisenstein_form,
     eta,
+    eta_batch,
+    eta_fn,
     eta_multiplier_index,
     eta_hat,
     eta_hat_form,
@@ -24,7 +28,7 @@ from metaplectic.qseries import (
     triangular_product_factored,
 )
 from metaplectic.sampling import full_grid, lower_grid, upper_grid
-from metaplectic.slash import holomorphy_residual, mobius
+from metaplectic.slash import Weight, composition_residual, composition_residuals, holomorphy_residual, mobius
 
 # frozen from 60-digit evaluations of the same q-product with tail < 1e-30
 ETA_AT_I = 0.7682254223260566590025941795761806445179
@@ -296,3 +300,47 @@ def test_holomorphy_probes(qcfg):
         assert holomorphy_residual(lambda w: np.array([eta(w, qcfg)]), z) < 1e-6
         assert holomorphy_residual(lambda w: np.array([eisenstein(4, w, qcfg)]), z) < 1e-6
         assert holomorphy_residual(lambda w: eta_hat(w, qcfg), z.conjugate()) < 1e-6
+
+
+def test_batch_series_match_the_scalar_series(qcfg, raw_cfg):
+    """The array evaluators agree with the scalar ones point by point, reduced and raw, and a point's
+    value does not depend on the other points of its array.  The coarse tail tolerance makes the
+    truncation index show: each point must stop at its own."""
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-2, 2, 60) + 1j * np.exp(rng.uniform(math.log(1e-4), math.log(2), 60))
+    coarse = QSeriesConfig(tail_tolerance=1e-6, min_im=1e-6, reduce=False)
+    for cfg, pts in ((qcfg, z), (raw_cfg, z[z.imag > 0.05]), (coarse, z[z.imag > 0.05])):
+        for many, one in ((lambda p: eta_batch(p, cfg), lambda p: eta(p, cfg)),
+                          (lambda p: eisenstein_batch(4, p, cfg), lambda p: eisenstein(4, p, cfg)),
+                          (lambda p: eisenstein_batch(6, p, cfg), lambda p: eisenstein(6, p, cfg))):
+            got, want = many(pts), np.array([one(p) for p in pts])
+            assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) <= 1e-12
+            assert all(many(pts[i:i + 1])[0] == got[i] for i in range(pts.size))
+            assert many(pts[:0]).shape == (0,)
+
+
+def _error(call):
+    with pytest.raises((DomainError, ResourceLimitError)) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_batch_series_refuse_like_the_scalar_series(monkeypatch):
+    """Below min_im, past max_terms and past the reduction cap, the array evaluators and the batch
+    composition raise what the scalar ones raise."""
+    good = 0.1 + 1.2j
+    cases = [(QSeriesConfig(min_im=0.1), 0.5 + 0.01j, DomainError),
+             (QSeriesConfig(max_terms=10, min_im=1e-6, reduce=False), 0.3 + 0.001j, ResourceLimitError),
+             (QSeriesConfig(min_im=1e-3), 0.4 + 0.012j, ResourceLimitError)]
+    x, y = MetaElt(S_MAT, 1), MetaElt(T_MAT * T_MAT, -1)  # x.(y.z) = -1/(z + 2)
+    for cfg, z, kind in cases:
+        if kind is ResourceLimitError and cfg.reduce:
+            monkeypatch.setattr(qseries, "REDUCTION_STEPS", 1)
+        for many, one in ((lambda p: eta_batch(p, cfg), lambda p: eta(p, cfg)),
+                          (lambda p: eisenstein_batch(4, p, cfg), lambda p: eisenstein(4, p, cfg))):
+            want = _error(lambda: one(z))
+            assert want[0] is kind and _error(lambda: many(np.array([good, z, good]))) == want
+        f, points = eta_fn(cfg), (1.3 + 0.3j, 0.4 + 0.8j)
+        assert _error(lambda: composition_residuals(f, Weight(1), [(x, y)], points))[0] is kind
+        assert _error(lambda: composition_residual(f, Weight(1), x, y, points))[0] is kind
+        monkeypatch.undo()

@@ -8,10 +8,12 @@ import pytest
 from metaplectic.automorphy import i_power, phi_upper
 from metaplectic.cover import LIFT_R, LIFT_S, Mat2, MetaElt, CENTER_FLIP, R_MAT, cocycle, reflection_sign, word_lift
 from metaplectic.errors import DomainError
+from metaplectic.qseries import CERTIFY_CONFIG, eisenstein_form, eta_hat_form
 from metaplectic.sampling import full_grid, upper_grid
 from metaplectic.slash import (
     HoloFn,
     Weight,
+    _composition_values,
     admissible_reflection_scalars,
     composition_residual,
     cpow_int,
@@ -234,3 +236,25 @@ def test_word_lift_through_slash():
     x = word_lift(("S", "T", "S^-1"))
     y = word_lift(("T^-1", "R"))
     assert composition_residual(f, Weight(5), x, y, full_grid()[::3]) < 1e-10
+
+
+@pytest.mark.parametrize("build", [eta_hat_form, lambda cfg: eisenstein_form(4, cfg)])
+def test_batch_value_does_not_depend_on_its_chunk(cover4, build):
+    """A point's batch value is the same, bit for bit, alone, in another order, or among other pairs."""
+    form = build(CERTIFY_CONFIG)
+    w = form.weight.w
+    plus = [e for e in cover4.elements() if e.det() == 1]
+    minus = [e for e in cover4.elements() if e.det() == -1]
+    pairs = [(px[7 * i % len(px)], py[11 * i % len(py)])
+             for px, py in ((plus, plus), (plus, minus), (minus, plus), (minus, minus)) for i in range(1, 6)]
+    points = np.array(full_grid() + (0.37 + 0.02j, -1.21 - 0.004j))
+    lhs, rhs = (v.reshape(len(pairs), points.size, form.fn.dim) for v in _composition_values(form.fn, w, pairs, points))
+    for i, pair in enumerate(pairs):
+        alone = _composition_values(form.fn, w, [pair], points[::-1])
+        assert np.array_equal(alone[0], lhs[i, ::-1]) and np.array_equal(alone[1], rhs[i, ::-1])
+        for j, z in enumerate(points[:3]):
+            single = _composition_values(form.fn, w, [pair], np.array([z]))
+            assert np.array_equal(single[0][0], lhs[i, j]) and np.array_equal(single[1][0], rhs[i, j])
+    swapped = _composition_values(form.fn, w, pairs[::-1], points)
+    assert np.array_equal(swapped[0].reshape(lhs.shape)[::-1], lhs)
+    assert np.array_equal(swapped[1].reshape(rhs.shape)[::-1], rhs)
