@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,8 @@ from .slash import HoloFn, Weight, admissible_reflection_scalars, composition_re
 
 REPORT_VERSION = "1"
 DEFAULT_SEED = 20250405
+DEFAULT_MAX_WORD_LEN = 5
+DEFAULT_PAIR_COUNT = 500
 
 # frozen from a 60-digit evaluation of the same q-product with tail < 1e-30
 ETA_AT_I = 0.7682254223260566590025941795761806
@@ -47,43 +49,30 @@ class CheckReport:
     counterexample: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "params": self.params,
-            "universe": self.universe,
-            "max_residual": self.max_residual,
-            "pass": self.passed,
-            "counterexample": self.counterexample,
-        }
-
-
-@dataclass
-class CertifySetup:
-    max_word_len: int = 5
-    tol_override: Optional[float] = None
-    seed: int = DEFAULT_SEED
-    points: Optional[tuple[complex, ...]] = None
-    pair_count: int = 500
-    force: bool = False
-    qcfg: QSeriesConfig = CERTIFY_CONFIG
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 class _Env:
-    """Shared, lazily-built state for the individual checks."""
+    """Shared, lazily-built state for the individual checks, from ``run_certification``'s settings."""
 
-    def __init__(self, setup: CertifySetup):
-        if setup.pair_count < 1:
-            raise DomainError(f"pair count must be at least 1, got {setup.pair_count}")
-        if setup.tol_override is not None and not math.isfinite(setup.tol_override):
-            raise DomainError(f"tolerance must be a finite number, got {setup.tol_override}")
-        self.setup = setup
-        self.cover: CoverSet = enumerate_cover(setup.max_word_len, force=setup.force)
+    def __init__(self, max_word_len: int, tol: Optional[float], points: Optional[Sequence[complex]], seed: int,
+                 pair_count: int, force: bool, qcfg: QSeriesConfig):
+        if pair_count < 1:
+            raise DomainError(f"pair count must be at least 1, got {pair_count}")
+        if tol is not None and not math.isfinite(tol):
+            raise DomainError(f"tolerance must be a finite number, got {tol}")
+        self.tol_override = tol
+        self.pair_count = pair_count
+        self.qcfg = qcfg
+        self.cover: CoverSet = enumerate_cover(max_word_len, force=force)
         # validated here, so a bad sample is named before any check runs
-        self.upper = tuple(map(require_upper, setup.points)) if setup.points else sampling.upper_grid()
+        self.upper = tuple(map(require_upper, points)) if points else sampling.upper_grid()
         self.lower = tuple(z.conjugate() for z in self.upper)
         self.grid = self.upper + self.lower
-        self.rng = np.random.default_rng(setup.seed)
-        self.qcfg_raw = replace(setup.qcfg, reduce=False)
+        self.rng = np.random.default_rng(seed)
+        self.qcfg_raw = replace(qcfg, reduce=False)
         cov = self.cover
         self.universe = (f"cover words of length <= {cov.max_len}: {len(cov.words)} elements, "
                          f"{len(cov.matrices())} distinct matrices ({len(cov.sl_matrices())} with det +1); "
@@ -92,12 +81,12 @@ class _Env:
         self.check_id = ""  # the running check, set by run_certification
 
     def tol(self, pinned: float) -> float:
-        return self.setup.tol_override if self.setup.tol_override is not None else pinned
+        return self.tol_override if self.tol_override is not None else pinned
 
     def form(self, name: str) -> VVForm:
         """The form registered under ``name`` in ``NAMED_FORMS``, built once."""
         if name not in self._forms:
-            self._forms[name] = NAMED_FORMS[name][0](self.setup.qcfg)
+            self._forms[name] = NAMED_FORMS[name][0](self.qcfg)
         return self._forms[name]
 
     def sample_pairs(self, count: int) -> list[tuple[MetaElt, MetaElt]]:
@@ -130,13 +119,10 @@ def _shown(value):
 def _verdict(env: _Env, params: dict, shown, passed: bool, counterexample: Optional[dict],
              universe: Optional[str] = None) -> CheckReport:
     """The running check's report; the universe defaults to the enumerated cover."""
-    universe = env.universe if universe is None else universe
-    if passed:
-        return CheckReport(env.check_id, params, universe, shown, True)
-    if counterexample is None:
+    if not passed and counterexample is None:
         counterexample = {"detail": "no witness captured; see params"}
-    return CheckReport(env.check_id, params, universe, shown, False,
-                       {key: _shown(value) for key, value in counterexample.items()})
+    return CheckReport(env.check_id, params, env.universe if universe is None else universe, shown, passed,
+                       None if passed else {key: _shown(value) for key, value in counterexample.items()})
 
 
 def _report(env: _Env, params: dict, residual, pinned: float, counterexample: Optional[dict] = None,
@@ -154,17 +140,24 @@ def _exact(env: _Env, params: dict, bad: Optional[dict], count=1,
 
 
 class _Worst:
-    """Running maximum of a residual, keeping the first witness that reached it (NaN beats any number)."""
+    """Running maximum of a residual, keeping the first witness that reached it (NaN beats any number);
+    a witness of None raises the maximum but keeps the witness so far."""
 
     def __init__(self):
         self.value, self.witness = 0.0, None
 
-    def see(self, r, **witness) -> None:
+    def see(self, r, witness: Optional[dict]) -> None:
         if r > self.value or (math.isnan(r) and not math.isnan(self.value)):
-            self.value, self.witness = r, witness
+            self.value, self.witness = r, self.witness if witness is None else witness
 
-    def report(self, env: _Env, params: dict, pinned: float, universe: Optional[str] = None) -> CheckReport:
-        return _report(env, params, self.value, pinned, self.witness, universe)
+
+def _sweep(env: _Env, params: dict, pinned: float, cases, universe: Optional[str] = None) -> CheckReport:
+    """Numeric verdict over ``cases``, pairs (residual, witness): the worst residual and the first
+    witness that reached it, within the pinned tolerance (or the override)."""
+    worst = _Worst()
+    for r, witness in cases:
+        worst.see(r, witness)
+    return _report(env, params, worst.value, pinned, worst.witness, universe)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +165,6 @@ class _Worst:
 
 
 def check_unit_values(env: _Env) -> CheckReport:
-    rtr = R_MAT * T_MAT * R_MAT
     cases = [
         ("chi(S)", kubota_chi(S_MAT), 1),
         ("chi(T)", kubota_chi(T_MAT), 1),
@@ -180,7 +172,7 @@ def check_unit_values(env: _Env) -> CheckReport:
         ("hilbert(-1,-1)", hilbert_symbol(-1, -1), -1),
         ("hilbert(-1,1)", hilbert_symbol(-1, 1), 1),
         ("hilbert(3,-5)", hilbert_symbol(3, -5), 1),
-        ("cocycle(T,RTR)", cocycle(T_MAT, rtr), 1),
+        ("cocycle(T,RTR)", cocycle(T_MAT, R_MAT * T_MAT * R_MAT), 1),
         ("cocycle(S,-S)", cocycle(S_MAT, -S_MAT), 1),
         ("cocycle(S,S)", cocycle(S_MAT, S_MAT), -1),
         ("cocycle(R,R)", cocycle(R_MAT, R_MAT), -1),
@@ -343,41 +335,32 @@ def check_inverse_involution(env: _Env) -> CheckReport:
 
 def check_phi_section(env: _Env) -> CheckReport:
     mats = env.cover.sl_matrices()
-    count = env.setup.pair_count
-    idx = env.rng.integers(0, len(mats), size=(count, 2))
-    worst = _Worst()
-    for i, j in idx:
-        alpha, beta = mats[i], mats[j]
-        sign = cocycle(alpha, beta)
-        ab = alpha * beta
-        for z in env.upper:
-            lhs = phi_upper(alpha, mobius(beta, z)) * phi_upper(beta, z)
-            rhs = sign * phi_upper(ab, z)
-            worst.see(abs(lhs - rhs), alpha=alpha, beta=beta, z=z)
-    return worst.report(env, {"pairs": count, "points": len(env.upper)}, 1e-10)
+    idx = env.rng.integers(0, len(mats), size=(env.pair_count, 2))
+    pairs = [(a, b, cocycle(a, b), a * b) for a, b in ((mats[i], mats[j]) for i, j in idx)]
+    cases = ((abs(phi_upper(a, mobius(b, z)) * phi_upper(b, z) - sign * phi_upper(ab, z)),
+              {"alpha": a, "beta": b, "z": z}) for a, b, sign, ab in pairs for z in env.upper)
+    return _sweep(env, {"pairs": env.pair_count, "points": len(env.upper)}, 1e-10, cases)
 
 
 def check_phi_squaring(env: _Env) -> CheckReport:
     mats = env.cover.sl_matrices()
-    worst = _Worst()
-    for g in mats:
-        for z in env.upper:
-            worst.see(abs(phi_upper(g, z) ** 2 - (g.c * z + g.d)), gamma=g, z=z, half="upper")
-        for z in env.lower:
-            worst.see(abs(phi_lower(g, z) ** 2 - (g.c * z + g.d)), gamma=g, z=z, half="lower")
-    return worst.report(env, {"matrices": len(mats)}, 1e-12)
+    halves = (("upper", phi_upper, env.upper), ("lower", phi_lower, env.lower))
+    cases = ((abs(phi(g, z) ** 2 - (g.c * z + g.d)), {"gamma": g, "z": z, "half": half})
+             for g in mats for half, phi, points in halves for z in points)
+    return _sweep(env, {"matrices": len(mats)}, 1e-12, cases)
 
 
 def check_phi_well_defined(env: _Env) -> CheckReport:
     usable = [(e, w1, w2) for (e, w1, w2) in env.cover.alternates
               if e.det() == 1 and "R" not in w1 and "R" not in w2]
-    worst = _Worst()
-    for elt, w1, w2 in usable:
-        for z in env.upper[:4]:
-            first = word_factor(w1, z)
-            r = worst_residual((abs(first - word_factor(w2, z)), abs(first - elt.eps * phi_upper(elt.gamma, z))))
-            worst.see(r, element=elt, word_1=format_word(w1), word_2=format_word(w2), z=z)
-    return worst.report(env, {"word_pairs": len(usable)}, 1e-12)
+
+    def cases():
+        for elt, w1, w2 in usable:
+            for z in env.upper[:4]:
+                first = word_factor(w1, z)
+                r = worst_residual((abs(first - word_factor(w2, z)), abs(first - elt.eps * phi_upper(elt.gamma, z))))
+                yield r, {"element": elt, "word_1": format_word(w1), "word_2": format_word(w2), "z": z}
+    return _sweep(env, {"word_pairs": len(usable)}, 1e-12, cases())
 
 
 def check_phi_branch_profile(env: _Env) -> CheckReport:
@@ -406,16 +389,17 @@ def check_action_composition(env: _Env) -> CheckReport:
     """(f|x)|y = f|(xy) for eta-hat and E4 on the sampled pairs at every grid point, batched per form:
     ``composition_residuals`` evaluates chunks of pairs as arrays, calling each half-plane evaluator once
     per chunk, and the q-series sum term by term over all of a chunk's points."""
-    pairs = env.sample_pairs(env.setup.pair_count)
-    worst = _Worst()
-    for label, name in (("eta_hat", "eta-hat"), ("e4_even", "e4")):
-        form = env.form(name)
-        for (x, y), r in zip(pairs, composition_residuals(form.fn, form.weight, pairs, env.grid)):
-            worst.see(r, form=label, x=x, y=y)
+    pairs = env.sample_pairs(env.pair_count)
     combos = Counter((x.det(), y.det()) for x, y in pairs)
     det_combinations = {f"({sx},{sy})": c for (sx, sy), c in sorted(combos.items())}
-    return worst.report(env, {"pairs": len(pairs), "forms": ["eta_hat (w=1)", "e4_even (w=8)"],
-                              "det_combinations": det_combinations}, 1e-9)
+
+    def cases():
+        for label, name in (("eta_hat", "eta-hat"), ("e4_even", "e4")):
+            form = env.form(name)
+            for (x, y), r in zip(pairs, composition_residuals(form.fn, form.weight, pairs, env.grid)):
+                yield r, {"form": label, "x": x, "y": y}
+    return _sweep(env, {"pairs": len(pairs), "forms": ["eta_hat (w=1)", "e4_even (w=8)"],
+                        "det_combinations": det_combinations}, 1e-9, cases())
 
 
 def check_action_reflection_forms(env: _Env) -> CheckReport:
@@ -423,14 +407,11 @@ def check_action_reflection_forms(env: _Env) -> CheckReport:
     elts = [e for e in env.cover.elements() if e.det() == -1][:40]
     fn = env.form("eta-hat").fn
     weight = Weight(1)
-    worst = _Worst()
-    for x in elts:
-        direct = slash(fn, weight, x)
-        for variant in ("direct", "inverse"):
-            alt = slash_via_reflection_rule(fn, weight, x, variant)
-            for z in env.grid:
-                worst.see(_gap(direct.at(z), alt.at(z)), x=x, variant=variant, z=z)
-    return worst.report(env, {"elements": len(elts)}, 1e-9)
+    routes = [(x, slash(fn, weight, x), variant, slash_via_reflection_rule(fn, weight, x, variant))
+              for x in elts for variant in ("direct", "inverse")]
+    cases = ((_gap(direct.at(z), alt.at(z)), {"x": x, "variant": variant, "z": z})
+             for x, direct, variant, alt in routes for z in env.grid)
+    return _sweep(env, {"elements": len(elts)}, 1e-9, cases)
 
 
 def check_action_classical_match(env: _Env) -> CheckReport:
@@ -441,14 +422,10 @@ def check_action_classical_match(env: _Env) -> CheckReport:
     """
     fn = env.form("e4").fn
     elts = env.cover.sl_elements()[:80]
-    worst = _Worst()
-    for x in elts:
-        acted = slash(fn, Weight(8), x)
-        g = x.gamma
-        for z in env.upper:
-            classical = fn.at(mobius(g, z)) * (1 / (g.c * z + g.d) ** 4)
-            worst.see(_gap(acted.at(z), classical), x=x, z=z)
-    return worst.report(env, {"elements": len(elts)}, 1e-9)
+    acted = [(x, x.gamma, slash(fn, Weight(8), x)) for x in elts]
+    cases = ((_gap(xf.at(z), fn.at(mobius(g, z)) * (1 / (g.c * z + g.d) ** 4)), {"x": x, "z": z})
+             for x, g, xf in acted for z in env.upper)
+    return _sweep(env, {"elements": len(elts)}, 1e-9, cases)
 
 
 def check_action_lambda_sets(env: _Env) -> CheckReport:
@@ -477,39 +454,34 @@ def check_rep_central_scalar(env: _Env) -> CheckReport:
         ("trivial_GL", Rep.trivial("GL"), 8),
         ("trivial_GL", Rep.trivial("GL"), 12),
     ]
-    worst = _Worst()
-    for name, rep, w in reps:
-        worst.see(_gap(rep.evaluate(CENTER_FLIP), ((-1) ** w) * np.eye(rep.dim)), rep=name, w=w)
-    return worst.report(env, {"reps": len(reps)}, 1e-12,
-                        universe="representations attached to weight-w form spaces")
+    cases = ((_gap(rep.evaluate(CENTER_FLIP), ((-1) ** w) * np.eye(rep.dim)), {"rep": name, "w": w})
+             for name, rep, w in reps)
+    return _sweep(env, {"reps": len(reps)}, 1e-12, cases,
+                  universe="representations attached to weight-w form spaces")
 
 
 def check_rep_well_defined(env: _Env) -> CheckReport:
     rho_hat = eta_character().induce(Weight(1))
-    worst = _Worst()
-    for elt, w1, w2 in env.cover.alternates:
-        worst.see(_gap(rho_hat.word_image(w1), rho_hat.word_image(w2)),
-                  element=elt, word_1=format_word(w1), word_2=format_word(w2))
-    return worst.report(env, {"word_pairs": len(env.cover.alternates)}, 1e-10)
+    cases = ((_gap(rho_hat.word_image(w1), rho_hat.word_image(w2)),
+              {"element": elt, "word_1": format_word(w1), "word_2": format_word(w2)})
+             for elt, w1, w2 in env.cover.alternates)
+    return _sweep(env, {"word_pairs": len(env.cover.alternates)}, 1e-10, cases)
 
 
 def check_rep_homomorphism(env: _Env) -> CheckReport:
     rho = eta_character()
     rho_hat = rho.induce(Weight(1))
-    pairs = env.sample_pairs(env.setup.pair_count)
+    pairs = env.sample_pairs(env.pair_count)
     sl = env.cover.sl_elements()
-    sl_idx = env.rng.integers(0, len(sl), size=(env.setup.pair_count, 2))
-    worst = _Worst()
-    for x, y in pairs:
-        worst.see(_gap(rho_hat.evaluate(x * y), rho_hat.evaluate(x) @ rho_hat.evaluate(y)),
-                  rep="induced_eta", x=x, y=y)
-    for i, j in sl_idx:
-        x, y = sl[i], sl[j]
-        worst.see(_gap(rho.evaluate(x * y), rho.evaluate(x) @ rho.evaluate(y)),
-                  rep="eta_character", x=x, y=y)
-    ident = MetaElt.identity()
-    worst.see(_gap(rho_hat.evaluate(ident), np.eye(2)), rep="induced_eta", x=ident)
-    return worst.report(env, {"pairs_per_rep": env.setup.pair_count}, 1e-10)
+    sl_pairs = [(sl[i], sl[j]) for i, j in env.rng.integers(0, len(sl), size=(env.pair_count, 2))]
+
+    def cases():
+        for name, rep, sample in (("induced_eta", rho_hat, pairs), ("eta_character", rho, sl_pairs)):
+            for x, y in sample:
+                yield _gap(rep.evaluate(x * y), rep.evaluate(x) @ rep.evaluate(y)), {"rep": name, "x": x, "y": y}
+        ident = MetaElt.identity()
+        yield _gap(rho_hat.evaluate(ident), np.eye(2)), {"rep": "induced_eta", "x": ident}
+    return _sweep(env, {"pairs_per_rep": env.pair_count}, 1e-10, cases())
 
 
 def check_rep_twist_properties(env: _Env) -> CheckReport:
@@ -543,58 +515,53 @@ def check_rep_induction_matrices(env: _Env) -> CheckReport:
 
 
 def check_restriction_round_trip(env: _Env) -> CheckReport:
-    worst = _Worst()
-    e4 = env.form("e4")
-    upper_only = HoloFn(1, e4.fn.upper, None)
-    rebuilt = extend_form(upper_only, Weight(8), Rep.trivial("GL"), points=env.upper)
-    if rebuilt.fn.upper is not upper_only.upper:
-        worst.see(1.0, detail="extension must reuse the given upper evaluator")
-    for z in env.lower:
-        worst.see(_gap(rebuilt.at(z), e4.at(z)), form="e4_even", z=z)
-    hat = env.form("eta-hat")
-    hat_upper = HoloFn(2, hat.fn.upper, None)
-    hat_rebuilt = extend_form(hat_upper, Weight(1), hat.rep, points=env.upper)
-    for z in env.lower:
-        worst.see(_gap(hat_rebuilt.at(z), hat.at(z)), form="eta_hat", z=z)
-    # the eta character is no restriction: extension must refuse it
-    try:
-        extend_form(eta_fn(env.setup.qcfg), Weight(1), Rep.trivial("GL"), points=env.upper)
-        worst.see(1.0, detail="eta must be rejected by scalar extension")
-    except ModularityError:
-        pass
-    return worst.report(env, {"instances": ["e4_even", "eta_hat", "eta (rejected)"]}, 1e-10)
+    def cases():
+        e4 = env.form("e4")
+        upper_only = HoloFn(1, e4.fn.upper, None)
+        rebuilt = extend_form(upper_only, Weight(8), Rep.trivial("GL"), points=env.upper)
+        if rebuilt.fn.upper is not upper_only.upper:
+            yield 1.0, {"detail": "extension must reuse the given upper evaluator"}
+        for z in env.lower:
+            yield _gap(rebuilt.at(z), e4.at(z)), {"form": "e4_even", "z": z}
+        hat = env.form("eta-hat")
+        hat_rebuilt = extend_form(HoloFn(2, hat.fn.upper, None), Weight(1), hat.rep, points=env.upper)
+        for z in env.lower:
+            yield _gap(hat_rebuilt.at(z), hat.at(z)), {"form": "eta_hat", "z": z}
+        # the eta character is no restriction: extension must refuse it
+        try:
+            extend_form(eta_fn(env.qcfg), Weight(1), Rep.trivial("GL"), points=env.upper)
+        except ModularityError:
+            return
+        yield 1.0, {"detail": "eta must be rejected by scalar extension"}
+    return _sweep(env, {"instances": ["e4_even", "eta_hat", "eta (rejected)"]}, 1e-10, cases())
 
 
 def check_induction_round_trip(env: _Env) -> CheckReport:
-    cfg = env.setup.qcfg
-    worst = _Worst()
-    hat = env.form("eta-hat")
-    first, second = project_components(hat)
-    ef = eta_fn(cfg)
-    for z in env.upper:
-        worst.see(worst_residual((_gap(first.at(z), ef.at(z)), _gap(second.at(z), 0))),
-                  detail="projections must recover (eta, 0) exactly", z=z)
-    rebuilt = induce_form(
-        VVForm(first, Weight(1), eta_character()),
-        VVForm(second, Weight(1), eta_character().r_twist()),
-        points=env.grid)
-    for z in env.grid:
-        worst.see(_gap(rebuilt.at(z), hat.at(z)), form="eta_hat rebuild", z=z)
-    # a second instance with both components nonzero
-    e4 = env.form("e4")
-    f_up = HoloFn(1, e4.fn.upper, None)
-    g_up = f_up.scale(0.5)
-    f_form = VVForm(f_up, Weight(8), Rep.trivial("SL"))
-    g_form = VVForm(g_up, Weight(8), Rep.trivial("SL"))
-    stacked = induce_form(f_form, g_form, points=env.grid)
-    p1, p2 = project_components(stacked)
-    for z in env.upper:
-        worst.see(worst_residual((_gap(p1.at(z), f_up.at(z)), _gap(p2.at(z), g_up.at(z)))),
-                  detail="projection must be exact", z=z)
-    for z in env.lower:
-        want = np.concatenate([g_up.at(-z), f_up.at(-z)])  # (-i)^8 = i^8 = 1
-        worst.see(_gap(stacked.at(z), want), form="e4 stack", z=z)
-    return worst.report(env, {"instances": ["Ind(eta, 0)", "Ind(e4, e4/2)"]}, 1e-10)
+    def cases():
+        hat = env.form("eta-hat")
+        first, second = project_components(hat)
+        ef = eta_fn(env.qcfg)
+        for z in env.upper:
+            yield (worst_residual((_gap(first.at(z), ef.at(z)), _gap(second.at(z), 0))),
+                   {"detail": "projections must recover (eta, 0) exactly", "z": z})
+        rebuilt = induce_form(VVForm(first, Weight(1), eta_character()),
+                              VVForm(second, Weight(1), eta_character().r_twist()), points=env.grid)
+        for z in env.grid:
+            yield _gap(rebuilt.at(z), hat.at(z)), {"form": "eta_hat rebuild", "z": z}
+        # a second instance with both components nonzero
+        e4 = env.form("e4")
+        f_up = HoloFn(1, e4.fn.upper, None)
+        g_up = f_up.scale(0.5)
+        stacked = induce_form(VVForm(f_up, Weight(8), Rep.trivial("SL")), VVForm(g_up, Weight(8), Rep.trivial("SL")),
+                              points=env.grid)
+        p1, p2 = project_components(stacked)
+        for z in env.upper:
+            yield (worst_residual((_gap(p1.at(z), f_up.at(z)), _gap(p2.at(z), g_up.at(z)))),
+                   {"detail": "projection must be exact", "z": z})
+        for z in env.lower:
+            want = np.concatenate([g_up.at(-z), f_up.at(-z)])  # (-i)^8 = i^8 = 1
+            yield _gap(stacked.at(z), want), {"form": "e4 stack", "z": z}
+    return _sweep(env, {"instances": ["Ind(eta, 0)", "Ind(e4, e4/2)"]}, 1e-10, cases())
 
 
 # ---------------------------------------------------------------------------
@@ -604,20 +571,14 @@ def check_induction_round_trip(env: _Env) -> CheckReport:
 def check_eta_shift_law(env: _Env) -> CheckReport:
     cfg = env.qcfg_raw
     phase = root24(1)
-    worst = _Worst()
-    for z in env.upper:
-        worst.see(abs(eta(z + 1, cfg) - phase * eta(z, cfg)), z=z)
-    return worst.report(env, {"points": len(env.upper)}, 1e-12,
-                        universe=f"{len(env.upper)} upper sample points")
+    cases = ((abs(eta(z + 1, cfg) - phase * eta(z, cfg)), {"z": z}) for z in env.upper)
+    return _sweep(env, {"points": len(env.upper)}, 1e-12, cases, universe=f"{len(env.upper)} upper sample points")
 
 
 def check_eta_inversion_law(env: _Env) -> CheckReport:
     cfg = env.qcfg_raw
-    worst = _Worst()
-    for z in env.upper:
-        worst.see(abs(eta(-1 / z, cfg) - principal_sqrt(-1j * z) * eta(z, cfg)), z=z)
-    return worst.report(env, {"points": len(env.upper)}, 1e-10,
-                        universe=f"{len(env.upper)} upper sample points")
+    cases = ((abs(eta(-1 / z, cfg) - principal_sqrt(-1j * z) * eta(z, cfg)), {"z": z}) for z in env.upper)
+    return _sweep(env, {"points": len(env.upper)}, 1e-10, cases, universe=f"{len(env.upper)} upper sample points")
 
 
 def check_eta_point_value(env: _Env) -> CheckReport:
@@ -652,7 +613,7 @@ def check_eta_multiplier_universe(env: _Env) -> CheckReport:
             index_witness = index_witness or {"x": x, "numeric_index": index, "closed_form_index": closed}
         acted = slash(f, Weight(1), x)
         for z in env.upper:
-            transform.see(_gap(acted.at(z), val * base[z]), x=x, z=z)
+            transform.see(_gap(acted.at(z), val * base[z]), {"x": x, "z": z})
     worst_snap = worst_residual(snaps)
     numeric_ok = worst_snap <= snap_tol and transform.value <= transform_tol
     return _verdict(env, {"elements": len(elements), "snap_tolerance": snap_tol,
@@ -669,35 +630,33 @@ def check_eta_reduction_agreement(env: _Env) -> CheckReport:
     Relative agreement; the raw series' own rounding noise near the axis
     dominates the residual, a sign or cocycle error would show up at O(1).
     """
-    cfg, raw = env.setup.qcfg, env.qcfg_raw
+    cfg, raw = env.qcfg, env.qcfg_raw
     points = [complex(x, y) for x in (-0.7, 0.04, 0.4, 1.3) for y in (0.012, 0.06, 0.2)]
-    worst = _Worst()
-    for z in points:
-        a, b = eta(z, cfg), eta(z, raw)
-        worst.see(abs(a - b) / max(abs(b), 1e-300), z=z)
-        e4_raw = eisenstein(4, z, raw)
-        worst.see(abs(eisenstein(4, z, cfg) - e4_raw) / abs(e4_raw), z=z, series="e4")
-    return worst.report(env, {"points": len(points), "relative": True}, 1e-9,
-                        universe="near-axis points where the raw truncation is still sharp")
+
+    def cases():
+        for z in points:
+            a, b = eta(z, cfg), eta(z, raw)
+            yield abs(a - b) / max(abs(b), 1e-300), {"z": z}
+            e4_raw = eisenstein(4, z, raw)
+            yield abs(eisenstein(4, z, cfg) - e4_raw) / abs(e4_raw), {"z": z, "series": "e4"}
+    return _sweep(env, {"points": len(points), "relative": True}, 1e-9, cases(),
+                  universe="near-axis points where the raw truncation is still sharp")
 
 
 def check_eisenstein_lattice_match(env: _Env) -> CheckReport:
     tol = env.tol(1e-6)
-    cfg = env.setup.qcfg
+    cfg = env.qcfg
     params = {}
-    worst = _Worst()
+    cases = []
     for z in (2j, 1 + 2j):
         series = eisenstein(4, z, cfg)
         trunc = lattice_sum(4, z, 200)
         rel = abs(series - trunc) / abs(series)
         params[f"z={sampling.format_complex(z)}"] = {"absolute": abs(series - trunc), "relative": rel}
-        worst.see(rel, z=z, series=str(series), lattice=str(trunc))
+        cases.append((rel, {"z": z, "series": str(series), "lattice": str(trunc)}))
     drift = abs(lattice_sum(4, 2j, 200) - lattice_sum(4, 2j, 400))
-    params["cutoff_drift_200_vs_400"] = drift
     sym = worst_residual(abs(lattice_sum(4, z, 60) - lattice_sum(4, -z, 60)) for z in (2j, 0.4 + 0.8j))
-    params["reflection_symmetry"] = sym
     hand = abs(lattice_sum(4, 1j, 1) - 3.0)
-    params["hand_sum_m1_at_i"] = hand
     # series laws with reduction disabled, so they are not built-in
     raw = env.qcfg_raw
 
@@ -707,63 +666,64 @@ def check_eisenstein_lattice_match(env: _Env) -> CheckReport:
                 abs(value - eisenstein(k, z, cfg)) / abs(value))
 
     laws = worst_residual(gap for z in env.upper for k in (4, 6) for gap in law_gaps(k, z))
-    params["raw_series_laws"] = laws
+    params.update(cutoff_drift_200_vs_400=drift, reflection_symmetry=sym, hand_sum_m1_at_i=hand, raw_series_laws=laws)
     if not (drift <= tol and sym == 0.0 and hand == 0.0 and laws <= env.tol(1e-9)):
-        # the oracle terms raise the residual but keep a lattice witness when there is one
-        worst.value = worst_residual((worst.value, drift, sym, hand, laws))
-        worst.witness = worst.witness or {"detail": "cutoff drift / symmetry / hand sum / raw series laws"}
-    return worst.report(env, params, 1e-6,
-                        universe="square cutoffs at z in {2i, 1+2i}; series laws on the upper grid")
+        # the oracle terms raise the residual, with no witness of their own: a lattice witness stays
+        cases.append((worst_residual((drift, sym, hand, laws)), None))
+    return _sweep(env, params, 1e-6, cases, universe="square cutoffs at z in {2i, 1+2i}; series laws on the upper grid")
 
 
 def check_eisenstein_even_extension(env: _Env) -> CheckReport:
     gens = (LIFT_S, LIFT_T, LIFT_R)
-    worst = _Worst()
-    for label, name in (("e4_even", "e4"), ("e6_even", "e6")):
-        form = env.form(name)
-        worst.see(form.residual(gens, env.grid), form=label)
-        for z in env.upper:
-            worst.see(_gap(form.at(-z), form.at(z)), form=label, z=z, detail="even symmetry")
-    return worst.report(env, {"forms": ["e4_even (w=8)", "e6_even (w=12)"], "generators": 3}, 1e-9)
+
+    def cases():
+        for label, name in (("e4_even", "e4"), ("e6_even", "e6")):
+            form = env.form(name)
+            yield form.residual(gens, env.grid), {"form": label}
+            for z in env.upper:
+                yield _gap(form.at(-z), form.at(z)), {"form": label, "z": z, "detail": "even symmetry"}
+    return _sweep(env, {"forms": ["e4_even (w=8)", "e6_even (w=12)"], "generators": 3}, 1e-9, cases())
 
 
 def check_triangular_parity(env: _Env) -> CheckReport:
     points = env.upper[:3] + env.lower[:3]
-    worst = _Worst()
-    for n in range(0, 13):
-        sign = (-1) ** n
-        for z in points:
-            direct = triangular_product(n, z)
-            scale = max(1.0, abs(direct))
-            worst.see(abs(triangular_product(n, -z) - sign * direct) / scale, n=n, z=z, identity="parity")
-            worst.see(abs(direct - triangular_product_factored(n, z)) / scale,
-                      n=n, z=z, identity="factored form")
-    return worst.report(env, {"max_factors": 12, "points": len(points), "relative": True}, 1e-12,
-                        universe="factor counts 0..12 on six grid points")
+
+    def cases():
+        for n in range(0, 13):
+            for z in points:
+                direct = triangular_product(n, z)
+                scale = max(1.0, abs(direct))
+                yield (abs(triangular_product(n, -z) - (-1) ** n * direct) / scale,
+                       {"n": n, "z": z, "identity": "parity"})
+                yield (abs(direct - triangular_product_factored(n, z)) / scale,
+                       {"n": n, "z": z, "identity": "factored form"})
+    return _sweep(env, {"max_factors": 12, "points": len(points), "relative": True}, 1e-12, cases(),
+                  universe="factor counts 0..12 on six grid points")
 
 
 def check_eta_hat_identities(env: _Env) -> CheckReport:
-    cfg = env.setup.qcfg
+    cfg = env.qcfg
     hat = env.form("eta-hat")
     flip = np.array([[0, -1j], [1j, 0]], dtype=complex)
     r_image = np.array([[0, 1], [-1, 0]], dtype=complex)
-    worst = _Worst()
-    worst.see(_gap(hat.rep.images["R"], r_image), detail="induced reflection image")
-    acted = slash(hat.fn, Weight(1), LIFT_R)
-    for z in env.grid:
-        worst.see(_gap(acted.at(z), r_image @ hat.at(z)), identity="slash by the reflection lift", z=z)
-        worst.see(_gap(hat.at(-z), flip @ hat.at(z)), identity="reflection matrix identity", z=z)
-    for z in env.upper:
-        direct = eta_hat(z, cfg)
-        worst.see(abs(direct[1]), detail="upper second component must vanish")
-        worst.see(_gap(direct, hat.at(z)), identity="direct vs induced evaluator", z=z)
-    for z in env.lower:
-        worst.see(_gap(eta_hat(z, cfg), hat.at(z)), identity="direct vs induced evaluator", z=z)
-    return worst.report(env, {"points": len(env.grid)}, 1e-10)
+
+    def cases():
+        yield _gap(hat.rep.images["R"], r_image), {"detail": "induced reflection image"}
+        acted = slash(hat.fn, Weight(1), LIFT_R)
+        for z in env.grid:
+            yield _gap(acted.at(z), r_image @ hat.at(z)), {"identity": "slash by the reflection lift", "z": z}
+            yield _gap(hat.at(-z), flip @ hat.at(z)), {"identity": "reflection matrix identity", "z": z}
+        for z in env.upper:
+            direct = eta_hat(z, cfg)
+            yield abs(direct[1]), {"detail": "upper second component must vanish"}
+            yield _gap(direct, hat.at(z)), {"identity": "direct vs induced evaluator", "z": z}
+        for z in env.lower:
+            yield _gap(eta_hat(z, cfg), hat.at(z)), {"identity": "direct vs induced evaluator", "z": z}
+    return _sweep(env, {"points": len(env.grid)}, 1e-10, cases())
 
 
 def check_holomorphy_probes(env: _Env) -> CheckReport:
-    cfg = env.setup.qcfg
+    cfg = env.qcfg
     step = 1e-5
     probes = [z for z in env.upper if z.imag >= 0.8][:6]
     series = {
@@ -773,12 +733,9 @@ def check_holomorphy_probes(env: _Env) -> CheckReport:
         "eta_hat_upper": (lambda z: eta_hat(z, cfg), probes),
         "eta_hat_lower": (lambda z: eta_hat(z, cfg), [z.conjugate() for z in probes]),
     }
-    worst = _Worst()
-    for name, (fn, pts) in series.items():
-        for z in pts:
-            worst.see(holomorphy_residual(fn, z, step), series=name, z=z)
-    return worst.report(env, {"step": step, "points": len(probes)}, 1e-6,
-                        universe="grid points with Im z >= 0.8")
+    cases = ((holomorphy_residual(fn, z, step), {"series": name, "z": z})
+             for name, (fn, pts) in series.items() for z in pts)
+    return _sweep(env, {"step": step, "points": len(probes)}, 1e-6, cases, universe="grid points with Im z >= 0.8")
 
 
 CHECKS: tuple[tuple[str, Callable[[_Env], CheckReport]], ...] = (
@@ -819,10 +776,10 @@ CHECKS: tuple[tuple[str, Callable[[_Env], CheckReport]], ...] = (
 
 ALGEBRA_CHECK_IDS = tuple(name for name, _ in CHECKS if name.startswith("algebra_"))
 
-def run_certification(max_word_len: int = CertifySetup.max_word_len, *, tol: float | None = None,
+def run_certification(max_word_len: int = DEFAULT_MAX_WORD_LEN, *, tol: float | None = None,
                       points: Sequence[complex] | None = None, seed: int = DEFAULT_SEED,
-                      pair_count: int = CertifySetup.pair_count, force: bool = False,
-                      qcfg: QSeriesConfig | None = None,
+                      pair_count: int = DEFAULT_PAIR_COUNT, force: bool = False,
+                      qcfg: QSeriesConfig = CERTIFY_CONFIG,
                       check_filter: Sequence[str] | None = None) -> dict:
     """Run the suite and return the report dictionary.
 
@@ -838,12 +795,7 @@ def run_certification(max_word_len: int = CertifySetup.max_word_len, *, tol: flo
     unknown = (wanted or set()) - {name for name, _ in CHECKS}
     if unknown:
         raise DomainError(f"unknown check ids: {', '.join(sorted(unknown))}")
-    setup = CertifySetup(max_word_len=max_word_len, tol_override=tol,
-                         points=tuple(points) if points else None,
-                         seed=seed, pair_count=pair_count, force=force)
-    if qcfg is not None:
-        setup.qcfg = qcfg
-    env = _Env(setup)
+    env = _Env(max_word_len, tol, points, seed, pair_count, force, qcfg)
     reports = []
     for name, fn in CHECKS:
         if wanted is not None and name not in wanted:
@@ -857,10 +809,10 @@ def run_certification(max_word_len: int = CertifySetup.max_word_len, *, tol: flo
     return {
         "version": REPORT_VERSION,
         "setup": {
-            "max_word_len": setup.max_word_len,
-            "tolerance_override": setup.tol_override,
-            "seed": setup.seed,
-            "pair_count": setup.pair_count,
+            "max_word_len": max_word_len,
+            "tolerance_override": tol,
+            "seed": seed,
+            "pair_count": pair_count,
             "sample_points": [sampling.format_complex(z) for z in env.upper],
         },
         "checks": [rep.to_dict() for rep in reports],

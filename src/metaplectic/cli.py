@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import DEFAULT_SEED, CertifySetup, run_certification
+from .certify import DEFAULT_MAX_WORD_LEN, DEFAULT_PAIR_COUNT, DEFAULT_SEED, run_certification
 from .cover import ENUMERATION_LIMIT, Mat2, MetaElt, parse_word, word_lift
 from .errors import DomainError, ModularityError, ResourceLimitError
 from .qseries import CERTIFY_CONFIG, DEFAULT_CONFIG, NAMED_FORMS, QSeriesConfig, triangular_product
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cert = sub.add_parser("certify", help="run the full certification suite")
-    cert.add_argument("--max-word-len", type=int, default=CertifySetup.max_word_len,
+    cert.add_argument("--max-word-len", type=int, default=DEFAULT_MAX_WORD_LEN,
                       help="generator-word length bound for the enumeration (default %(default)s)")
     cert.add_argument("--samples", type=str, default=None,
                       help="JSON file with an array of 'a+bi' sample points (upper half)")
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override every numeric tolerance (default: per-check pinned values)")
     cert.add_argument("--json", type=str, default=None, help="write the JSON report here")
     cert.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the random pair draws (default %(default)s)")
-    cert.add_argument("--pairs", type=int, default=CertifySetup.pair_count, help="random pair count per pair-based check (default %(default)s)")
+    cert.add_argument("--pairs", type=int, default=DEFAULT_PAIR_COUNT, help="random pair count per pair-based check (default %(default)s)")
     cert.add_argument("--force", action="store_true",
                       help=f"allow enumeration deeper than the configured bound of {ENUMERATION_LIMIT}")
     cert.add_argument("--min-im", type=float, default=CERTIFY_CONFIG.min_im,

@@ -41,6 +41,9 @@ class QSeriesConfig:
     reduce: bool = True
 
     def __post_init__(self):
+        for name in ("tail_tolerance", "min_im"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.tail_tolerance <= 0 or self.max_terms <= 0:
             raise DomainError("tail_tolerance and max_terms must be positive")
 
@@ -172,6 +175,13 @@ def eta_multiplier_index(g: Mat2) -> int:
     return (n - 3 + turn) % 24
 
 
+@lru_cache(maxsize=4096)
+def _eta_root(a: int, b: int, c: int, d: int) -> complex:
+    """The 24th root of unity of ``eta_multiplier_index`` at the determinant-one [[a, b], [c, d]], kept
+    process-wide: a certify run reduces its points by a few hundred to a few thousand matrices, again and again."""
+    return root24(eta_multiplier_index(_known_mat2(a, b, c, d)))
+
+
 def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     """Weight-1/2 eta product on the upper half-plane.
 
@@ -183,8 +193,7 @@ def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     z = _require_workable(z, cfg)
     if cfg.reduce and z.imag < 0.25:
         g, w0 = _reduce(z)
-        root = root24(eta_multiplier_index(g))
-        return _eta_series(w0, cfg) / (root * principal_sqrt(g.c * z + g.d))
+        return _eta_series(w0, cfg) / (_eta_root(*g.entries()) * principal_sqrt(g.c * z + g.d))
     return _eta_series(z, cfg)
 
 
@@ -197,15 +206,14 @@ def _eta_series(z: complex, cfg: QSeriesConfig) -> complex:
 
 def eta_batch(z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
     """``eta`` at every point of the complex array ``z``, with its refusals, reductions and per-point
-    truncations: one pass per product term over all points, one multiplier per reducing matrix."""
+    truncations: one pass per product term over all points."""
     m, arg = _reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
-    keys = list(zip(*m.tolist()))
-    roots = {g: root24(eta_multiplier_index(_known_mat2(*g))) for g in set(keys)}
+    roots = np.array([_eta_root(*g) for g in zip(*m.tolist())])
     n, prod = _truncation_indices(arg.imag, cfg), np.ones_like(z)
     for k in range(1, n.max(initial=0) + 1):
         prod = prod * np.where(k <= n, 1.0 - np.exp((2j * np.pi * arg) * k), 1)
     # c z + d is 1 where nothing was reduced, and off the cut where it was (c != 0, as Im went up)
-    return np.exp(1j * np.pi * arg / 12) * prod / (np.array([roots[g] for g in keys]) * np.sqrt(m[2] * z + m[3]))
+    return np.exp(1j * np.pi * arg / 12) * prod / (roots * np.sqrt(m[2] * z + m[3]))
 
 
 def eisenstein(k: int, z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
@@ -318,7 +326,7 @@ def eta_fn(cfg: QSeriesConfig = DEFAULT_CONFIG) -> HoloFn:
 def eta_character() -> Rep:
     """The character of eta on the SL cover: the lifted generators [S,1] and [T,1] carry the
     section sqrt(z) resp. 1, so their images are the closed-form multipliers e^(2 pi i n/24)."""
-    return Rep("SL", 1, {key: np.array([[root24(eta_multiplier_index(g))]], dtype=complex)
+    return Rep("SL", 1, {key: np.array([[_eta_root(*g.entries())]], dtype=complex)
                          for key, g in (("S", S_MAT), ("T", T_MAT))})
 
 

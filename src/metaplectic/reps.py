@@ -267,6 +267,6 @@ def project_components(F: VVForm) -> tuple[HoloFn, HoloFn]:
     src = F.fn.upper
     if src is None:
         raise DomainError("projection needs an upper evaluator")
-    first = HoloFn(d, lambda z: src(z)[:d], None)
-    second = HoloFn(d, lambda z: src(z)[d:], None)
+    first = HoloFn(d, lambda z: src(z)[..., :d], None)
+    second = HoloFn(d, lambda z: src(z)[..., d:], None)
     return first, second

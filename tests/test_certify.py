@@ -1,12 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metaplectic import certify, cover
 from metaplectic.certify import ALGEBRA_CHECK_IDS, run_certification
+from metaplectic.cli import _strict_json
 from metaplectic.cover import S_MAT, T_MAT, Mat2, enumerate_cover
 from metaplectic.errors import DomainError
+from metaplectic.qseries import CERTIFY_CONFIG
 from metaplectic.sampling import full_grid
 from metaplectic.slash import HoloFn, Weight, _composition_values, composition_residual, composition_residuals, slash
 
@@ -19,6 +22,16 @@ def test_check_filter_refuses_unknown_ids():
         run_certification(0, check_filter="algebra_unit_values")
 
 
+@pytest.mark.parametrize("golden, kwargs", [("certify_w5.json", {}),
+                                             ("certify_w2_tol_1e-30.json", {"max_word_len": 2, "tol": 1e-30})])
+def test_certify_report_matches_its_golden_file(golden, kwargs):
+    """The report, as ``certify --json`` writes it, equals a checked-in golden file: word length 5 with
+    the defaults (every check passes) and word length 2 at tolerance 1e-30 (every numeric witness path).
+    A golden file changes only together with a CHANGES.md line naming each value that moved."""
+    want = (Path(__file__).parent / "data" / golden).read_text()
+    assert _strict_json(run_certification(**kwargs)) + "\n" == want
+
+
 def test_phi_branch_profile_surfaces_foreign_errors(monkeypatch):
     """Only a DomainError from branch_profile is a failed check; anything else is a bug and propagates."""
     def broken(gamma, points):
@@ -29,13 +42,27 @@ def test_phi_branch_profile_surfaces_foreign_errors(monkeypatch):
         run_certification(2, check_filter=["phi_branch_profile"])
 
 
-def test_worst_keeps_the_first_nan():
+def _worst_of(cases):
     worst = certify._Worst()
-    worst.see(1.0, at=1)
-    worst.see(float("nan"), at=2)
-    worst.see(5.0, at=3)
-    worst.see(float("nan"), at=4)
-    assert math.isnan(worst.value) and worst.witness == {"at": 2}
+    for r, witness in cases:
+        worst.see(r, witness)
+    return worst.value, worst.witness
+
+
+def _sweep_of(cases):
+    env = certify._Env(0, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG)
+    report = certify._sweep(env, {}, 1.0, cases)
+    assert report.passed is False
+    return report.max_residual, report.counterexample
+
+
+def test_worst_keeps_the_first_nan():
+    """The first NaN witness wins, and a later larger number does not displace it: in ``_Worst`` and
+    in the ``_sweep`` verdict that every numeric check goes through."""
+    cases = [(1.0, {"at": 1}), (float("nan"), {"at": 2}), (5.0, {"at": 3}), (float("nan"), {"at": 4})]
+    for worst_of in (_worst_of, _sweep_of):
+        value, witness = worst_of(cases)
+        assert math.isnan(value) and witness == {"at": 2}, worst_of.__name__
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
@@ -180,6 +207,6 @@ def test_batch_nan_reaches_the_pair_and_the_first_witness(cover4):
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True)
     worst = certify._Worst()
     for (x, y), r in zip(pairs, got):
-        worst.see(r, x=x, y=y)
+        worst.see(r, {"x": x, "y": y})
     first = int(np.argmax(np.isnan(got)))
     assert math.isnan(worst.value) and worst.witness == {"x": pairs[first][0], "y": pairs[first][1]}

@@ -211,6 +211,14 @@ def test_non_finite_tolerance_is_refused(capsys, tmp_path):
         assert not out_path.exists()  # refused before any check runs
         code, out, err = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T", "--tol", tol)
         assert code == 2 and out == "" and message in err
+    # a non-finite near-axis threshold would switch the refusal off
+    message = "min_im must be a finite number, got nan"
+    for argv in (("certify", "--max-word-len", "0", "--json", str(out_path)),
+                 ("eval", "--form", "eta", "--z", "0.5+0.01i"),
+                 ("check", "--form", "eta", "--weight", "1", "--elem", "T")):
+        code, out, err = run_cli(capsys, *argv, "--min-im", "nan")
+        assert code == 2 and out == "" and message in err, argv
+        assert not out_path.exists()
 
 
 def test_certify_check_error_becomes_that_checks_failure(capsys, tmp_path, monkeypatch):

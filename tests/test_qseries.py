@@ -40,6 +40,10 @@ def test_config_validation():
         QSeriesConfig(tail_tolerance=0.0)
     with pytest.raises(DomainError):
         QSeriesConfig(max_terms=0)
+    for name in ("tail_tolerance", "min_im"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"{name} must be a finite number, got {value}"):
+                QSeriesConfig(**{name: value})
 
 
 def test_near_axis_refusal():
@@ -103,6 +107,20 @@ def test_eta_multiplier_index_known_values():
     assert eta_multiplier_index(IDENT) == 0
     with pytest.raises(DomainError):
         eta_multiplier_index(Mat2(-1, 0, 0, 1))
+
+
+def test_eta_multiplier_roots_are_kept_across_calls(monkeypatch, qcfg):
+    """eta_batch, eta and eta_character share one process-wide root per reducing matrix: once a batch
+    has seen its points' matrices, neither a second batch nor the scalar path recomputes an index."""
+    calls = []
+    index = qseries.eta_multiplier_index
+    monkeypatch.setattr(qseries, "eta_multiplier_index", lambda g: calls.append(g) or index(g))
+    z = np.array([complex(x, 0.003) for x in (0.1, 0.37, 0.61)])  # reduced by matrices with c != 0
+    first = qseries.eta_batch(z, qcfg)
+    seen = len(calls)
+    assert np.array_equal(qseries.eta_batch(z, qcfg), first)
+    qseries.eta(complex(z[1]), qcfg)
+    assert len(calls) == seen
 
 
 def test_eta_multiplier_index_transforms_raw_eta(cover4, raw_cfg):

@@ -20,7 +20,7 @@ from metaplectic.reps import (
     snap_to_root_of_unity,
 )
 from metaplectic.sampling import full_grid, upper_grid
-from metaplectic.slash import HoloFn, Weight, slash
+from metaplectic.slash import HoloFn, Weight, composition_residuals, slash
 
 T24 = cmath.exp(1j * cmath.pi / 12)
 
@@ -238,6 +238,21 @@ def test_projection_recovers_components(qcfg):
         assert second.at(z)[0] == 0
     with pytest.raises(DomainError):
         project_components(VVForm(HoloFn.zero(1), Weight(1), Rep.trivial("SL")))
+
+
+def test_projections_keep_the_batch_contract(cover4, qcfg):
+    """An (n,) array of points gives (n, dim) values through the projections, so Ind(eta, 0) rebuilt from
+    eta-hat's two projections composes exactly as eta-hat does on batched pairs."""
+    hat = eta_hat_form(qcfg)
+    first, second = project_components(hat)
+    z = np.array(upper_grid()[:3])
+    assert first.upper(z).shape == second.upper(z).shape == (3, 1)
+    rebuilt = induce_form(VVForm(first, Weight(1), eta_character()),
+                          VVForm(second, Weight(1), eta_character().r_twist()))
+    elts = cover4.elements()
+    pairs = [(elts[i], elts[(7 * i + 3) % len(elts)]) for i in range(0, len(elts), 40)]
+    got = composition_residuals(rebuilt.fn, Weight(1), pairs, full_grid())
+    assert np.array_equal(got, composition_residuals(hat.fn, Weight(1), pairs, full_grid()))
 
 
 def test_modularity_residual_eta(cover4, qcfg):
