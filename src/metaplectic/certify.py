@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import sampling
-from .automorphy import branch_profile, phi_lower, phi_upper, principal_sqrt, require_upper, word_factor
+from .automorphy import branch_profile, phi_lower, phi_upper, principal_sqrt, require_upper, section_roots, word_factor
 from .cover import (CENTER_FLIP, IDENT, LIFT_R, LIFT_S, LIFT_T, LIFT_Z, NEG_IDENT, R_MAT, S_MAT, T_MAT, CoverSet, Mat2,
                     MetaElt, chi_negative, cocycle, cocycle_bit, conj_by_reflection, enumerate_cover, format_word,
                     hilbert_symbol, kubota_chi, minus_t_row, reflection_sign)
@@ -26,7 +27,8 @@ from .errors import DomainError, ModularityError, ResourceLimitError
 from .qseries import (CERTIFY_CONFIG, NAMED_FORMS, QSeriesConfig, eisenstein, eta, eta_character, eta_fn, eta_hat,
                       eta_multiplier_index, lattice_sum, triangular_product, triangular_product_factored)
 from .reps import Rep, VVForm, extend_form, induce_form, project_components, root24, snap_to_root_of_unity
-from .slash import HoloFn, Weight, admissible_reflection_scalars, composition_residuals, holomorphy_residual, mobius, slash, slash_via_reflection_rule, worst_residual
+from .slash import (HoloFn, Weight, admissible_reflection_scalars, composition_residuals, holofn_values,
+                    holomorphy_residual, reflection_route, slash, slash_values, worst_residual)
 
 REPORT_VERSION = "1"
 DEFAULT_SEED = 20250405
@@ -78,6 +80,8 @@ class _Env:
                          f"{len(cov.matrices())} distinct matrices ({len(cov.sl_matrices())} with det +1); "
                          f"{len(self.upper)} upper sample points plus conjugates")
         self._forms: dict = {}
+        # branch_profile of a matrix over the upper points, once per matrix; a DomainError is not kept
+        self.branch_sign = lru_cache(maxsize=None)(lambda g: branch_profile(g, self.upper))
         self.check_id = ""  # the running check, set by run_certification
 
     def tol(self, pinned: float) -> float:
@@ -104,9 +108,9 @@ class _Env:
         return pairs
 
 
-def _gap(a, b) -> float:
-    """Largest entrywise distance between two values or arrays."""
-    return float(np.max(np.abs(a - b)))
+def _gap(a, b, axis=None):
+    """Largest entrywise distance between two values or arrays, or along ``axis`` of two arrays."""
+    return np.max(np.abs(a - b), axis=axis)
 
 
 def _shown(value):
@@ -337,8 +341,14 @@ def check_phi_section(env: _Env) -> CheckReport:
     mats = env.cover.sl_matrices()
     idx = env.rng.integers(0, len(mats), size=(env.pair_count, 2))
     pairs = [(a, b, cocycle(a, b), a * b) for a, b in ((mats[i], mats[j]) for i, j in idx)]
-    cases = ((abs(phi_upper(a, mobius(b, z)) * phi_upper(b, z) - sign * phi_upper(ab, z)),
-              {"alpha": a, "beta": b, "z": z}) for a, b, sign, ab in pairs for z in env.upper)
+    rows = np.array([(a.c, a.d, *b.entries(), sign, ab.c, ab.d) for a, b, sign, ab in pairs], dtype=np.int64)
+    c_a, d_a, b_a, b_b, b_c, b_d, sign, c_ab, d_ab = rows.T[:, :, None]
+    z = np.array(env.upper)
+    image = (b_a * z + b_b) / (b_c * z + b_d)
+    require_upper(complex(image.flat[np.argmin(image.imag)]))  # refused as by phi_upper(alpha, .)
+    gaps = np.abs(section_roots(c_a, d_a, image) * section_roots(b_c, b_d, z) - sign * section_roots(c_ab, d_ab, z))
+    cases = ((gaps[i, j], {"alpha": a, "beta": b, "z": z})
+             for i, (a, b, _, _) in enumerate(pairs) for j, z in enumerate(env.upper))
     return _sweep(env, {"pairs": env.pair_count, "points": len(env.upper)}, 1e-10, cases)
 
 
@@ -369,7 +379,7 @@ def check_phi_branch_profile(env: _Env) -> CheckReport:
     mismatches, bad = 0, None
     for g in env.cover.sl_matrices():
         try:
-            sign = branch_profile(g, env.upper)
+            sign = env.branch_sign(g)
         except DomainError as exc:  # not a constant sign across points: not holomorphic
             bad = {"gamma": g, "error": str(exc)}
             break
@@ -407,10 +417,12 @@ def check_action_reflection_forms(env: _Env) -> CheckReport:
     elts = [e for e in env.cover.elements() if e.det() == -1][:40]
     fn = env.form("eta-hat").fn
     weight = Weight(1)
-    routes = [(x, slash(fn, weight, x), variant, slash_via_reflection_rule(fn, weight, x, variant))
-              for x in elts for variant in ("direct", "inverse")]
-    cases = ((_gap(direct.at(z), alt.at(z)), {"x": x, "variant": variant, "z": z})
-             for x, direct, variant, alt in routes for z in env.grid)
+    direct = slash_values(fn, weight, elts, env.grid)
+    routes = {variant: reflection_route(fn, weight, elts, variant) for variant in ("direct", "inverse")}
+    gaps = {variant: _gap(direct, phase * slash_values(reflected, weight, rests, env.grid), axis=2)
+            for variant, (reflected, rests, phase) in routes.items()}
+    cases = ((gaps[variant][i, j], {"x": x, "variant": variant, "z": z})
+             for i, x in enumerate(elts) for variant in routes for j, z in enumerate(env.grid))
     return _sweep(env, {"elements": len(elts)}, 1e-9, cases)
 
 
@@ -422,9 +434,12 @@ def check_action_classical_match(env: _Env) -> CheckReport:
     """
     fn = env.form("e4").fn
     elts = env.cover.sl_elements()[:80]
-    acted = [(x, x.gamma, slash(fn, Weight(8), x)) for x in elts]
-    cases = ((_gap(xf.at(z), fn.at(mobius(g, z)) * (1 / (g.c * z + g.d) ** 4)), {"x": x, "z": z})
-             for x, g, xf in acted for z in env.upper)
+    a, b, c, d = np.array([x.gamma.entries() for x in elts], dtype=np.int64).T[:, :, None, None]
+    z = np.array(env.upper)[:, None]
+    image = (a * z + b) / (c * z + d)  # (elements, points, 1)
+    classical = holofn_values(fn, image.ravel(), image.ravel().imag > 0).reshape(image.shape) * (1 / (c * z + d) ** 4)
+    gaps = _gap(slash_values(fn, Weight(8), elts, env.upper), classical, axis=2)
+    cases = ((gaps[i, j], {"x": x, "z": z}) for i, x in enumerate(elts) for j, z in enumerate(env.upper))
     return _sweep(env, {"elements": len(elts)}, 1e-9, cases)
 
 
@@ -598,22 +613,23 @@ def check_eta_multiplier_universe(env: _Env) -> CheckReport:
     transform_tol = env.tol(1e-9)
     rho = eta_character()
     f = eta_fn(env.qcfg_raw)
-    base = {z: f.at(z) for z in env.upper}
-    snaps, transform = [], _Worst()
+    snaps, vals, transform = [], [], _Worst()
     mismatches, index_witness = 0, None
     elements = env.cover.sl_elements()
     for x in elements:
-        val = rho.evaluate(x)[0, 0]
-        _, index, dist = snap_to_root_of_unity(val)
+        vals.append(rho.evaluate(x)[0, 0])
+        _, index, dist = snap_to_root_of_unity(vals[-1])
         snaps.append(dist)
-        flip = x.eps * branch_profile(x.gamma, env.upper) == -1
+        flip = x.eps * env.branch_sign(x.gamma) == -1
         closed = (eta_multiplier_index(x.gamma) + 12 * flip) % 24
         if index != closed:
             mismatches += 1
             index_witness = index_witness or {"x": x, "numeric_index": index, "closed_form_index": closed}
-        acted = slash(f, Weight(1), x)
-        for z in env.upper:
-            transform.see(_gap(acted.at(z), val * base[z]), {"x": x, "z": z})
+    base = holofn_values(f, np.array(env.upper), np.full(len(env.upper), True))
+    gaps = _gap(slash_values(f, Weight(1), elements, env.upper), np.array(vals)[:, None, None] * base, axis=2)
+    for i, x in enumerate(elements):
+        for j, z in enumerate(env.upper):
+            transform.see(gaps[i, j], {"x": x, "z": z})
     worst_snap = worst_residual(snaps)
     numeric_ok = worst_snap <= snap_tol and transform.value <= transform_tol
     return _verdict(env, {"elements": len(elements), "snap_tolerance": snap_tol,

@@ -90,8 +90,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.elem is not None or args.matrix is not None:
-        if args.form is not None:
-            raise DomainError("--elem/--matrix and --form are mutually exclusive")
+        if args.form is not None or args.z is not None:
+            raise DomainError("--elem/--matrix and --form/--z are mutually exclusive")
         if args.elem is not None:
             elt = word_lift(parse_word(args.elem))
         else:

@@ -46,6 +46,8 @@ class QSeriesConfig:
                 raise DomainError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.tail_tolerance <= 0 or self.max_terms <= 0:
             raise DomainError("tail_tolerance and max_terms must be positive")
+        if self.min_im < 0:
+            raise DomainError(f"min_im must be nonnegative, got {self.min_im}")
 
 
 DEFAULT_CONFIG = QSeriesConfig()
@@ -132,6 +134,17 @@ def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tup
     raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {complex(z[todo[0]])}")
 
 
+def _live_point_series(arg: np.ndarray, n: np.ndarray, start: complex, combine, term) -> np.ndarray:
+    """Fold ``combine`` over term(q^k, k), q = e^(2 pi i arg), for k = 1..n at every point, each stopping at its
+    own n: the points are sorted by n once, and term k is computed only on the prefix still live.  Multiplying
+    by 1 and adding 0 are exact, so this equals running every point to max(n) with the extra terms masked."""
+    order = np.argsort(-n, kind="stable")
+    arg, acc = arg[order], np.full(arg.shape, start, dtype=complex)
+    for k, live in enumerate(np.searchsorted(-n[order], -np.arange(1, n.max(initial=0) + 1), side="right"), 1):
+        acc[:live] = combine(acc[:live], term(np.exp((2j * np.pi * arg[:live]) * k), k))
+    return acc[np.argsort(order)]
+
+
 def dedekind_sum(h: int, k: int) -> Fraction:
     """Dedekind sum s(h, k) for k > 0 and gcd(h, k) = 1, exactly.
 
@@ -206,12 +219,10 @@ def _eta_series(z: complex, cfg: QSeriesConfig) -> complex:
 
 def eta_batch(z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
     """``eta`` at every point of the complex array ``z``, with its refusals, reductions and per-point
-    truncations: one pass per product term over all points."""
+    truncations: one pass per product term over the points that still need it."""
     m, arg = _reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
     roots = np.array([_eta_root(*g) for g in zip(*m.tolist())])
-    n, prod = _truncation_indices(arg.imag, cfg), np.ones_like(z)
-    for k in range(1, n.max(initial=0) + 1):
-        prod = prod * np.where(k <= n, 1.0 - np.exp((2j * np.pi * arg) * k), 1)
+    prod = _live_point_series(arg, _truncation_indices(arg.imag, cfg), 1, np.multiply, lambda qk, k: 1.0 - qk)
     # c z + d is 1 where nothing was reduced, and off the cut where it was (c != 0, as Im went up)
     return np.exp(1j * np.pi * arg / 12) * prod / (roots * np.sqrt(m[2] * z + m[3]))
 
@@ -246,15 +257,13 @@ def _eisenstein_series(k: int, z: complex, cfg: QSeriesConfig) -> complex:
 
 def eisenstein_batch(k: int, z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
     """``eisenstein`` at every point of the complex array ``z``, with its refusals, reductions and
-    per-point truncations: one pass per Lambert term over all points."""
+    per-point truncations: one pass per Lambert term over the points that still need it."""
     if k not in _EIS_COEFF:
         raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
     m, arg = _reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
     base = _truncation_indices(arg.imag, cfg)
-    n, total = _truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0)), np.zeros_like(z)
-    for d in range(1, n.max(initial=0) + 1):
-        qd = np.exp((2j * np.pi * arg) * d)
-        total = total + np.where(d <= n, float(d) ** (k - 1) * qd / (1.0 - qd), 0)
+    total = _live_point_series(arg, _truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0)),
+                               0, np.add, lambda qd, d: float(d) ** (k - 1) * qd / (1.0 - qd))
     return 2 * _EIS_ZETA[k] * (1 + _EIS_COEFF[k] * total) * cpow_int(m[2] * z + m[3], -k)
 
 

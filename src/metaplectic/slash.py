@@ -69,7 +69,7 @@ class HoloFn:
     An evaluator returns a complex array of shape ``(dim,)``, also for dim 1 (``from_scalar``
     adapts scalar functions); ``at`` validates the point and the shape once and refuses
     anything else, so derived evaluators pass inner values through as they are.  Given an
-    ``(n,)`` array (``composition_residuals``), an evaluator returns ``(n, dim)``."""
+    ``(n,)`` array (``holofn_values``, the batch entry), an evaluator returns ``(n, dim)``."""
 
     dim: int
     upper: Optional[Evaluator]
@@ -156,6 +156,18 @@ def slash(f: HoloFn, weight: Weight, x: MetaElt) -> HoloFn:
     return HoloFn(f.dim, _case_evaluator(src_upper, g, e_upper, w), _case_evaluator(src_lower, g, e_lower, w))
 
 
+def reflection_route(f: HoloFn, weight: Weight, elts: Sequence[MetaElt], variant: str) -> tuple[HoloFn, list, complex]:
+    """The pieces of ``slash_via_reflection_rule`` for determinant -1 ``elts``: f o R, the rest
+    element [R*gamma, -+A(R, gamma) eps] of each element, and the phase i^(+-2k) of ``variant``."""
+    if any(x.det() != -1 for x in elts):
+        raise DomainError("reflection-rule route applies to determinant -1 elements")
+    if variant not in ("direct", "inverse"):
+        raise DomainError(f"unknown variant {variant!r}")
+    sign = -1 if variant == "direct" else 1
+    rests = [MetaElt(R_MAT * x.gamma, sign * cocycle(R_MAT, x.gamma) * x.eps) for x in elts]
+    return f.compose_reflection(), rests, i_power(-sign * weight.w)
+
+
 def slash_via_reflection_rule(f: HoloFn, weight: Weight, x: MetaElt, variant: str = "direct") -> HoloFn:
     """Alternative route for determinant -1 elements, used for cross-checks.
 
@@ -165,18 +177,7 @@ def slash_via_reflection_rule(f: HoloFn, weight: Weight, x: MetaElt, variant: st
     Both reduce to the same action as :func:`slash`; the central sign of the
     determinant-one element absorbs the phase difference.
     """
-    if x.det() != -1:
-        raise DomainError("reflection-rule route applies to determinant -1 elements")
-    a_sign = cocycle(R_MAT, x.gamma)
-    reflected = f.compose_reflection()
-    if variant == "direct":
-        phase = i_power(weight.w)
-        rest = MetaElt(R_MAT * x.gamma, -a_sign * x.eps)
-    elif variant == "inverse":
-        phase = i_power(-weight.w)
-        rest = MetaElt(R_MAT * x.gamma, a_sign * x.eps)
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
+    reflected, (rest,), phase = reflection_route(f, weight, [x], variant)
     return slash(reflected, weight, rest).scale(phase)
 
 
@@ -193,8 +194,14 @@ def composition_residual(f: HoloFn, weight: Weight, x: MetaElt, y: MetaElt,
     return worst_residual(np.max(np.abs(lhs.at(z) - rhs.at(z))) for z in points)
 
 
-_CHUNK_POINTS = 3000  # points per array pass of ``composition_residuals``; bounds its temporaries
+_CHUNK_POINTS = 3000  # points per array pass of the batch evaluators; bounds their temporaries
 _I_POWER_ARRAY = np.array([i_power(e) for e in range(4)])
+
+
+def _rows(w: int, elts: Sequence[MetaElt]) -> np.ndarray:
+    """The int64 rows (a, b, c, d, det, e_upper, e_lower) of ``elts``, one column per element."""
+    table = {x: (*x.gamma.entries(), x.det(), *_case_exponents(w, x)) for x in set(elts)}
+    return np.array([table[x] for x in elts], dtype=np.int64).reshape(-1, 7).T
 
 
 def _pullbacks(rows: np.ndarray, z: np.ndarray, upper: np.ndarray, w: int):
@@ -205,23 +212,40 @@ def _pullbacks(rows: np.ndarray, z: np.ndarray, upper: np.ndarray, w: int):
     return (a * z + b) / (c * z + d), factor, upper ^ (det < 0)
 
 
-def _composition_values(f: HoloFn, w: int, pairs: Sequence[tuple[MetaElt, MetaElt]], points: np.ndarray):
-    """((f|x)|y)(z) and (f|xy)(z) at every pair and point, pair-major, as two ``(n, dim)`` arrays."""
-    elts = [x for x, _ in pairs] + [y for _, y in pairs] + [x * y for x, y in pairs]
-    table = {x: (*x.gamma.entries(), x.det(), *_case_exponents(w, x)) for x in set(elts)}
-    rows = np.array([table[x] for x in elts], dtype=np.int64).T.repeat(points.size, axis=1)
-    rows_x, rows_y, rows_xy = np.split(rows, 3, axis=1)
-    z = np.tile(points, len(pairs))
-    image, factor, src = _pullbacks(rows_xy, z, z.imag > 0, w)
-    mid, factor_y, src_y = _pullbacks(rows_y, z, z.imag > 0, w)
-    inner, factor_x, src_x = _pullbacks(rows_x, mid, src_y, w)
-    at, upper = np.concatenate((inner, image)), np.concatenate((src_x, src))
+def holofn_values(f: HoloFn, at: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``f`` at the points ``at`` on half-planes ``upper``, ``(n, dim)``: one call per evaluator; refuses as ``at``."""
     values = np.empty((at.size, f.dim), dtype=complex)
-    for side, mask, name in ((f.upper, upper, "upper"), (f.lower, ~upper, "lower")):  # one call per half
+    for side, mask, name in ((f.upper, upper, "upper"), (f.lower, ~upper, "lower")):
         if mask.any():
             if side is None:
                 raise DomainError(f"function has no {name} half-plane evaluator")
             values[mask] = _coerce(side(at[mask]), (np.count_nonzero(mask), f.dim))
+    return values
+
+
+def slash_values(f: HoloFn, weight: Weight, elts: Sequence[MetaElt], points: Sequence[complex]) -> np.ndarray:
+    """(f|x)(z) for every element x of ``elts`` and point z, as a ``(len(elts), len(points), dim)`` array:
+    per chunk of elements, one pullback step and one call of each of ``f``'s half-plane evaluators."""
+    points = np.array([require_off_axis(z) for z in points], dtype=complex)
+    per_chunk = max(_CHUNK_POINTS // max(points.size, 1), 1)
+    out = np.empty((len(elts), points.size, f.dim), dtype=complex)
+    for i in range(0, len(elts), per_chunk):
+        chunk = elts[i:i + per_chunk]
+        z = np.tile(points, len(chunk))
+        image, factor, src = _pullbacks(_rows(weight.w, chunk).repeat(points.size, axis=1), z, z.imag > 0, weight.w)
+        out[i:i + len(chunk)] = (holofn_values(f, image, src) * factor[:, None]).reshape(len(chunk), points.size, f.dim)
+    return out
+
+
+def _composition_values(f: HoloFn, w: int, pairs: Sequence[tuple[MetaElt, MetaElt]], points: np.ndarray):
+    """((f|x)|y)(z) and (f|xy)(z) at every pair and point, pair-major, as two ``(n, dim)`` arrays."""
+    rows = _rows(w, [x for x, _ in pairs] + [y for _, y in pairs] + [x * y for x, y in pairs])
+    rows_x, rows_y, rows_xy = np.split(rows.repeat(points.size, axis=1), 3, axis=1)
+    z = np.tile(points, len(pairs))
+    image, factor, src = _pullbacks(rows_xy, z, z.imag > 0, w)
+    mid, factor_y, src_y = _pullbacks(rows_y, z, z.imag > 0, w)
+    inner, factor_x, src_x = _pullbacks(rows_x, mid, src_y, w)
+    values = holofn_values(f, np.concatenate((inner, image)), np.concatenate((src_x, src)))
     return (values[:z.size] * factor_x[:, None]) * factor_y[:, None], values[z.size:] * factor[:, None]
 
 

@@ -42,6 +42,28 @@ def test_phi_branch_profile_surfaces_foreign_errors(monkeypatch):
         run_certification(2, check_filter=["phi_branch_profile"])
 
 
+def test_branch_sign_is_computed_once_per_matrix_but_errors_are_not_kept(monkeypatch):
+    """Both checks that need the branch sign share one ``branch_profile`` call per matrix; a refusal is
+    raised again on the next request, not remembered."""
+    calls = []
+    profile = certify.branch_profile
+    monkeypatch.setattr(certify, "branch_profile", lambda gamma, points: calls.append(gamma) or profile(gamma, points))
+    assert run_certification(5, check_filter=["phi_branch_profile", "eta_multiplier_universe"])["pass"] is True
+    assert len(calls) == len(set(calls)) == len(enumerate_cover(5).sl_matrices())
+
+    def refuses(gamma, points):
+        calls.append(gamma)
+        raise DomainError("not a constant sign")
+
+    monkeypatch.setattr(certify, "branch_profile", refuses)
+    env = certify._Env(0, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG)
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not a constant sign"):
+            env.branch_sign(S_MAT)
+    assert calls == [S_MAT, S_MAT]
+
+
 def _worst_of(cases):
     worst = certify._Worst()
     for r, witness in cases:

@@ -40,6 +40,14 @@ def test_eval_matrix_with_sign(capsys):
     assert out.strip() == "[[0,-1],[1,0]];-1"
 
 
+def test_eval_element_refuses_a_point(capsys):
+    """An element is printed, not evaluated: --z with --elem or --matrix is refused, as --form is."""
+    for argv in (("--elem", "S T"), ("--matrix", "[[0,-1],[1,0]]")):
+        for extra in (("--z", "0+1i"), ("--form", "eta"), ("--form", "eta", "--z", "0+1i")):
+            code, out, err = run_cli(capsys, "eval", *argv, *extra)
+            assert code == 2 and out == "" and "--elem/--matrix and --form/--z are mutually exclusive" in err
+
+
 def test_eval_eta(capsys):
     code, out, _ = run_cli(capsys, "eval", "--form", "eta", "--z", "0+1i")
     assert code == 0
@@ -218,6 +226,13 @@ def test_non_finite_tolerance_is_refused(capsys, tmp_path):
                  ("check", "--form", "eta", "--weight", "1", "--elem", "T")):
         code, out, err = run_cli(capsys, *argv, "--min-im", "nan")
         assert code == 2 and out == "" and message in err, argv
+        assert not out_path.exists()
+    # a negative one would act as zero
+    for argv in (("certify", "--max-word-len", "0", "--json", str(out_path)),
+                 ("eval", "--form", "eta", "--z", "0.2+0.0001i"),
+                 ("check", "--form", "eta", "--weight", "1", "--elem", "T")):
+        code, out, err = run_cli(capsys, *argv, "--min-im", "-1")
+        assert code == 2 and out == "" and "min_im must be nonnegative, got -1.0" in err, argv
         assert not out_path.exists()
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +29,7 @@ from metaplectic.qseries import (
     triangular_product_factored,
 )
 from metaplectic.sampling import full_grid, lower_grid, upper_grid
-from metaplectic.slash import Weight, composition_residual, composition_residuals, holomorphy_residual, mobius
+from metaplectic.slash import Weight, composition_residual, cpow_int, composition_residuals, holomorphy_residual, mobius
 
 # frozen from 60-digit evaluations of the same q-product with tail < 1e-30
 ETA_AT_I = 0.7682254223260566590025941795761806445179
@@ -44,6 +45,9 @@ def test_config_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match=f"{name} must be a finite number, got {value}"):
                 QSeriesConfig(**{name: value})
+    with pytest.raises(DomainError, match="min_im must be nonnegative, got -1.0"):
+        QSeriesConfig(min_im=-1.0)
+    assert QSeriesConfig(min_im=0.0).min_im == 0.0
 
 
 def test_near_axis_refusal():
@@ -335,6 +339,51 @@ def test_batch_series_match_the_scalar_series(qcfg, raw_cfg):
             assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) <= 1e-12
             assert all(many(pts[i:i + 1])[0] == got[i] for i in range(pts.size))
             assert many(pts[:0]).shape == (0,)
+
+
+def _masked_eta_batch(z, cfg):
+    """``eta_batch`` as a masked loop: every point runs through the largest truncation index."""
+    m, arg = qseries._reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
+    roots = np.array([qseries._eta_root(*g) for g in zip(*m.tolist())])
+    n, prod = qseries._truncation_indices(arg.imag, cfg), np.ones_like(z)
+    for k in range(1, n.max(initial=0) + 1):
+        prod = prod * np.where(k <= n, 1.0 - np.exp((2j * np.pi * arg) * k), 1)
+    return np.exp(1j * np.pi * arg / 12) * prod / (roots * np.sqrt(m[2] * z + m[3]))
+
+
+def _masked_eisenstein_batch(k, z, cfg):
+    """``eisenstein_batch`` as a masked loop: every point runs through the largest truncation index."""
+    m, arg = qseries._reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
+    base = qseries._truncation_indices(arg.imag, cfg)
+    n = qseries._truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0))
+    total = np.zeros_like(z)
+    for d in range(1, n.max(initial=0) + 1):
+        qd = np.exp((2j * np.pi * arg) * d)
+        total = total + np.where(d <= n, float(d) ** (k - 1) * qd / (1.0 - qd), 0)
+    return 2 * qseries._EIS_ZETA[k] * (1 + qseries._EIS_COEFF[k] * total) * cpow_int(m[2] * z + m[3], -k)
+
+
+def _by_im_bands(masked, z):
+    """``masked`` on 16 bands of the points sorted by Im.  The masked loop is elementwise, so these are
+    the values of one call on all of ``z``, at a fraction of its max(n) * len(z) cost."""
+    out = np.empty_like(z)
+    for band in np.array_split(np.argsort(z.imag), 16):
+        out[band] = masked(z[band])
+    return out
+
+
+def test_live_point_series_equal_the_masked_loop(qcfg, raw_cfg):
+    """Stopping each point at its own truncation index gives exactly the values of running every point
+    through the largest index with the extra terms masked to 1 or 0, reduced and raw."""
+    rng = np.random.default_rng(8)
+    z = rng.uniform(-2, 2, 4000) + 1j * np.exp(rng.uniform(math.log(1e-3), math.log(3), 4000))
+    for cfg in (qcfg, raw_cfg, replace(raw_cfg, tail_tolerance=1e-6)):
+        assert np.array_equal(eta_batch(z, cfg), _by_im_bands(lambda p: _masked_eta_batch(p, cfg), z))
+        assert eta_batch(z[:0], cfg).shape == _masked_eta_batch(z[:0], cfg).shape == (0,)
+        for k in (4, 6):
+            want = _by_im_bands(lambda p: _masked_eisenstein_batch(k, p, cfg), z)
+            assert np.array_equal(eisenstein_batch(k, z, cfg), want)
+            assert eisenstein_batch(k, z[:0], cfg).shape == _masked_eisenstein_batch(k, z[:0], cfg).shape == (0,)
 
 
 def _error(call):

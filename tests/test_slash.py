@@ -1,14 +1,16 @@
 import cmath
+import importlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from metaplectic.automorphy import i_power, phi_upper
+from metaplectic.automorphy import AXIS_TOLERANCE, i_power, phi_upper
 from metaplectic.cover import LIFT_R, LIFT_S, Mat2, MetaElt, CENTER_FLIP, R_MAT, cocycle, reflection_sign, word_lift
 from metaplectic.errors import DomainError
-from metaplectic.qseries import CERTIFY_CONFIG, eisenstein_form, eta_hat_form
+from metaplectic.qseries import CERTIFY_CONFIG, eisenstein_form, eta_fn, eta_hat_form
 from metaplectic.sampling import full_grid, upper_grid
 from metaplectic.slash import (
     HoloFn,
@@ -20,6 +22,7 @@ from metaplectic.slash import (
     holomorphy_residual,
     mobius,
     slash,
+    slash_values,
     slash_via_reflection_rule,
     worst_residual,
 )
@@ -258,3 +261,59 @@ def test_batch_value_does_not_depend_on_its_chunk(cover4, build):
     swapped = _composition_values(form.fn, w, pairs[::-1], points)
     assert np.array_equal(swapped[0].reshape(lhs.shape)[::-1], lhs)
     assert np.array_equal(swapped[1].reshape(rhs.shape)[::-1], rhs)
+
+
+def _oracle_cases(cover4):
+    """(function, weight, elements, points): eta-hat and E4 on the whole cover and grid, raw-series eta on
+    the SL elements and the upper grid."""
+    raw = eta_fn(replace(CERTIFY_CONFIG, reduce=False))
+    return [(eta_hat_form(CERTIFY_CONFIG).fn, Weight(1), cover4.elements(), full_grid()),
+            (eisenstein_form(4, CERTIFY_CONFIG).fn, Weight(8), cover4.elements(), full_grid()),
+            (raw, Weight(1), cover4.sl_elements(), upper_grid())]
+
+
+def test_slash_values_match_the_scalar_slash(cover4):
+    """Every element of the word-length-4 cover at every grid point: the batch value of f|x agrees with
+    ``slash(f, w, x).at(z)`` to 1e-12 relative to max(1, |v|)."""
+    for f, weight, elts, points in _oracle_cases(cover4):
+        got = slash_values(f, weight, elts, points)
+        assert got.shape == (len(elts), len(points), f.dim)
+        for x, row in zip(elts, got):
+            acted = slash(f, weight, x)
+            for z, value in zip(points, row):
+                want = acted.at(z)
+                assert np.max(np.abs(value - want) / np.maximum(1, np.abs(want))) <= 1e-12, (str(x), z)
+
+
+def test_slash_values_do_not_depend_on_their_chunk(cover4, monkeypatch):
+    """A value is the same, bit for bit, for one element alone, at one point alone, or in a batch cut into
+    many chunks."""
+    for f, weight, elts, points in _oracle_cases(cover4):
+        whole = slash_values(f, weight, elts, points)
+        for i in range(0, len(elts), 17):
+            assert np.array_equal(slash_values(f, weight, elts[i:i + 1], points)[0], whole[i])
+            assert np.array_equal(slash_values(f, weight, elts[i:i + 1], points[i % len(points):][:1])[0, 0],
+                                  whole[i, i % len(points)])
+        monkeypatch.setattr(importlib.import_module("metaplectic.slash"), "_CHUNK_POINTS", 5 * len(points))
+        assert np.array_equal(slash_values(f, weight, elts, points), whole)
+        monkeypatch.undo()
+
+
+def test_slash_values_refuse_like_holofn_at(cover4):
+    """A point within the axis tolerance, and a half-plane the function lacks, raise what ``HoloFn.at``
+    raises; no elements give an empty batch of the right shape."""
+    f = eta_hat_form(CERTIFY_CONFIG).fn
+    near = 0.3 + 0.5 * AXIS_TOLERANCE * 1j
+    with pytest.raises(DomainError) as want:
+        f.at(near)
+    with pytest.raises(DomainError) as got:
+        slash_values(f, Weight(1), cover4.elements(), (1j, near))
+    assert str(got.value) == str(want.value)
+    up_only = eta_fn(CERTIFY_CONFIG)
+    with pytest.raises(DomainError) as want:
+        up_only.at(-1j)
+    assert str(want.value) == "function has no lower half-plane evaluator"
+    with pytest.raises(DomainError) as got:
+        slash_values(up_only, Weight(1), [LIFT_S, LIFT_R], upper_grid())  # R takes the upper grid below
+    assert str(got.value) == str(want.value)
+    assert slash_values(f, Weight(1), [], full_grid()).shape == (0, len(full_grid()), 2)
