@@ -94,16 +94,15 @@ class _Env:
         return self._forms[name]
 
     def sample_pairs(self, count: int) -> list[tuple[MetaElt, MetaElt]]:
-        """Seeded pairs of enumerated elements covering all four det combinations."""
+        """``count`` seeded pairs of enumerated elements, split over the det combinations, the first first."""
         plus = [e for e in self.cover.elements() if e.det() == 1]
         minus = [e for e in self.cover.elements() if e.det() == -1]
-        quarter = max(count // 4, 1)
+        combos = [(px, py) for px, py in ((plus, plus), (plus, minus), (minus, plus), (minus, minus)) if px and py]
         pairs = []
-        for pool_x, pool_y in ((plus, plus), (plus, minus), (minus, plus), (minus, minus)):
-            if not pool_x or not pool_y:
-                continue
-            ix = self.rng.integers(0, len(pool_x), size=quarter)
-            iy = self.rng.integers(0, len(pool_y), size=quarter)
+        for k, (pool_x, pool_y) in enumerate(combos):
+            size = count // len(combos) + (k < count % len(combos))
+            ix = self.rng.integers(0, len(pool_x), size=size)
+            iy = self.rng.integers(0, len(pool_y), size=size)
             pairs.extend((pool_x[i], pool_y[j]) for i, j in zip(ix, iy))
         return pairs
 
@@ -396,9 +395,9 @@ def check_phi_branch_profile(env: _Env) -> CheckReport:
 
 
 def check_action_composition(env: _Env) -> CheckReport:
-    """(f|x)|y = f|(xy) for eta-hat and E4 on the sampled pairs at every grid point, batched per form:
-    ``composition_residuals`` evaluates chunks of pairs as arrays, calling each half-plane evaluator once
-    per chunk, and the q-series sum term by term over all of a chunk's points."""
+    """(f|x)|y = f|(xy) for eta-hat and E4 on the sampled pairs at every grid point, batched per form by
+    ``composition_residuals``.  Both of its routes take the same ``slash_values`` pullback, so an error in
+    that pullback that keeps the action law (a wrong det -1 phase) shows only in action_reflection_forms."""
     pairs = env.sample_pairs(env.pair_count)
     combos = Counter((x.det(), y.det()) for x, y in pairs)
     det_combinations = {f"({sx},{sy})": c for (sx, sy), c in sorted(combos.items())}
@@ -417,9 +416,9 @@ def check_action_reflection_forms(env: _Env) -> CheckReport:
     elts = [e for e in env.cover.elements() if e.det() == -1][:40]
     fn = env.form("eta-hat").fn
     weight = Weight(1)
-    direct = slash_values(fn, weight, elts, env.grid)
+    direct = slash_values(fn, weight, env.grid, elts)
     routes = {variant: reflection_route(fn, weight, elts, variant) for variant in ("direct", "inverse")}
-    gaps = {variant: _gap(direct, phase * slash_values(reflected, weight, rests, env.grid), axis=2)
+    gaps = {variant: _gap(direct, phase * slash_values(reflected, weight, env.grid, rests), axis=2)
             for variant, (reflected, rests, phase) in routes.items()}
     cases = ((gaps[variant][i, j], {"x": x, "variant": variant, "z": z})
              for i, x in enumerate(elts) for variant in routes for j, z in enumerate(env.grid))
@@ -438,7 +437,7 @@ def check_action_classical_match(env: _Env) -> CheckReport:
     z = np.array(env.upper)[:, None]
     image = (a * z + b) / (c * z + d)  # (elements, points, 1)
     classical = holofn_values(fn, image.ravel(), image.ravel().imag > 0).reshape(image.shape) * (1 / (c * z + d) ** 4)
-    gaps = _gap(slash_values(fn, Weight(8), elts, env.upper), classical, axis=2)
+    gaps = _gap(slash_values(fn, Weight(8), env.upper, elts), classical, axis=2)
     cases = ((gaps[i, j], {"x": x, "z": z}) for i, x in enumerate(elts) for j, z in enumerate(env.upper))
     return _sweep(env, {"elements": len(elts)}, 1e-9, cases)
 
@@ -626,7 +625,7 @@ def check_eta_multiplier_universe(env: _Env) -> CheckReport:
             mismatches += 1
             index_witness = index_witness or {"x": x, "numeric_index": index, "closed_form_index": closed}
     base = holofn_values(f, np.array(env.upper), np.full(len(env.upper), True))
-    gaps = _gap(slash_values(f, Weight(1), elements, env.upper), np.array(vals)[:, None, None] * base, axis=2)
+    gaps = _gap(slash_values(f, Weight(1), env.upper, elements), np.array(vals)[:, None, None] * base, axis=2)
     for i, x in enumerate(elements):
         for j, z in enumerate(env.upper):
             transform.see(gaps[i, j], {"x": x, "z": z})

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -51,16 +52,18 @@ class Rep:
             raise DomainError(f"{self.group}-cover rep needs generator images {keys}, got {tuple(self.images)}")
         fixed = {}
         for key, mat in self.images.items():
-            arr = np.asarray(mat, dtype=complex)
+            arr = np.array(mat, dtype=complex)  # a copy: the stored images are made read-only
             if arr.shape != (self.dim, self.dim):
                 raise DomainError(f"image of {key} has shape {arr.shape}, expected ({self.dim},{self.dim})")
             if np.linalg.matrix_rank(arr) < self.dim:
                 raise DomainError(f"image of {key} is not invertible")
             fixed[key] = arr
         object.__setattr__(self, "images", fixed)
-        object.__setattr__(self, "_table", {
-            **fixed, "S^-1": np.linalg.inv(fixed["S"]), "T^-1": np.linalg.inv(fixed["T"]),
-            "center": np.linalg.matrix_power(fixed["S"], 4)})
+        table = {**fixed, "S^-1": np.linalg.inv(fixed["S"]), "T^-1": np.linalg.inv(fixed["T"]),
+                 "center": np.linalg.matrix_power(fixed["S"], 4)}
+        for mat in table.values():  # word_image and central_image hand these out as they are
+            mat.setflags(write=False)
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def trivial(cls, group: str) -> "Rep":
@@ -73,12 +76,10 @@ class Rep:
         return self._table["center"]
 
     def word_image(self, word: Word) -> np.ndarray:
-        out = np.eye(self.dim, dtype=complex)
-        for tok in word:
-            if tok == "R" and "R" not in self.images:
-                raise DomainError("SL-cover representation has no reflection image")
-            out = out @ self._table[tok]
-        return out
+        """The product of the stored images along ``word`` (read-only for one token), the identity for none."""
+        if "R" in word and "R" not in self.images:
+            raise DomainError("SL-cover representation has no reflection image")
+        return reduce(np.matmul, map(self._table.__getitem__, word)) if word else np.eye(self.dim, dtype=complex)
 
     def evaluate(self, x: MetaElt) -> np.ndarray:
         """Lift-and-correct value at an arbitrary cover element."""

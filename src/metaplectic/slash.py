@@ -194,7 +194,7 @@ def composition_residual(f: HoloFn, weight: Weight, x: MetaElt, y: MetaElt,
     return worst_residual(np.max(np.abs(lhs.at(z) - rhs.at(z))) for z in points)
 
 
-_CHUNK_POINTS = 3000  # points per array pass of the batch evaluators; bounds their temporaries
+_CHUNK_POINTS = 6000  # points per array pass of the batch evaluators; bounds their temporaries
 _I_POWER_ARRAY = np.array([i_power(e) for e in range(4)])
 
 
@@ -223,44 +223,36 @@ def holofn_values(f: HoloFn, at: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return values
 
 
-def slash_values(f: HoloFn, weight: Weight, elts: Sequence[MetaElt], points: Sequence[complex]) -> np.ndarray:
-    """(f|x)(z) for every element x of ``elts`` and point z, as a ``(len(elts), len(points), dim)`` array:
-    per chunk of elements, one pullback step and one call of each of ``f``'s half-plane evaluators."""
+def slash_values(f: HoloFn, weight: Weight, points: Sequence[complex], *columns: Sequence[MetaElt]) -> np.ndarray:
+    """((f|c1[r])|c2[r] ...)(z) for every row r of the equally long element ``columns`` and every point z,
+    as a ``(rows, len(points), dim)`` array: per chunk of rows, one pullback step per column, the last
+    column first, then one call of each of ``f``'s half-plane evaluators; the factors multiply innermost first."""
+    if not columns or len(set(map(len, columns))) != 1:
+        raise DomainError("slash_values needs at least one column of elements, all of one length")
     points = np.array([require_off_axis(z) for z in points], dtype=complex)
+    w, rows = weight.w, len(columns[0])
     per_chunk = max(_CHUNK_POINTS // max(points.size, 1), 1)
-    out = np.empty((len(elts), points.size, f.dim), dtype=complex)
-    for i in range(0, len(elts), per_chunk):
-        chunk = elts[i:i + per_chunk]
-        z = np.tile(points, len(chunk))
-        image, factor, src = _pullbacks(_rows(weight.w, chunk).repeat(points.size, axis=1), z, z.imag > 0, weight.w)
-        out[i:i + len(chunk)] = (holofn_values(f, image, src) * factor[:, None]).reshape(len(chunk), points.size, f.dim)
+    out = np.empty((rows, points.size, f.dim), dtype=complex)
+    for i in range(0, rows, per_chunk):
+        n = min(per_chunk, rows - i)
+        image = np.tile(points, n)
+        src, factors = image.imag > 0, []
+        for col in reversed(columns):
+            image, factor, src = _pullbacks(_rows(w, col[i:i + n]).repeat(points.size, axis=1), image, src, w)
+            factors.append(factor)
+        values = holofn_values(f, image, src)
+        for factor in reversed(factors):
+            values = values * factor[:, None]
+        out[i:i + n] = values.reshape(n, points.size, f.dim)
     return out
-
-
-def _composition_values(f: HoloFn, w: int, pairs: Sequence[tuple[MetaElt, MetaElt]], points: np.ndarray):
-    """((f|x)|y)(z) and (f|xy)(z) at every pair and point, pair-major, as two ``(n, dim)`` arrays."""
-    rows = _rows(w, [x for x, _ in pairs] + [y for _, y in pairs] + [x * y for x, y in pairs])
-    rows_x, rows_y, rows_xy = np.split(rows.repeat(points.size, axis=1), 3, axis=1)
-    z = np.tile(points, len(pairs))
-    image, factor, src = _pullbacks(rows_xy, z, z.imag > 0, w)
-    mid, factor_y, src_y = _pullbacks(rows_y, z, z.imag > 0, w)
-    inner, factor_x, src_x = _pullbacks(rows_x, mid, src_y, w)
-    values = holofn_values(f, np.concatenate((inner, image)), np.concatenate((src_x, src)))
-    return (values[:z.size] * factor_x[:, None]) * factor_y[:, None], values[z.size:] * factor[:, None]
 
 
 def composition_residuals(f: HoloFn, weight: Weight, pairs: Sequence[tuple[MetaElt, MetaElt]],
                           points: Sequence[complex]) -> np.ndarray:
-    """``composition_residual`` of every pair, as an array: per chunk of pairs, each pullback is one
-    array step and ``f``'s evaluators take an ``(n,)`` array of points once per half-plane."""
-    points = np.array([require_off_axis(z) for z in points], dtype=complex)
-    per_chunk = max(_CHUNK_POINTS // max(points.size, 1), 1)
-    out = np.zeros(len(pairs))
-    for i in range(0, len(pairs), per_chunk):
-        chunk = pairs[i:i + per_chunk]
-        lhs, rhs = _composition_values(f, weight.w, chunk, points)
-        out[i:i + len(chunk)] = np.abs(lhs - rhs).reshape(len(chunk), -1).max(axis=1, initial=0.0)
-    return out
+    """``composition_residual`` of every pair, as an array: the batch (f|x)|y less the batch f|(xy)."""
+    lhs = slash_values(f, weight, points, [x for x, _ in pairs], [y for _, y in pairs])
+    rhs = slash_values(f, weight, points, [x * y for x, y in pairs])
+    return np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0)
 
 
 def admissible_reflection_scalars(weight: Weight) -> tuple[complex, ...]:

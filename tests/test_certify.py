@@ -1,3 +1,4 @@
+import importlib
 import math
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from metaplectic.cover import S_MAT, T_MAT, Mat2, enumerate_cover
 from metaplectic.errors import DomainError
 from metaplectic.qseries import CERTIFY_CONFIG
 from metaplectic.sampling import full_grid
-from metaplectic.slash import HoloFn, Weight, _composition_values, composition_residual, composition_residuals, slash
+from metaplectic.slash import HoloFn, Weight, composition_residual, composition_residuals, slash, slash_values
 
 
 def test_check_filter_refuses_unknown_ids():
@@ -23,10 +24,12 @@ def test_check_filter_refuses_unknown_ids():
 
 
 @pytest.mark.parametrize("golden, kwargs", [("certify_w5.json", {}),
-                                             ("certify_w2_tol_1e-30.json", {"max_word_len": 2, "tol": 1e-30})])
+                                             ("certify_w2_tol_1e-30.json", {"max_word_len": 2, "tol": 1e-30}),
+                                             ("certify_w7.json", {"max_word_len": 7})])
 def test_certify_report_matches_its_golden_file(golden, kwargs):
     """The report, as ``certify --json`` writes it, equals a checked-in golden file: word length 5 with
-    the defaults (every check passes) and word length 2 at tolerance 1e-30 (every numeric witness path).
+    the defaults (every check passes), word length 2 at tolerance 1e-30 (every numeric witness path) and
+    word length 7 (the deep universe, where action_composition passes narrowly at 9.3e-10 against 1e-9).
     A golden file changes only together with a CHANGES.md line naming each value that moved."""
     want = (Path(__file__).parent / "data" / golden).read_text()
     assert _strict_json(run_certification(**kwargs)) + "\n" == want
@@ -191,6 +194,45 @@ def test_algebra_checks_pass_on_the_deep_universe():
     assert checks["algebra_product_bbb_lemma"]["params"] == {"pairs": 115600}
 
 
+@pytest.mark.parametrize("count, combos", [(7, {"(-1,-1)": 1, "(-1,1)": 2, "(1,-1)": 2, "(1,1)": 2}),
+                                           (1, {"(1,1)": 1})])
+def test_pair_draws_have_the_asked_count(monkeypatch, count, combos):
+    """``--pairs N`` draws exactly N pairs for each pair-based check, also when 4 does not divide N; the
+    first det combinations take the remainder."""
+    sizes, draw = [], certify._Env.sample_pairs
+
+    def spy(env, n):
+        pairs = draw(env, n)
+        sizes.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(certify._Env, "sample_pairs", spy)
+    report = run_certification(2, pair_count=count, check_filter=["action_composition", "rep_homomorphism"])
+    composition, _ = report["checks"]
+    assert composition["params"]["pairs"] == count and composition["params"]["det_combinations"] == combos
+    assert sizes == [count, count]
+
+
+def test_a_wrong_det_minus_one_phase_fails_the_reflection_check(monkeypatch):
+    """Negative control for the batch pullback: negating the i-exponents of every det -1 element in
+    ``slash._rows`` fails action_reflection_forms.  action_composition cannot see it, because both of its
+    routes take the same pullback."""
+    slash_module = importlib.import_module("metaplectic.slash")
+    rows = slash_module._rows
+
+    def wrong_phase(w, elts):
+        out = rows(w, elts)
+        out[5:, out[4] < 0] *= -1
+        return out
+
+    monkeypatch.setattr(slash_module, "_rows", wrong_phase)
+    report = run_certification(5, check_filter=["action_composition", "action_reflection_forms"])
+    composition, reflection = report["checks"]
+    assert reflection["check_id"] == "action_reflection_forms" and reflection["pass"] is False
+    assert reflection["max_residual"] > 1
+    assert composition["check_id"] == "action_composition" and composition["pass"] is True
+
+
 def test_batch_composition_matches_the_scalar_slash(monkeypatch):
     """At every pair and grid point of the word-length-5 action_composition sample, for both forms, the
     batch values of f|xy and (f|x)|y agree with ``slash(...).at(z)`` to 1e-12 relative to max(1, |v|)."""
@@ -205,8 +247,8 @@ def test_batch_composition_matches_the_scalar_slash(monkeypatch):
     assert run_certification(5)["pass"] is True
     assert len(calls) == 2
     for f, weight, pairs, points in calls:
-        lhs, rhs = _composition_values(f, weight.w, pairs, np.array(points))
-        lhs, rhs = (v.reshape(len(pairs), len(points), f.dim) for v in (lhs, rhs))
+        lhs = slash_values(f, weight, points, [x for x, _ in pairs], [y for _, y in pairs])
+        rhs = slash_values(f, weight, points, [x * y for x, y in pairs])
         for i, (x, y) in enumerate(pairs):
             nested, direct = slash(slash(f, weight, x), weight, y), slash(f, weight, x * y)
             for j, z in enumerate(points):

@@ -15,9 +15,9 @@ from metaplectic.sampling import full_grid, upper_grid
 from metaplectic.slash import (
     HoloFn,
     Weight,
-    _composition_values,
     admissible_reflection_scalars,
     composition_residual,
+    composition_residuals,
     cpow_int,
     holomorphy_residual,
     mobius,
@@ -241,26 +241,35 @@ def test_word_lift_through_slash():
     assert composition_residual(f, Weight(5), x, y, full_grid()[::3]) < 1e-10
 
 
+def _composed(f, weight, pairs, points):
+    """The batch values of (f|x)|y and f|xy over ``pairs``: ``slash_values`` with two columns and with one."""
+    return (slash_values(f, weight, points, [x for x, _ in pairs], [y for _, y in pairs]),
+            slash_values(f, weight, points, [x * y for x, y in pairs]))
+
+
 @pytest.mark.parametrize("build", [eta_hat_form, lambda cfg: eisenstein_form(4, cfg)])
-def test_batch_value_does_not_depend_on_its_chunk(cover4, build):
-    """A point's batch value is the same, bit for bit, alone, in another order, or among other pairs."""
+def test_batch_value_does_not_depend_on_its_chunk(cover4, build, monkeypatch):
+    """A point's batch value is the same, bit for bit, alone, in another order, among other pairs, or in
+    a batch cut into many chunks."""
     form = build(CERTIFY_CONFIG)
-    w = form.weight.w
     plus = [e for e in cover4.elements() if e.det() == 1]
     minus = [e for e in cover4.elements() if e.det() == -1]
     pairs = [(px[7 * i % len(px)], py[11 * i % len(py)])
              for px, py in ((plus, plus), (plus, minus), (minus, plus), (minus, minus)) for i in range(1, 6)]
     points = np.array(full_grid() + (0.37 + 0.02j, -1.21 - 0.004j))
-    lhs, rhs = (v.reshape(len(pairs), points.size, form.fn.dim) for v in _composition_values(form.fn, w, pairs, points))
+    lhs, rhs = _composed(form.fn, form.weight, pairs, points)
+    assert lhs.shape == rhs.shape == (len(pairs), points.size, form.fn.dim)
     for i, pair in enumerate(pairs):
-        alone = _composition_values(form.fn, w, [pair], points[::-1])
-        assert np.array_equal(alone[0], lhs[i, ::-1]) and np.array_equal(alone[1], rhs[i, ::-1])
+        alone = _composed(form.fn, form.weight, [pair], points[::-1])
+        assert np.array_equal(alone[0][0], lhs[i, ::-1]) and np.array_equal(alone[1][0], rhs[i, ::-1])
         for j, z in enumerate(points[:3]):
-            single = _composition_values(form.fn, w, [pair], np.array([z]))
-            assert np.array_equal(single[0][0], lhs[i, j]) and np.array_equal(single[1][0], rhs[i, j])
-    swapped = _composition_values(form.fn, w, pairs[::-1], points)
-    assert np.array_equal(swapped[0].reshape(lhs.shape)[::-1], lhs)
-    assert np.array_equal(swapped[1].reshape(rhs.shape)[::-1], rhs)
+            single = _composed(form.fn, form.weight, [pair], [z])
+            assert np.array_equal(single[0][0, 0], lhs[i, j]) and np.array_equal(single[1][0, 0], rhs[i, j])
+    swapped = _composed(form.fn, form.weight, pairs[::-1], points)
+    assert np.array_equal(swapped[0][::-1], lhs) and np.array_equal(swapped[1][::-1], rhs)
+    monkeypatch.setattr(importlib.import_module("metaplectic.slash"), "_CHUNK_POINTS", 3 * points.size)
+    rechunked = _composed(form.fn, form.weight, pairs, points)
+    assert np.array_equal(rechunked[0], lhs) and np.array_equal(rechunked[1], rhs)
 
 
 def _oracle_cases(cover4):
@@ -276,7 +285,7 @@ def test_slash_values_match_the_scalar_slash(cover4):
     """Every element of the word-length-4 cover at every grid point: the batch value of f|x agrees with
     ``slash(f, w, x).at(z)`` to 1e-12 relative to max(1, |v|)."""
     for f, weight, elts, points in _oracle_cases(cover4):
-        got = slash_values(f, weight, elts, points)
+        got = slash_values(f, weight, points, elts)
         assert got.shape == (len(elts), len(points), f.dim)
         for x, row in zip(elts, got):
             acted = slash(f, weight, x)
@@ -289,13 +298,13 @@ def test_slash_values_do_not_depend_on_their_chunk(cover4, monkeypatch):
     """A value is the same, bit for bit, for one element alone, at one point alone, or in a batch cut into
     many chunks."""
     for f, weight, elts, points in _oracle_cases(cover4):
-        whole = slash_values(f, weight, elts, points)
+        whole = slash_values(f, weight, points, elts)
         for i in range(0, len(elts), 17):
-            assert np.array_equal(slash_values(f, weight, elts[i:i + 1], points)[0], whole[i])
-            assert np.array_equal(slash_values(f, weight, elts[i:i + 1], points[i % len(points):][:1])[0, 0],
+            assert np.array_equal(slash_values(f, weight, points, elts[i:i + 1])[0], whole[i])
+            assert np.array_equal(slash_values(f, weight, points[i % len(points):][:1], elts[i:i + 1])[0, 0],
                                   whole[i, i % len(points)])
         monkeypatch.setattr(importlib.import_module("metaplectic.slash"), "_CHUNK_POINTS", 5 * len(points))
-        assert np.array_equal(slash_values(f, weight, elts, points), whole)
+        assert np.array_equal(slash_values(f, weight, points, elts), whole)
         monkeypatch.undo()
 
 
@@ -307,13 +316,25 @@ def test_slash_values_refuse_like_holofn_at(cover4):
     with pytest.raises(DomainError) as want:
         f.at(near)
     with pytest.raises(DomainError) as got:
-        slash_values(f, Weight(1), cover4.elements(), (1j, near))
+        slash_values(f, Weight(1), (1j, near), cover4.elements())
     assert str(got.value) == str(want.value)
     up_only = eta_fn(CERTIFY_CONFIG)
     with pytest.raises(DomainError) as want:
         up_only.at(-1j)
     assert str(want.value) == "function has no lower half-plane evaluator"
     with pytest.raises(DomainError) as got:
-        slash_values(up_only, Weight(1), [LIFT_S, LIFT_R], upper_grid())  # R takes the upper grid below
+        slash_values(up_only, Weight(1), upper_grid(), [LIFT_S, LIFT_R])  # R takes the upper grid below
     assert str(got.value) == str(want.value)
-    assert slash_values(f, Weight(1), [], full_grid()).shape == (0, len(full_grid()), 2)
+    assert slash_values(f, Weight(1), full_grid(), []).shape == (0, len(full_grid()), 2)
+    with pytest.raises(DomainError, match="at least one column"):
+        slash_values(f, Weight(1), full_grid())
+    with pytest.raises(DomainError, match="all of one length"):
+        slash_values(f, Weight(1), full_grid(), [LIFT_S, LIFT_R], [LIFT_S])
+
+
+def test_composition_residuals_of_empty_inputs():
+    """No pairs give an empty array; no points give a zero residual for every pair."""
+    f, pairs = eta_hat_form(CERTIFY_CONFIG).fn, [(LIFT_S, LIFT_R), (LIFT_R, LIFT_R)]
+    assert composition_residuals(f, Weight(1), [], full_grid()).shape == (0,)
+    got = composition_residuals(f, Weight(1), pairs, [])
+    assert got.shape == (2,) and np.array_equal(got, np.zeros(2))
