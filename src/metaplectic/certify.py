@@ -204,34 +204,31 @@ def cocycle_triple_violations(mats: Sequence[Mat2]) -> tuple[int, Optional[dict]
     """Triples (a, b, c) of ``mats`` breaking A(a,b) A(ab,c) = A(a,bc) A(b,c), and the first one:
     first c, then the first (a, b) in row-major order.
 
-    Once s3, the chi bit of (ab)c, is fixed, the identity's four cocycle bits split into a part in
-    (a, b) that sees c only through its det and chi bits and a part in (b, c) that sees a only
-    through its bits.  Both are tabled for the four kinds of bits and for either s3, as C and D in
-    C ^ (s3 & D); each slice over c then computes s3 alone.
+    The identity sees a only through det a and a's bottom row (c, d): chi(a) is read off that row;
+    ab and abc have the bottom rows (c, d)·b and (c, d)·bc; and det(ab), det(abc) need only det a.
+    So each slice over c evaluates the four cocycle bits for one representative a per (det, c, d)
+    key, weights each key's violations by how many matrices share it, and maps the keys back to
+    the original a order for the witness.  This is exact because ``chi_negative`` is a function of
+    the bottom row alone, as its signature makes it.
     """
     a, b, c, d = _entry_rows(mats, 3)
     det_neg, chi_neg = a * d - b * c < 0, chi_negative(c, d)
-    kinds = ((False, False), (False, True), (True, False), (True, True))
-    kind = 2 * det_neg + chi_neg  # index of each matrix's (det, chi) bits in ``kinds``
     pc, pd = c[:, None] * a + d[:, None] * c, c[:, None] * b + d[:, None] * d  # bottom rows of the pair products
     d_p, s_p = det_neg[:, None] ^ det_neg, chi_negative(pc, pd)
     a_p = cocycle_bit(det_neg[:, None], det_neg, chi_neg[:, None], chi_neg, s_p)
-
-    def parts(s3):  # A(a,b) ^ A(ab,c) as [kind of c, a, b] and A(a,bc) ^ A(b,c) as [kind of a, c, b]
-        return (np.stack([a_p ^ cocycle_bit(d_p, dk, s_p, sk, s3) for dk, sk in kinds]),
-                np.stack([a_p.T ^ cocycle_bit(di, d_p, si, s_p.T, s3) for di, si in kinds]))
-
-    c_ab, c_bc = parts(False)
-    d_ab, d_bc = (c ^ t for c, t in zip((c_ab, c_bc), parts(True)))
-    c3, d3, term = np.empty_like(pc), np.empty_like(pc), np.empty_like(pc)  # reused: no n^2 allocations per slice
+    _, first, inverse, counts = np.unique(np.stack([det_neg, c, d]), axis=1, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    pc_r, pd_r, d_r, s_r, a_r = pc[first], pd[first], d_p[first], s_p[first], a_p[first]  # one row per key
+    det_r, chi_r = det_neg[first, None], chi_neg[first, None]
+    s_cb, a_cb = s_p.T.copy(), a_p.T.copy()  # chi(bc), A(b,c) as [c, b]; a slice reads rows (d_p is symmetric)
     violations, witness = 0, None
     for k in range(len(mats)):
-        np.add(np.multiply(pc, a[k], out=c3), np.multiply(pd, c[k], out=term), out=c3)
-        np.add(np.multiply(pc, b[k], out=d3), np.multiply(pd, d[k], out=term), out=d3)
-        bad = c_ab[kind[k]] ^ c_bc[kind, k] ^ (chi_negative(c3, d3) & (d_ab[kind[k]] ^ d_bc[kind, k]))
-        count = int(np.count_nonzero(bad))
+        s3 = chi_negative(pc_r * a[k] + pd_r * c[k], pc_r * b[k] + pd_r * d[k])  # chi bit of (ab)c = a(bc)
+        bad = (a_r ^ cocycle_bit(d_r, det_neg[k], s_r, chi_neg[k], s3)
+               ^ cocycle_bit(det_r, d_p[k], chi_r, s_cb[k], s3) ^ a_cb[k])
+        count = int(counts @ np.count_nonzero(bad, axis=1))
         if count and witness is None:
-            i, j = np.argwhere(bad)[0]
+            i, j = np.argwhere(bad[inverse])[0]
             witness = {"alpha": mats[i], "beta": mats[j], "gamma": mats[k]}
         violations += count
     return violations, witness

@@ -139,7 +139,9 @@ class Rep:
                 key: np.array([[complex(re, im) for re, im in row] for row in mat], dtype=complex)
                 for key, mat in data["images"].items()
             }
-            return cls(data["group"], int(data["dim"]), images)
+            if type(data["dim"]) is not int:  # a JSON integer: no float, string or bool
+                raise TypeError(f"dim must be an integer, got {data['dim']!r}")
+            return cls(data["group"], data["dim"], images)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"bad representation serialisation: {exc}") from exc
 

@@ -157,19 +157,8 @@ def slash(f: HoloFn, weight: Weight, x: MetaElt) -> HoloFn:
 
 
 def reflection_route(f: HoloFn, weight: Weight, elts: Sequence[MetaElt], variant: str) -> tuple[HoloFn, list, complex]:
-    """The pieces of ``slash_via_reflection_rule`` for determinant -1 ``elts``: f o R, the rest
-    element [R*gamma, -+A(R, gamma) eps] of each element, and the phase i^(+-2k) of ``variant``."""
-    if any(x.det() != -1 for x in elts):
-        raise DomainError("reflection-rule route applies to determinant -1 elements")
-    if variant not in ("direct", "inverse"):
-        raise DomainError(f"unknown variant {variant!r}")
-    sign = -1 if variant == "direct" else 1
-    rests = [MetaElt(R_MAT * x.gamma, sign * cocycle(R_MAT, x.gamma) * x.eps) for x in elts]
-    return f.compose_reflection(), rests, i_power(-sign * weight.w)
-
-
-def slash_via_reflection_rule(f: HoloFn, weight: Weight, x: MetaElt, variant: str = "direct") -> HoloFn:
-    """Alternative route for determinant -1 elements, used for cross-checks.
+    """The pieces of the reflection-rule route, a cross-check of :func:`slash` on determinant -1
+    ``elts``: f o R, each element's rest element and the phase of ``variant`` in
 
     ``direct``:  i^{2k} (f o R) |_k [R*gamma, -A(R,gamma) eps]
     ``inverse``: i^{-2k} (f o R) |_k [R*gamma, +A(R,gamma) eps]
@@ -177,8 +166,13 @@ def slash_via_reflection_rule(f: HoloFn, weight: Weight, x: MetaElt, variant: st
     Both reduce to the same action as :func:`slash`; the central sign of the
     determinant-one element absorbs the phase difference.
     """
-    reflected, (rest,), phase = reflection_route(f, weight, [x], variant)
-    return slash(reflected, weight, rest).scale(phase)
+    if any(x.det() != -1 for x in elts):
+        raise DomainError("reflection-rule route applies to determinant -1 elements")
+    if variant not in ("direct", "inverse"):
+        raise DomainError(f"unknown variant {variant!r}")
+    sign = -1 if variant == "direct" else 1
+    rests = [MetaElt(R_MAT * x.gamma, sign * cocycle(R_MAT, x.gamma) * x.eps) for x in elts]
+    return f.compose_reflection(), rests, i_power(-sign * weight.w)
 
 
 def worst_residual(residuals) -> float:

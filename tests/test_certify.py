@@ -171,18 +171,24 @@ def test_bbb_report_shows_the_kernel_count(cover4, monkeypatch):
     assert check["max_residual"] == certify.bbb_violations(cover4.sl_matrices())[0] == 386
 
 
-@pytest.mark.parametrize("row", [None, (1, 0), (0, -1), (2, 1)])
+@pytest.mark.parametrize("row", [None, (1, 0), (0, -1), (2, 1), "mutated_cocycle_bit"])
 def test_cocycle_triple_kernel_matches_the_scalar_loop(monkeypatch, row):
-    """The triple kernel against the triple-by-triple loop on the word-length-2 universe, as it stands and
-    with chi flipped on one bottom row in both: the same count and the same first witness."""
+    """The triple kernel against the triple-by-triple loop on the word-length-2 universe, as it stands, with
+    chi flipped on one bottom row in both, and with a mutated ``cocycle_bit`` in both: the same count and the
+    same first witness.  The mutation fails 584 triples over 21 matrices in 11 (det, bottom row) keys of up
+    to 5 matrices each, so it pins the kernel's key weights and its witness in the original order."""
     mats = enumerate_cover(2).matrices()
+    if row == "mutated_cocycle_bit":  # det a left out of the second Hilbert symbol
+        name, rule = "cocycle_bit", lambda da, db, sa, sb, sab: (da & db) ^ ((sab ^ sa) & (sab ^ sb))
+    elif row is not None:
+        name, rule = "chi_negative", _flip_at(cover.chi_negative, *row)
     if row is not None:
-        flipped = _flip_at(cover.chi_negative, *row)
-        monkeypatch.setattr(cover, "chi_negative", flipped)
-        monkeypatch.setattr(certify, "chi_negative", flipped)
+        monkeypatch.setattr(cover, name, rule)
+        monkeypatch.setattr(certify, name, rule)
     count, witness = certify.cocycle_triple_violations(mats)
     assert (count, witness) == _cocycle_triple_loop(mats)
     assert (count > 0) == (row is not None)
+    assert row != "mutated_cocycle_bit" or count == 584
 
 
 def test_algebra_checks_pass_on_the_deep_universe():

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parse_complex_round_trip():
@@ -280,3 +285,15 @@ def test_certify_report_is_strict_json(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "modularity_residual", lambda *args: float("inf"))
     code, out, _ = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T", "--json")
     assert code == 1 and json.loads(out, parse_constant=refuse)["residual"] == "inf"
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    """Every ``$ metaplectic eval`` and ``$ metaplectic check`` example in README's Examples block prints exactly
+    the lines shown under it, with exit 0; the certify example is left out, its output is elided."""
+    block = README.read_text().split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = [chunk.splitlines() for chunk in block.strip().split("\n\n")]
+    runs = [(shlex.split(command.removeprefix("$ metaplectic ")), shown) for command, *shown in examples
+            if command.startswith(("$ metaplectic eval ", "$ metaplectic check "))]
+    assert len(runs) == 4
+    for argv, shown in runs:
+        assert run_cli(capsys, *argv)[:2] == (0, "".join(line + "\n" for line in shown)), argv

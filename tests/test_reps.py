@@ -150,6 +150,11 @@ def test_rep_serialisation_round_trip(tmp_path):
     bad.write_text(json.dumps({"group": "SL", "dim": 1, "images": [1, 2]}))  # images not a mapping
     with pytest.raises(DomainError, match="bad representation serialisation"):
         Rep.load(bad)
+    good = eta_character().to_json_dict()
+    for dim in (1.9, "1", True):  # dim must be a JSON integer, not one that int() accepts
+        bad.write_text(json.dumps({**good, "dim": dim}))
+        with pytest.raises(DomainError, match="bad representation serialisation"):
+            Rep.load(bad)
 
 
 def test_extend_form_even_weight(qcfg):

@@ -21,9 +21,9 @@ from metaplectic.slash import (
     cpow_int,
     holomorphy_residual,
     mobius,
+    reflection_route,
     slash,
     slash_values,
-    slash_via_reflection_rule,
     worst_residual,
 )
 
@@ -204,16 +204,16 @@ def test_composition_all_det_cases(cover4):
 def test_reflection_route_variants(cover4):
     f = entire_fn()
     elts = [e for e in cover4.elements() if e.det() == -1][:15]
-    for x in elts:
-        direct = slash(f, Weight(1), x)
-        for variant in ("direct", "inverse"):
-            alt = slash_via_reflection_rule(f, Weight(1), x, variant)
+    for variant in ("direct", "inverse"):
+        reflected, rests, phase = reflection_route(f, Weight(1), elts, variant)
+        for x, rest in zip(elts, rests):
+            direct, alt = slash(f, Weight(1), x), slash(reflected, Weight(1), rest).scale(phase)
             for z in full_grid()[::4]:
                 assert abs(direct.at(z)[0] - alt.at(z)[0]) < 1e-12
     with pytest.raises(DomainError):
-        slash_via_reflection_rule(f, Weight(1), LIFT_S)  # det +1
+        reflection_route(f, Weight(1), [LIFT_S], "direct")  # det +1
     with pytest.raises(DomainError):
-        slash_via_reflection_rule(f, Weight(1), LIFT_R, "bogus")
+        reflection_route(f, Weight(1), [LIFT_R], "bogus")
 
 
 def test_lambda_sets():
