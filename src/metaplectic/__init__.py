@@ -5,7 +5,7 @@ desk-scale certification suite for the whole stack."""
 __version__ = "0.1.0"
 
 from .automorphy import i_power, phi_lower, phi_upper, principal_sqrt
-from .certify import CheckReport, run_certification
+from .certify import run_certification
 from .cover import (
     CENTER_FLIP,
     LIFT_R,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -39,21 +39,13 @@ DEFAULT_PAIR_COUNT = 500
 ETA_AT_I = 0.7682254223260566590025941795761806
 
 
-@dataclass
-class CheckReport:
-    """One certification check: id, inputs, universe, residual, verdict."""
-
-    check_id: str
-    params: dict
-    universe: str
-    max_residual: float | str
-    passed: bool
-    counterexample: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["pass"] = out.pop("passed")
-        return out
+def require_tolerance(tol: float) -> float:
+    """``tol`` if it is a finite number at least 0; a negative one would fail even an exact zero."""
+    if not math.isfinite(tol):
+        raise DomainError(f"tolerance must be a finite number, got {tol}")
+    if tol < 0:
+        raise DomainError(f"tolerance must be nonnegative, got {tol}")
+    return tol
 
 
 class _Env:
@@ -63,9 +55,7 @@ class _Env:
                  pair_count: int, force: bool, qcfg: QSeriesConfig):
         if pair_count < 1:
             raise DomainError(f"pair count must be at least 1, got {pair_count}")
-        if tol is not None and not math.isfinite(tol):
-            raise DomainError(f"tolerance must be a finite number, got {tol}")
-        self.tol_override = tol
+        self.tol_override = tol if tol is None else require_tolerance(tol)
         self.pair_count = pair_count
         self.qcfg = qcfg
         self.cover: CoverSet = enumerate_cover(max_word_len, force=force)
@@ -82,7 +72,6 @@ class _Env:
         self._forms: dict = {}
         # branch_profile of a matrix over the upper points, once per matrix; a DomainError is not kept
         self.branch_sign = lru_cache(maxsize=None)(lambda g: branch_profile(g, self.upper))
-        self.check_id = ""  # the running check, set by run_certification
 
     def tol(self, pinned: float) -> float:
         return self.tol_override if self.tol_override is not None else pinned
@@ -90,7 +79,7 @@ class _Env:
     def form(self, name: str) -> VVForm:
         """The form registered under ``name`` in ``NAMED_FORMS``, built once."""
         if name not in self._forms:
-            self._forms[name] = NAMED_FORMS[name][0](self.qcfg)
+            self._forms[name] = NAMED_FORMS[name](self.qcfg)
         return self._forms[name]
 
     def sample_pairs(self, count: int) -> list[tuple[MetaElt, MetaElt]]:
@@ -120,54 +109,43 @@ def _shown(value):
 
 
 def _verdict(env: _Env, params: dict, shown, passed: bool, counterexample: Optional[dict],
-             universe: Optional[str] = None) -> CheckReport:
-    """The running check's report; the universe defaults to the enumerated cover."""
+             universe: Optional[str] = None) -> dict:
+    """A check's report, all but its ``check_id``; the universe defaults to the enumerated cover."""
     if not passed and counterexample is None:
         counterexample = {"detail": "no witness captured; see params"}
-    return CheckReport(env.check_id, params, env.universe if universe is None else universe, shown, passed,
-                       None if passed else {key: _shown(value) for key, value in counterexample.items()})
-
-
-def _report(env: _Env, params: dict, residual, pinned: float, counterexample: Optional[dict] = None,
-            universe: Optional[str] = None) -> CheckReport:
-    """Numeric verdict: passes when ``residual`` is within the pinned tolerance (or the override)."""
-    tol = env.tol(pinned)
-    return _verdict(env, {**params, "tolerance": tol}, float(residual), float(residual) <= tol,
-                    counterexample, universe)
+    return {"params": params, "universe": env.universe if universe is None else universe, "max_residual": shown,
+            "pass": passed, "counterexample": None if passed else {k: _shown(v) for k, v in counterexample.items()}}
 
 
 def _exact(env: _Env, params: dict, bad: Optional[dict], count=1,
-           universe: Optional[str] = None) -> CheckReport:
+           universe: Optional[str] = None) -> dict:
     """Exact verdict: passes when there is no counterexample ``bad``; ``count`` is shown otherwise."""
     return _verdict(env, params, "exact" if bad is None else count, bad is None, bad, universe)
 
 
-class _Worst:
-    """Running maximum of a residual, keeping the first witness that reached it (NaN beats any number);
-    a witness of None raises the maximum but keeps the witness so far."""
-
-    def __init__(self):
-        self.value, self.witness = 0.0, None
-
-    def see(self, r, witness: Optional[dict]) -> None:
-        if r > self.value or (math.isnan(r) and not math.isnan(self.value)):
-            self.value, self.witness = r, self.witness if witness is None else witness
+def _worst(cases) -> tuple[float, Optional[dict]]:
+    """The largest residual of ``cases``, pairs (residual, witness), 0.0 for none, and the first witness
+    that reached it (NaN beats any number); a witness of None raises the maximum but keeps the witness so far."""
+    value, kept = 0.0, None
+    for r, witness in cases:
+        if r > value or (math.isnan(r) and not math.isnan(value)):
+            value, kept = r, kept if witness is None else witness
+    return value, kept
 
 
-def _sweep(env: _Env, params: dict, pinned: float, cases, universe: Optional[str] = None) -> CheckReport:
+def _sweep(env: _Env, params: dict, pinned: float, cases, universe: Optional[str] = None) -> dict:
     """Numeric verdict over ``cases``, pairs (residual, witness): the worst residual and the first
     witness that reached it, within the pinned tolerance (or the override)."""
-    worst = _Worst()
-    for r, witness in cases:
-        worst.see(r, witness)
-    return _report(env, params, worst.value, pinned, worst.witness, universe)
+    value, witness = _worst(cases)
+    tol, residual = env.tol(pinned), float(value)
+    return _verdict(env, {**params, "tolerance": tol}, residual, residual <= tol, witness, universe)
 
 
 # ---------------------------------------------------------------------------
 # exact algebra
 
 
-def check_unit_values(env: _Env) -> CheckReport:
+def check_unit_values(env: _Env) -> dict:
     cases = [
         ("chi(S)", kubota_chi(S_MAT), 1),
         ("chi(T)", kubota_chi(T_MAT), 1),
@@ -234,14 +212,14 @@ def cocycle_triple_violations(mats: Sequence[Mat2]) -> tuple[int, Optional[dict]
     return violations, witness
 
 
-def check_cocycle_triples(env: _Env) -> CheckReport:
+def check_cocycle_triples(env: _Env) -> dict:
     """Cocycle identity A(a,b)A(ab,c) = A(a,bc)A(b,c) on every enumerated triple."""
     mats = env.cover.matrices()
     violations, witness = cocycle_triple_violations(mats)
     return _exact(env, {"matrices": len(mats), "triples": len(mats) ** 3}, witness, violations)
 
 
-def check_reflection_sign_lemma(env: _Env) -> CheckReport:
+def check_reflection_sign_lemma(env: _Env) -> dict:
     def bad(g):
         want = -reflection_sign(g)
         lhs1 = cocycle(R_MAT, g) * cocycle(R_MAT * g, R_MAT)
@@ -253,20 +231,19 @@ def check_reflection_sign_lemma(env: _Env) -> CheckReport:
     return _exact(env, {"matrices": len(mats)}, next(filter(None, map(bad, mats)), None))
 
 
-def check_conjugation_lemma(env: _Env) -> CheckReport:
-    r_inv = LIFT_R.inv()
-
+def check_conjugation_lemma(env: _Env) -> dict:
+    """The closed form R~[g, eps]R~^-1 = [RgR, B(g) eps] against the product route of ``conj_by_reflection``."""
     def bad(x):
-        via_products = LIFT_R * x * r_inv
+        via_products = conj_by_reflection(x)
         closed = MetaElt(x.gamma.reflect_conjugate(), reflection_sign(x.gamma) * x.eps)
-        if conj_by_reflection(x) != via_products or closed != via_products:
+        if closed != via_products:
             return {"x": x, "products": via_products, "closed_form": closed}
 
     elts = env.cover.sl_elements()
     return _exact(env, {"elements": len(elts)}, next(filter(None, map(bad, elts)), None))
 
 
-def check_generator_inversion(env: _Env) -> CheckReport:
+def check_generator_inversion(env: _Env) -> dict:
     ok = (conj_by_reflection(LIFT_S) == LIFT_S.inv()
           and conj_by_reflection(LIFT_T) == LIFT_T.inv())
     return _exact(env, {}, None if ok else {"conj_S": conj_by_reflection(LIFT_S), "inv_S": LIFT_S.inv(),
@@ -292,14 +269,14 @@ def bbb_violations(mats: Sequence[Mat2]) -> tuple[int, Optional[dict]]:
                                         "lhs": -1 if lhs[i, j] else 1, "rhs": -1 if rhs[i, j] else 1}
 
 
-def check_product_bbb_lemma(env: _Env) -> CheckReport:
+def check_product_bbb_lemma(env: _Env) -> dict:
     """cocycle(a,b) cocycle(RaR,RbR) = B(a) B(b) B(ab) on enumerated det-one pairs."""
     mats = env.cover.sl_matrices()
     count, witness = bbb_violations(mats)
     return _exact(env, {"pairs": len(mats) ** 2}, witness, count)
 
 
-def check_order_relations(env: _Env) -> CheckReport:
+def check_order_relations(env: _Env) -> dict:
     s2 = LIFT_S * LIFT_S
     s4 = s2 * s2
     z2 = LIFT_Z * LIFT_Z
@@ -322,7 +299,7 @@ def check_order_relations(env: _Env) -> CheckReport:
     return _exact(env, params, problems or None, len(problems))
 
 
-def check_inverse_involution(env: _Env) -> CheckReport:
+def check_inverse_involution(env: _Env) -> dict:
     ident = MetaElt.identity()
     elts = env.cover.elements()
     bad = next((x for x in elts if x.inv().inv() != x or x * x.inv() != ident or x.inv() * x != ident), None)
@@ -333,7 +310,7 @@ def check_inverse_involution(env: _Env) -> CheckReport:
 # automorphy factors
 
 
-def check_phi_section(env: _Env) -> CheckReport:
+def check_phi_section(env: _Env) -> dict:
     mats = env.cover.sl_matrices()
     idx = env.rng.integers(0, len(mats), size=(env.pair_count, 2))
     pairs = [(a, b, cocycle(a, b), a * b) for a, b in ((mats[i], mats[j]) for i, j in idx)]
@@ -348,7 +325,7 @@ def check_phi_section(env: _Env) -> CheckReport:
     return _sweep(env, {"pairs": env.pair_count, "points": len(env.upper)}, 1e-10, cases)
 
 
-def check_phi_squaring(env: _Env) -> CheckReport:
+def check_phi_squaring(env: _Env) -> dict:
     mats = env.cover.sl_matrices()
     halves = (("upper", phi_upper, env.upper), ("lower", phi_lower, env.lower))
     cases = ((abs(phi(g, z) ** 2 - (g.c * z + g.d)), {"gamma": g, "z": z, "half": half})
@@ -356,7 +333,7 @@ def check_phi_squaring(env: _Env) -> CheckReport:
     return _sweep(env, {"matrices": len(mats)}, 1e-12, cases)
 
 
-def check_phi_well_defined(env: _Env) -> CheckReport:
+def check_phi_well_defined(env: _Env) -> dict:
     usable = [(e, w1, w2) for (e, w1, w2) in env.cover.alternates
               if e.det() == 1 and "R" not in w1 and "R" not in w2]
 
@@ -369,7 +346,7 @@ def check_phi_well_defined(env: _Env) -> CheckReport:
     return _sweep(env, {"word_pairs": len(usable)}, 1e-12, cases())
 
 
-def check_phi_branch_profile(env: _Env) -> CheckReport:
+def check_phi_branch_profile(env: _Env) -> dict:
     """The word-route factor is a constant sign times sqrt(c z + d), the sign ``phi_upper`` carries."""
     signs = Counter()
     mismatches, bad = 0, None
@@ -391,7 +368,7 @@ def check_phi_branch_profile(env: _Env) -> CheckReport:
 # slash action
 
 
-def check_action_composition(env: _Env) -> CheckReport:
+def check_action_composition(env: _Env) -> dict:
     """(f|x)|y = f|(xy) for eta-hat and E4 on the sampled pairs at every grid point, batched per form by
     ``composition_residuals``.  Both of its routes take the same ``slash_values`` pullback, so an error in
     that pullback that keeps the action law (a wrong det -1 phase) shows only in action_reflection_forms."""
@@ -408,11 +385,11 @@ def check_action_composition(env: _Env) -> CheckReport:
                         "det_combinations": det_combinations}, 1e-9, cases())
 
 
-def check_action_reflection_forms(env: _Env) -> CheckReport:
+def check_action_reflection_forms(env: _Env) -> dict:
     """The four-case action agrees with both reflection-route formulas on det -1 elements."""
     elts = [e for e in env.cover.elements() if e.det() == -1][:40]
-    fn = env.form("eta-hat").fn
-    weight = Weight(1)
+    hat = env.form("eta-hat")
+    fn, weight = hat.fn, hat.weight
     direct = slash_values(fn, weight, env.grid, elts)
     routes = {variant: reflection_route(fn, weight, elts, variant) for variant in ("direct", "inverse")}
     gaps = {variant: _gap(direct, phase * slash_values(reflected, weight, env.grid, rests), axis=2)
@@ -422,24 +399,24 @@ def check_action_reflection_forms(env: _Env) -> CheckReport:
     return _sweep(env, {"elements": len(elts)}, 1e-9, cases)
 
 
-def check_action_classical_match(env: _Env) -> CheckReport:
+def check_action_classical_match(env: _Env) -> dict:
     """On det +1 and the upper half-plane, the action is the classical slash.
 
     Independent route for even doubled weight: the prefactor is an integer
     power of (c z + d), no square roots involved.
     """
-    fn = env.form("e4").fn
+    e4 = env.form("e4")
     elts = env.cover.sl_elements()[:80]
     a, b, c, d = np.array([x.gamma.entries() for x in elts], dtype=np.int64).T[:, :, None, None]
     z = np.array(env.upper)[:, None]
     image = (a * z + b) / (c * z + d)  # (elements, points, 1)
-    classical = holofn_values(fn, image.ravel(), image.ravel().imag > 0).reshape(image.shape) * (1 / (c * z + d) ** 4)
-    gaps = _gap(slash_values(fn, Weight(8), env.upper, elts), classical, axis=2)
+    classical = holofn_values(e4.fn, image.ravel(), image.ravel().imag > 0).reshape(image.shape) * (1 / (c * z + d) ** 4)
+    gaps = _gap(slash_values(e4.fn, e4.weight, env.upper, elts), classical, axis=2)
     cases = ((gaps[i, j], {"x": x, "z": z}) for i, x in enumerate(elts) for j, z in enumerate(env.upper))
     return _sweep(env, {"elements": len(elts)}, 1e-9, cases)
 
 
-def check_action_lambda_sets(env: _Env) -> CheckReport:
+def check_action_lambda_sets(env: _Env) -> dict:
     expected = {
         1: {1j, -1j}, 3: {1j, -1j},
         2: {1, -1, 1j, -1j}, 4: {1, -1, 1j, -1j}, 8: {1, -1, 1j, -1j},
@@ -456,7 +433,7 @@ def check_action_lambda_sets(env: _Env) -> CheckReport:
 # representations
 
 
-def check_rep_central_scalar(env: _Env) -> CheckReport:
+def check_rep_central_scalar(env: _Env) -> dict:
     rho = eta_character()
     reps = [
         ("eta_character", rho, 1),
@@ -471,7 +448,7 @@ def check_rep_central_scalar(env: _Env) -> CheckReport:
                   universe="representations attached to weight-w form spaces")
 
 
-def check_rep_well_defined(env: _Env) -> CheckReport:
+def check_rep_well_defined(env: _Env) -> dict:
     rho_hat = eta_character().induce(Weight(1))
     cases = ((_gap(rho_hat.word_image(w1), rho_hat.word_image(w2)),
               {"element": elt, "word_1": format_word(w1), "word_2": format_word(w2)})
@@ -479,7 +456,7 @@ def check_rep_well_defined(env: _Env) -> CheckReport:
     return _sweep(env, {"word_pairs": len(env.cover.alternates)}, 1e-10, cases)
 
 
-def check_rep_homomorphism(env: _Env) -> CheckReport:
+def check_rep_homomorphism(env: _Env) -> dict:
     rho = eta_character()
     rho_hat = rho.induce(Weight(1))
     pairs = env.sample_pairs(env.pair_count)
@@ -495,7 +472,7 @@ def check_rep_homomorphism(env: _Env) -> CheckReport:
     return _sweep(env, {"pairs_per_rep": env.pair_count}, 1e-10, cases())
 
 
-def check_rep_twist_properties(env: _Env) -> CheckReport:
+def check_rep_twist_properties(env: _Env) -> dict:
     rho = eta_character()
     twist = rho.r_twist()
     triv = Rep.trivial("SL")
@@ -503,11 +480,11 @@ def check_rep_twist_properties(env: _Env) -> CheckReport:
     for key in ("S", "T"):
         gaps.append(_gap(triv.r_twist().images[key], triv.images[key]))
         gaps.append(_gap(twist.r_twist().images[key], rho.images[key]))
-    return _report(env, {}, worst_residual(gaps), 1e-12, {"detail": "twist identities"},
-                   universe="eta character and the trivial representation")
+    return _sweep(env, {}, 1e-12, [(worst_residual(gaps), {"detail": "twist identities"})],
+                  universe="eta character and the trivial representation")
 
 
-def check_rep_induction_matrices(env: _Env) -> CheckReport:
+def check_rep_induction_matrices(env: _Env) -> dict:
     rho = eta_character()
     rho_hat = rho.induce(Weight(1))
     want_t = np.diag([rho.images["T"][0, 0], np.conj(rho.images["T"][0, 0])])
@@ -517,25 +494,25 @@ def check_rep_induction_matrices(env: _Env) -> CheckReport:
     worst = worst_residual((_gap(rho_hat.images["R"], np.array([[0, 1], [-1, 0]], dtype=complex)),
                             _gap(rho_hat.images["T"], want_t), _gap(res.images["T"], want_t),
                             0.0 if dims_ok and triv_ok else 1.0))
-    return _report(env, {"restricted_dim_doubles": dims_ok, "trivial_restricts": triv_ok}, worst, 1e-12,
-                   universe="the induced eta character")
+    return _sweep(env, {"restricted_dim_doubles": dims_ok, "trivial_restricts": triv_ok}, 1e-12, [(worst, None)],
+                  universe="the induced eta character")
 
 
 # ---------------------------------------------------------------------------
 # forms: round trips
 
 
-def check_restriction_round_trip(env: _Env) -> CheckReport:
+def check_restriction_round_trip(env: _Env) -> dict:
     def cases():
         e4 = env.form("e4")
         upper_only = HoloFn(1, e4.fn.upper, None)
-        rebuilt = extend_form(upper_only, Weight(8), Rep.trivial("GL"), points=env.upper)
+        rebuilt = extend_form(upper_only, e4.weight, Rep.trivial("GL"), points=env.upper)
         if rebuilt.fn.upper is not upper_only.upper:
             yield 1.0, {"detail": "extension must reuse the given upper evaluator"}
         for z in env.lower:
             yield _gap(rebuilt.at(z), e4.at(z)), {"form": "e4_even", "z": z}
         hat = env.form("eta-hat")
-        hat_rebuilt = extend_form(HoloFn(2, hat.fn.upper, None), Weight(1), hat.rep, points=env.upper)
+        hat_rebuilt = extend_form(HoloFn(2, hat.fn.upper, None), hat.weight, hat.rep, points=env.upper)
         for z in env.lower:
             yield _gap(hat_rebuilt.at(z), hat.at(z)), {"form": "eta_hat", "z": z}
         # the eta character is no restriction: extension must refuse it
@@ -547,7 +524,7 @@ def check_restriction_round_trip(env: _Env) -> CheckReport:
     return _sweep(env, {"instances": ["e4_even", "eta_hat", "eta (rejected)"]}, 1e-10, cases())
 
 
-def check_induction_round_trip(env: _Env) -> CheckReport:
+def check_induction_round_trip(env: _Env) -> dict:
     def cases():
         hat = env.form("eta-hat")
         first, second = project_components(hat)
@@ -579,26 +556,26 @@ def check_induction_round_trip(env: _Env) -> CheckReport:
 # classical evaluators
 
 
-def check_eta_shift_law(env: _Env) -> CheckReport:
+def check_eta_shift_law(env: _Env) -> dict:
     cfg = env.qcfg_raw
     phase = root24(1)
     cases = ((abs(eta(z + 1, cfg) - phase * eta(z, cfg)), {"z": z}) for z in env.upper)
     return _sweep(env, {"points": len(env.upper)}, 1e-12, cases, universe=f"{len(env.upper)} upper sample points")
 
 
-def check_eta_inversion_law(env: _Env) -> CheckReport:
+def check_eta_inversion_law(env: _Env) -> dict:
     cfg = env.qcfg_raw
     cases = ((abs(eta(-1 / z, cfg) - principal_sqrt(-1j * z) * eta(z, cfg)), {"z": z}) for z in env.upper)
     return _sweep(env, {"points": len(env.upper)}, 1e-10, cases, universe=f"{len(env.upper)} upper sample points")
 
 
-def check_eta_point_value(env: _Env) -> CheckReport:
+def check_eta_point_value(env: _Env) -> dict:
     value = eta(1j, env.qcfg_raw)
-    return _report(env, {"computed": f"{value.real:.16f}{value.imag:+.3e}i", "frozen": f"{ETA_AT_I:.16f}"},
-                   abs(value - ETA_AT_I), 1e-12, {"computed": str(value)}, universe="the point i")
+    return _sweep(env, {"computed": f"{value.real:.16f}{value.imag:+.3e}i", "frozen": f"{ETA_AT_I:.16f}"}, 1e-12,
+                  [(abs(value - ETA_AT_I), {"computed": str(value)})], universe="the point i")
 
 
-def check_eta_multiplier_universe(env: _Env) -> CheckReport:
+def check_eta_multiplier_universe(env: _Env) -> dict:
     """Eta's character, stored by its exact generator images only, takes a 24th root of
     unity on every enumerated SL element, and that root is the closed form there: the index
     comparison certifies that lift-and-correct along generator words reproduces
@@ -609,7 +586,7 @@ def check_eta_multiplier_universe(env: _Env) -> CheckReport:
     transform_tol = env.tol(1e-9)
     rho = eta_character()
     f = eta_fn(env.qcfg_raw)
-    snaps, vals, transform = [], [], _Worst()
+    snaps, vals = [], []
     mismatches, index_witness = 0, None
     elements = env.cover.sl_elements()
     for x in elements:
@@ -623,20 +600,19 @@ def check_eta_multiplier_universe(env: _Env) -> CheckReport:
             index_witness = index_witness or {"x": x, "numeric_index": index, "closed_form_index": closed}
     base = holofn_values(f, np.array(env.upper), np.full(len(env.upper), True))
     gaps = _gap(slash_values(f, Weight(1), env.upper, elements), np.array(vals)[:, None, None] * base, axis=2)
-    for i, x in enumerate(elements):
-        for j, z in enumerate(env.upper):
-            transform.see(gaps[i, j], {"x": x, "z": z})
+    worst_transform, transform_witness = _worst((gaps[i, j], {"x": x, "z": z})
+                                                for i, x in enumerate(elements) for j, z in enumerate(env.upper))
     worst_snap = worst_residual(snaps)
-    numeric_ok = worst_snap <= snap_tol and transform.value <= transform_tol
+    numeric_ok = worst_snap <= snap_tol and worst_transform <= transform_tol
     return _verdict(env, {"elements": len(elements), "snap_tolerance": snap_tol,
                           "transform_tolerance": transform_tol,
-                          "worst_snap": worst_snap, "worst_transform": transform.value,
+                          "worst_snap": worst_snap, "worst_transform": worst_transform,
                           "closed_form_mismatches": mismatches},
-                    worst_residual((worst_snap, transform.value)), numeric_ok and mismatches == 0,
-                    index_witness if numeric_ok else transform.witness)
+                    worst_residual((worst_snap, worst_transform)), numeric_ok and mismatches == 0,
+                    index_witness if numeric_ok else transform_witness)
 
 
-def check_eta_reduction_agreement(env: _Env) -> CheckReport:
+def check_eta_reduction_agreement(env: _Env) -> dict:
     """The reduction-based evaluators match the raw series pointwise.
 
     Relative agreement; the raw series' own rounding noise near the axis
@@ -655,18 +631,18 @@ def check_eta_reduction_agreement(env: _Env) -> CheckReport:
                   universe="near-axis points where the raw truncation is still sharp")
 
 
-def check_eisenstein_lattice_match(env: _Env) -> CheckReport:
+def check_eisenstein_lattice_match(env: _Env) -> dict:
     tol = env.tol(1e-6)
     cfg = env.qcfg
     params = {}
     cases = []
-    for z in (2j, 1 + 2j):
+    truncs = {z: lattice_sum(4, z, 200) for z in (2j, 1 + 2j)}
+    for z, trunc in truncs.items():
         series = eisenstein(4, z, cfg)
-        trunc = lattice_sum(4, z, 200)
         rel = abs(series - trunc) / abs(series)
         params[f"z={sampling.format_complex(z)}"] = {"absolute": abs(series - trunc), "relative": rel}
         cases.append((rel, {"z": z, "series": str(series), "lattice": str(trunc)}))
-    drift = abs(lattice_sum(4, 2j, 200) - lattice_sum(4, 2j, 400))
+    drift = abs(truncs[2j] - lattice_sum(4, 2j, 400))
     sym = worst_residual(abs(lattice_sum(4, z, 60) - lattice_sum(4, -z, 60)) for z in (2j, 0.4 + 0.8j))
     hand = abs(lattice_sum(4, 1j, 1) - 3.0)
     # series laws with reduction disabled, so they are not built-in
@@ -685,7 +661,7 @@ def check_eisenstein_lattice_match(env: _Env) -> CheckReport:
     return _sweep(env, params, 1e-6, cases, universe="square cutoffs at z in {2i, 1+2i}; series laws on the upper grid")
 
 
-def check_eisenstein_even_extension(env: _Env) -> CheckReport:
+def check_eisenstein_even_extension(env: _Env) -> dict:
     gens = (LIFT_S, LIFT_T, LIFT_R)
 
     def cases():
@@ -697,7 +673,7 @@ def check_eisenstein_even_extension(env: _Env) -> CheckReport:
     return _sweep(env, {"forms": ["e4_even (w=8)", "e6_even (w=12)"], "generators": 3}, 1e-9, cases())
 
 
-def check_triangular_parity(env: _Env) -> CheckReport:
+def check_triangular_parity(env: _Env) -> dict:
     points = env.upper[:3] + env.lower[:3]
 
     def cases():
@@ -713,7 +689,7 @@ def check_triangular_parity(env: _Env) -> CheckReport:
                   universe="factor counts 0..12 on six grid points")
 
 
-def check_eta_hat_identities(env: _Env) -> CheckReport:
+def check_eta_hat_identities(env: _Env) -> dict:
     cfg = env.qcfg
     hat = env.form("eta-hat")
     flip = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -721,7 +697,7 @@ def check_eta_hat_identities(env: _Env) -> CheckReport:
 
     def cases():
         yield _gap(hat.rep.images["R"], r_image), {"detail": "induced reflection image"}
-        acted = slash(hat.fn, Weight(1), LIFT_R)
+        acted = slash(hat.fn, hat.weight, LIFT_R)
         for z in env.grid:
             yield _gap(acted.at(z), r_image @ hat.at(z)), {"identity": "slash by the reflection lift", "z": z}
             yield _gap(hat.at(-z), flip @ hat.at(z)), {"identity": "reflection matrix identity", "z": z}
@@ -734,7 +710,7 @@ def check_eta_hat_identities(env: _Env) -> CheckReport:
     return _sweep(env, {"points": len(env.grid)}, 1e-10, cases())
 
 
-def check_holomorphy_probes(env: _Env) -> CheckReport:
+def check_holomorphy_probes(env: _Env) -> dict:
     cfg = env.qcfg
     step = 1e-5
     probes = [z for z in env.upper if z.imag >= 0.8][:6]
@@ -750,7 +726,7 @@ def check_holomorphy_probes(env: _Env) -> CheckReport:
     return _sweep(env, {"step": step, "points": len(probes)}, 1e-6, cases, universe="grid points with Im z >= 0.8")
 
 
-CHECKS: tuple[tuple[str, Callable[[_Env], CheckReport]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[_Env], dict]], ...] = (
     ("algebra_unit_values", check_unit_values),
     ("algebra_cocycle_triples", check_cocycle_triples),
     ("algebra_reflection_sign_lemma", check_reflection_sign_lemma),
@@ -812,12 +788,12 @@ def run_certification(max_word_len: int = DEFAULT_MAX_WORD_LEN, *, tol: float | 
     for name, fn in CHECKS:
         if wanted is not None and name not in wanted:
             continue
-        env.check_id = name
         try:
-            reports.append(fn(env))
+            report = fn(env)
         except (DomainError, ModularityError, ResourceLimitError) as exc:
-            reports.append(_verdict(env, {}, "error", False, {"error": f"{type(exc).__name__}: {exc}"}))
-    reports.sort(key=lambda rep: rep.check_id)
+            report = _verdict(env, {}, "error", False, {"error": f"{type(exc).__name__}: {exc}"})
+        reports.append({"check_id": name, **report})
+    reports.sort(key=lambda rep: rep["check_id"])
     return {
         "version": REPORT_VERSION,
         "setup": {
@@ -827,6 +803,6 @@ def run_certification(max_word_len: int = DEFAULT_MAX_WORD_LEN, *, tol: float | 
             "pair_count": pair_count,
             "sample_points": [sampling.format_complex(z) for z in env.upper],
         },
-        "checks": [rep.to_dict() for rep in reports],
-        "pass": all(rep.passed for rep in reports),
+        "checks": reports,
+        "pass": all(rep["pass"] for rep in reports),
     }

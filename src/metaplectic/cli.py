@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import DEFAULT_MAX_WORD_LEN, DEFAULT_PAIR_COUNT, DEFAULT_SEED, run_certification
+from .certify import DEFAULT_MAX_WORD_LEN, DEFAULT_PAIR_COUNT, DEFAULT_SEED, require_tolerance, run_certification
 from .cover import ENUMERATION_LIMIT, Mat2, MetaElt, parse_word, word_lift
 from .errors import DomainError, ModularityError, ResourceLimitError
 from .qseries import CERTIFY_CONFIG, DEFAULT_CONFIG, NAMED_FORMS, QSeriesConfig, triangular_product
@@ -29,10 +29,9 @@ USAGE_ERROR = 2
 
 
 def _named_form(name: str, cfg: QSeriesConfig):
-    """(VVForm-or-evaluator, natural doubled weight) of a ``NAMED_FORMS`` entry or of ``zn:N``."""
+    """The VVForm of a ``NAMED_FORMS`` entry, or the scalar evaluator of ``zn:N``."""
     if name in NAMED_FORMS:
-        build, weight = NAMED_FORMS[name]
-        return build(cfg), weight
+        return NAMED_FORMS[name](cfg)
     if name.startswith("zn:"):
         try:
             n = int(name.split(":", 1)[1])
@@ -40,7 +39,7 @@ def _named_form(name: str, cfg: QSeriesConfig):
             raise DomainError(f"bad factor count in {name!r}")
         if n < 0:
             raise DomainError("factor count must be nonnegative")
-        return (lambda z: triangular_product(n, z)), None
+        return lambda z: triangular_product(n, z)
     raise DomainError(f"unknown form {name!r}; expected eta, e4, e6, eta-hat, or zn:N")
 
 
@@ -101,7 +100,7 @@ def _cmd_eval(args) -> int:
     if args.form is None or args.z is None:
         raise DomainError("need either --elem/--matrix or --form with --z")
     cfg = replace(DEFAULT_CONFIG, min_im=args.min_im)
-    form, _ = _named_form(args.form, cfg)
+    form = _named_form(args.form, cfg)
     z = parse_complex(args.z)
     value = form(z) if callable(form) else form.at(z)
     print(_format_vector(value))
@@ -109,26 +108,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if not np.isfinite(args.tol):
-        raise DomainError(f"tolerance must be a finite number, got {args.tol}")
+    require_tolerance(args.tol)
     cfg = replace(DEFAULT_CONFIG, min_im=args.min_im)
-    form, natural_w = _named_form(args.form, cfg)
-    if natural_w is None:
+    form = _named_form(args.form, cfg)
+    if callable(form):
         raise DomainError(f"form {args.form!r} is not modular; nothing to check")
-    if args.weight != natural_w:
-        raise DomainError(f"form {args.form!r} has doubled weight {natural_w}, got --weight {args.weight}")
+    if args.weight != form.weight.w:
+        raise DomainError(f"form {args.form!r} has doubled weight {form.weight.w}, got --weight {args.weight}")
     elt = word_lift(parse_word(args.elem))
     rep = Rep.load(args.rep) if args.rep else form.rep
     if rep.dim != form.fn.dim:
         raise DomainError(f"representation has dimension {rep.dim}, form {args.form!r} has dimension {form.fn.dim}")
     if rep.group == "SL" and elt.det() != 1:
         raise DomainError("an SL-cover representation cannot check a determinant -1 element")
-    if form.fn.lower is None:
-        points = [z for z in upper_grid()]
-        if elt.det() == -1:
-            raise DomainError(f"form {args.form!r} lives on the upper half-plane only")
-    else:
-        points = list(full_grid())
+    if form.fn.lower is None and elt.det() == -1:
+        raise DomainError(f"form {args.form!r} lives on the upper half-plane only")
+    points = upper_grid() if form.fn.lower is None else full_grid()
     residual = modularity_residual(form.fn, Weight(args.weight), rep, (elt,), points)
     payload = {
         "form": args.form,

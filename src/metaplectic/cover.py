@@ -193,13 +193,7 @@ CENTER_FLIP = MetaElt(IDENT, -1)
 
 
 def conj_by_reflection(x: MetaElt) -> MetaElt:
-    """Conjugate a cover element by the reflection lift.
-
-    Determinant-one elements take the closed form ``[RgR, sign * eps]``;
-    anything else goes through the generic product.
-    """
-    if x.det() == 1:
-        return MetaElt(x.gamma.reflect_conjugate(), reflection_sign(x.gamma) * x.eps)
+    """Conjugate a cover element by the reflection lift, through the cover product."""
     return LIFT_R * x * LIFT_R.inv()
 
 

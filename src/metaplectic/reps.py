@@ -134,15 +134,20 @@ class Rep:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Rep":
+        def entry(re, im) -> complex:  # JSON numbers only: complex() would take a bool as 0 or 1
+            if not {type(re), type(im)} <= {int, float}:
+                raise TypeError(f"image entries must be JSON numbers, got {[re, im]!r}")
+            return complex(re, im)
+
         try:
             images = {
-                key: np.array([[complex(re, im) for re, im in row] for row in mat], dtype=complex)
+                key: np.array([[entry(re, im) for re, im in row] for row in mat], dtype=complex)
                 for key, mat in data["images"].items()
             }
             if type(data["dim"]) is not int:  # a JSON integer: no float, string or bool
                 raise TypeError(f"dim must be an integer, got {data['dim']!r}")
             return cls(data["group"], data["dim"], images)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DomainError(f"bad representation serialisation: {exc}") from exc
 
     def save(self, path: str | Path) -> None:

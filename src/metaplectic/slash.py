@@ -194,8 +194,7 @@ _I_POWER_ARRAY = np.array([i_power(e) for e in range(4)])
 
 def _rows(w: int, elts: Sequence[MetaElt]) -> np.ndarray:
     """The int64 rows (a, b, c, d, det, e_upper, e_lower) of ``elts``, one column per element."""
-    table = {x: (*x.gamma.entries(), x.det(), *_case_exponents(w, x)) for x in set(elts)}
-    return np.array([table[x] for x in elts], dtype=np.int64).reshape(-1, 7).T
+    return np.array([(*x.gamma.entries(), x.det(), *_case_exponents(w, x)) for x in elts], np.int64).reshape(-1, 7).T
 
 
 def _pullbacks(rows: np.ndarray, z: np.ndarray, upper: np.ndarray, w: int):

@@ -67,25 +67,18 @@ def test_branch_sign_is_computed_once_per_matrix_but_errors_are_not_kept(monkeyp
     assert calls == [S_MAT, S_MAT]
 
 
-def _worst_of(cases):
-    worst = certify._Worst()
-    for r, witness in cases:
-        worst.see(r, witness)
-    return worst.value, worst.witness
-
-
 def _sweep_of(cases):
     env = certify._Env(0, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG)
     report = certify._sweep(env, {}, 1.0, cases)
-    assert report.passed is False
-    return report.max_residual, report.counterexample
+    assert report["pass"] is False
+    return report["max_residual"], report["counterexample"]
 
 
 def test_worst_keeps_the_first_nan():
-    """The first NaN witness wins, and a later larger number does not displace it: in ``_Worst`` and
+    """The first NaN witness wins, and a later larger number does not displace it: in ``_worst`` and
     in the ``_sweep`` verdict that every numeric check goes through."""
     cases = [(1.0, {"at": 1}), (float("nan"), {"at": 2}), (5.0, {"at": 3}), (float("nan"), {"at": 4})]
-    for worst_of in (_worst_of, _sweep_of):
+    for worst_of in (certify._worst, _sweep_of):
         value, witness = worst_of(cases)
         assert math.isnan(value) and witness == {"at": 2}, worst_of.__name__
 
@@ -169,6 +162,17 @@ def test_bbb_report_shows_the_kernel_count(cover4, monkeypatch):
     (check,) = run_certification(4, check_filter=["algebra_product_bbb_lemma"])["checks"]
     assert check["pass"] is False
     assert check["max_residual"] == certify.bbb_violations(cover4.sl_matrices())[0] == 386
+
+
+def test_conjugation_lemma_fails_without_the_reflection_sign(monkeypatch):
+    """The closed form [RgR, B(g) eps] is stated only in the check, against the cover product: with B
+    taken as +1 everywhere it disagrees on -T^n, and the check fails."""
+    (check,) = run_certification(2, check_filter=["algebra_conjugation_lemma"])["checks"]
+    assert check["pass"] is True and check["max_residual"] == "exact"
+    monkeypatch.setattr(certify, "reflection_sign", lambda gamma: 1)
+    (check,) = run_certification(2, check_filter=["algebra_conjugation_lemma"])["checks"]
+    assert check["pass"] is False and check["max_residual"] == 1
+    assert check["counterexample"]["products"] != check["counterexample"]["closed_form"]
 
 
 @pytest.mark.parametrize("row", [None, (1, 0), (0, -1), (2, 1), "mutated_cocycle_bit"])
@@ -263,7 +267,7 @@ def test_batch_composition_matches_the_scalar_slash(monkeypatch):
 
 
 def test_batch_nan_reaches_the_pair_and_the_first_witness(cover4):
-    """A NaN value makes exactly the pairs NaN that the scalar residual makes NaN, and ``_Worst`` keeps the
+    """A NaN value makes exactly the pairs NaN that the scalar residual makes NaN, and ``_worst`` keeps the
     first of them, as action_composition feeds it."""
     def up(z):  # a point or an (n,) array; NaN right of Re z = 1
         return np.where(np.real(z) > 1, np.nan, np.exp(2j * np.pi * z / 5) + 0.3 * z)
@@ -275,8 +279,6 @@ def test_batch_nan_reaches_the_pair_and_the_first_witness(cover4):
     want = np.array([composition_residual(f, weight, x, y, points) for x, y in pairs])
     assert np.array_equal(np.isnan(got), np.isnan(want)) and 0 < np.isnan(got).sum() < len(pairs)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True)
-    worst = certify._Worst()
-    for (x, y), r in zip(pairs, got):
-        worst.see(r, {"x": x, "y": y})
+    value, witness = certify._worst((r, {"x": x, "y": y}) for (x, y), r in zip(pairs, got))
     first = int(np.argmax(np.isnan(got)))
-    assert math.isnan(worst.value) and worst.witness == {"x": pairs[first][0], "y": pairs[first][1]}
+    assert math.isnan(value) and witness == {"x": pairs[first][0], "y": pairs[first][1]}

@@ -84,6 +84,10 @@ def test_eval_usage_errors(capsys):
         code, out, err = run_cli(capsys, "eval", "--form", form, "--z", z)
         assert code == 2 and out == ""
         assert f"point {shown} is not a finite complex number" in err
+    # the product is finite, but beyond the floating-point range: refused, not printed as NaN
+    for form, z in (("zn:200", "0+1i"), ("zn:60", "0.5+3i"), ("zn:400", "0+1i")):
+        code, out, err = run_cli(capsys, "eval", "--form", form, "--z", z)
+        assert code == 2 and out == "" and "leaves the floating-point range" in err, form
     assert run_cli(capsys, "eval", "--elem", "Q")[0] == 2
     assert run_cli(capsys, "eval")[0] == 2
     assert run_cli(capsys, "bogus-command")[0] == 2
@@ -224,6 +228,13 @@ def test_non_finite_tolerance_is_refused(capsys, tmp_path):
         assert not out_path.exists()  # refused before any check runs
         code, out, err = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T", "--tol", tol)
         assert code == 2 and out == "" and message in err
+    # a negative one would fail even an exact zero residual
+    message = "tolerance must be nonnegative, got -1.0"
+    for argv in (("certify", "--max-word-len", "0", "--json", str(out_path)),
+                 ("check", "--form", "e4", "--weight", "8", "--elem", "S")):
+        code, out, err = run_cli(capsys, *argv, "--tol", "-1")
+        assert code == 2 and out == "" and message in err, argv
+        assert not out_path.exists()
     # a non-finite near-axis threshold would switch the refusal off
     message = "min_im must be a finite number, got nan"
     for argv in (("certify", "--max-word-len", "0", "--json", str(out_path)),
@@ -249,7 +260,7 @@ def test_certify_check_error_becomes_that_checks_failure(capsys, tmp_path, monke
     def broken(cfg):
         raise ModularityError("induced form fails certification (residual 1.5e+00 > 1.0e-09)")
 
-    monkeypatch.setitem(qseries.NAMED_FORMS, "eta-hat", (broken, 1))
+    monkeypatch.setitem(qseries.NAMED_FORMS, "eta-hat", broken)
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "certify", "--max-word-len", "1", "--json", str(out_path))
     assert code == 1

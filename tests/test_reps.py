@@ -155,6 +155,11 @@ def test_rep_serialisation_round_trip(tmp_path):
         bad.write_text(json.dumps({**good, "dim": dim}))
         with pytest.raises(DomainError, match="bad representation serialisation"):
             Rep.load(bad)
+    # image entries must be JSON numbers: complex() would read true and false as 1 and 0
+    for entry in ([True, False], [1.0, None], [10 ** 400, 0]):
+        bad.write_text(json.dumps({**good, "images": {**good["images"], "S": [[entry]]}}))
+        with pytest.raises(DomainError, match="bad representation serialisation"):
+            Rep.load(bad)
 
 
 def test_extend_form_even_weight(qcfg):
