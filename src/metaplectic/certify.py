@@ -37,6 +37,8 @@ DEFAULT_PAIR_COUNT = 500
 
 # frozen from a 60-digit evaluation of the same q-product with tail < 1e-30
 ETA_AT_I = 0.7682254223260566590025941795761806
+# the weight-4 lattice sum at i in closed form, Gamma(1/4)^8 / (960 pi^2), frozen from a 40-digit evaluation
+G4_AT_I = 3.151212002153897538217689942248688556646
 
 
 def require_tolerance(tol: float) -> float:
@@ -465,8 +467,9 @@ def check_rep_homomorphism(env: _Env) -> dict:
 
     def cases():
         for name, rep, sample in (("induced_eta", rho_hat, pairs), ("eta_character", rho, sl_pairs)):
+            image = lru_cache(maxsize=None)(rep.evaluate)  # each distinct element evaluated once
             for x, y in sample:
-                yield _gap(rep.evaluate(x * y), rep.evaluate(x) @ rep.evaluate(y)), {"rep": name, "x": x, "y": y}
+                yield _gap(image(x * y), image(x) @ image(y)), {"rep": name, "x": x, "y": y}
         ident = MetaElt.identity()
         yield _gap(rho_hat.evaluate(ident), np.eye(2)), {"rep": "induced_eta", "x": ident}
     return _sweep(env, {"pairs_per_rep": env.pair_count}, 1e-10, cases())
@@ -632,19 +635,17 @@ def check_eta_reduction_agreement(env: _Env) -> dict:
 
 
 def check_eisenstein_lattice_match(env: _Env) -> dict:
-    tol = env.tol(1e-6)
+    tol = env.tol(1e-12)
     cfg = env.qcfg
     params = {}
     cases = []
-    truncs = {z: lattice_sum(4, z, 200) for z in (2j, 1 + 2j)}
-    for z, trunc in truncs.items():
-        series = eisenstein(4, z, cfg)
-        rel = abs(series - trunc) / abs(series)
-        params[f"z={sampling.format_complex(z)}"] = {"absolute": abs(series - trunc), "relative": rel}
-        cases.append((rel, {"z": z, "series": str(series), "lattice": str(trunc)}))
-    drift = abs(truncs[2j] - lattice_sum(4, 2j, 400))
+    for z in (2j, 1 + 2j):
+        series, lattice = eisenstein(4, z, cfg), lattice_sum(4, z, 60)
+        rel = abs(series - lattice) / abs(series)
+        params[f"z={sampling.format_complex(z)}"] = {"absolute": abs(series - lattice), "relative": rel}
+        cases.append((rel, {"z": z, "series": str(series), "lattice": str(lattice)}))
     sym = worst_residual(abs(lattice_sum(4, z, 60) - lattice_sum(4, -z, 60)) for z in (2j, 0.4 + 0.8j))
-    hand = abs(lattice_sum(4, 1j, 1) - 3.0)
+    closed = abs(lattice_sum(4, 1j, 60) - G4_AT_I) / G4_AT_I
     # series laws with reduction disabled, so they are not built-in
     raw = env.qcfg_raw
 
@@ -654,11 +655,11 @@ def check_eisenstein_lattice_match(env: _Env) -> dict:
                 abs(value - eisenstein(k, z, cfg)) / abs(value))
 
     laws = worst_residual(gap for z in env.upper for k in (4, 6) for gap in law_gaps(k, z))
-    params.update(cutoff_drift_200_vs_400=drift, reflection_symmetry=sym, hand_sum_m1_at_i=hand, raw_series_laws=laws)
-    if not (drift <= tol and sym == 0.0 and hand == 0.0 and laws <= env.tol(1e-9)):
+    params.update(reflection_symmetry=sym, closed_form_at_i=closed, raw_series_laws=laws)
+    if not (closed <= tol and sym == 0.0 and laws <= env.tol(1e-9)):
         # the oracle terms raise the residual, with no witness of their own: a lattice witness stays
-        cases.append((worst_residual((drift, sym, hand, laws)), None))
-    return _sweep(env, params, 1e-6, cases, universe="square cutoffs at z in {2i, 1+2i}; series laws on the upper grid")
+        cases.append((worst_residual((closed, sym, laws)), None))
+    return _sweep(env, params, 1e-12, cases, universe="60 lattice rows at z in {2i, 1+2i}; series laws on the upper grid")
 
 
 def check_eisenstein_even_extension(env: _Env) -> dict:

@@ -55,6 +55,8 @@ class Rep:
             arr = np.array(mat, dtype=complex)  # a copy: the stored images are made read-only
             if arr.shape != (self.dim, self.dim):
                 raise DomainError(f"image of {key} has shape {arr.shape}, expected ({self.dim},{self.dim})")
+            if not np.isfinite(arr).all():
+                raise DomainError(f"image of {key} is not finite")
             if np.linalg.matrix_rank(arr) < self.dim:
                 raise DomainError(f"image of {key} is not invertible")
             fixed[key] = arr

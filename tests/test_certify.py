@@ -175,6 +175,18 @@ def test_conjugation_lemma_fails_without_the_reflection_sign(monkeypatch):
     assert check["counterexample"]["products"] != check["counterexample"]["closed_form"]
 
 
+def test_lattice_match_fails_on_a_relative_1e9_error_in_the_series(monkeypatch):
+    """E4 scaled by 1 + 1e-9 keeps every series law inside its 1e-9 gate (each compares two scaled
+    values), but the 60-row lattice oracle sees the error against its 1e-12 gate."""
+    (check,) = run_certification(2, check_filter=["eisenstein_lattice_match"])["checks"]
+    assert check["pass"] is True
+    series = certify.eisenstein
+    monkeypatch.setattr(certify, "eisenstein", lambda k, z, cfg: (1 + 1e-9) * series(k, z, cfg))
+    (check,) = run_certification(2, check_filter=["eisenstein_lattice_match"])["checks"]
+    assert check["pass"] is False and check["params"]["raw_series_laws"] < 1e-9
+    assert check["max_residual"] == pytest.approx(1e-9, rel=1e-3)
+
+
 @pytest.mark.parametrize("row", [None, (1, 0), (0, -1), (2, 1), "mutated_cocycle_bit"])
 def test_cocycle_triple_kernel_matches_the_scalar_loop(monkeypatch, row):
     """The triple kernel against the triple-by-triple loop on the word-length-2 universe, as it stands, with

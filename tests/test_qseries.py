@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from metaplectic.automorphy import principal_sqrt
+from metaplectic.automorphy import principal_sqrt, require_upper
 from metaplectic.cover import IDENT, LIFT_R, LIFT_S, LIFT_T, NEG_IDENT, S_MAT, T_MAT, Mat2, MetaElt
 from metaplectic.errors import DomainError, ResourceLimitError
 from metaplectic import qseries
@@ -24,7 +24,6 @@ from metaplectic.qseries import (
     eta_hat,
     eta_hat_form,
     lattice_sum,
-    reduce_to_fundamental,
     triangular_product,
     triangular_product_factored,
 )
@@ -161,16 +160,18 @@ def test_reduced_eta_matches_high_precision(qcfg):
 
 
 def test_reduce_to_fundamental():
-    g, w = reduce_to_fundamental(0.4 + 0.012j)
+    g, w = qseries._reduce(require_upper(0.4 + 0.012j))
     assert g.det() == 1
     assert abs(mobius(g, 0.4 + 0.012j) - w) < 1e-14
     assert w.imag > 0.5 and abs(w.real) <= 0.5 + 1e-9
-    g0, w0 = reduce_to_fundamental(0.1 + 2j)
+    g0, w0 = qseries._reduce(require_upper(0.1 + 2j))
     assert g0 == IDENT and w0 == 0.1 + 2j
-    # the public entry point validates its point; eta and eisenstein validate before they reduce
+    # eta and eisenstein validate their point before they reduce it
     for bad in (0.3 - 0.8j, 0.3 + 0j, complex(0.1, math.nan)):
         with pytest.raises(DomainError):
-            reduce_to_fundamental(bad)
+            eta(bad)
+        with pytest.raises(DomainError):
+            eisenstein(4, bad)
 
 
 def test_eisenstein_validation():
@@ -195,8 +196,12 @@ def test_eisenstein_inversion_law(raw_cfg):
             assert abs(lhs - rhs) / abs(rhs) < 1e-12
 
 
-def test_lattice_hand_sum():
-    assert lattice_sum(4, 1j, 1) == 3.0
+def test_lattice_closed_form_at_i():
+    """G4(i) = 2 zeta(4) E4(i) = Gamma(1/4)^8 / (960 pi^2), from E4(i) = 3 Gamma(1/4)^8 / (2 pi)^6
+    (Zagier, The 1-2-3 of Modular Forms, on CM values)."""
+    with mpmath.workdps(40):
+        want = mpmath.gamma(mpmath.mpf(1) / 4) ** 8 / (960 * mpmath.pi ** 2)
+        assert abs(lattice_sum(4, 1j, 60) - want) / want < 1e-15
 
 
 def test_lattice_symmetry_exact():
@@ -205,54 +210,44 @@ def test_lattice_symmetry_exact():
 
 
 def test_lattice_cutoff_drift():
-    assert abs(lattice_sum(4, 2j, 200) - lattice_sum(4, 2j, 400)) < 1e-6
+    for k in (4, 6):
+        for z in (2j, 0.3 + 0.9j, 0.1 + 0.6j):
+            assert abs(lattice_sum(k, z, 30) - lattice_sum(k, z, 60)) <= 1e-15 * max(abs(lattice_sum(k, z, 60)), 1)
 
 
 def test_lattice_matches_series(qcfg):
-    for z in (2j, 1 + 2j):
-        series = eisenstein(4, z, qcfg)
-        trunc = lattice_sum(4, z, 200)
-        assert abs(series - trunc) / abs(series) < 1e-6
+    for k in (4, 6):
+        for z in (2j, 1 + 2j):
+            series = eisenstein(k, z, qcfg)
+            assert abs(series - lattice_sum(k, z, 60)) / abs(series) < 1e-13
 
 
-def _lattice_sum_grid(k, z, m_cutoff):
-    """The whole-grid form of ``lattice_sum``: every term of the (2m+1)^2 grid at once.
-
-    The square is bound to a name because numpy may evaluate a temporary-producing
-    ``power * (w * w)`` on an array above 256 KiB in place, as ``(w * w) * power``,
-    and complex multiplication with fused multiply-add rounds differently with the
-    operands swapped.  For k = 4 both operands are the same square, so the order
-    cannot matter there.
-    """
-    ms = np.arange(-m_cutoff, m_cutoff + 1)
-    ns = np.arange(-m_cutoff, m_cutoff + 1)
-    w = ms[:, None] * z + ns[None, :]
-    w[m_cutoff, m_cutoff] = 1.0
-    power = sq = w * w
-    for _ in range(k // 2 - 1):
-        power = power * sq
-    terms = 1.0 / power
-    terms[m_cutoff, m_cutoff] = 0.0
-    rows = terms.sum(axis=1)
-    total = complex(rows[m_cutoff])
-    for j in range(1, m_cutoff + 1):
-        total += complex(rows[m_cutoff + j] + rows[m_cutoff - j])
+def _lattice_sum_grid(k, z, rows, n_cutoff=20_000):
+    """The lattice sum by its definition, term by term over |m| <= rows and |n| <= n_cutoff, (0, 0) excluded."""
+    ns = np.arange(-n_cutoff, n_cutoff + 1)
+    total = 0j
+    for m in range(-rows, rows + 1):
+        w = m * z + ns[ns != 0] if m == 0 else m * z + ns
+        total += complex(np.sum(w ** -k))
     return total
 
 
 def test_lattice_rows_match_whole_grid():
-    for k in (4, 6, 8):
+    """The closed-form rows against the brute-force grid, within the grid's dropped n-tail, (2 rows + 1) rows
+    of 2 sum_{n > N} (n - rows |z|)^-k <= 2 (N - rows |z|)^(1-k) / (k-1) each, and the grid's own rounding."""
+    n_cutoff = 20_000
+    for k in (4, 6):
         for z in (1j, 2j, 0.4 + 0.8j, -0.7 + 0.3j, 0.3 - 1.7j):
-            for m_cutoff in (1, 7, 60, 64, 200):
-                assert lattice_sum(k, z, m_cutoff) == _lattice_sum_grid(k, z, m_cutoff), (k, z, m_cutoff)
-    assert lattice_sum(4, 2j, 400) == _lattice_sum_grid(4, 2j, 400)
+            for rows in (1, 2, 7):
+                got, want = lattice_sum(k, z, rows), _lattice_sum_grid(k, z, rows, n_cutoff)
+                tail = (2 * rows + 1) * 2 * (n_cutoff - rows * abs(z)) ** (1 - k) / (k - 1)
+                assert abs(got - want) <= tail + 4e-15 * max(abs(want), 1), (k, z, rows)
 
 
 def test_lattice_validation():
-    with pytest.raises(DomainError):
-        lattice_sum(3, 1j, 10)
-    with pytest.raises(DomainError):
-        lattice_sum(2, 1j, 10)
+    for k in (3, 2, 8):
+        with pytest.raises(DomainError):
+            lattice_sum(k, 1j, 10)
     with pytest.raises(DomainError):
         lattice_sum(4, 1j, 0)
 

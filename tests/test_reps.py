@@ -39,6 +39,9 @@ def test_rep_validation():
         Rep("SL", 1, {"S": np.zeros((1, 1)), "T": eye})  # singular
     with pytest.raises(DomainError, match="image of S is not invertible"):
         Rep("SL", 2, {"S": [[1, 2], [2, 4]], "T": np.eye(2)})  # singular, but its cond is finite
+    for value in (math.nan, math.inf):  # refused before the rank test, which cannot take a NaN
+        with pytest.raises(DomainError, match="image of S is not finite"):
+            Rep("SL", 1, {"S": [[value]], "T": eye})
 
 
 def test_trivial_rep_evaluation(cover4):
@@ -160,6 +163,9 @@ def test_rep_serialisation_round_trip(tmp_path):
         bad.write_text(json.dumps({**good, "images": {**good["images"], "S": [[entry]]}}))
         with pytest.raises(DomainError, match="bad representation serialisation"):
             Rep.load(bad)
+    bad.write_text(json.dumps({**good, "images": {**good["images"], "S": [[[math.nan, 0.0]]]}}))
+    with pytest.raises(DomainError, match="bad representation serialisation: image of S is not finite"):
+        Rep.load(bad)
 
 
 def test_extend_form_even_weight(qcfg):
