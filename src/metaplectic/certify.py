@@ -186,31 +186,55 @@ def cocycle_triple_violations(mats: Sequence[Mat2]) -> tuple[int, Optional[dict]
 
     The identity sees a only through det a and a's bottom row (c, d): chi(a) is read off that row;
     ab and abc have the bottom rows (c, d)·b and (c, d)·bc; and det(ab), det(abc) need only det a.
-    So each slice over c evaluates the four cocycle bits for one representative a per (det, c, d)
-    key, weights each key's violations by how many matrices share it, and maps the keys back to
-    the original a order for the witness.  This is exact because ``chi_negative`` is a function of
-    the bottom row alone, as its signature makes it.
+    It sees c only through det c, chi(c) and the chi bits of r·c for the rows r that meet c from the
+    left: each b's bottom row gives chi(bc), and each a'b row gives chi(abc).  So the kernel takes one
+    representative a per (det, c, d) key, tabulates the chi bit of r·c for every distinct such row r
+    and every c, and evaluates one representative c per group of equal (det c, chi(c), table row).
+    Each representative pair's violations are weighted by both multiplicities, so the cost is
+    K_a·K_c·n for K_a keys and K_c groups instead of n³: K_c is 52, 136, 220 and 576 at word lengths
+    5, 7, 8 and 10.  This is exact for any rule ``chi_negative`` that is a function of the bottom row
+    alone, as its signature makes it: two c in one group agree on every bit the identity reads.
+    Groups are walked in the order of their first member, so the first violating group's first
+    member is the first violating c.
     """
     a, b, c, d = _entry_rows(mats, 3)
     det_neg, chi_neg = a * d - b * c < 0, chi_negative(c, d)
-    pc, pd = c[:, None] * a + d[:, None] * c, c[:, None] * b + d[:, None] * d  # bottom rows of the pair products
-    d_p, s_p = det_neg[:, None] ^ det_neg, chi_negative(pc, pd)
-    a_p = cocycle_bit(det_neg[:, None], det_neg, chi_neg[:, None], chi_neg, s_p)
     _, first, inverse, counts = np.unique(np.stack([det_neg, c, d]), axis=1, return_index=True,
                                           return_inverse=True, return_counts=True)
-    pc_r, pd_r, d_r, s_r, a_r = pc[first], pd[first], d_p[first], s_p[first], a_p[first]  # one row per key
-    det_r, chi_r = det_neg[first, None], chi_neg[first, None]
-    s_cb, a_cb = s_p.T.copy(), a_p.T.copy()  # chi(bc), A(b,c) as [c, b]; a slice reads rows (d_p is symmetric)
+    det_a, chi_a = det_neg[first, None], chi_neg[first, None]  # one row per key
+    pc, pd = c[first, None] * a + d[first, None] * c, c[first, None] * b + d[first, None] * d  # bottom rows of a'b
+    det_ab, chi_ab = det_a ^ det_neg, chi_negative(pc, pd)
+    a_ab = cocycle_bit(det_a, det_neg, chi_a, chi_neg, chi_ab)
+    # the distinct rows meeting c from the left, each a'b row and then each b's (c, d), keyed as x*span + y
+    x, y = np.concatenate([pc.ravel(), c]), np.concatenate([pd.ravel(), d])
+    bound = int(max(np.abs(x).max(), np.abs(y).max()))
+    span = 2 * bound + 1
+    if span ** 2 > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"bottom rows of enumerated pair products reach {bound}, beyond an int64 key")
+    keys, at = np.unique(x.astype(np.int64) * span + y + bound, return_inverse=True)
+    r1, r2 = (part.astype(a.dtype) for part in np.divmod(keys, span))
+    r2 -= bound
+    ab_at, b_at = at[:pc.size].reshape(pc.shape), at[pc.size:]
+    table = np.empty((len(mats), -(-len(keys) // 8)), dtype=np.uint8)  # [c, row]: packed chi bits of row·c
+    for lo in range(0, len(mats), 32):  # a block of c at a time keeps the integer temporaries small
+        at_c = slice(lo, lo + 32)
+        table[at_c] = np.packbits(chi_negative(r1 * a[at_c, None] + r2 * c[at_c, None],
+                                               r1 * b[at_c, None] + r2 * d[at_c, None]), axis=1)
+    group = np.column_stack([det_neg, chi_neg, table])
+    _, members, sizes = np.unique(group.view(np.dtype((np.void, group.shape[1]))).ravel(),
+                                  return_index=True, return_counts=True)
     violations, witness = 0, None
-    for k in range(len(mats)):
-        s3 = chi_negative(pc_r * a[k] + pd_r * c[k], pc_r * b[k] + pd_r * d[k])  # chi bit of (ab)c = a(bc)
-        bad = (a_r ^ cocycle_bit(d_r, det_neg[k], s_r, chi_neg[k], s3)
-               ^ cocycle_bit(det_r, d_p[k], chi_r, s_cb[k], s3) ^ a_cb[k])
+    for k, size in sorted(zip(members.tolist(), sizes.tolist())):
+        row = np.unpackbits(table[k], count=len(keys)).view(bool)
+        s3, s_bc = row[ab_at], row[b_at]  # chi bits of (ab)c = a(bc) and of bc
+        bad = (a_ab ^ cocycle_bit(det_ab, det_neg[k], chi_ab, chi_neg[k], s3)
+               ^ cocycle_bit(det_a, det_neg ^ det_neg[k], chi_a, s_bc, s3)
+               ^ cocycle_bit(det_neg, det_neg[k], chi_neg, chi_neg[k], s_bc))
         count = int(counts @ np.count_nonzero(bad, axis=1))
         if count and witness is None:
             i, j = np.argwhere(bad[inverse])[0]
             witness = {"alpha": mats[i], "beta": mats[j], "gamma": mats[k]}
-        violations += count
+        violations += size * count
     return violations, witness
 
 

@@ -207,13 +207,70 @@ def test_cocycle_triple_kernel_matches_the_scalar_loop(monkeypatch, row):
     assert row != "mutated_cocycle_bit" or count == 584
 
 
+def _first_factor_kernel(mats):
+    """Oracle for ``cocycle_triple_violations``: one slice per c, with one representative first factor a
+    per (det, bottom row) key weighted by its multiplicity, and every c evaluated on its own."""
+    chi_negative, cocycle_bit = certify.chi_negative, certify.cocycle_bit
+    a, b, c, d = certify._entry_rows(mats, 3)
+    det_neg, chi_neg = a * d - b * c < 0, chi_negative(c, d)
+    pc, pd = c[:, None] * a + d[:, None] * c, c[:, None] * b + d[:, None] * d  # bottom rows of the pair products
+    d_p, s_p = det_neg[:, None] ^ det_neg, chi_negative(pc, pd)
+    a_p = cocycle_bit(det_neg[:, None], det_neg, chi_neg[:, None], chi_neg, s_p)
+    _, first, inverse, counts = np.unique(np.stack([det_neg, c, d]), axis=1, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    pc_r, pd_r, d_r, s_r, a_r = pc[first], pd[first], d_p[first], s_p[first], a_p[first]
+    det_r, chi_r = det_neg[first, None], chi_neg[first, None]
+    violations, witness = 0, None
+    for k in range(len(mats)):
+        s3 = chi_negative(pc_r * a[k] + pd_r * c[k], pc_r * b[k] + pd_r * d[k])  # chi bit of (ab)c = a(bc)
+        bad = (a_r ^ cocycle_bit(d_r, det_neg[k], s_r, chi_neg[k], s3)
+               ^ cocycle_bit(det_r, d_p[k], chi_r, s_p[:, k], s3) ^ a_p[:, k])
+        count = int(counts @ np.count_nonzero(bad, axis=1))
+        if count and witness is None:
+            i, j = np.argwhere(bad[inverse])[0]
+            witness = {"alpha": mats[i], "beta": mats[j], "gamma": mats[k]}
+        violations += count
+    return violations, witness
+
+
+_TRIPLE_MUTANTS = {
+    "chi flipped at (1,0)": ("chi_negative", _flip_at(cover.chi_negative, 1, 0)),
+    "chi flipped at (2,1)": ("chi_negative", _flip_at(cover.chi_negative, 2, 1)),
+    "chi flipped at (0,-1)": ("chi_negative", _flip_at(cover.chi_negative, 0, -1)),
+    "chi as c<0": ("chi_negative", lambda c, d: c < 0),
+    "chi as d<0": ("chi_negative", lambda c, d: d < 0),
+    "det a left out of the second Hilbert symbol": (
+        "cocycle_bit", lambda da, db, sa, sb, sab: (da & db) ^ ((sab ^ sa) & (sab ^ sb))),
+}
+_TRIPLE_COUNTS_W4 = [0, 129718, 31568, 27680, 27680, 125832, 88392]
+
+
+@pytest.mark.parametrize("word_len", [3, 4, 5])
+@pytest.mark.parametrize("mutant, want_w4", zip([None, *_TRIPLE_MUTANTS], _TRIPLE_COUNTS_W4))
+def test_cocycle_triple_kernel_matches_the_first_factor_kernel(monkeypatch, word_len, mutant, want_w4):
+    """The grouped kernel against the one-slice-per-c kernel, with the production rules and under chi
+    mutants that no half-plane rule expresses and a mutated ``cocycle_bit``: the same count and the
+    same first witness (first c, then the first (a, b)).  Any bottom-row chi rule is exact for the
+    grouping, so every mutant agrees."""
+    if mutant is not None:
+        name, rule = _TRIPLE_MUTANTS[mutant]
+        monkeypatch.setattr(certify, name, rule)
+    mats = enumerate_cover(word_len).matrices()
+    count, witness = certify.cocycle_triple_violations(mats)
+    assert (count, witness) == _first_factor_kernel(mats)
+    assert (count > 0) == (mutant is not None)
+    assert word_len != 4 or count == want_w4
+
+
 def test_algebra_checks_pass_on_the_deep_universe():
-    """Word length 7: 544 matrices, all 161M cocycle triples and all 340^2 det-one pairs."""
-    report = run_certification(7, check_filter=ALGEBRA_CHECK_IDS)
-    checks = {c["check_id"]: c for c in report["checks"]}
-    assert set(checks) == set(ALGEBRA_CHECK_IDS) and report["pass"] is True
-    assert checks["algebra_cocycle_triples"]["params"] == {"matrices": 544, "triples": 160989184}
-    assert checks["algebra_product_bbb_lemma"]["params"] == {"pairs": 115600}
+    """Word lengths 7 and 8: 544 and 900 matrices, all 161M and 729M cocycle triples and all 340^2 and
+    560^2 det-one pairs."""
+    for word_len, matrices, triples, pairs in ((7, 544, 160989184, 115600), (8, 900, 729000000, 313600)):
+        report = run_certification(word_len, check_filter=ALGEBRA_CHECK_IDS)
+        checks = {c["check_id"]: c for c in report["checks"]}
+        assert set(checks) == set(ALGEBRA_CHECK_IDS) and report["pass"] is True
+        assert checks["algebra_cocycle_triples"]["params"] == {"matrices": matrices, "triples": triples}
+        assert checks["algebra_product_bbb_lemma"]["params"] == {"pairs": pairs}
 
 
 @pytest.mark.parametrize("count, combos", [(7, {"(-1,-1)": 1, "(-1,1)": 2, "(1,-1)": 2, "(1,1)": 2}),
