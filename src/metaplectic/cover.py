@@ -342,7 +342,8 @@ def enumerate_cover(max_len: int, *, force: bool = False) -> CoverSet:
         raise DomainError("word length bound must be nonnegative")
     if max_len > ENUMERATION_LIMIT and not force:
         raise ResourceLimitError(
-            f"enumeration depth {max_len} exceeds the configured bound {ENUMERATION_LIMIT}; pass force=True to override"
+            f"enumeration depth {max_len} exceeds the configured bound {ENUMERATION_LIMIT}; "
+            "pass force=True (the CLI's --force) to override"
         )
     words: dict[MetaElt, Word] = {MetaElt.identity(): ()}
     alternates: list[tuple[MetaElt, Word, Word]] = []

@@ -161,6 +161,14 @@ def test_certify_degenerate_universe(capsys, tmp_path):
         assert check["counterexample"] is None
 
 
+def test_certify_beyond_the_enumeration_bound_names_the_flag(capsys):
+    """A word length past ENUMERATION_LIMIT exits 2 without a report, and the message names --force."""
+    code, out, err = run_cli(capsys, "certify", "--max-word-len", "9")
+    assert code == 2 and out == ""
+    assert err == ("error: enumeration depth 9 exceeds the configured bound 8; "
+                   "pass force=True (the CLI's --force) to override\n")
+
+
 def test_certify_impossible_tolerance(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "certify", "--max-word-len", "2",
