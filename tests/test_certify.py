@@ -9,7 +9,7 @@ from metaplectic import certify, cover
 from metaplectic.certify import ALGEBRA_CHECK_IDS, run_certification
 from metaplectic.cli import _strict_json
 from metaplectic.cover import S_MAT, T_MAT, Mat2, enumerate_cover
-from metaplectic.errors import DomainError
+from metaplectic.errors import DomainError, ResourceLimitError
 from metaplectic.qseries import CERTIFY_CONFIG
 from metaplectic.sampling import full_grid
 from metaplectic.slash import HoloFn, Weight, composition_residual, composition_residuals, slash, slash_values
@@ -112,6 +112,15 @@ def test_cocycle_triple_kernel_widens_its_dtype():
     assert certify._entry_rows(small, 3).dtype == np.int16
     assert certify._entry_rows(mats, 3).dtype == np.int32
     assert certify.cocycle_triple_violations(mats) == (0, None)
+
+
+def test_cocycle_triple_kernel_refuses_rows_past_its_int64_key():
+    """With S T^50000 the pair products reach the entry 50000^2, so the (x, y) row key x*span + y would
+    pass int64 although the entries themselves fit: the kernel refuses instead of wrapping."""
+    m = Mat2(0, -1, 1, 50000)
+    assert certify._entry_rows([m, m.inv()], 3).dtype == np.int64
+    with pytest.raises(ResourceLimitError, match="beyond an int64 key"):
+        certify.cocycle_triple_violations([m, m.inv()])
 
 
 def _cocycle_triple_loop(mats):
