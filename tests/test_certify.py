@@ -242,32 +242,28 @@ def _first_factor_kernel(mats):
     return violations, witness
 
 
-_TRIPLE_MUTANTS = {
-    "chi flipped at (1,0)": ("chi_negative", _flip_at(cover.chi_negative, 1, 0)),
-    "chi flipped at (2,1)": ("chi_negative", _flip_at(cover.chi_negative, 2, 1)),
-    "chi flipped at (0,-1)": ("chi_negative", _flip_at(cover.chi_negative, 0, -1)),
-    "chi as c<0": ("chi_negative", lambda c, d: c < 0),
-    "chi as d<0": ("chi_negative", lambda c, d: d < 0),
-    "det a left out of the second Hilbert symbol": (
-        "cocycle_bit", lambda da, db, sa, sb, sab: (da & db) ^ ((sab ^ sa) & (sab ^ sb))),
-}
-_TRIPLE_COUNTS_W4 = [0, 129718, 31568, 27680, 27680, 125832, 88392]
-
-
 @pytest.mark.parametrize("word_len", [3, 4, 5])
-@pytest.mark.parametrize("mutant, want_w4", zip([None, *_TRIPLE_MUTANTS], _TRIPLE_COUNTS_W4))
-def test_cocycle_triple_kernel_matches_the_first_factor_kernel(monkeypatch, word_len, mutant, want_w4):
-    """The grouped kernel against the one-slice-per-c kernel, with the production rules and under chi
-    mutants that no half-plane rule expresses and a mutated ``cocycle_bit``: the same count and the
-    same first witness (first c, then the first (a, b)).  Any bottom-row chi rule is exact for the
-    grouping, so every mutant agrees."""
-    if mutant is not None:
-        name, rule = _TRIPLE_MUTANTS[mutant]
+@pytest.mark.parametrize("name, rule, want_w4", [  # want_w4: violating triples at word length 4
+    pytest.param(None, None, 0, id="production"),
+    pytest.param("chi_negative", _flip_at(cover.chi_negative, 1, 0), 129718, id="chi flipped at (1,0)"),
+    pytest.param("chi_negative", _flip_at(cover.chi_negative, 2, 1), 31568, id="chi flipped at (2,1)"),
+    pytest.param("chi_negative", _flip_at(cover.chi_negative, 0, -1), 27680, id="chi flipped at (0,-1)"),
+    pytest.param("chi_negative", lambda c, d: c < 0, 27680, id="chi as c<0"),
+    pytest.param("chi_negative", lambda c, d: d < 0, 125832, id="chi as d<0"),
+    pytest.param("cocycle_bit", lambda da, db, sa, sb, sab: (da & db) ^ ((sab ^ sa) & (sab ^ sb)), 88392,
+                 id="det a left out of the second Hilbert symbol"),
+])
+def test_cocycle_triple_kernel_matches_the_first_factor_kernel(monkeypatch, word_len, name, rule, want_w4):
+    """The grouped kernel against the one-slice-per-c kernel, with the production rules, under chi rules
+    that are no half-plane rule and under a mutated ``cocycle_bit``: the same count and the same first
+    witness (first c, then the first (a, b)).  The grouping is exact for any bottom-row chi rule, so
+    every mutant agrees."""
+    if name is not None:
         monkeypatch.setattr(certify, name, rule)
     mats = enumerate_cover(word_len).matrices()
     count, witness = certify.cocycle_triple_violations(mats)
     assert (count, witness) == _first_factor_kernel(mats)
-    assert (count > 0) == (mutant is not None)
+    assert (count > 0) == (name is not None)
     assert word_len != 4 or count == want_w4
 
 
