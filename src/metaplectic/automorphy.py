@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cover import Mat2, Word, TOKEN_MATS, minus_t_row, reflection_sign, word_decompose, word_lift
+from .cover import Mat2, Word, TOKEN_MATS, format_word, minus_t_row, reflection_sign, word_decompose, word_lift
 from .errors import DomainError
 
 AXIS_TOLERANCE = 1e-12
@@ -99,7 +99,8 @@ def word_factor(word: Word, z: complex) -> complex:
 def _word_data(gamma: Mat2) -> tuple[Word, int]:
     word = word_decompose(gamma)
     lift = word_lift(word)
-    assert lift.gamma == gamma
+    if lift.gamma != gamma:
+        raise ArithmeticError(f"generator word {format_word(word)!r} of {gamma} multiplies out to {lift.gamma}")
     return word, lift.eps
 
 

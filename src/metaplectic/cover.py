@@ -6,6 +6,14 @@ determinant +-1 and ``eps`` a sign, multiplied through a {+1,-1}-valued
 function.  Everything here is exact: matrix entries are Python integers, and
 the cocycle only sees the sign bits of the determinants and of chi, combined
 in one bit formula (``cocycle_bit``) that also runs on numpy arrays.
+
+Validation happens once, on input: the ``Mat2`` and ``MetaElt`` constructors
+(and so ``Mat2.parse`` and ``MetaElt.parse``) check every element a caller
+supplies.  Results derived from checked elements skip those checks, since
+their entries are ints, their determinant is +-1 and their sign is +-1 by
+construction: ``Mat2`` products, inverses, negations and conjugates
+(``_known_mat2``), and ``MetaElt`` products, inverses and word lifts
+(``_known_metaelt``).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ class Mat2:
 
     def __post_init__(self):
         for entry in (self.a, self.b, self.c, self.d):
-            if not isinstance(entry, int):
+            if not isinstance(entry, int) or isinstance(entry, bool):
                 raise DomainError(f"matrix entries must be integers, got {entry!r}")
         if self.det() not in (1, -1):
             raise DomainError(f"matrix {self} has determinant {self.det()}, need +1 or -1")
@@ -128,7 +136,11 @@ def cocycle(alpha: Mat2, beta: Mat2) -> int:
     """Sign 2-cocycle on GL2(Z) twisting the pair product:
     (det a, det b) (chi(ab)/chi(a), chi(ab)/(chi(b) det a)) in real Hilbert
     symbols, which only see the argument signs, so ``cocycle_bit`` evaluates it."""
-    ab = alpha * beta
+    return _cocycle(alpha, beta, alpha * beta)
+
+
+def _cocycle(alpha: Mat2, beta: Mat2, ab: Mat2) -> int:
+    """``cocycle(alpha, beta)`` given the product ``ab = alpha * beta``."""
     bit = cocycle_bit(alpha.det() < 0, beta.det() < 0, chi_negative(alpha.c, alpha.d),
                       chi_negative(beta.c, beta.d), chi_negative(ab.c, ab.d))
     return -1 if bit else 1
@@ -156,15 +168,17 @@ class MetaElt:
     eps: int
 
     def __post_init__(self):
-        if not isinstance(self.eps, int) or self.eps not in (1, -1):
+        if not isinstance(self.eps, int) or isinstance(self.eps, bool) or self.eps not in (1, -1):
             raise DomainError(f"cover sign must be +1 or -1, got {self.eps!r}")
 
     def __mul__(self, other: "MetaElt") -> "MetaElt":
-        return MetaElt(self.gamma * other.gamma, cocycle(self.gamma, other.gamma) * self.eps * other.eps)
+        g, h = self.gamma, other.gamma
+        gh = g * h
+        return _known_metaelt(gh, _cocycle(g, h, gh) * self.eps * other.eps)
 
     def inv(self) -> "MetaElt":
         ginv = self.gamma.inv()
-        return MetaElt(ginv, self.eps * cocycle(self.gamma, ginv))
+        return _known_metaelt(ginv, self.eps * _cocycle(self.gamma, ginv, IDENT))
 
     def det(self) -> int:
         return self.gamma.det()
@@ -185,16 +199,26 @@ class MetaElt:
         return cls(Mat2.parse(head.strip()), int(tail))
 
 
+def _known_metaelt(gamma: Mat2, eps: int) -> MetaElt:
+    """A ``MetaElt`` built from checked elements (a product, inverse or word lift), so ``gamma`` is a
+    ``Mat2`` and ``eps`` an int sign already: skips the check of ``MetaElt.__post_init__``."""
+    x = object.__new__(MetaElt)
+    fields = x.__dict__
+    fields["gamma"], fields["eps"] = gamma, eps
+    return x
+
+
 LIFT_S = MetaElt(S_MAT, 1)
 LIFT_T = MetaElt(T_MAT, 1)
 LIFT_R = MetaElt(R_MAT, 1)
 LIFT_Z = MetaElt(NEG_IDENT, 1)
 CENTER_FLIP = MetaElt(IDENT, -1)
+_LIFT_R_INV = LIFT_R.inv()
 
 
 def conj_by_reflection(x: MetaElt) -> MetaElt:
     """Conjugate a cover element by the reflection lift, through the cover product."""
-    return LIFT_R * x * LIFT_R.inv()
+    return LIFT_R * x * _LIFT_R_INV
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +240,12 @@ TOKEN_LIFTS: dict[str, MetaElt] = {
     "T": LIFT_T,
     "T^-1": LIFT_T.inv(),
     "R": LIFT_R,
+}
+
+# per token: the entries (a, b, c, d), then the negativity bits of det, chi and the lift's sign
+_TOKEN_ROWS: dict[str, tuple[int, int, int, int, bool, bool, bool]] = {
+    tok: (*x.gamma.entries(), x.det() < 0, chi_negative(x.gamma.c, x.gamma.d), x.eps < 0)
+    for tok, x in TOKEN_LIFTS.items()
 }
 
 _CANCELLING = {("S", "S^-1"), ("S^-1", "S"), ("T", "T^-1"), ("T^-1", "T")}
@@ -243,11 +273,18 @@ def word_matrix(word: Sequence[str]) -> Mat2:
 
 
 def word_lift(word: Sequence[str]) -> MetaElt:
-    """Product of the lifted generators, with the cover sign tracked exactly."""
-    out = MetaElt.identity()
+    """Product of the lifted generators, with the cover sign tracked exactly: a fold over the
+    entries and the det, chi and sign bits, one ``cocycle_bit`` per token."""
+    a, b, c, d = 1, 0, 0, 1
+    det_neg, chi_neg, neg = False, chi_negative(0, 1), False
     for tok in word:
-        out = out * TOKEN_LIFTS[tok]
-    return out
+        ta, tb, tc, td, t_det, t_chi, t_neg = _TOKEN_ROWS[tok]
+        a, b, c, d = a * ta + b * tc, a * tb + b * td, c * ta + d * tc, c * tb + d * td
+        chi_ab = chi_negative(c, d)
+        neg ^= t_neg ^ cocycle_bit(det_neg, t_det, chi_neg, t_chi, chi_ab)
+        det_neg ^= t_det
+        chi_neg = chi_ab
+    return _known_metaelt(_known_mat2(a, b, c, d), -1 if neg else 1)
 
 
 def _free_reduce(tokens: list[str]) -> list[str]:
@@ -263,9 +300,7 @@ def _free_reduce(tokens: list[str]) -> list[str]:
 def _best_shift(c: int, d: int) -> int:
     # Exponent n minimising |d + n*c|; ties prefer the larger (nonnegative) n.
     lo = -d // c
-    candidates = (lo, lo + 1)
-    best = min(candidates, key=lambda n: (abs(d + n * c), -n))
-    return best
+    return lo + 1 if abs(d + (lo + 1) * c) <= abs(d + lo * c) else lo
 
 
 def word_decompose(m: Mat2) -> Word:
@@ -276,29 +311,30 @@ def word_decompose(m: Mat2) -> Word:
     determinant -1 matrix contributes exactly one leading R.  The product of
     the returned generators equals ``m`` exactly.
     """
+    a, b, c, d = m.entries()
+    head: Word = ()
     if m.det() == -1:
-        return ("R",) + word_decompose(R_MAT * m)
-    tail: list[str] = []
-    work = m
-    while work.c != 0:
-        if work.d == 0:
-            work = work * TOKEN_MATS["S^-1"]
-            tail.insert(0, "S")
+        head, a, b = ("R",), -a, -b  # R * m
+    rev_tail: list[str] = []  # the tail's tokens, last first
+    while c != 0:
+        if d == 0:
+            a, b, c, d = -b, a, -d, c  # times S^-1
+            rev_tail.append("S")
             continue
-        n = _best_shift(work.c, work.d)
+        n = _best_shift(c, d)
         if n != 0:
-            work = work * Mat2(1, n, 0, 1)
-            tail[:0] = ["T^-1"] * n if n > 0 else ["T"] * (-n)
-        work = work * S_MAT
-        tail.insert(0, "S^-1")
-    if work.a == 1:
-        exp = work.b
+            b, d = a * n + b, c * n + d  # times T^n
+            rev_tail.extend(["T^-1"] * n if n > 0 else ["T"] * (-n))
+        a, b, c, d = b, -a, d, -c  # times S
+        rev_tail.append("S^-1")
+    if a == 1:
+        exp = b
         core = ["T"] * exp if exp >= 0 else ["T^-1"] * (-exp)
     else:
         # (-1, b; 0, -1) = S^2 * T^(-b)
-        exp = -work.b
+        exp = -b
         core = ["S", "S"] + (["T"] * exp if exp >= 0 else ["T^-1"] * (-exp))
-    return tuple(_free_reduce(core + tail))
+    return head + tuple(_free_reduce(core + rev_tail[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from metaplectic import automorphy
 from metaplectic.automorphy import (
     branch_profile,
     i_power,
@@ -140,6 +141,17 @@ def test_word_lift_well_defined(cover4):
             direct = elt.eps * phi_upper(elt.gamma, z)
             assert abs(a - b) < 1e-12
             assert abs(a - direct) < 1e-12
+
+
+def test_word_data_refuses_a_word_of_another_matrix(monkeypatch):
+    """The decomposition is checked by an explicit raise, which ``python -O`` keeps, not by an assert."""
+    monkeypatch.setattr(automorphy, "word_decompose", lambda gamma: ("T",))
+    automorphy._word_data.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="multiplies out to"):
+            automorphy._word_data(S_MAT)
+    finally:
+        automorphy._word_data.cache_clear()
 
 
 def test_word_factor_rejects_reflection():

@@ -18,6 +18,7 @@ from metaplectic.cover import (
     NEG_IDENT,
     R_MAT,
     S_MAT,
+    TOKEN_LIFTS,
     T_MAT,
     chi_negative,
     cocycle,
@@ -33,6 +34,7 @@ from metaplectic.cover import (
     word_lift,
     word_matrix,
 )
+from metaplectic import cover
 from metaplectic.errors import DomainError, ResourceLimitError
 
 words = st.lists(st.sampled_from(GENERATOR_TOKENS), max_size=10).map(tuple)
@@ -46,6 +48,8 @@ def test_matrix_invariants():
         Mat2(1, 0, 0, 0)  # singular
     with pytest.raises(DomainError):
         Mat2(1.0, 0, 0, 1)  # not an integer entry
+    with pytest.raises(DomainError):
+        Mat2(True, False, False, True)  # bools would print as [[True,False],[False,True]]
     assert S_MAT.det() == 1 and R_MAT.det() == -1
     assert S_MAT * S_MAT == NEG_IDENT
     assert R_MAT * R_MAT == IDENT
@@ -55,8 +59,8 @@ def test_matrix_invariants():
 
 
 def test_internal_products_equal_checked_matrices(cover4):
-    """Products, inverses, negations and conjugates skip the constructor checks; they must still be
-    the same values, with the same hash, as the checked matrices of their entries."""
+    """Products, inverses, negations, conjugates and word lifts skip the constructor checks; they must
+    still be the same values, with the same hash, as the checked elements of their entries and sign."""
     mats = cover4.matrices()[:30]
     derived = [a * b for a in mats for b in mats] + [f(m) for m in mats
                                                     for f in (Mat2.inv, Mat2.__neg__, Mat2.reflect_conjugate)]
@@ -64,6 +68,13 @@ def test_internal_products_equal_checked_matrices(cover4):
         checked = Mat2(*m.entries())
         assert m == checked and hash(m) == hash(checked) and str(m) == str(checked)
         assert all(type(x) is int for x in m.entries()) and m.det() in (1, -1)
+    elts = cover4.elements()[:30]
+    derived = ([x * y for x in elts for y in elts] + [x.inv() for x in elts]
+               + [word_lift(w) for w in list(cover4.words.values())[-30:]])
+    for x in derived:
+        checked = MetaElt(Mat2(*x.gamma.entries()), x.eps)
+        assert x == checked and hash(x) == hash(checked) and str(x) == str(checked)
+        assert type(x.gamma) is Mat2 and type(x.eps) is int
 
 
 def test_matrix_text_format():
@@ -192,6 +203,90 @@ def test_metaelt_text_format():
         MetaElt.parse("[[0,-1],[1,0]];+2")
 
 
+def _lift_oracle(word):
+    """``word_lift`` as an object fold: the identity times each lifted generator, one checked cover
+    product [g, e][h, f] = [gh, cocycle(g, h) e f] per token."""
+    out = MetaElt.identity()
+    for tok in word:
+        x = TOKEN_LIFTS[tok]
+        out = MetaElt(Mat2(*(out.gamma * x.gamma).entries()), cocycle(out.gamma, x.gamma) * out.eps * x.eps)
+    return out
+
+
+def _decompose_oracle(m):
+    """``word_decompose`` on checked ``Mat2`` products: the same Euclidean run, one matrix per step."""
+    if m.det() == -1:
+        return ("R",) + _decompose_oracle(R_MAT * m)
+    tail = []
+    work = m
+    while work.c != 0:
+        if work.d == 0:
+            work = work * S_MAT.inv()
+            tail.insert(0, "S")
+            continue
+        lo = -work.d // work.c
+        n = min((lo, lo + 1), key=lambda n: (abs(work.d + n * work.c), -n))
+        if n != 0:
+            work = work * Mat2(1, n, 0, 1)
+            tail[:0] = ["T^-1"] * n if n > 0 else ["T"] * (-n)
+        work = work * S_MAT
+        tail.insert(0, "S^-1")
+    exp = work.b if work.a == 1 else -work.b
+    core = ([] if work.a == 1 else ["S", "S"]) + (["T"] * exp if exp >= 0 else ["T^-1"] * (-exp))
+    reduced = []
+    for tok in core + tail:
+        if reduced and {reduced[-1], tok} in ({"S", "S^-1"}, {"T", "T^-1"}):
+            reduced.pop()
+        else:
+            reduced.append(tok)
+    return tuple(reduced)
+
+
+def _assert_same_lift(word):
+    got, want = word_lift(word), _lift_oracle(word)
+    assert got == want and hash(got) == hash(want) and str(got) == str(want), word
+    assert type(got.eps) is int
+
+
+def test_integer_paths_match_the_object_oracles():
+    """The integer ``word_decompose`` and the integer ``word_lift`` fold against the matrix-by-matrix
+    oracles on every matrix and every witness word of the word-length-6 universe."""
+    cover6 = enumerate_cover(6)
+    for m in cover6.matrices():
+        word = word_decompose(m)
+        assert word == _decompose_oracle(m), m
+        _assert_same_lift(word)
+        assert word_lift(word).gamma == m
+    for word in cover6.words.values():
+        _assert_same_lift(word)
+
+
+@given(words)
+@settings(max_examples=150)
+def test_integer_paths_match_the_object_oracles_random(word):
+    _assert_same_lift(word)
+    m = word_matrix(word)
+    assert word_decompose(m) == _decompose_oracle(m)
+
+
+@pytest.mark.parametrize("name, rule", [
+    ("chi_negative", lambda c, d, chi=chi_negative: chi(c, d) ^ ((c == 1) & (d == 2))),
+    ("cocycle_bit", lambda da, db, sa, sb, sab: (da & db) ^ ((sab ^ sa) & (sab ^ sb))),
+], ids=["chi flipped at (1,2)", "det a left out of the second Hilbert symbol"])
+def test_word_lift_follows_the_one_cocycle_rule(cover4, monkeypatch, name, rule):
+    """``word_lift`` folds the sign through ``cover.chi_negative`` and ``cover.cocycle_bit`` themselves,
+    not a copy: with either rule mutated it still equals the object fold under the same mutation, and
+    the mutation moves some lift.  chi is flipped on a row that no generator has, because the lifted
+    generators and their bits are fixed at import."""
+    witness_words = list(cover4.words.values())
+    before = [word_lift(w) for w in witness_words]
+    monkeypatch.setattr(cover, name, rule)
+    after = [word_lift(w) for w in witness_words]
+    for word in witness_words:
+        _assert_same_lift(word)
+    assert after != before
+
+
 def test_word_basics():
     assert word_decompose(S_MAT) == ("S",)
     assert word_decompose(Mat2(1, 3, 0, 1)) == ("T", "T", "T")
@@ -291,3 +386,5 @@ def test_sign_validation():
         MetaElt(S_MAT, 2)
     with pytest.raises(DomainError):
         MetaElt(S_MAT, 1.0)  # a float sign would break the ;+1 witness format
+    with pytest.raises(DomainError):
+        MetaElt(S_MAT, True)  # prints as ;+1 but is no int sign

@@ -217,7 +217,7 @@ def test_lattice_cutoff_drift():
 
 def test_lattice_matches_series(qcfg):
     for k in (4, 6):
-        for z in (2j, 1 + 2j):
+        for z in (2j, 1 + 2j, 0.3 + 0.9j):  # 1+2i reduces to 2i by T, 0.3+0.9i through S
             series = eisenstein(k, z, qcfg)
             assert abs(series - lattice_sum(k, z, 60)) / abs(series) < 1e-13
 
