@@ -78,6 +78,15 @@ def _truncation_index(im: float, cfg: QSeriesConfig, extra_log: float = 0.0) -> 
     return n
 
 
+def _series_argument(z: complex, n: int) -> complex:
+    """2 pi i z, so that q^k = e^(k arg); refused when the last exponent n arg leaves the floating-point range,
+    as it does at a finite point with a huge real part."""
+    arg = 2j * cmath.pi * z
+    if not cmath.isfinite(arg * n):
+        raise ResourceLimitError(f"the q-series exponent 2 pi i z * {n} at z = {z} leaves the floating-point range")
+    return arg
+
+
 def _truncation_indices(im: np.ndarray, cfg: QSeriesConfig, extra_log=0.0) -> np.ndarray:
     """``_truncation_index`` elementwise: the point needing the most terms raises its error."""
     n = np.maximum(np.ceil((math.log(1 / cfg.tail_tolerance) + extra_log) / (2 * math.pi * im)), 1)
@@ -209,10 +218,14 @@ def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
 
 
 def _eta_series(z: complex, cfg: QSeriesConfig) -> complex:
+    """e^(pi i z/12) prod_{k<=n} (1 - q^k) at one point, folded left to right in Python complex arithmetic:
+    at the 7-25 terms a reduced point needs, a numpy array's fixed cost would outweigh the product."""
     n = _truncation_index(z.imag, cfg)
-    ns = np.arange(1, n + 1)
-    factors = 1.0 - np.exp((2j * np.pi * z) * ns)
-    return cmath.exp(1j * cmath.pi * z / 12) * complex(np.prod(factors))
+    arg = _series_argument(z, n)
+    prod = 1.0
+    for k in range(1, n + 1):
+        prod *= 1.0 - cmath.exp(arg * k)
+    return cmath.exp(1j * cmath.pi * z / 12) * prod
 
 
 def eta_batch(z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -245,12 +258,16 @@ def eisenstein(k: int, z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
 
 
 def _eisenstein_series(k: int, z: complex, cfg: QSeriesConfig) -> complex:
+    """2 zeta(k) (1 + c_k sum_{d<=n} d^(k-1) q^d / (1 - q^d)) at one point, the Lambert sum added left to
+    right in Python complex arithmetic, the order ``eisenstein_batch`` folds in."""
     base = _truncation_index(z.imag, cfg)
     n = _truncation_index(z.imag, cfg, extra_log=(k - 1) * max(math.log(base), 1.0))
-    ds = np.arange(1, n + 1)
-    qd = np.exp((2j * np.pi * z) * ds)
-    lam = (ds.astype(float) ** (k - 1)) * qd / (1.0 - qd)
-    return 2 * _EIS_ZETA[k] * (1 + _EIS_COEFF[k] * complex(lam.sum()))
+    arg = _series_argument(z, n)
+    total = 0j
+    for d in range(1, n + 1):
+        qd = cmath.exp(arg * d)
+        total += float(d) ** (k - 1) * qd / (1.0 - qd)
+    return 2 * _EIS_ZETA[k] * (1 + _EIS_COEFF[k] * total)
 
 
 def eisenstein_batch(k: int, z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:

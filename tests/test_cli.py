@@ -85,7 +85,9 @@ def test_eval_usage_errors(capsys):
         assert code == 2 and out == ""
         assert f"point {shown} is not a finite complex number" in err
     # the product is finite, but beyond the floating-point range: refused, not printed as NaN
-    for form, z in (("zn:200", "0+1i"), ("zn:60", "0.5+3i"), ("zn:400", "0+1i")):
+    # and so is a series whose exponent 2 pi i z n overflows at a huge real part
+    for form, z in (("zn:200", "0+1i"), ("zn:60", "0.5+3i"), ("zn:400", "0+1i"),
+                    ("eta", "1e308+1i"), ("eta", "3e306+0.5i"), ("eta-hat", "1e308-1i")):
         code, out, err = run_cli(capsys, "eval", "--form", form, "--z", z)
         assert code == 2 and out == "" and "leaves the floating-point range" in err, form
     assert run_cli(capsys, "eval", "--elem", "Q")[0] == 2

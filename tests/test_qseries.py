@@ -159,6 +159,60 @@ def test_reduced_eta_matches_high_precision(qcfg):
             assert abs(got - complex(want)) <= 1e-10 * abs(complex(want)), z
 
 
+def _eta_series_numpy(z: complex, cfg) -> complex:
+    """The eta product as one numpy array of factors, the form ``qseries._eta_series`` had before its fold."""
+    n = qseries._truncation_index(z.imag, cfg)
+    factors = 1.0 - np.exp((2j * np.pi * z) * np.arange(1, n + 1))
+    return cmath.exp(1j * cmath.pi * z / 12) * complex(np.prod(factors))
+
+
+def _lambert_terms_numpy(k: int, z: complex, cfg) -> np.ndarray:
+    """The terms d^(k-1) q^d / (1 - q^d) of ``qseries._eisenstein_series``, as one numpy array."""
+    base = qseries._truncation_index(z.imag, cfg)
+    n = qseries._truncation_index(z.imag, cfg, extra_log=(k - 1) * max(math.log(base), 1.0))
+    ds = np.arange(1, n + 1)
+    qd = np.exp((2j * np.pi * z) * ds)
+    return (ds.astype(float) ** (k - 1)) * qd / (1.0 - qd)
+
+
+def _eisenstein_series_numpy(k: int, z: complex, cfg) -> complex:
+    """The Lambert form with numpy's pairwise sum, the form ``qseries._eisenstein_series`` had before its fold."""
+    return 2 * qseries._EIS_ZETA[k] * (1 + qseries._EIS_COEFF[k] * complex(_lambert_terms_numpy(k, z, cfg).sum()))
+
+
+def test_scalar_series_match_the_numpy_bodies(qcfg, raw_cfg):
+    """The scalar series fold their few terms in Python complex arithmetic.  The eta product multiplies in the
+    numpy order, so it is bit-equal, reduced and raw.  The Lambert sum adds left to right, not pairwise, so
+    E4/E6 may differ by rounding: at fundamental-domain points within 4e-15 of max(1, |value|), and at raw
+    points within 4e-15 of the sum of the terms' absolute values, the scale its rounding error has where
+    the sum cancels near the axis."""
+    rng = np.random.default_rng(28)
+    z = rng.uniform(-2, 2, 1000) + 1j * np.exp(rng.uniform(math.log(1e-3), math.log(3), 1000))
+    for p in map(complex, z):
+        w = qseries._reduce(p)[1] if p.imag < 0.25 else p
+        assert qseries._eta_series(w, qcfg) == _eta_series_numpy(w, qcfg), p
+        assert qseries._eta_series(p, raw_cfg) == _eta_series_numpy(p, raw_cfg), p
+        w = qseries._reduce(p)[1]
+        for k in (4, 6):
+            want = _eisenstein_series_numpy(k, w, qcfg)
+            assert abs(qseries._eisenstein_series(k, w, qcfg) - want) <= 4e-15 * max(1, abs(want)), (k, p)
+            if p.imag >= 0.05:
+                want, terms = _eisenstein_series_numpy(k, p, raw_cfg), _lambert_terms_numpy(k, p, raw_cfg)
+                scale = 2 * qseries._EIS_ZETA[k] * abs(qseries._EIS_COEFF[k]) * np.abs(terms).sum()
+                assert abs(qseries._eisenstein_series(k, p, raw_cfg) - want) <= 4e-15 * max(1, scale), (k, p)
+
+
+def test_scalar_series_refuse_an_exponent_past_the_float_range(raw_cfg):
+    """At a finite point with a huge real part the last exponent 2 pi i z n is not finite: the series refuse
+    the point instead of returning NaN or raising cmath's bare ValueError."""
+    for z in (1e308 + 1j, 3e306 + 0.5j):
+        with pytest.raises(ResourceLimitError, match="leaves the floating-point range"):
+            eta(z)
+        for k in (4, 6):
+            with pytest.raises(ResourceLimitError, match="leaves the floating-point range"):
+                eisenstein(k, z, raw_cfg)
+
+
 def test_reduce_to_fundamental():
     g, w = qseries._reduce(require_upper(0.4 + 0.012j))
     assert g.det() == 1
