@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cover import Mat2, Word, TOKEN_MATS, format_word, minus_t_row, reflection_sign, word_decompose, word_lift
+from .cover import Mat2, Word, format_word, minus_t_row, reflection_sign, word_decompose, word_lift
 from .errors import DomainError
 
 AXIS_TOLERANCE = 1e-12
@@ -74,24 +74,21 @@ def mobius(gamma: Mat2, z) -> complex:
     return (gamma.a * z + gamma.b) / (gamma.c * z + gamma.d)
 
 
-# factor carried by each lifted generator token in the pair realisation
-_TOKEN_FACTORS = {
-    "S": lambda z: principal_sqrt(z),
-    "S^-1": lambda z: 1 / principal_sqrt(-1 / z),
-    "T": lambda z: 1 + 0j,
-    "T^-1": lambda z: 1 + 0j,
-}
-
-
 def word_factor(word: Word, z: complex) -> complex:
-    """Pair-product factor of a determinant-one generator word at ``z``."""
-    fac = 1 + 0j
-    w = z
+    """Pair-product factor of a determinant-one generator word at ``z``: each lifted token carries
+    sqrt(w) (S), 1/sqrt(-1/w) (S^-1) or 1 (T, T^-1), and moves w by its own closed form, which is
+    ``mobius`` of its matrix bit for bit; each w is checked as ``mobius`` checks it."""
+    fac, w = 1 + 0j, complex(z)
     for tok in reversed(word):
         if tok == "R":
             raise DomainError("word_factor is defined for determinant +1 words only")
-        fac = _TOKEN_FACTORS[tok](w) * fac
-        w = mobius(TOKEN_MATS[tok], w)
+        if tok == "S":
+            fac = principal_sqrt(w) * fac
+        elif tok == "S^-1":
+            fac = 1 / principal_sqrt(-1 / w) * fac
+        if not (cmath.isfinite(w) and abs(w.imag) > AXIS_TOLERANCE):
+            require_off_axis(w)
+        w = w + 1 if tok == "T" else w - 1 if tok == "T^-1" else -1 / w if tok == "S" else 1 / -w
     return fac
 
 

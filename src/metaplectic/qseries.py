@@ -56,6 +56,8 @@ DEFAULT_CONFIG = QSeriesConfig()
 
 REDUCTION_STEPS = 500  # cap on the steps of a fundamental-domain reduction
 
+_QPOW_ANCHOR = 8  # the batch series take q^k from one exponential at every 8th k, as q^(k-1) * q in between
+
 # the certification suite's budget: Moebius images of its grid come within ~1e-6 of the axis
 CERTIFY_CONFIG = QSeriesConfig(tail_tolerance=1e-17, max_terms=2_000_000, min_im=1e-6)
 
@@ -129,8 +131,10 @@ def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tup
         a, b, c, d = m[:, todo]
         w = (a * z[todo] + b) / (c * z[todo] + d)
         shift = -np.round(w.real)
-        if max(np.abs(shift).max(initial=0), np.abs(m[:, todo]).max(initial=0)) >= 2 ** 31:
-            raise ResourceLimitError(f"fundamental-domain reduction of {complex(z[todo[0]])} leaves int64")
+        over = np.maximum(np.abs(shift), np.abs(m[:, todo]).max(axis=0, initial=0)) >= 2 ** 31
+        if over.any():
+            point = complex(z[todo[np.argmax(over)]])
+            raise ResourceLimitError(f"fundamental-domain reduction of {point} leaves int64")
         a, b = a + shift.astype(np.int64) * c, b + shift.astype(np.int64) * d  # T^shift * g
         w0[todo] = w = w + shift
         flip = np.abs(w) < 0.999999
@@ -144,11 +148,30 @@ def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tup
 def _live_point_series(arg: np.ndarray, n: np.ndarray, start: complex, combine, term) -> np.ndarray:
     """Fold ``combine`` over term(q^k, k), q = e^(2 pi i arg), for k = 1..n at every point, each stopping at its
     own n: the points are sorted by n once, and term k is computed only on the prefix still live.  Multiplying
-    by 1 and adding 0 are exact, so this equals running every point to max(n) with the extra terms masked."""
+    by 1 and adding 0 are exact, so this equals running every point to max(n) with the extra terms masked.
+
+    q^k is q^(k-1) * q, except where k is a multiple of ``_QPOW_ANCHOR``: there it is e^(2 pi i t - 2 pi k Im arg)
+    with t = x k mod 1, x = Re arg - round(Re arg) = hi / 2^26 + lo: |hi| <= 2^25, so hi k mod 2^26 is exact in
+    int64 for any feasible k, and only lo k rounds.  So no q^k carries the rounding of 2 pi arg k, which grows
+    with k.  The first point whose last exponent 2 pi i arg n leaves the floating-point range is refused as the
+    scalar series do."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite((2j * np.pi * arg) * n)
+    if bad.any():
+        _series_argument(complex(arg[np.argmax(bad)]), int(n[np.argmax(bad)]))
     order = np.argsort(-n, kind="stable")
     arg, acc = arg[order], np.full(arg.shape, start, dtype=complex)
+    x = arg.real - np.round(arg.real)
+    hi = np.round(x * 2 ** 26).astype(np.int64)
+    lo = x - hi / 2 ** 26
+    q = qk = np.exp(2j * np.pi * arg)
     for k, live in enumerate(np.searchsorted(-n[order], -np.arange(1, n.max(initial=0) + 1), side="right"), 1):
-        acc[:live] = combine(acc[:live], term(np.exp((2j * np.pi * arg[:live]) * k), k))
+        if k % _QPOW_ANCHOR == 0:
+            t = (hi[:live] * k) % 2 ** 26 / 2 ** 26 + lo[:live] * k
+            qk = np.exp(2j * np.pi * t - 2 * np.pi * k * arg.imag[:live])
+        elif k > 1:
+            qk = qk[:live] * q[:live]
+        acc[:live] = combine(acc[:live], term(qk, k))
     return acc[np.argsort(order)]
 
 
@@ -231,8 +254,10 @@ def _eta_series(z: complex, cfg: QSeriesConfig) -> complex:
 def eta_batch(z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
     """``eta`` at every point of the complex array ``z``, with its refusals, reductions and per-point
     truncations: one pass per product term over the points that still need it."""
-    m, arg = _reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
-    roots = np.array([_eta_root(*g) for g in zip(*m.tolist())])
+    todo = (z.imag < 0.25) & cfg.reduce
+    m, arg = _reduce_workable(z, cfg, todo)
+    roots = np.ones(z.shape, dtype=complex)  # the identity's root is exactly 1
+    roots[todo] = [_eta_root(*g) for g in zip(*m[:, todo].tolist())]
     prod = _live_point_series(arg, _truncation_indices(arg.imag, cfg), 1, np.multiply, lambda qk, k: 1.0 - qk)
     # c z + d is 1 where nothing was reduced, and off the cut where it was (c != 0, as Im went up)
     return np.exp(1j * np.pi * arg / 12) * prod / (roots * np.sqrt(m[2] * z + m[3]))

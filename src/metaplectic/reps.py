@@ -171,7 +171,7 @@ def root24(n: int) -> complex:
 
 def snap_to_root_of_unity(value: complex) -> tuple[complex, int, float]:
     """Nearest 24th root of unity to ``value``, its index and its distance."""
-    index = min(range(24), key=lambda j: abs(value - root24(j)))
+    index = round(cmath.phase(value) * 12 / cmath.pi) % 24  # the nearest root is the nearest in angle
     return root24(index), index, abs(value - root24(index))
 
 

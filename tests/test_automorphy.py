@@ -8,6 +8,7 @@ from metaplectic import automorphy
 from metaplectic.automorphy import (
     branch_profile,
     i_power,
+    mobius,
     phi_lower,
     phi_upper,
     principal_sqrt,
@@ -16,7 +17,18 @@ from metaplectic.automorphy import (
     require_upper,
     word_factor,
 )
-from metaplectic.cover import Mat2, R_MAT, S_MAT, T_MAT, cocycle, reflection_sign, word_decompose, word_lift
+from metaplectic.cover import (
+    TOKEN_MATS,
+    Mat2,
+    R_MAT,
+    S_MAT,
+    T_MAT,
+    cocycle,
+    enumerate_cover,
+    reflection_sign,
+    word_decompose,
+    word_lift,
+)
 from metaplectic.errors import DomainError
 from metaplectic.sampling import lower_grid, upper_grid
 
@@ -165,3 +177,41 @@ def test_branch_profile_constant(cover4):
         signs[branch_profile(g, upper_grid())] += 1
     # both signs occur: the pinned section is not the raw principal branch everywhere
     assert signs[1] > 0 and signs[-1] > 0
+
+
+def _mobius_route_factor(word, z):
+    """``word_factor`` through ``mobius``: each token's factor from a table, each step by its matrix."""
+    factors = {"S": principal_sqrt, "S^-1": lambda w: 1 / principal_sqrt(-1 / w),
+               "T": lambda w: 1 + 0j, "T^-1": lambda w: 1 + 0j}
+    fac, w = 1 + 0j, z
+    for tok in reversed(word):
+        fac = factors[tok](w) * fac
+        w = mobius(TOKEN_MATS[tok], w)
+    return fac
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_word_factor_steps_equal_the_mobius_route():
+    """The closed-form token steps w+1, w-1, -1/w and 1/(-w) give the mobius route's factor bit for bit on
+    every determinant-one word of the word-length-7 universe (each matrix's decomposition and every
+    alternate word) at the grid points, and refuse the same points with the same message, first token first."""
+    universe = enumerate_cover(7)
+    words = {automorphy._word_data(g)[0] for g in universe.sl_matrices()}
+    words |= {w for _, *pair in universe.alternates for w in pair if "R" not in w}
+    assert len(words) > 400
+    for word in words:
+        for z in upper_grid():
+            assert repr(word_factor(word, z)) == repr(_mobius_route_factor(word, z))
+    refusals = [(("T", "S"), 1e7 + 1e-3j),  # S takes Im to 1e-17, so the T step refuses the image
+                (("S",), 0.5 + 0j), (("T",), complex("nan+1j")), (("S^-1", "T"), complex("inf+1j")),
+                (("T^-1",), 0.3 - 1e-13j), (("S", "T^-1", "S^-1"), 2.0 + 0j)]
+    for word, z in refusals:
+        want = _outcome(lambda: _mobius_route_factor(word, z))
+        assert "real axis" in want or "not a finite" in want
+        assert _outcome(lambda: word_factor(word, z)) == want

@@ -12,6 +12,7 @@ from metaplectic.cover import IDENT, LIFT_R, LIFT_S, LIFT_T, NEG_IDENT, S_MAT, T
 from metaplectic.errors import DomainError, ResourceLimitError
 from metaplectic import qseries
 from metaplectic.qseries import (
+    DEFAULT_CONFIG,
     QSeriesConfig,
     dedekind_sum,
     eisenstein,
@@ -390,24 +391,44 @@ def test_batch_series_match_the_scalar_series(qcfg, raw_cfg):
             assert many(pts[:0]).shape == (0,)
 
 
-def _masked_eta_batch(z, cfg):
+def _anchored_q_powers(arg, count):
+    """(k, q^k) for k = 1..count at every point by the batch rule: q = e^(2 pi i arg), q^k from the phase
+    x k mod 1 (x = Re arg mod 1 = hi / 2^26 + lo) where k is a multiple of ``_QPOW_ANCHOR``, q^(k-1) * q elsewhere."""
+    q = qk = np.exp(2j * np.pi * arg)
+    x = arg.real - np.round(arg.real)
+    hi = np.round(x * 2 ** 26).astype(np.int64)
+    lo = x - hi / 2 ** 26
+    for k in range(1, count + 1):
+        if k % qseries._QPOW_ANCHOR == 0:
+            qk = np.exp(2j * np.pi * ((hi * k) % 2 ** 26 / 2 ** 26 + lo * k) - 2 * np.pi * k * arg.imag)
+        elif k > 1:
+            qk = qk * q
+        yield k, qk
+
+
+def _per_term_q_powers(arg, count):
+    """(k, q^k) with one exponential e^(2 pi i arg k) per term: the accuracy oracle of the anchored rule."""
+    for k in range(1, count + 1):
+        yield k, np.exp((2j * np.pi * arg) * k)
+
+
+def _masked_eta_batch(z, cfg, q_powers=_anchored_q_powers):
     """``eta_batch`` as a masked loop: every point runs through the largest truncation index."""
     m, arg = qseries._reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
     roots = np.array([qseries._eta_root(*g) for g in zip(*m.tolist())])
     n, prod = qseries._truncation_indices(arg.imag, cfg), np.ones_like(z)
-    for k in range(1, n.max(initial=0) + 1):
-        prod = prod * np.where(k <= n, 1.0 - np.exp((2j * np.pi * arg) * k), 1)
+    for k, qk in q_powers(arg, n.max(initial=0)):
+        prod = prod * np.where(k <= n, 1.0 - qk, 1)
     return np.exp(1j * np.pi * arg / 12) * prod / (roots * np.sqrt(m[2] * z + m[3]))
 
 
-def _masked_eisenstein_batch(k, z, cfg):
+def _masked_eisenstein_batch(k, z, cfg, q_powers=_anchored_q_powers):
     """``eisenstein_batch`` as a masked loop: every point runs through the largest truncation index."""
     m, arg = qseries._reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
     base = qseries._truncation_indices(arg.imag, cfg)
     n = qseries._truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0))
     total = np.zeros_like(z)
-    for d in range(1, n.max(initial=0) + 1):
-        qd = np.exp((2j * np.pi * arg) * d)
+    for d, qd in q_powers(arg, n.max(initial=0)):
         total = total + np.where(d <= n, float(d) ** (k - 1) * qd / (1.0 - qd), 0)
     return 2 * qseries._EIS_ZETA[k] * (1 + qseries._EIS_COEFF[k] * total) * cpow_int(m[2] * z + m[3], -k)
 
@@ -435,6 +456,53 @@ def test_live_point_series_equal_the_masked_loop(qcfg, raw_cfg):
             assert eisenstein_batch(k, z[:0], cfg).shape == _masked_eisenstein_batch(k, z[:0], cfg).shape == (0,)
 
 
+def _raw_series_mpmath(z: complex, cfg) -> tuple:
+    """Raw eta, E4 and E6 at z over the same terms the float series sum, in 40-digit arithmetic, each with
+    its condition number: the relative change of the value when every q^k moves by a relative 1."""
+    n = [qseries._truncation_index(z.imag, cfg)]
+    n += [qseries._truncation_index(z.imag, cfg, (k - 1) * max(math.log(n[0]), 1.0)) for k in (4, 6)]
+    with mpmath.workdps(40):
+        zz = mpmath.mpc(z.real, z.imag)
+        q, qd = mpmath.exp(2j * mpmath.pi * zz), mpmath.mpc(1)
+        prod, sums = mpmath.mpc(1), {4: mpmath.mpc(0), 6: mpmath.mpc(0)}
+        for d in range(1, n[2] + 1):
+            qd *= q
+            lambert = qd / (1 - qd)
+            if d <= n[0]:
+                prod *= 1 - qd
+            sums[4] += d ** 3 * lambert if d <= n[1] else 0
+            sums[6] += d ** 5 * lambert
+        values = [complex(mpmath.exp(1j * mpmath.pi * zz / 12) * prod),
+                  *(complex(2 * qseries._EIS_ZETA[k] * (1 + qseries._EIS_COEFF[k] * sums[k])) for k in (4, 6))]
+    d = np.arange(1, n[2] + 1)
+    qd = np.exp(-2 * np.pi * z.imag * d)  # |q^d|
+    lambert = qd / np.abs(1 - np.exp(2j * np.pi * z * d))
+    conds = [lambert[:n[0]].sum(), *(2 * qseries._EIS_ZETA[k] * abs(qseries._EIS_COEFF[k]) / abs(v)
+                                     * (d[:m] ** (k - 1.0) * lambert[:m] ** 2 / qd[:m]).sum()
+                                     for k, m, v in zip((4, 6), n[1:], values[1:]))]
+    return values, conds
+
+
+def test_anchored_q_powers_are_as_accurate_as_one_exponential_per_term(raw_cfg):
+    """At 20 seeded raw points with Im from 2.5e-3 to 0.5, the batch eta, E4 and E6, whose q^k come from one
+    exponential every ``_QPOW_ANCHOR`` terms, are no further from a 40-digit sum of the same terms than the
+    body with one exponential per term, up to the error 8 ulps in every q^k would make (8 eps times the
+    condition number): the q^(k-1) * q steps between anchors cost a few ulps, while e^(2 pi i arg k) rounds
+    2 pi arg k.  For E4 and E6 the per-term body is somewhere worse by more than that margin."""
+    rng = np.random.default_rng(29)
+    z = rng.uniform(-2, 2, 20) + 1j * np.exp(rng.uniform(math.log(2.5e-3), math.log(0.5), 20))
+    want, cond = (np.array(col).T for col in zip(*(_raw_series_mpmath(complex(p), raw_cfg) for p in z)))
+    batch = (eta_batch(z, raw_cfg), eisenstein_batch(4, z, raw_cfg), eisenstein_batch(6, z, raw_cfg))
+    per_term = (_masked_eta_batch(z, raw_cfg, _per_term_q_powers),
+                _masked_eisenstein_batch(4, z, raw_cfg, _per_term_q_powers),
+                _masked_eisenstein_batch(6, z, raw_cfg, _per_term_q_powers))
+    margin = 8 * np.finfo(float).eps * cond
+    for name, got, old, ref, slack in zip(("eta", "E4", "E6"), batch, per_term, want, margin):
+        err, old_err = np.abs(got - ref) / np.abs(ref), np.abs(old - ref) / np.abs(ref)
+        assert np.all(err <= old_err + slack), name
+        assert name == "eta" or np.any(old_err > err + slack), name
+
+
 def _error(call):
     with pytest.raises((DomainError, ResourceLimitError)) as info:
         call()
@@ -442,8 +510,8 @@ def _error(call):
 
 
 def test_batch_series_refuse_like_the_scalar_series(monkeypatch):
-    """Below min_im, past max_terms and past the reduction cap, the array evaluators and the batch
-    composition raise what the scalar ones raise."""
+    """Below min_im, past max_terms, past the reduction cap and where the series exponent overflows, the
+    array evaluators and the batch composition raise what the scalar ones raise."""
     good = 0.1 + 1.2j
     cases = [(QSeriesConfig(min_im=0.1), 0.5 + 0.01j, DomainError),
              (QSeriesConfig(max_terms=10, min_im=1e-6, reduce=False), 0.3 + 0.001j, ResourceLimitError),
@@ -460,3 +528,17 @@ def test_batch_series_refuse_like_the_scalar_series(monkeypatch):
         assert _error(lambda: composition_residuals(f, Weight(1), [(x, y)], points))[0] is kind
         assert _error(lambda: composition_residual(f, Weight(1), x, y, points))[0] is kind
         monkeypatch.undo()
+    # a finite point whose series exponent 2 pi i z n overflows: eta at Im 1 sums unreduced in both configs
+    huge, raw = 1e308 + 1j, QSeriesConfig(reduce=False)
+    for many, one in ((lambda p: eta_batch(p, DEFAULT_CONFIG), lambda p: eta(p, DEFAULT_CONFIG)),
+                      (lambda p: eta_batch(p, raw), lambda p: eta(p, raw)),
+                      (lambda p: eisenstein_batch(4, p, raw), lambda p: eisenstein(4, p, raw))):
+        want = _error(lambda: one(huge))
+        assert want[0] is ResourceLimitError and _error(lambda: many(np.array([good, huge, good]))) == want
+    # reduced, the scalar E4 shifts by an exact Python integer (1e308 is one) and the batch's int64 rows
+    # refuse, naming the point that overflowed, not the first one still being reduced
+    assert eisenstein(4, huge) == eisenstein(4, 1j)
+    assert _error(lambda: eisenstein_batch(4, np.array([good, huge]))) == (
+        ResourceLimitError, "fundamental-domain reduction of (1e+308+1j) leaves int64")
+    assert _error(lambda: eta_batch(np.array([0.1 + 0.2j, 1e300 + 0.1j, 0.3 + 0.1j]))) == (
+        ResourceLimitError, "fundamental-domain reduction of (1e+300+0.1j) leaves int64")

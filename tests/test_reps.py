@@ -61,6 +61,19 @@ def test_snap_to_root():
     assert j == 1 and dist < 1e-12
 
 
+def test_snap_to_root_by_phase_equals_the_24_root_scan():
+    """The root nearest in angle is the root nearest in distance: the rounded phase gives the scan's
+    root, index and distance bit for bit, at seeded values near every root, on them and of moduli 1e-4 to
+    1e2.  (Near 0 every root is about 1 away and the scan picks by the rounding of |root24(j)|.)"""
+    rng = np.random.default_rng(24)
+    values = list(rng.normal(size=2000) * np.exp(rng.uniform(-3, 3, 2000)) + 1j * rng.normal(size=2000))
+    values += [root24(j) * (1 + complex(*rng.normal(scale=1e-9, size=2))) for j in range(24) for _ in range(10)]
+    values += [root24(j) for j in range(24)] + [complex(-1.0, -0.0)]
+    for v in values:
+        j = min(range(24), key=lambda i: abs(v - root24(i)))
+        assert snap_to_root_of_unity(v) == (root24(j), j, abs(v - root24(j)))
+
+
 def test_eta_character_images():
     rho = eta_character()
     assert rho.group == "SL" and rho.dim == 1
