@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .cover import Mat2, Word, format_word, minus_t_row, reflection_sign, word_decompose, word_lift
+from .cover import GENERATOR_TOKENS, Mat2, Word, format_word, minus_t_row, reflection_sign, word_decompose, word_lift
 from .errors import DomainError
 
 AXIS_TOLERANCE = 1e-12
@@ -101,6 +102,14 @@ def _word_data(gamma: Mat2) -> tuple[Word, int]:
     return word, lift.eps
 
 
+def _word_codes(words: Sequence[Word]) -> np.ndarray:
+    """``words`` as rows of their tokens' indices in ``GENERATOR_TOKENS``, padded at the end to one width of at
+    least 1 with the index past the tokens, ``len(GENERATOR_TOKENS)``."""
+    width, pad = max(map(len, words), default=0) or 1, len(GENERATOR_TOKENS)
+    return np.array([[GENERATOR_TOKENS.index(tok) for tok in word] + [pad] * (width - len(word)) for word in words],
+                    dtype=np.intp).reshape(len(words), width)
+
+
 def section_root(c: int, d: int, z: complex) -> complex:
     """sqrt(c*z + d) with argument in [-pi, pi): the principal root, or -i at c = 0, d < 0,
     the only case on the cut.  Unchecked; callers validate the matrix and the point."""
@@ -109,11 +118,14 @@ def section_root(c: int, d: int, z: complex) -> complex:
     return principal_sqrt(c * z + d)
 
 
+def _principal_sqrts(w: np.ndarray) -> np.ndarray:
+    """``principal_sqrt`` elementwise, unchecked: the closed cut by normalising -0.0 imaginary parts."""
+    return np.sqrt(np.where(w.imag == 0, w.real + 0j, w))
+
+
 def section_roots(c: np.ndarray, d: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``section_root`` elementwise over integer arrays c, d and a complex array z."""
-    w = c * z + d
-    w = np.where(w.imag == 0, w.real + 0j, w)  # the closed cut of ``principal_sqrt``
-    return np.where(minus_t_row(c, d), -1j, np.sqrt(w))
+    return np.where(minus_t_row(c, d), -1j, _principal_sqrts(c * z + d))
 
 
 def phi_upper(gamma: Mat2, z) -> complex:
@@ -151,3 +163,25 @@ def branch_profile(gamma: Mat2, points) -> int:
         elif sign != snapped:
             raise DomainError(f"phi/sqrt sign flips across points for {gamma}")
     return sign
+
+
+def branch_signs(mats: Sequence[Mat2], points) -> np.ndarray:
+    """``branch_profile`` of each of ``mats`` over ``points`` in one pass, or 0 where it finds no clean constant
+    sign (det -1, a step onto the real axis, a ratio that is not a sign, a flip; ``branch_profile`` says which):
+    ``word_factor``'s steps over all words and points at once, one masked step per token position, last first."""
+    z = np.array([require_upper(p) for p in points], dtype=complex)
+    data = [_word_data(g) for g in mats]
+    # S, S^-1, T, T^-1, R and the padding, which steps nowhere, are the codes 0 to 5
+    codes = _word_codes([word for word, _ in data]).T[::-1, :, None]
+    w, fac = np.tile(z, (len(mats), 1)), np.ones((len(mats), z.size), dtype=complex)
+    clean = (codes != 4).all(axis=(0, 2))
+    with np.errstate(all="ignore"):  # a row that leaves the plane is marked, and stepped on regardless
+        for code in codes:
+            fac = np.where(code == 0, _principal_sqrts(w), np.where(code == 1, 1 / _principal_sqrts(-1 / w), 1)) * fac
+            clean &= ((code == 5) | (np.isfinite(w) & (np.abs(w.imag) > AXIS_TOLERANCE))).all(axis=1)
+            w = np.select([code == 2, code == 3, code == 0, code == 1], [w + 1, w - 1, -1 / w, 1 / -w], w)
+        c, d, eps = np.array([(g.c, g.d, e) for g, (_, e) in zip(mats, data)], np.int64).reshape(-1, 3).T[..., None]
+        ratio = eps * fac / _principal_sqrts(c * z + d)
+    snapped = np.where(np.abs(ratio - 1) < np.abs(ratio + 1), 1, -1)
+    clean &= (np.abs(ratio - snapped) <= 1e-9).all(axis=1) & (snapped == snapped[:, :1]).all(axis=1)
+    return np.where(clean, snapped[:, 0] if z.size else 0, 0)

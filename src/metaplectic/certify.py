@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import sampling
-from .automorphy import branch_profile, phi_lower, phi_upper, principal_sqrt, require_upper, section_roots, word_factor
+from .automorphy import (branch_profile, branch_signs, phi_lower, phi_upper, principal_sqrt, require_upper,
+                         section_roots, word_factor)
 from .cover import (CENTER_FLIP, IDENT, LIFT_R, LIFT_S, LIFT_T, LIFT_Z, NEG_IDENT, R_MAT, S_MAT, T_MAT, CoverSet, Mat2,
                     MetaElt, chi_negative, cocycle, cocycle_bit, conj_by_reflection, enumerate_cover, format_word,
                     hilbert_symbol, kubota_chi, minus_t_row, reflection_sign)
@@ -72,11 +72,18 @@ class _Env:
                          f"{len(cov.matrices())} distinct matrices ({len(cov.sl_matrices())} with det +1); "
                          f"{len(self.upper)} upper sample points plus conjugates")
         self._forms: dict = {}
-        # branch_profile of a matrix over the upper points, once per matrix; a DomainError is not kept
-        self.branch_sign = lru_cache(maxsize=None)(lambda g: branch_profile(g, self.upper))
+        self._branch_signs: Optional[dict[Mat2, int]] = None
 
     def tol(self, pinned: float) -> float:
         return self.tol_override if self.tol_override is not None else pinned
+
+    def branch_sign(self, g: Mat2) -> int:
+        """``branch_profile`` of ``g`` over the upper points, from one ``branch_signs`` pass over the det +1 matrices
+        on first use; one that the pass cannot sign goes to ``branch_profile`` each time, so a refusal is not kept."""
+        if self._branch_signs is None:
+            mats = self.cover.sl_matrices()
+            self._branch_signs = dict(zip(mats, branch_signs(mats, self.upper).tolist()))
+        return self._branch_signs.get(g) or branch_profile(g, self.upper)
 
     def form(self, name: str) -> VVForm:
         """The form registered under ``name`` in ``NAMED_FORMS``, built once."""
@@ -476,9 +483,10 @@ def check_rep_central_scalar(env: _Env) -> dict:
 
 def check_rep_well_defined(env: _Env) -> dict:
     rho_hat = eta_character().induce(Weight(1))
-    cases = ((_gap(rho_hat.word_image(w1), rho_hat.word_image(w2)),
-              {"element": elt, "word_1": format_word(w1), "word_2": format_word(w2)})
-             for elt, w1, w2 in env.cover.alternates)
+    images = rho_hat.word_images([word for _, w1, w2 in env.cover.alternates for word in (w1, w2)])
+    gaps = _gap(images[0::2], images[1::2], axis=(1, 2))
+    cases = ((gap, {"element": elt, "word_1": format_word(w1), "word_2": format_word(w2)})
+             for gap, (elt, w1, w2) in zip(gaps, env.cover.alternates))
     return _sweep(env, {"word_pairs": len(env.cover.alternates)}, 1e-10, cases)
 
 
@@ -491,9 +499,10 @@ def check_rep_homomorphism(env: _Env) -> dict:
 
     def cases():
         for name, rep, sample in (("induced_eta", rho_hat, pairs), ("eta_character", rho, sl_pairs)):
-            image = lru_cache(maxsize=None)(rep.evaluate)  # each distinct element evaluated once
-            for x, y in sample:
-                yield _gap(image(x * y), image(x) @ image(y)), {"rep": name, "x": x, "y": y}
+            at = {}  # each distinct factor and product evaluated once, in one batch
+            slots = np.array([[at.setdefault(e, len(at)) for e in (x * y, x, y)] for x, y in sample]).T
+            product, left, right = rep.evaluate_batch(list(at))[slots]
+            yield from zip(_gap(product, left @ right, axis=(1, 2)), ({"rep": name, "x": x, "y": y} for x, y in sample))
         ident = MetaElt.identity()
         yield _gap(rho_hat.evaluate(ident), np.eye(2)), {"rep": "induced_eta", "x": ident}
     return _sweep(env, {"pairs_per_rep": env.pair_count}, 1e-10, cases())
@@ -613,30 +622,31 @@ def check_eta_multiplier_universe(env: _Env) -> dict:
     transform_tol = env.tol(1e-9)
     rho = eta_character()
     f = eta_fn(env.qcfg_raw)
-    snaps, vals = [], []
+    snaps = []
     mismatches, index_witness = 0, None
     elements = env.cover.sl_elements()
-    for x in elements:
-        vals.append(rho.evaluate(x)[0, 0])
-        _, index, dist = snap_to_root_of_unity(vals[-1])
-        snaps.append(dist)
+    vals = rho.evaluate_batch(elements)[:, 0, 0]
+    for x, value in zip(elements, vals.tolist()):
+        _, index, dist = snap_to_root_of_unity(value)
+        snaps.append((dist, {"x": x, "snap_distance": dist}))
         flip = x.eps * env.branch_sign(x.gamma) == -1
         closed = (eta_multiplier_index(x.gamma) + 12 * flip) % 24
         if index != closed:
             mismatches += 1
             index_witness = index_witness or {"x": x, "numeric_index": index, "closed_form_index": closed}
     base = holofn_values(f, np.array(env.upper), np.full(len(env.upper), True))
-    gaps = _gap(slash_values(f, Weight(1), env.upper, elements), np.array(vals)[:, None, None] * base, axis=2)
+    gaps = _gap(slash_values(f, Weight(1), env.upper, elements), vals[:, None, None] * base, axis=2)
     worst_transform, transform_witness = _worst((gaps[i, j], {"x": x, "z": z})
                                                 for i, x in enumerate(elements) for j, z in enumerate(env.upper))
-    worst_snap = worst_residual(snaps)
-    numeric_ok = worst_snap <= snap_tol and worst_transform <= transform_tol
+    worst_snap, snap_witness = _worst(snaps)
+    snap_ok, transform_ok = worst_snap <= snap_tol, worst_transform <= transform_tol
+    witness = index_witness if snap_ok and transform_ok else snap_witness if transform_ok else transform_witness
     return _verdict(env, {"elements": len(elements), "snap_tolerance": snap_tol,
                           "transform_tolerance": transform_tol,
                           "worst_snap": worst_snap, "worst_transform": worst_transform,
                           "closed_form_mismatches": mismatches},
-                    worst_residual((worst_snap, worst_transform)), numeric_ok and mismatches == 0,
-                    index_witness if numeric_ok else transform_witness)
+                    worst_residual((worst_snap, worst_transform)), snap_ok and transform_ok and mismatches == 0,
+                    witness)
 
 
 def check_eta_reduction_agreement(env: _Env) -> dict:

@@ -88,13 +88,15 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.sign is not None and args.matrix is None:
+        raise DomainError("--sign is the cover sign of --matrix and needs it")
     if args.elem is not None or args.matrix is not None:
         if args.form is not None or args.z is not None:
             raise DomainError("--elem/--matrix and --form/--z are mutually exclusive")
         if args.elem is not None:
             elt = word_lift(parse_word(args.elem))
         else:
-            elt = MetaElt(Mat2.parse(args.matrix), args.sign)
+            elt = MetaElt(Mat2.parse(args.matrix), 1 if args.sign is None else args.sign)
         print(elt)
         return 0
     if args.form is None or args.z is None:
@@ -168,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate a cover element word or a named form")
     ev.add_argument("--elem", type=str, default=None, help="generator word, e.g. 'R R' or 'S T T'")
     ev.add_argument("--matrix", type=str, default=None, help="matrix literal [[a,b],[c,d]]")
-    ev.add_argument("--sign", type=int, default=1, choices=(1, -1), help="cover sign for --matrix")
+    ev.add_argument("--sign", type=int, default=None, choices=(1, -1), help="cover sign for --matrix (default +1)")
     ev.add_argument("--form", type=str, default=None, help="eta | e4 | e6 | eta-hat | zn:N")
     ev.add_argument("--z", type=str, default=None, help="evaluation point 'a+bi'")
     ev.add_argument("--min-im", type=float, default=DEFAULT_CONFIG.min_im,

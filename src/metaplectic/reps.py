@@ -11,14 +11,14 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass, field
-from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .automorphy import _word_data, i_power
+from .automorphy import _word_codes, _word_data, i_power
 from .cover import (
+    GENERATOR_TOKENS,
     LIFT_R,
     LIFT_S,
     LIFT_T,
@@ -41,8 +41,8 @@ class Rep:
     group: str  # "SL" or "GL"
     dim: int
     images: dict[str, np.ndarray]
-    # generator token -> image, with the inverses of S and T and the central image S^4
-    _table: dict[str, np.ndarray] = field(init=False, repr=False)
+    # the images of GENERATOR_TOKENS, the identity (at the padding code of _word_codes) and the central image S^4
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.group not in ("SL", "GL"):
@@ -61,11 +61,13 @@ class Rep:
                 raise DomainError(f"image of {key} is not invertible")
             fixed[key] = arr
         object.__setattr__(self, "images", fixed)
-        table = {**fixed, "S^-1": np.linalg.inv(fixed["S"]), "T^-1": np.linalg.inv(fixed["T"]),
-                 "center": np.linalg.matrix_power(fixed["S"], 4)}
-        for mat in table.values():  # word_image and central_image hand these out as they are
+        eye = np.eye(self.dim, dtype=complex)
+        table = {**fixed, "S^-1": np.linalg.inv(fixed["S"]), "T^-1": np.linalg.inv(fixed["T"])}
+        stack = np.stack([table.get(tok, eye) for tok in GENERATOR_TOKENS]  # an SL rep refuses R before its layer
+                         + [eye, np.linalg.matrix_power(fixed["S"], 4)])
+        for mat in (*fixed.values(), stack):  # ``images`` hands the stored images out as they are
             mat.setflags(write=False)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_stack", stack)
 
     @classmethod
     def trivial(cls, group: str) -> "Rep":
@@ -73,34 +75,42 @@ class Rep:
         eye = np.eye(1, dtype=complex)
         return cls(group, 1, {k: eye for k in keys})
 
-    def central_image(self) -> np.ndarray:
-        """Image of the central sign flip [I,-1], namely image(S)^4."""
-        return self._table["center"]
+    def word_images(self, words: Sequence[Word], flips: np.ndarray | None = None) -> np.ndarray:
+        """The one lift-and-correct fold, ``(len(words), dim, dim)``: the products along the identity-padded
+        ``words`` by one stacked matmul per token position, times the central image where ``flips`` is set."""
+        if self.group == "SL" and any("R" in word for word in words):
+            raise DomainError("SL-cover representation has no reflection image")
+        codes = _word_codes(words)
+        out = self._stack[codes[:, 0]]
+        for column in codes.T[1:]:
+            out = out @ self._stack[column]
+        if flips is not None:
+            out[flips] = out[flips] @ self._stack[-1]
+        return out
 
     def word_image(self, word: Word) -> np.ndarray:
-        """The product of the stored images along ``word`` (read-only for one token), the identity for none."""
-        if "R" in word and "R" not in self.images:
-            raise DomainError("SL-cover representation has no reflection image")
-        return reduce(np.matmul, map(self._table.__getitem__, word)) if word else np.eye(self.dim, dtype=complex)
+        """The product of the stored images along ``word``, the identity for none."""
+        return self.word_images([word])[0]
+
+    def evaluate_batch(self, elements: Sequence[MetaElt]) -> np.ndarray:
+        """Lift-and-correct values at ``elements``, ``(len(elements), dim, dim)``: each element's generator word
+        from ``_word_data``, corrected by the central image where the lifted word lands on the other sign."""
+        if self.group == "SL" and any(x.det() != 1 for x in elements):
+            raise DomainError("SL-cover representation cannot take determinant -1 elements")
+        data = [_word_data(x.gamma) for x in elements]
+        flips = np.array([eps != x.eps for (_, eps), x in zip(data, elements)], dtype=bool)
+        return self.word_images([word for word, _ in data], flips)
 
     def evaluate(self, x: MetaElt) -> np.ndarray:
         """Lift-and-correct value at an arbitrary cover element."""
-        if self.group == "SL" and x.det() != 1:
-            raise DomainError("SL-cover representation cannot take determinant -1 elements")
-        word, eps = _word_data(x.gamma)
-        out = self.word_image(word)
-        if eps != x.eps:
-            out = out @ self.central_image()
-        return out
+        return self.evaluate_batch([x])[0]
 
     def r_twist(self) -> "Rep":
         """Precompose with conjugation by the reflection lift (SL-cover only)."""
         if self.group != "SL":
             raise DomainError("r_twist is defined for SL-cover representations")
-        return Rep("SL", self.dim, {
-            "S": self.evaluate(conj_by_reflection(LIFT_S)),
-            "T": self.evaluate(conj_by_reflection(LIFT_T)),
-        })
+        s, t = self.evaluate_batch([conj_by_reflection(LIFT_S), conj_by_reflection(LIFT_T)])
+        return Rep("SL", self.dim, {"S": s, "T": t})
 
     def induce(self, weight: Weight) -> "Rep":
         """Doubled-dimension GL-cover representation; block-diagonal on the

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .automorphy import i_power, mobius, require_off_axis, section_root, section_roots  # mobius is re-exported
-from .cover import Mat2, MetaElt, R_MAT, cocycle, minus_t_row
+from .cover import Mat2, MetaElt, R_MAT, chi_negative, cocycle, cocycle_bit, minus_t_row
 from .errors import DomainError
 
 Evaluator = Callable[[complex], np.ndarray]
@@ -193,8 +193,13 @@ _I_POWER_ARRAY = np.array([i_power(e) for e in range(4)])
 
 
 def _rows(w: int, elts: Sequence[MetaElt]) -> np.ndarray:
-    """The int64 rows (a, b, c, d, det, e_upper, e_lower) of ``elts``, one column per element."""
-    return np.array([(*x.gamma.entries(), x.det(), *_case_exponents(w, x)) for x in elts], np.int64).reshape(-1, 7).T
+    """The int64 rows (a, b, c, d, det, e_upper, e_lower) of ``elts``, one column per element: ``_case_exponents``
+    by the array bit rules, with gamma's chi bit also R*gamma's, as R*gamma keeps gamma's bottom row."""
+    a, b, c, d, det, eps = np.array([(*x.gamma.entries(), x.det(), x.eps) for x in elts], np.int64).reshape(-1, 6).T
+    chi, row_sign = chi_negative(c, d), np.where(minus_t_row(c, d), -1, 1)
+    s = eps * np.where(cocycle_bit(R_MAT.det() < 0, det < 0, chi_negative(R_MAT.c, R_MAT.d), chi, chi), -1, 1)
+    exponents = np.where(det == 1, [w * (1 - eps), w * (1 - eps * row_sign)], [-w * s, -w * s * row_sign])
+    return np.vstack([a, b, c, d, det, exponents])
 
 
 def _pullbacks(rows: np.ndarray, z: np.ndarray, upper: np.ndarray, w: int):

@@ -13,6 +13,12 @@ def cover4():
 
 
 @pytest.fixture(scope="session")
+def cover7():
+    """Depth-7 enumeration: the deep universe the array passes are checked against their oracles on."""
+    return enumerate_cover(7)
+
+
+@pytest.fixture(scope="session")
 def qcfg():
     """Series config used by the certification suite (reduction on)."""
     return CERTIFY_CONFIG

@@ -7,6 +7,7 @@ import pytest
 from metaplectic import automorphy
 from metaplectic.automorphy import (
     branch_profile,
+    branch_signs,
     i_power,
     mobius,
     phi_lower,
@@ -177,6 +178,15 @@ def test_branch_profile_constant(cover4):
         signs[branch_profile(g, upper_grid())] += 1
     # both signs occur: the pinned section is not the raw principal branch everywhere
     assert signs[1] > 0 and signs[-1] > 0
+
+
+def test_branch_signs_equal_branch_profile(cover7):
+    """The all-matrix pass gives every det +1 matrix of the word-length-7 universe the sign of the scalar
+    word route at the grid points, and a det -1 matrix, which ``branch_profile`` refuses, 0."""
+    mats = cover7.sl_matrices()
+    signs = branch_signs(mats + [R_MAT], upper_grid())
+    assert signs.tolist() == [branch_profile(g, upper_grid()) for g in mats] + [0]
+    assert set(signs[:-1].tolist()) == {1, -1}
 
 
 def _mobius_route_factor(word, z):

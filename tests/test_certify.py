@@ -36,35 +36,76 @@ def test_certify_report_matches_its_golden_file(golden, kwargs):
 
 
 def test_phi_branch_profile_surfaces_foreign_errors(monkeypatch):
-    """Only a DomainError from branch_profile is a failed check; anything else is a bug and propagates."""
-    def broken(gamma, points):
+    """Only a DomainError is a failed check: anything else, from the branch-sign pass or from the
+    ``branch_profile`` that a matrix the pass cannot sign goes to, is a bug and propagates."""
+    def broken(*args):
         raise TypeError("not a branch-profile failure")
 
     monkeypatch.setattr(certify, "branch_profile", broken)
+    monkeypatch.setattr(certify, "branch_signs", lambda mats, points: np.zeros(len(mats), dtype=np.int64))
+    with pytest.raises(TypeError, match="not a branch-profile failure"):
+        run_certification(2, check_filter=["phi_branch_profile"])
+    monkeypatch.setattr(certify, "branch_signs", broken)
     with pytest.raises(TypeError, match="not a branch-profile failure"):
         run_certification(2, check_filter=["phi_branch_profile"])
 
 
 def test_branch_sign_is_computed_once_per_matrix_but_errors_are_not_kept(monkeypatch):
-    """Both checks that need the branch sign share one ``branch_profile`` call per matrix; a refusal is
-    raised again on the next request, not remembered."""
-    calls = []
-    profile = certify.branch_profile
+    """Both checks that need the branch sign read one ``branch_signs`` pass per run over every det +1
+    matrix, and call ``branch_profile`` for none; a matrix the pass cannot sign goes to ``branch_profile``
+    on each request, so its refusal is raised again, not remembered."""
+    passes, calls = [], []
+    signs, profile = certify.branch_signs, certify.branch_profile
+    monkeypatch.setattr(certify, "branch_signs", lambda mats, points: passes.append(list(mats)) or signs(mats, points))
     monkeypatch.setattr(certify, "branch_profile", lambda gamma, points: calls.append(gamma) or profile(gamma, points))
     assert run_certification(5, check_filter=["phi_branch_profile", "eta_multiplier_universe"])["pass"] is True
-    assert len(calls) == len(set(calls)) == len(enumerate_cover(5).sl_matrices())
+    assert passes == [enumerate_cover(5).sl_matrices()] and calls == []
 
     def refuses(gamma, points):
         calls.append(gamma)
         raise DomainError("not a constant sign")
 
+    monkeypatch.setattr(certify, "branch_signs",
+                        lambda mats, points: passes.append(list(mats)) or np.zeros(len(mats), dtype=np.int64))
     monkeypatch.setattr(certify, "branch_profile", refuses)
-    env = certify._Env(0, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG)
-    calls.clear()
+    env = certify._Env(1, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG)
+    passes.clear()
     for _ in range(2):
         with pytest.raises(DomainError, match="not a constant sign"):
             env.branch_sign(S_MAT)
-    assert calls == [S_MAT, S_MAT]
+    assert calls == [S_MAT, S_MAT] and passes == [enumerate_cover(1).sl_matrices()]
+
+
+def test_a_matrix_the_branch_pass_cannot_sign_fails_with_branch_profiles_message():
+    """At 10^6 + i, a word that inverts the point early, such as (S, S, S) of S^-1 or (T, S) of T*S,
+    steps within 1e-12 of the real axis: the pass leaves such a matrix unsigned, and the check reports
+    ``branch_profile``'s own refusal for the first of them."""
+    far = 1e6 + 1j
+    mats = enumerate_cover(1).sl_matrices()
+    assert certify.branch_signs(mats + [T_MAT * S_MAT], [far]).tolist() == [1, 1, 0, 1, 1, 0]
+    with pytest.raises(DomainError, match="real axis") as refusal:
+        certify.branch_profile(mats[2], [far])
+    report = run_certification(1, points=[far], check_filter=["phi_branch_profile"])
+    assert report["checks"][0]["counterexample"] == {"gamma": str(mats[2]), "error": str(refusal.value)}
+
+
+def test_eta_multiplier_universe_names_the_element_that_fails_the_snap_gate(monkeypatch):
+    """When the snap gate fails and the transform gate passes, the counterexample is the element of the
+    worst snap distance."""
+    elements = enumerate_cover(3).sl_elements()
+    target, seen = len(elements) // 2, []
+    snap = certify.snap_to_root_of_unity
+
+    def far_at_target(value):
+        root, index, dist = snap(value)
+        seen.append(value)
+        return root, index, 1.0 if len(seen) == target + 1 else dist
+
+    monkeypatch.setattr(certify, "snap_to_root_of_unity", far_at_target)
+    check = run_certification(3, check_filter=["eta_multiplier_universe"])["checks"][0]
+    assert check["pass"] is False and check["params"]["worst_snap"] == 1.0
+    assert check["params"]["worst_transform"] <= check["params"]["transform_tolerance"]
+    assert check["counterexample"] == {"x": str(elements[target]), "snap_distance": 1.0}
 
 
 def _sweep_of(cases):

@@ -45,6 +45,15 @@ def test_eval_matrix_with_sign(capsys):
     assert out.strip() == "[[0,-1],[1,0]];-1"
 
 
+def test_eval_refuses_a_sign_without_a_matrix(capsys):
+    """--sign is the cover sign of --matrix: it is refused anywhere else, and --matrix alone takes +1."""
+    for argv in (("--elem", "S", "--sign", "-1"), ("--elem", "S", "--sign", "1"),
+                 ("--form", "eta", "--z", "0.1+1i", "--sign", "-1"), ("--sign", "-1")):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert code == 2 and out == "" and "--sign is the cover sign of --matrix and needs it" in err
+    assert run_cli(capsys, "eval", "--matrix", "[[0,-1],[1,0]]")[:2] == (0, "[[0,-1],[1,0]];+1\n")
+
+
 def test_eval_element_refuses_a_point(capsys):
     """An element is printed, not evaluated: --z with --elem or --matrix is refused, as --form is."""
     for argv in (("--elem", "S T"), ("--matrix", "[[0,-1],[1,0]]")):

@@ -1,11 +1,12 @@
 import cmath
 import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from metaplectic.automorphy import i_power
+from metaplectic.automorphy import _word_data, i_power
 from metaplectic.cover import CENTER_FLIP, LIFT_R, LIFT_S, LIFT_T, MetaElt
 from metaplectic.errors import DomainError, ModularityError
 from metaplectic.qseries import eta, eta_character, eta_fn, eta_form, eta_hat_form, eisenstein_form
@@ -54,6 +55,35 @@ def test_trivial_rep_evaluation(cover4):
         sl.evaluate(LIFT_R)
     with pytest.raises(DomainError, match="no reflection image"):
         sl.word_image(("S", "R"))
+
+
+def _pairwise_evaluate(rep: Rep, x: MetaElt) -> np.ndarray:
+    """The fold that the stacked one replaced, as the oracle: ``reduce(np.matmul)`` of the images along
+    x's generator word, the identity for none, times image(S)^4 where the lifted word has the other sign."""
+    word, eps = _word_data(x.gamma)
+    table = {**rep.images, "S^-1": np.linalg.inv(rep.images["S"]), "T^-1": np.linalg.inv(rep.images["T"])}
+    out = reduce(np.matmul, map(table.__getitem__, word)) if word else np.eye(rep.dim, dtype=complex)
+    return out @ np.linalg.matrix_power(rep.images["S"], 4) if eps != x.eps else out
+
+
+def test_stacked_fold_equals_the_pairwise_fold(cover7):
+    """One stacked matmul per token position gives the pairwise fold bit for bit on every element of the
+    word-length-7 universe, central correction included, in a batch and one element at a time."""
+    rho = eta_character()
+    hat = rho.induce(Weight(1))
+    sl, every = cover7.sl_elements(), cover7.elements()
+    assert sum(_word_data(x.gamma)[1] != x.eps for x in sl) > 100  # the correction is exercised
+    for rep, elts in ((rho, sl), (hat, every), (Rep.trivial("GL"), every)):
+        images = rep.evaluate_batch(elts)
+        assert images.shape == (len(elts), rep.dim, rep.dim)
+        assert all(np.array_equal(image, _pairwise_evaluate(rep, x)) for image, x in zip(images, elts))
+        assert all(np.array_equal(rep.evaluate(x), _pairwise_evaluate(rep, x)) for x in elts[::37])
+    assert np.array_equal(hat.word_image(()), np.eye(2)) and np.array_equal(rho.evaluate(MetaElt.identity()), np.eye(1))
+    assert hat.word_images([]).shape == (0, 2, 2) and hat.evaluate_batch([]).shape == (0, 2, 2)
+    with pytest.raises(DomainError, match="^SL-cover representation cannot take determinant -1 elements$"):
+        rho.evaluate_batch([LIFT_T, LIFT_R])
+    with pytest.raises(DomainError, match="^SL-cover representation has no reflection image$"):
+        rho.word_images([("T",), ("S", "R")])
 
 
 def test_snap_to_root():

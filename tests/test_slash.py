@@ -332,6 +332,18 @@ def test_slash_values_refuse_like_holofn_at(cover4):
         slash_values(f, Weight(1), full_grid(), [LIFT_S, LIFT_R], [LIFT_S])
 
 
+def test_rows_equal_the_case_exponents(cover7):
+    """``_rows`` takes the i-exponents from the array bit rules; they equal ``_case_exponents`` as exact
+    integers, element by element, over the word-length-7 universe plus det +-1 rows (0, d < 0)."""
+    slash_module = importlib.import_module("metaplectic.slash")
+    extra = [MetaElt(Mat2(a, n, 0, -1), eps) for a in (1, -1) for n in (-3, 0, 5) for eps in (1, -1)]
+    elts = cover7.elements() + extra
+    for w in (0, 1, 2, 3, 8, 12):
+        rows = slash_module._rows(w, elts)
+        assert rows.dtype == np.int64
+        assert rows.T.tolist() == [[*x.gamma.entries(), x.det(), *slash_module._case_exponents(w, x)] for x in elts]
+
+
 def test_composition_residuals_of_empty_inputs():
     """No pairs give an empty array; no points give a zero residual for every pair."""
     f, pairs = eta_hat_form(CERTIFY_CONFIG).fn, [(LIFT_S, LIFT_R), (LIFT_R, LIFT_R)]
