@@ -23,7 +23,6 @@ from .cover import (
     reflection_sign,
     word_decompose,
     word_lift,
-    word_matrix,
 )
 from .errors import DomainError, ModularityError, ResourceLimitError
 from .qseries import (
@@ -44,7 +43,6 @@ from .slash import (
     HoloFn,
     Weight,
     admissible_reflection_scalars,
-    composition_residual,
     mobius,
     slash,
 )

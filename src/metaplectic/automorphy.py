@@ -78,17 +78,19 @@ def mobius(gamma: Mat2, z) -> complex:
 def word_factor(word: Word, z: complex) -> complex:
     """Pair-product factor of a determinant-one generator word at ``z``: each lifted token carries
     sqrt(w) (S), 1/sqrt(-1/w) (S^-1) or 1 (T, T^-1), and moves w by its own closed form, which is
-    ``mobius`` of its matrix bit for bit; each w is checked as ``mobius`` checks it."""
-    fac, w = 1 + 0j, complex(z)
+    ``mobius`` of its matrix bit for bit.  ``z`` is checked as ``mobius`` checks it; an intermediate w
+    only for being finite and off the axis, Im w != 0, since a point far from the origin has images
+    with Im far below ``AXIS_TOLERANCE`` on which the section is as holomorphic as anywhere."""
+    fac, w = 1 + 0j, require_off_axis(z)
     for tok in reversed(word):
         if tok == "R":
             raise DomainError("word_factor is defined for determinant +1 words only")
+        if not (cmath.isfinite(w) and w.imag != 0):
+            require_off_axis(w)
         if tok == "S":
             fac = principal_sqrt(w) * fac
         elif tok == "S^-1":
             fac = 1 / principal_sqrt(-1 / w) * fac
-        if not (cmath.isfinite(w) and abs(w.imag) > AXIS_TOLERANCE):
-            require_off_axis(w)
         w = w + 1 if tok == "T" else w - 1 if tok == "T^-1" else -1 / w if tok == "S" else 1 / -w
     return fac
 
@@ -167,7 +169,8 @@ def branch_profile(gamma: Mat2, points) -> int:
 
 def branch_signs(mats: Sequence[Mat2], points) -> np.ndarray:
     """``branch_profile`` of each of ``mats`` over ``points`` in one pass, or 0 where it finds no clean constant
-    sign (det -1, a step onto the real axis, a ratio that is not a sign, a flip; ``branch_profile`` says which):
+    sign (det -1, a step to a point that is not finite or has Im 0, a ratio that is not a sign, a flip;
+    ``branch_profile`` says which):
     ``word_factor``'s steps over all words and points at once, one masked step per token position, last first."""
     z = np.array([require_upper(p) for p in points], dtype=complex)
     data = [_word_data(g) for g in mats]
@@ -178,7 +181,7 @@ def branch_signs(mats: Sequence[Mat2], points) -> np.ndarray:
     with np.errstate(all="ignore"):  # a row that leaves the plane is marked, and stepped on regardless
         for code in codes:
             fac = np.where(code == 0, _principal_sqrts(w), np.where(code == 1, 1 / _principal_sqrts(-1 / w), 1)) * fac
-            clean &= ((code == 5) | (np.isfinite(w) & (np.abs(w.imag) > AXIS_TOLERANCE))).all(axis=1)
+            clean &= ((code == 5) | (np.isfinite(w) & (w.imag != 0))).all(axis=1)
             w = np.select([code == 2, code == 3, code == 0, code == 1], [w + 1, w - 1, -1 / w, 1 / -w], w)
         c, d, eps = np.array([(g.c, g.d, e) for g, (_, e) in zip(mats, data)], np.int64).reshape(-1, 3).T[..., None]
         ratio = eps * fac / _principal_sqrts(c * z + d)

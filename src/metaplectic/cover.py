@@ -264,14 +264,6 @@ def format_word(word: Sequence[str]) -> str:
     return " ".join(word)
 
 
-def word_matrix(word: Sequence[str]) -> Mat2:
-    """Exact matrix product of the listed generators."""
-    out = IDENT
-    for tok in word:
-        out = out * TOKEN_MATS[tok]
-    return out
-
-
 def word_lift(word: Sequence[str]) -> MetaElt:
     """Product of the lifted generators, with the cover sign tracked exactly: a fold over the
     entries and the det, chi and sign bits, one ``cocycle_bit`` per token."""

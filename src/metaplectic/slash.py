@@ -124,14 +124,19 @@ def _case_evaluator(src: Optional[Evaluator], gamma: Mat2, i_exp: int, w: int) -
     return evaluator
 
 
-def _case_exponents(w: int, x: MetaElt) -> tuple[int, int]:
-    """The exact i-exponents of ``slash``'s factor for ``x`` on the upper and on the lower half-plane."""
-    g, eps = x.gamma, x.eps
-    b = -1 if minus_t_row(g.c, g.d) else 1
-    if g.det() == 1:
-        return w * (1 - eps), w * (1 - eps * b)
-    s = eps * cocycle(R_MAT, g)
-    return -w * s, -w * s * b
+_R_DET_NEG, _R_CHI_NEG = R_MAT.det() < 0, chi_negative(R_MAT.c, R_MAT.d)
+
+
+def _case_exponents(w: int, det_neg, eps, c, d):
+    """The exact i-exponents (e_upper, e_lower) of ``slash``'s factor for [gamma, eps], from gamma's det bit and
+    bottom row (c, d): the one statement of the rule, on ints for ``slash`` and elementwise on the int64
+    columns of ``_rows``.  The cocycle A(R, gamma) (det -1 only) is ``cocycle_bit`` with R*gamma's chi bit
+    equal to gamma's, and B is ``minus_t_row``; with s = eps A, the exponent is w (1 - s) on det +1 and -w s
+    on det -1, and s B in place of s on the lower half-plane."""
+    chi = chi_negative(c, d)
+    s = eps * (1 - 2 * (det_neg & cocycle_bit(_R_DET_NEG, det_neg, _R_CHI_NEG, chi, chi)))
+    base = 1 - det_neg
+    return w * (base - s), w * (base - s * (1 - 2 * minus_t_row(c, d)))
 
 
 def slash(f: HoloFn, weight: Weight, x: MetaElt) -> HoloFn:
@@ -148,11 +153,14 @@ def slash(f: HoloFn, weight: Weight, x: MetaElt) -> HoloFn:
     gamma resp. R*gamma, both read off gamma's bottom row, which R leaves as it is.
     All four factors are phi+ at c z + d, since RgR and gR at -z, and Rg at z,
     have bottom rows (-c, d) resp. (c, d).  With s the product of a case's signs,
-    s^(-w) = i^(w (1 - s)) and i^(-w) s^(-w) = i^(-w s).
+    s^(-w) = i^(w (1 - s)) and i^(-w) s^(-w) = i^(-w s).  ``_case_exponents`` states these exponents once,
+    for this scalar route and for the batch route of ``slash_values``; tests/test_mutants.py pins the checks
+    that fail when it drops B on det +1, lower, or adds 2w on det -1, lower.
     """
     g, w = x.gamma, weight.w
-    e_upper, e_lower = _case_exponents(w, x)
-    src_upper, src_lower = (f.upper, f.lower) if g.det() == 1 else (f.lower, f.upper)
+    det_neg = g.det() < 0
+    e_upper, e_lower = _case_exponents(w, det_neg, x.eps, g.c, g.d)
+    src_upper, src_lower = (f.lower, f.upper) if det_neg else (f.upper, f.lower)
     return HoloFn(f.dim, _case_evaluator(src_upper, g, e_upper, w), _case_evaluator(src_lower, g, e_lower, w))
 
 
@@ -180,26 +188,15 @@ def worst_residual(residuals) -> float:
     return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
 
 
-def composition_residual(f: HoloFn, weight: Weight, x: MetaElt, y: MetaElt,
-                         points: Sequence[complex]) -> float:
-    """max over points and components of |((f|x)|y - f|(x*y))(z)|."""
-    lhs = slash(slash(f, weight, x), weight, y)
-    rhs = slash(f, weight, x * y)
-    return worst_residual(np.max(np.abs(lhs.at(z) - rhs.at(z))) for z in points)
-
-
 _CHUNK_POINTS = 6000  # points per array pass of the batch evaluators; bounds their temporaries
 _I_POWER_ARRAY = np.array([i_power(e) for e in range(4)])
 
 
 def _rows(w: int, elts: Sequence[MetaElt]) -> np.ndarray:
-    """The int64 rows (a, b, c, d, det, e_upper, e_lower) of ``elts``, one column per element: ``_case_exponents``
-    by the array bit rules, with gamma's chi bit also R*gamma's, as R*gamma keeps gamma's bottom row."""
+    """The int64 rows (a, b, c, d, det, e_upper, e_lower) of ``elts``, one column per element, the exponents
+    by ``_case_exponents`` on the columns."""
     a, b, c, d, det, eps = np.array([(*x.gamma.entries(), x.det(), x.eps) for x in elts], np.int64).reshape(-1, 6).T
-    chi, row_sign = chi_negative(c, d), np.where(minus_t_row(c, d), -1, 1)
-    s = eps * np.where(cocycle_bit(R_MAT.det() < 0, det < 0, chi_negative(R_MAT.c, R_MAT.d), chi, chi), -1, 1)
-    exponents = np.where(det == 1, [w * (1 - eps), w * (1 - eps * row_sign)], [-w * s, -w * s * row_sign])
-    return np.vstack([a, b, c, d, det, exponents])
+    return np.vstack([a, b, c, d, det, *_case_exponents(w, det < 0, eps, c, d)])
 
 
 def _pullbacks(rows: np.ndarray, z: np.ndarray, upper: np.ndarray, w: int):
@@ -247,7 +244,8 @@ def slash_values(f: HoloFn, weight: Weight, points: Sequence[complex], *columns:
 
 def composition_residuals(f: HoloFn, weight: Weight, pairs: Sequence[tuple[MetaElt, MetaElt]],
                           points: Sequence[complex]) -> np.ndarray:
-    """``composition_residual`` of every pair, as an array: the batch (f|x)|y less the batch f|(xy)."""
+    """max over points and components of |((f|x)|y - f|(x*y))(z)| for every pair (x, y), as an array: the batch
+    (f|x)|y less the batch f|(xy)."""
     lhs = slash_values(f, weight, points, [x for x, _ in pairs], [y for _, y in pairs])
     rhs = slash_values(f, weight, points, [x * y for x, y in pairs])
     return np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0)

@@ -9,7 +9,6 @@ from metaplectic.automorphy import (
     branch_profile,
     branch_signs,
     i_power,
-    mobius,
     phi_lower,
     phi_upper,
     principal_sqrt,
@@ -190,13 +189,17 @@ def test_branch_signs_equal_branch_profile(cover7):
 
 
 def _mobius_route_factor(word, z):
-    """``word_factor`` through ``mobius``: each token's factor from a table, each step by its matrix."""
+    """``word_factor`` through the Moebius maps of the tokens' matrices: each token's factor from a table,
+    each step by its matrix; ``z`` is checked as ``mobius`` checks it, an image for being finite with Im != 0."""
     factors = {"S": principal_sqrt, "S^-1": lambda w: 1 / principal_sqrt(-1 / w),
                "T": lambda w: 1 + 0j, "T^-1": lambda w: 1 + 0j}
-    fac, w = 1 + 0j, z
+    fac, w = 1 + 0j, require_off_axis(z)
     for tok in reversed(word):
+        if not (cmath.isfinite(w) and w.imag != 0):
+            require_off_axis(w)
         fac = factors[tok](w) * fac
-        w = mobius(TOKEN_MATS[tok], w)
+        g = TOKEN_MATS[tok]
+        w = (g.a * w + g.b) / (g.c * w + g.d)
     return fac
 
 
@@ -210,15 +213,17 @@ def _outcome(call):
 def test_word_factor_steps_equal_the_mobius_route():
     """The closed-form token steps w+1, w-1, -1/w and 1/(-w) give the mobius route's factor bit for bit on
     every determinant-one word of the word-length-7 universe (each matrix's decomposition and every
-    alternate word) at the grid points, and refuse the same points with the same message, first token first."""
+    alternate word) at the grid points and far from the origin, where images come within 1e-12 of the axis
+    and stay valid, and refuse the same points with the same message, first token first."""
     universe = enumerate_cover(7)
     words = {automorphy._word_data(g)[0] for g in universe.sl_matrices()}
     words |= {w for _, *pair in universe.alternates for w in pair if "R" not in w}
     assert len(words) > 400
     for word in words:
-        for z in upper_grid():
+        for z in upper_grid() + (1e6 + 1j, -3e7 + 0.5j):
             assert repr(word_factor(word, z)) == repr(_mobius_route_factor(word, z))
-    refusals = [(("T", "S"), 1e7 + 1e-3j),  # S takes Im to 1e-17, so the T step refuses the image
+    assert abs(word_factor(("T", "S"), 1e7 + 1e-3j)) > 0  # S takes Im to 1e-17, a valid image
+    refusals = [(("T", "S"), 1e200 + 1j),  # S takes Im to 1e-400, which underflows to 0: the T step refuses it
                 (("S",), 0.5 + 0j), (("T",), complex("nan+1j")), (("S^-1", "T"), complex("inf+1j")),
                 (("T^-1",), 0.3 - 1e-13j), (("S", "T^-1", "S^-1"), 2.0 + 0j)]
     for word, z in refusals:

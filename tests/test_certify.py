@@ -12,7 +12,7 @@ from metaplectic.cover import S_MAT, T_MAT, Mat2, enumerate_cover
 from metaplectic.errors import DomainError, ResourceLimitError
 from metaplectic.qseries import CERTIFY_CONFIG
 from metaplectic.sampling import full_grid
-from metaplectic.slash import HoloFn, Weight, composition_residual, composition_residuals, slash, slash_values
+from metaplectic.slash import HoloFn, Weight, composition_residuals, slash, slash_values
 
 
 def test_check_filter_refuses_unknown_ids():
@@ -77,16 +77,27 @@ def test_branch_sign_is_computed_once_per_matrix_but_errors_are_not_kept(monkeyp
 
 
 def test_a_matrix_the_branch_pass_cannot_sign_fails_with_branch_profiles_message():
-    """At 10^6 + i, a word that inverts the point early, such as (S, S, S) of S^-1 or (T, S) of T*S,
-    steps within 1e-12 of the real axis: the pass leaves such a matrix unsigned, and the check reports
-    ``branch_profile``'s own refusal for the first of them."""
-    far = 1e6 + 1j
+    """At 10^200 + i, a word that inverts the point early, such as (S, S, S) of S^-1 or (T, S) of T*S,
+    steps onto the real axis, as Im(-1/z) underflows to 0: the pass leaves such a matrix unsigned, and the
+    check reports ``branch_profile``'s own refusal for the first of them."""
+    far = 1e200 + 1j
     mats = enumerate_cover(1).sl_matrices()
     assert certify.branch_signs(mats + [T_MAT * S_MAT], [far]).tolist() == [1, 1, 0, 1, 1, 0]
     with pytest.raises(DomainError, match="real axis") as refusal:
         certify.branch_profile(mats[2], [far])
     report = run_certification(1, points=[far], check_filter=["phi_branch_profile"])
     assert report["checks"][0]["counterexample"] == {"gamma": str(mats[2]), "error": str(refusal.value)}
+
+
+def test_the_word_route_signs_every_matrix_far_from_the_origin():
+    """At 10^6 + i the words' images come within 1e-12 of the axis (Im(-1/z) is 1e-12), and the section is
+    holomorphic there all the same: the pass and ``branch_profile`` sign every det +1 matrix of word length
+    6 alike, and ``phi_branch_profile`` passes at that point."""
+    far = 1e6 + 1j
+    mats = enumerate_cover(6).sl_matrices()
+    signs = certify.branch_signs(mats, [far])
+    assert 0 not in signs and signs.tolist() == [certify.branch_profile(g, [far]) for g in mats]
+    assert run_certification(6, points=[far], check_filter=["phi_branch_profile"])["pass"] is True
 
 
 def test_eta_multiplier_universe_names_the_element_that_fails_the_snap_gate(monkeypatch):
@@ -381,7 +392,7 @@ def test_batch_composition_matches_the_scalar_slash(monkeypatch):
                     assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) <= 1e-12, (str(x), str(y), z)
 
 
-def test_batch_nan_reaches_the_pair_and_the_first_witness(cover4):
+def test_batch_nan_reaches_the_pair_and_the_first_witness(cover4, composition_residual):
     """A NaN value makes exactly the pairs NaN that the scalar residual makes NaN, and ``_worst`` keeps the
     first of them, as action_composition feeds it."""
     def up(z):  # a point or an (n,) array; NaN right of Re z = 1

@@ -32,7 +32,6 @@ from metaplectic.cover import (
     reflection_sign,
     word_decompose,
     word_lift,
-    word_matrix,
 )
 from metaplectic import cover
 from metaplectic.errors import DomainError, ResourceLimitError
@@ -265,7 +264,7 @@ def test_integer_paths_match_the_object_oracles():
 @settings(max_examples=150)
 def test_integer_paths_match_the_object_oracles_random(word):
     _assert_same_lift(word)
-    m = word_matrix(word)
+    m = word_lift(word).gamma
     assert word_decompose(m) == _decompose_oracle(m)
 
 
@@ -302,7 +301,7 @@ def test_word_basics():
 def test_word_decompose_exact_on_universe(cover4):
     for m in cover4.matrices():
         word = word_decompose(m)
-        assert word_matrix(word) == m
+        assert word_lift(word).gamma == m
         if m.det() == -1:
             assert word.count("R") == 1 and word[0] == "R"
         else:
@@ -312,8 +311,8 @@ def test_word_decompose_exact_on_universe(cover4):
 @given(sl_words)
 @settings(max_examples=150)
 def test_word_decompose_round_trip_random(word):
-    m = word_matrix(word)
-    assert word_matrix(word_decompose(m)) == m
+    m = word_lift(word).gamma
+    assert word_lift(word_decompose(m)).gamma == m
 
 
 @given(words, words)
@@ -332,7 +331,7 @@ def test_associativity_random(w1, w2, w3):
 @given(words, words, words)
 @settings(max_examples=150)
 def test_cocycle_identity_random(w1, w2, w3):
-    a, b, g = word_matrix(w1), word_matrix(w2), word_matrix(w3)
+    a, b, g = word_lift(w1).gamma, word_lift(w2).gamma, word_lift(w3).gamma
     assert cocycle(a, b) * cocycle(a * b, g) == cocycle(a, b * g) * cocycle(b, g)
 
 

@@ -1,0 +1,47 @@
+"""Negative controls: a fault in a sign rule must fail the certify checks that guard it.
+
+Each mutant wraps the rule it breaks and is patched on the module that defines it, looked up by its module
+path: the package re-exports the function ``slash`` under the module's name, so an attribute set on
+``from metaplectic import slash`` would reach nothing.  A pinned set lists checks that fail at word length 4
+with the default seed; more may fail.
+"""
+
+import importlib
+
+import numpy as np
+import pytest
+
+from metaplectic.certify import run_certification
+from metaplectic.cover import LIFT_R, LIFT_Z
+from metaplectic.slash import HoloFn, Weight
+
+slash_module = importlib.import_module("metaplectic.slash")
+_RULE = slash_module._case_exponents
+
+
+def _drop_b_on_det_plus_lower(w, det_neg, eps, c, d):
+    """Det +1, lower half-plane without the reflection sign B: the upper exponent."""
+    e_upper, e_lower = _RULE(w, det_neg, eps, c, d)
+    return e_upper, e_lower + (1 - det_neg) * (e_upper - e_lower)
+
+
+def _add_2w_on_det_minus_lower(w, det_neg, eps, c, d):
+    e_upper, e_lower = _RULE(w, det_neg, eps, c, d)
+    return e_upper, e_lower + 2 * w * det_neg
+
+
+@pytest.mark.parametrize("mutant, moved, pinned", [
+    (_drop_b_on_det_plus_lower, LIFT_Z, {"action_composition", "action_reflection_forms"}),
+    (_add_2w_on_det_minus_lower, LIFT_R, {"action_composition", "action_reflection_forms", "eta_hat_identities",
+                                          "form_induction_round_trip", "form_restriction_round_trip"}),
+], ids=["B dropped on det +1, lower", "2w added on det -1, lower"])
+def test_a_case_exponent_mutant_fails_its_pinned_checks(monkeypatch, mutant, moved, pinned):
+    """``_case_exponents`` is the one rule of the scalar ``slash`` and of the batch route that certify
+    evaluates: the mutant flips the sign of the scalar value of f|x at weight 1/2 for an element ``moved``
+    of its case, and certify fails at least the pinned checks."""
+    f, z = HoloFn.from_scalar(upper=lambda z: z + 2, lower=lambda z: z + 2), 0.3 - 0.8j
+    before = slash_module.slash(f, Weight(1), moved).at(z)
+    monkeypatch.setattr(slash_module, "_case_exponents", mutant)
+    assert np.array_equal(slash_module.slash(f, Weight(1), moved).at(z), -before)
+    failed = {check["check_id"] for check in run_certification(4)["checks"] if not check["pass"]}
+    assert pinned <= failed

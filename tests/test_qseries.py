@@ -29,7 +29,7 @@ from metaplectic.qseries import (
     triangular_product_factored,
 )
 from metaplectic.sampling import full_grid, lower_grid, upper_grid
-from metaplectic.slash import Weight, composition_residual, cpow_int, composition_residuals, holomorphy_residual, mobius
+from metaplectic.slash import Weight, cpow_int, composition_residuals, holomorphy_residual, mobius
 
 # frozen from 60-digit evaluations of the same q-product with tail < 1e-30
 ETA_AT_I = 0.7682254223260566590025941795761806445179
@@ -509,7 +509,7 @@ def _error(call):
     return type(info.value), str(info.value)
 
 
-def test_batch_series_refuse_like_the_scalar_series(monkeypatch):
+def test_batch_series_refuse_like_the_scalar_series(monkeypatch, composition_residual):
     """Below min_im, past max_terms, past the reduction cap and where the series exponent overflows, the
     array evaluators and the batch composition raise what the scalar ones raise."""
     good = 0.1 + 1.2j

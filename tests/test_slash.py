@@ -16,7 +16,6 @@ from metaplectic.slash import (
     HoloFn,
     Weight,
     admissible_reflection_scalars,
-    composition_residual,
     composition_residuals,
     cpow_int,
     holomorphy_residual,
@@ -171,14 +170,14 @@ def test_slash_matches_four_case_oracle(cover4):
                 assert acted.at(z) == four_case_oracle(f, w, x, z), (w, str(x), z)
 
 
-def test_composition_trivial_cases():
+def test_composition_trivial_cases(composition_residual):
     f = entire_fn()
     ident = MetaElt.identity()
     assert composition_residual(f, Weight(3), ident, ident, full_grid()) == 0.0
     assert composition_residual(f, Weight(3), LIFT_R, LIFT_R, full_grid()) < 1e-12
 
 
-def test_composition_residual_keeps_nan():
+def test_composition_residual_keeps_nan(composition_residual):
     nan = lambda z: complex("nan")
     f = HoloFn.from_scalar(upper=nan, lower=nan)
     assert math.isnan(composition_residual(f, Weight(3), LIFT_S, LIFT_R, full_grid()))
@@ -188,7 +187,7 @@ def test_composition_residual_keeps_nan():
         assert math.isnan(worst_residual(values))
 
 
-def test_composition_all_det_cases(cover4):
+def test_composition_all_det_cases(cover4, composition_residual):
     f = entire_fn()
     rng = np.random.default_rng(5)
     plus = [e for e in cover4.elements() if e.det() == 1]
@@ -233,7 +232,7 @@ def test_holomorphy_probe():
     assert holomorphy_residual(bad, 0.3 + 1.1j) > 1.0
 
 
-def test_word_lift_through_slash():
+def test_word_lift_through_slash(composition_residual):
     # slashing by a product of generators equals slashing by the word product
     f = entire_fn()
     x = word_lift(("S", "T", "S^-1"))
@@ -332,16 +331,31 @@ def test_slash_values_refuse_like_holofn_at(cover4):
         slash_values(f, Weight(1), full_grid(), [LIFT_S, LIFT_R], [LIFT_S])
 
 
-def test_rows_equal_the_case_exponents(cover7):
-    """``_rows`` takes the i-exponents from the array bit rules; they equal ``_case_exponents`` as exact
-    integers, element by element, over the word-length-7 universe plus det +-1 rows (0, d < 0)."""
+def _mat2_case_exponents(w: int, x: MetaElt) -> tuple[int, int]:
+    """The i-exponents of the four cases stated on ``Mat2``: the cocycle A = cocycle(R, gamma) by a matrix
+    product, and the reflection sign B of gamma (det +1) or of R*gamma (det -1)."""
+    g, eps = x.gamma, x.eps
+    if g.det() == 1:
+        return w * (1 - eps), w * (1 - eps * reflection_sign(g))
+    s = eps * cocycle(R_MAT, g)
+    return -w * s, -w * s * reflection_sign(R_MAT * g)
+
+
+def test_the_case_exponent_rule_equals_the_mat2_oracle(cover7):
+    """``_case_exponents`` gives the oracle's exact integers called with an element's Python ints (as
+    ``slash`` calls it, returning ints) and with int64 columns (as ``_rows`` calls it), over the
+    word-length-7 universe plus det +-1 rows (0, d < 0)."""
     slash_module = importlib.import_module("metaplectic.slash")
+    rule = slash_module._case_exponents
     extra = [MetaElt(Mat2(a, n, 0, -1), eps) for a in (1, -1) for n in (-3, 0, 5) for eps in (1, -1)]
     elts = cover7.elements() + extra
     for w in (0, 1, 2, 3, 8, 12):
+        want = [_mat2_case_exponents(w, x) for x in elts]
+        scalar = [rule(w, x.det() < 0, x.eps, x.gamma.c, x.gamma.d) for x in elts]
+        assert scalar == want and all(type(e) is int for pair in scalar for e in pair)
         rows = slash_module._rows(w, elts)
         assert rows.dtype == np.int64
-        assert rows.T.tolist() == [[*x.gamma.entries(), x.det(), *slash_module._case_exponents(w, x)] for x in elts]
+        assert rows.T.tolist() == [[*x.gamma.entries(), x.det(), *pair] for x, pair in zip(elts, want)]
 
 
 def test_composition_residuals_of_empty_inputs():
