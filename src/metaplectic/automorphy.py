@@ -77,7 +77,8 @@ def mobius(gamma: Mat2, z) -> complex:
 
 def word_factor(word: Word, z: complex) -> complex:
     """Pair-product factor of a determinant-one generator word at ``z``: each lifted token carries
-    sqrt(w) (S), 1/sqrt(-1/w) (S^-1) or 1 (T, T^-1), and moves w by its own closed form, which is
+    sqrt(w) (S), sqrt(-w) (S^-1; off the real axis this is 1/sqrt(-1/w) without the reciprocal, which
+    underflows to 0 far from the origin) or 1 (T, T^-1), and moves w by its own closed form, which is
     ``mobius`` of its matrix bit for bit.  ``z`` is checked as ``mobius`` checks it; an intermediate w
     only for being finite and off the axis, Im w != 0, since a point far from the origin has images
     with Im far below ``AXIS_TOLERANCE`` on which the section is as holomorphic as anywhere."""
@@ -90,7 +91,7 @@ def word_factor(word: Word, z: complex) -> complex:
         if tok == "S":
             fac = principal_sqrt(w) * fac
         elif tok == "S^-1":
-            fac = 1 / principal_sqrt(-1 / w) * fac
+            fac = principal_sqrt(-w) * fac
         w = w + 1 if tok == "T" else w - 1 if tok == "T^-1" else -1 / w if tok == "S" else 1 / -w
     return fac
 
@@ -180,7 +181,7 @@ def branch_signs(mats: Sequence[Mat2], points) -> np.ndarray:
     clean = (codes != 4).all(axis=(0, 2))
     with np.errstate(all="ignore"):  # a row that leaves the plane is marked, and stepped on regardless
         for code in codes:
-            fac = np.where(code == 0, _principal_sqrts(w), np.where(code == 1, 1 / _principal_sqrts(-1 / w), 1)) * fac
+            fac = np.where(code == 0, _principal_sqrts(w), np.where(code == 1, _principal_sqrts(-w), 1)) * fac
             clean &= ((code == 5) | (np.isfinite(w) & (w.imag != 0))).all(axis=1)
             w = np.select([code == 2, code == 3, code == 0, code == 1], [w + 1, w - 1, -1 / w, 1 / -w], w)
         c, d, eps = np.array([(g.c, g.d, e) for g, (_, e) in zip(mats, data)], np.int64).reshape(-1, 3).T[..., None]

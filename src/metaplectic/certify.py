@@ -187,6 +187,30 @@ def _entry_rows(mats: Sequence[Mat2], power: int) -> np.ndarray:
     return np.array([m.entries() for m in mats], dtype=dtype).T.copy()
 
 
+# uint64 words in one (keys, b, words) temporary of the triple kernel: under 128 KiB, which malloc serves from its
+# heap instead of a fresh mapping per chunk (at 256 KiB a word-length-7 certify run peaked 0.3 MB higher)
+_TRIPLE_CHUNK_WORDS = 2 ** 14
+_ALL_ONES = np.uint64(2 ** 64 - 1)
+
+
+def _spread(bits: np.ndarray) -> np.ndarray:
+    """Each bit as an all-zero or all-one uint64 word, on a new last axis that broadcasts against packed words."""
+    return (bits * _ALL_ONES)[..., None]
+
+
+def _packed_words(bits: np.ndarray) -> np.ndarray:
+    """A bool array whose last axis is a multiple of 64 long as uint64 words: entry g in bit g % 64 of word g // 64."""
+    return np.ascontiguousarray(np.packbits(bits, axis=-1, bitorder="little")).view("<u8")
+
+
+def _triple_defect(a_ab, det_a, chi_a, det_b, chi_b, det_ab, chi_ab, det_c, chi_c, s_bc, s_abc):
+    """A(a,b) A(ab,c) A(a,bc) A(b,c) as a bit (set where the identity fails), from the bits it reads: A(a,b) and
+    the negativity bits of det a, chi(a), det b, chi(b), det ab, chi(ab), det c, chi(c), chi(bc) and chi(abc).
+    A formula in ``&`` and ``^`` through ``cocycle_bit``, so it runs on bools and on packed words alike."""
+    return (a_ab ^ cocycle_bit(det_ab, det_c, chi_ab, chi_c, s_abc) ^ cocycle_bit(det_a, det_b ^ det_c, chi_a, s_bc, s_abc)
+            ^ cocycle_bit(det_b, det_c, chi_b, chi_c, s_bc))
+
+
 def cocycle_triple_violations(mats: Sequence[Mat2]) -> tuple[int, Optional[dict]]:
     """Triples (a, b, c) of ``mats`` breaking A(a,b) A(ab,c) = A(a,bc) A(b,c), and the first one:
     first c, then the first (a, b) in row-major order.
@@ -196,13 +220,18 @@ def cocycle_triple_violations(mats: Sequence[Mat2]) -> tuple[int, Optional[dict]
     It sees c only through det c, chi(c) and the chi bits of r·c for the rows r that meet c from the
     left: each b's bottom row gives chi(bc), and each a'b row gives chi(abc).  So the kernel takes one
     representative a per (det, c, d) key, tabulates the chi bit of r·c for every distinct such row r
-    and every c, and evaluates one representative c per group of equal (det c, chi(c), table row).
-    Each representative pair's violations are weighted by both multiplicities, so the cost is
-    K_a·K_c·n for K_a keys and K_c groups instead of n³: K_c is 52, 136, 220 and 576 at word lengths
-    5, 7, 8 and 10.  This is exact for any rule ``chi_negative`` that is a function of the bottom row
-    alone, as its signature makes it: two c in one group agree on every bit the identity reads.
-    Groups are walked in the order of their first member, so the first violating group's first
-    member is the first violating c.
+    and every c, and keeps one representative c per group of equal (det c, chi(c), table row).  This
+    is exact for any rule ``chi_negative`` that is a function of the bottom row alone, as its signature
+    makes it: two c in one group agree on every bit the identity reads.
+
+    The groups are bit-sliced: ordered by first member, group g is bit g % 64 of word g // 64 of each
+    packed c bit (det c, chi(c), and the chi bits of r·c per row r), and each (key, b) bit is an
+    all-zero or all-one word, so one ``_triple_defect`` over (keys, b, words) evaluates 64 groups per
+    word, for K_a·n·⌈K_c/64⌉ words instead of K_a·K_c·n bits in K_c passes.  K_a and K_c are 52, 136,
+    220 and 576 at word lengths 5, 7, 8 and 10.  Only a failing word is unpacked, and its set bits are
+    weighted by their group sizes and by the multiplicity of their key.
+    The first violating group is the lowest set bit of the OR of all failing words; its first member
+    is the first violating c, and one unpacked evaluation of it gives the first (a, b).
     """
     a, b, c, d = _entry_rows(mats, 3)
     det_neg, chi_neg = a * d - b * c < 0, chi_negative(c, d)
@@ -230,19 +259,38 @@ def cocycle_triple_violations(mats: Sequence[Mat2]) -> tuple[int, Optional[dict]
     group = np.column_stack([det_neg, chi_neg, table])
     _, members, sizes = np.unique(group.view(np.dtype((np.void, group.shape[1]))).ravel(),
                                   return_index=True, return_counts=True)
-    violations, witness = 0, None
-    for k, size in sorted(zip(members.tolist(), sizes.tolist())):
-        row = np.unpackbits(table[k], count=len(keys)).view(bool)
-        s3, s_bc = row[ab_at], row[b_at]  # chi bits of (ab)c = a(bc) and of bc
-        bad = (a_ab ^ cocycle_bit(det_ab, det_neg[k], chi_ab, chi_neg[k], s3)
-               ^ cocycle_bit(det_a, det_neg ^ det_neg[k], chi_a, s_bc, s3)
-               ^ cocycle_bit(det_neg, det_neg[k], chi_neg, chi_neg[k], s_bc))
-        count = int(counts @ np.count_nonzero(bad, axis=1))
-        if count and witness is None:
-            i, j = np.argwhere(bad[inverse])[0]
-            witness = {"alpha": mats[i], "beta": mats[j], "gamma": mats[k]}
-        violations += size * count
-    return violations, witness
+    order = np.argsort(members)
+    # the last word is filled up with copies of the last group, of size 0: a copy fails only with that group
+    pad = -len(members) % 64
+    reps, sizes = np.pad(members[order], (0, pad), mode="edge"), np.pad(sizes[order], (0, pad))
+    words = len(reps) // 64
+    rows = np.empty((len(keys), words), dtype="<u8")  # [row, word]: packed chi bits of row·c over the groups
+    for word in range(words):
+        chi_rc = np.unpackbits(table[reps[64 * word:64 * word + 64]], axis=1, count=len(keys))
+        rows[:, word] = _packed_words(chi_rc.T)[:, 0]
+    det_c, chi_c = _packed_words(det_neg[reps]), _packed_words(chi_neg[reps])
+    s_bc = rows[b_at]  # [b, word]: chi bits of bc
+    violations, failed = 0, np.zeros(words, dtype=np.uint64)
+    step = max(1, _TRIPLE_CHUNK_WORDS // s_bc.size)
+    for lo in range(0, len(first), step):
+        at_a = slice(lo, lo + step)
+        bad = _triple_defect(*map(_spread, (a_ab[at_a], det_a[at_a], chi_a[at_a], det_neg, chi_neg, det_ab[at_a],
+                                            chi_ab[at_a])), det_c, chi_c, s_bc, rows[ab_at[at_a]])
+        key, b_hit, w_hit = np.nonzero(bad)
+        if key.size:
+            hit = bad[key, b_hit, w_hit]
+            groups = np.unpackbits(hit.astype("<u8").view(np.uint8), bitorder="little").reshape(-1, 64)
+            violations += int(counts[at_a][key] @ (groups * sizes.reshape(-1, 64)[w_hit]).sum(axis=1))
+            np.bitwise_or.at(failed, w_hit, hit)
+    if not violations:
+        return 0, None
+    word = int(np.flatnonzero(failed)[0])
+    k = int(reps[64 * word + (int(failed[word]) & -int(failed[word])).bit_length() - 1])
+    row = np.unpackbits(table[k], count=len(keys)).view(bool)
+    bad = _triple_defect(a_ab, det_a, chi_a, det_neg, chi_neg, det_ab, chi_ab, det_neg[k], chi_neg[k], row[b_at],
+                         row[ab_at])
+    i, j = np.argwhere(bad[inverse])[0]
+    return violations, {"alpha": mats[i], "beta": mats[j], "gamma": mats[k]}
 
 
 def check_cocycle_triples(env: _Env) -> dict:

@@ -74,6 +74,7 @@ def _cmd_certify(args) -> int:
         pair_count=args.pairs,
         force=args.force,
         qcfg=qcfg,
+        check_filter=args.only.split(",") if args.only is not None else None,
     )
     for check in report["checks"]:
         residual = check["max_residual"]
@@ -160,6 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--tol", type=float, default=None,
                       help="override every numeric tolerance (default: per-check pinned values)")
     cert.add_argument("--json", type=str, default=None, help="write the JSON report here")
+    cert.add_argument("--only", type=str, default=None, metavar="ID[,ID]",
+                      help="run only these comma-separated check ids (default: every check)")
     cert.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the random pair draws (default %(default)s)")
     cert.add_argument("--pairs", type=int, default=DEFAULT_PAIR_COUNT, help="random pair count per pair-based check (default %(default)s)")
     cert.add_argument("--force", action="store_true",

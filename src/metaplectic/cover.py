@@ -125,6 +125,9 @@ def hilbert_symbol(a, b) -> int:
 def cocycle_bit(da, db, sa, sb, sab):
     """Cocycle sign bit (True for -1) from the negativity bits of det a, det b,
     chi(a), chi(b) and chi(ab); works on bools and elementwise on numpy arrays.
+    It is a formula in ``&`` and ``^`` only, so on unsigned integer words it
+    evaluates every bit position on its own: the triple kernel runs it on
+    uint64 words that pack 64 inputs each.
 
     The Hilbert symbol's ratios chi(ab)/chi(a) and chi(ab)/(chi(b) det a) are
     negative exactly when sab ^ sa resp. sab ^ sb ^ da is set.

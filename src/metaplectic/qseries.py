@@ -121,28 +121,29 @@ def _reduce(z: complex) -> tuple[Mat2, complex]:
 
 def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Refuse as ``_require_workable`` does (the first refused point raises), then ``_reduce`` where ``todo``:
-    every point's matrix as a column of int64 rows (a, b, c, d) below 2^31, and the reduced points."""
+    every point's matrix as a column of int64 rows (a, b, c, d) below 2^31, and the reduced points.  The live
+    points' rows and z are kept compact, shrunk where a point finishes, which writes its column and point."""
     bad = ~np.isfinite(z) | (z.imag <= AXIS_TOLERANCE) | (z.imag < cfg.min_im)
     if bad.any():
         _require_workable(complex(z[np.argmax(bad)]), cfg)
     m = np.repeat(np.array([[1], [0], [0], [1]], dtype=np.int64), z.size, axis=1)
     w0, todo = z.copy(), np.flatnonzero(todo)
+    (a, b, c, d), live = m[:, todo], z[todo]
     for _ in range(REDUCTION_STEPS):
-        a, b, c, d = m[:, todo]
-        w = (a * z[todo] + b) / (c * z[todo] + d)
+        w = (a * live + b) / (c * live + d)
         shift = -np.round(w.real)
-        over = np.maximum(np.abs(shift), np.abs(m[:, todo]).max(axis=0, initial=0)) >= 2 ** 31
+        over = np.maximum.reduce([np.abs(shift), np.abs(a), np.abs(b), np.abs(c), np.abs(d)]) >= 2 ** 31
         if over.any():
-            point = complex(z[todo[np.argmax(over)]])
-            raise ResourceLimitError(f"fundamental-domain reduction of {point} leaves int64")
+            raise ResourceLimitError(f"fundamental-domain reduction of {complex(live[np.argmax(over)])} leaves int64")
         a, b = a + shift.astype(np.int64) * c, b + shift.astype(np.int64) * d  # T^shift * g
-        w0[todo] = w = w + shift
+        w = w + shift
         flip = np.abs(w) < 0.999999
-        m[:, todo] = np.where(flip, (-c, -d, a, b), (a, b, c, d))  # S * g where flipped
-        todo = todo[flip]
+        done = ~flip
+        m[:, todo[done]], w0[todo[done]] = (a[done], b[done], c[done], d[done]), w[done]
+        (a, b, c, d), live, todo = (-c[flip], -d[flip], a[flip], b[flip]), live[flip], todo[flip]  # S * g
         if not todo.size:
             return m, w0
-    raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {complex(z[todo[0]])}")
+    raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {complex(live[0])}")
 
 
 def _live_point_series(arg: np.ndarray, n: np.ndarray, start: complex, combine, term) -> np.ndarray:

@@ -191,7 +191,7 @@ def test_branch_signs_equal_branch_profile(cover7):
 def _mobius_route_factor(word, z):
     """``word_factor`` through the Moebius maps of the tokens' matrices: each token's factor from a table,
     each step by its matrix; ``z`` is checked as ``mobius`` checks it, an image for being finite with Im != 0."""
-    factors = {"S": principal_sqrt, "S^-1": lambda w: 1 / principal_sqrt(-1 / w),
+    factors = {"S": principal_sqrt, "S^-1": lambda w: principal_sqrt(-w),
                "T": lambda w: 1 + 0j, "T^-1": lambda w: 1 + 0j}
     fac, w = 1 + 0j, require_off_axis(z)
     for tok in reversed(word):
@@ -230,3 +230,15 @@ def test_word_factor_steps_equal_the_mobius_route():
         want = _outcome(lambda: _mobius_route_factor(word, z))
         assert "real axis" in want or "not a finite" in want
         assert _outcome(lambda: word_factor(word, z)) == want
+
+
+def test_inverse_s_factor_needs_no_reciprocal():
+    """S^-1 carries sqrt(-w), which is 1/sqrt(-1/w) off the real axis up to rounding; far from the origin -1/w
+    underflows to 0, and the root of -w keeps every refusal of the word route on a point that it names."""
+    for w in upper_grid() + tuple(-z for z in upper_grid()) + (1e6 + 1j, -3e7 - 0.5j):
+        assert word_factor(("S^-1",), w) == pytest.approx(1 / principal_sqrt(-1 / w), rel=1e-15)
+    far = 1.5e308 + 1e308j
+    outcomes = [_outcome(lambda: branch_profile(g, [far])) for g in enumerate_cover(6).sl_matrices()]
+    refused = [out for out in outcomes if out not in ("1", "-1")]
+    assert len(outcomes) == 204 and len(refused) == 170
+    assert all("point" in out for out in refused)

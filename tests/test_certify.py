@@ -294,7 +294,7 @@ def _first_factor_kernel(mats):
     return violations, witness
 
 
-@pytest.mark.parametrize("word_len", [3, 4, 5])
+@pytest.mark.parametrize("word_len", [3, 4, 5, 6])
 @pytest.mark.parametrize("name, rule, want_w4", [  # want_w4: violating triples at word length 4
     pytest.param(None, None, 0, id="production"),
     pytest.param("chi_negative", _flip_at(cover.chi_negative, 1, 0), 129718, id="chi flipped at (1,0)"),
@@ -309,7 +309,8 @@ def test_cocycle_triple_kernel_matches_the_first_factor_kernel(monkeypatch, word
     """The grouped kernel against the one-slice-per-c kernel, with the production rules, under chi rules
     that are no half-plane rule and under a mutated ``cocycle_bit``: the same count and the same first
     witness (first c, then the first (a, b)).  The grouping is exact for any bottom-row chi rule, so
-    every mutant agrees."""
+    every mutant agrees.  Word length 6 has 84 groups of c with the production rules, so the packed
+    groups fill more than one word."""
     if name is not None:
         monkeypatch.setattr(certify, name, rule)
     mats = enumerate_cover(word_len).matrices()
@@ -317,6 +318,18 @@ def test_cocycle_triple_kernel_matches_the_first_factor_kernel(monkeypatch, word
     assert (count, witness) == _first_factor_kernel(mats)
     assert (count > 0) == (name is not None)
     assert word_len != 4 or count == want_w4
+
+
+def test_cocycle_bit_on_packed_words_equals_it_on_bools():
+    """``cocycle_bit`` is a formula in ``&`` and ``^``, so on uint64 words it evaluates each bit position on its
+    own: all 32 patterns of its five input bits, packed twice into one word (bits 0-31 and 32-63) and also
+    with each input spread to an all-zero or all-one word, give the bool values."""
+    patterns = (np.arange(32)[:, None] >> np.arange(5) & 1 == 1).T  # [input, pattern]
+    want = cover.cocycle_bit(*patterns)
+    words = cover.cocycle_bit(*certify._packed_words(np.tile(patterns, 2)))
+    assert np.array_equal(np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little"), np.tile(want, 2))
+    spread = cover.cocycle_bit(*(certify._spread(bits) for bits in patterns))
+    assert np.array_equal(spread[:, 0], np.where(want, certify._ALL_ONES, 0))
 
 
 def test_algebra_checks_pass_on_the_deep_universe():

@@ -229,6 +229,22 @@ def test_certify_with_sample_file(capsys, tmp_path):
     assert "point (0.3+nanj) is not a finite complex number" in err
 
 
+def test_certify_only_runs_the_named_checks(capsys, tmp_path):
+    """``--only`` runs the named checks, and each one's report is the one it has in the full run; an id that
+    names no check exits 2 before any check runs."""
+    full, alone = tmp_path / "full.json", tmp_path / "alone.json"
+    assert run_cli(capsys, "certify", "--max-word-len", "4", "--json", str(full))[0] == 0
+    code, out, _ = run_cli(capsys, "certify", "--max-word-len", "4", "--only", "algebra_cocycle_triples",
+                           "--json", str(alone))
+    assert code == 0 and out.splitlines()[-1] == "PASS  overall (1 checks)"
+    (check,) = json.loads(alone.read_text())["checks"]
+    assert check == {c["check_id"]: c for c in json.loads(full.read_text())["checks"]}["algebra_cocycle_triples"]
+    code, out, _ = run_cli(capsys, "certify", "--max-word-len", "0", "--only", "algebra_unit_values,rep_well_defined")
+    assert code == 0 and out.splitlines()[-1] == "PASS  overall (2 checks)"
+    code, out, err = run_cli(capsys, "certify", "--max-word-len", "0", "--only", "algebra_unit_values,no_such_check")
+    assert (code, out, err) == (2, "", "error: unknown check ids: no_such_check\n")
+
+
 def test_certify_depth_bound(capsys):
     assert run_cli(capsys, "certify", "--max-word-len", "9")[0] == 2
     for pairs in ("-1", "0"):

@@ -1,6 +1,6 @@
 """Negative controls: a fault in a sign rule must fail the certify checks that guard it.
 
-Each mutant wraps the rule it breaks and is patched on the module that defines it, looked up by its module
+Each mutant wraps the rule it breaks and is patched on every module that calls it, looked up by its module
 path: the package re-exports the function ``slash`` under the module's name, so an attribute set on
 ``from metaplectic import slash`` would reach nothing.  A pinned set lists checks that fail at word length 4
 with the default seed; more may fail.
@@ -15,8 +15,10 @@ from metaplectic.certify import run_certification
 from metaplectic.cover import LIFT_R, LIFT_Z
 from metaplectic.slash import HoloFn, Weight
 
-slash_module = importlib.import_module("metaplectic.slash")
+automorphy_module, cover_module, certify_module, slash_module = (
+    importlib.import_module(f"metaplectic.{name}") for name in ("automorphy", "cover", "certify", "slash"))
 _RULE = slash_module._case_exponents
+_BIT = cover_module.cocycle_bit
 
 
 def _drop_b_on_det_plus_lower(w, det_neg, eps, c, d):
@@ -45,3 +47,39 @@ def test_a_case_exponent_mutant_fails_its_pinned_checks(monkeypatch, mutant, mov
     assert np.array_equal(slash_module.slash(f, Weight(1), moved).at(z), -before)
     failed = {check["check_id"] for check in run_certification(4)["checks"] if not check["pass"]}
     assert pinned <= failed
+
+
+def _drop_the_det_symbol(da, db, sa, sb, sab):
+    """The cocycle without its (det a, det b) Hilbert symbol."""
+    return _BIT(da, db, sa, sb, sab) ^ (da & db)
+
+
+def _leave_det_a_out_of_the_second_symbol(da, db, sa, sb, sab):
+    """(chi(ab)/chi(a), chi(ab)/chi(b)) in place of (chi(ab)/chi(a), chi(ab)/(chi(b) det a))."""
+    return _BIT(da, db, sa, sb, sab) ^ ((sab ^ sa) & da)
+
+
+_BOTH_MUTANTS_FAIL = {"action_composition", "action_reflection_forms", "algebra_conjugation_lemma",
+                      "algebra_generator_inversion", "algebra_order_relations", "algebra_reflection_sign_lemma",
+                      "eta_hat_identities", "form_induction_round_trip", "form_restriction_round_trip",
+                      "rep_homomorphism", "rep_well_defined"}
+
+
+@pytest.mark.parametrize("mutant, pinned, passing", [
+    (_drop_the_det_symbol, _BOTH_MUTANTS_FAIL | {"algebra_unit_values", "rep_induction_matrices",
+                                                 "rep_twist_properties"}, {"algebra_cocycle_triples"}),
+    (_leave_det_a_out_of_the_second_symbol, _BOTH_MUTANTS_FAIL | {"algebra_cocycle_triples"}, set()),
+], ids=["(det a, det b) dropped", "det a left out of the second symbol"])
+def test_a_cocycle_bit_mutant_fails_its_pinned_checks(monkeypatch, mutant, pinned, passing):
+    """``cocycle_bit`` is the one sign rule of ``cover.cocycle``, the batch slash rows and the certify kernels.
+    A dropped (det a, det b) symbol multiplies the cocycle by a Hilbert symbol, itself a cocycle, so the
+    triple identity still holds and ``algebra_cocycle_triples`` passes: only the checks that pin values see it.
+    Word lifts cached with the production cocycle are dropped before and after the run."""
+    for module in (cover_module, slash_module, certify_module):
+        monkeypatch.setattr(module, "cocycle_bit", mutant)
+    automorphy_module._word_data.cache_clear()
+    try:
+        failed = {check["check_id"] for check in run_certification(4)["checks"] if not check["pass"]}
+    finally:
+        automorphy_module._word_data.cache_clear()
+    assert pinned <= failed and not passing & failed
