@@ -69,10 +69,20 @@ def i_power(e: int) -> complex:
     return _I_POWERS[e % 4]
 
 
+def cz_plus_d(c, d, z):
+    """The automorphy argument j = c*z + d, on ints and a complex or elementwise on int64 and complex arrays."""
+    return c * z + d
+
+
+def pullback(a, b, c, d, z):
+    """The Moebius image (a*z + b) / j of z and its argument j = ``cz_plus_d(c, d, z)``, typed alike; unchecked."""
+    j = cz_plus_d(c, d, z)
+    return (a * z + b) / j, j
+
+
 def mobius(gamma: Mat2, z) -> complex:
     """Fractional-linear action; det +1 preserves the halves, det -1 swaps them."""
-    z = require_off_axis(z)
-    return (gamma.a * z + gamma.b) / (gamma.c * z + gamma.d)
+    return pullback(*gamma.entries(), require_off_axis(z))[0]
 
 
 def word_factor(word: Word, z: complex) -> complex:
@@ -113,12 +123,12 @@ def _word_codes(words: Sequence[Word]) -> np.ndarray:
                     dtype=np.intp).reshape(len(words), width)
 
 
-def section_root(c: int, d: int, z: complex) -> complex:
-    """sqrt(c*z + d) with argument in [-pi, pi): the principal root, or -i at c = 0, d < 0,
+def section_root(c: int, d: int, j: complex) -> complex:
+    """sqrt(j), j = c*z + d, with argument in [-pi, pi): the principal root, or -i at c = 0, d < 0,
     the only case on the cut.  Unchecked; callers validate the matrix and the point."""
     if minus_t_row(c, d):
         return -1j
-    return principal_sqrt(c * z + d)
+    return principal_sqrt(j)
 
 
 def _principal_sqrts(w: np.ndarray) -> np.ndarray:
@@ -126,16 +136,16 @@ def _principal_sqrts(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(w.imag == 0, w.real + 0j, w))
 
 
-def section_roots(c: np.ndarray, d: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``section_root`` elementwise over integer arrays c, d and a complex array z."""
-    return np.where(minus_t_row(c, d), -1j, _principal_sqrts(c * z + d))
+def section_roots(c: np.ndarray, d: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``section_root`` elementwise over integer arrays c, d and a complex array j."""
+    return np.where(minus_t_row(c, d), -1j, _principal_sqrts(j))
 
 
 def phi_upper(gamma: Mat2, z) -> complex:
     """Automorphy factor of [gamma, +1] on the upper half-plane, ``section_root`` of its bottom row."""
     if gamma.det() != 1:
         raise DomainError("phi_upper needs a determinant +1 matrix")
-    return section_root(gamma.c, gamma.d, require_upper(z))
+    return section_root(gamma.c, gamma.d, cz_plus_d(gamma.c, gamma.d, require_upper(z)))
 
 
 def phi_lower(gamma: Mat2, z) -> complex:
@@ -143,7 +153,7 @@ def phi_lower(gamma: Mat2, z) -> complex:
     phi_upper(RgR, -z), whose argument -c*(-z) + d is c*z + d."""
     if gamma.det() != 1:
         raise DomainError("phi_lower needs a determinant +1 matrix")
-    return reflection_sign(gamma) * section_root(gamma.c, gamma.d, require_lower(z))
+    return reflection_sign(gamma) * section_root(gamma.c, gamma.d, cz_plus_d(gamma.c, gamma.d, require_lower(z)))
 
 
 def branch_profile(gamma: Mat2, points) -> int:
@@ -157,7 +167,7 @@ def branch_profile(gamma: Mat2, points) -> int:
     sign = 0
     for z in points:
         z = require_upper(z)
-        ratio = eps * word_factor(word, z) / principal_sqrt(gamma.c * z + gamma.d)
+        ratio = eps * word_factor(word, z) / principal_sqrt(cz_plus_d(gamma.c, gamma.d, z))
         snapped = 1 if abs(ratio - 1) < abs(ratio + 1) else -1
         if abs(ratio - snapped) > 1e-9:
             raise DomainError(f"phi/sqrt ratio {ratio} at {z} is not a sign for {gamma}")
@@ -185,7 +195,7 @@ def branch_signs(mats: Sequence[Mat2], points) -> np.ndarray:
             clean &= ((code == 5) | (np.isfinite(w) & (w.imag != 0))).all(axis=1)
             w = np.select([code == 2, code == 3, code == 0, code == 1], [w + 1, w - 1, -1 / w, 1 / -w], w)
         c, d, eps = np.array([(g.c, g.d, e) for g, (_, e) in zip(mats, data)], np.int64).reshape(-1, 3).T[..., None]
-        ratio = eps * fac / _principal_sqrts(c * z + d)
+        ratio = eps * fac / _principal_sqrts(cz_plus_d(c, d, z))
     snapped = np.where(np.abs(ratio - 1) < np.abs(ratio + 1), 1, -1)
     clean &= (np.abs(ratio - snapped) <= 1e-9).all(axis=1) & (snapped == snapped[:, :1]).all(axis=1)
     return np.where(clean, snapped[:, 0] if z.size else 0, 0)

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import sampling
-from .automorphy import (branch_profile, branch_signs, phi_lower, phi_upper, principal_sqrt, require_upper,
-                         section_roots, word_factor)
+from .automorphy import (branch_profile, branch_signs, cz_plus_d, phi_lower, phi_upper, principal_sqrt, pullback,
+                         require_upper, section_roots, word_factor)
 from .cover import (CENTER_FLIP, IDENT, LIFT_R, LIFT_S, LIFT_T, LIFT_Z, NEG_IDENT, R_MAT, S_MAT, T_MAT, CoverSet, Mat2,
                     MetaElt, chi_negative, cocycle, cocycle_bit, conj_by_reflection, enumerate_cover, format_word,
                     hilbert_symbol, kubota_chi, minus_t_row, reflection_sign)
@@ -398,9 +398,10 @@ def check_phi_section(env: _Env) -> dict:
     rows = np.array([(a.c, a.d, *b.entries(), sign, ab.c, ab.d) for a, b, sign, ab in pairs], dtype=np.int64)
     c_a, d_a, b_a, b_b, b_c, b_d, sign, c_ab, d_ab = rows.T[:, :, None]
     z = np.array(env.upper)
-    image = (b_a * z + b_b) / (b_c * z + b_d)
+    image, j_b = pullback(b_a, b_b, b_c, b_d, z)
     require_upper(complex(image.flat[np.argmin(image.imag)]))  # refused as by phi_upper(alpha, .)
-    gaps = np.abs(section_roots(c_a, d_a, image) * section_roots(b_c, b_d, z) - sign * section_roots(c_ab, d_ab, z))
+    gaps = np.abs(section_roots(c_a, d_a, cz_plus_d(c_a, d_a, image)) * section_roots(b_c, b_d, j_b)
+                  - sign * section_roots(c_ab, d_ab, cz_plus_d(c_ab, d_ab, z)))
     cases = ((gaps[i, j], {"alpha": a, "beta": b, "z": z})
              for i, (a, b, _, _) in enumerate(pairs) for j, z in enumerate(env.upper))
     return _sweep(env, {"pairs": env.pair_count, "points": len(env.upper)}, 1e-10, cases)
@@ -409,6 +410,7 @@ def check_phi_section(env: _Env) -> dict:
 def check_phi_squaring(env: _Env) -> dict:
     mats = env.cover.sl_matrices()
     halves = (("upper", phi_upper, env.upper), ("lower", phi_lower, env.lower))
+    # c z + d written out: the independent side of the comparison with phi's cz_plus_d
     cases = ((abs(phi(g, z) ** 2 - (g.c * z + g.d)), {"gamma": g, "z": z, "half": half})
              for g in mats for half, phi, points in halves for z in points)
     return _sweep(env, {"matrices": len(mats)}, 1e-12, cases)
@@ -438,6 +440,7 @@ def check_phi_branch_profile(env: _Env) -> dict:
             bad = {"gamma": g, "error": str(exc)}
             break
         signs[sign > 0] += 1
+        # c z + d written out: the independent side of the comparison with phi_upper's cz_plus_d
         if any(phi_upper(g, z) != sign * principal_sqrt(g.c * z + g.d) for z in env.upper):
             mismatches += 1
             bad = bad or {"gamma": g, "word_route_sign": sign}
@@ -490,8 +493,8 @@ def check_action_classical_match(env: _Env) -> dict:
     elts = env.cover.sl_elements()[:80]
     a, b, c, d = np.array([x.gamma.entries() for x in elts], dtype=np.int64).T[:, :, None, None]
     z = np.array(env.upper)[:, None]
-    image = (a * z + b) / (c * z + d)  # (elements, points, 1)
-    classical = holofn_values(e4.fn, image.ravel(), image.ravel().imag > 0).reshape(image.shape) * (1 / (c * z + d) ** 4)
+    image, j = pullback(a, b, c, d, z)  # (elements, points, 1)
+    classical = holofn_values(e4.fn, image.ravel(), image.ravel().imag > 0).reshape(image.shape) * (1 / j ** 4)
     gaps = _gap(slash_values(e4.fn, e4.weight, env.upper, elts), classical, axis=2)
     cases = ((gaps[i, j], {"x": x, "z": z}) for i, x in enumerate(elts) for j, z in enumerate(env.upper))
     return _sweep(env, {"elements": len(elts)}, 1e-9, cases)

@@ -40,7 +40,7 @@ def _named_form(name: str, cfg: QSeriesConfig):
         if n < 0:
             raise DomainError("factor count must be nonnegative")
         return lambda z: triangular_product(n, z)
-    raise DomainError(f"unknown form {name!r}; expected eta, e4, e6, eta-hat, or zn:N")
+    raise DomainError(f"unknown form {name!r}; expected {', '.join(NAMED_FORMS)} or zn:N")
 
 
 def _format_vector(values) -> str:
@@ -174,13 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--elem", type=str, default=None, help="generator word, e.g. 'R R' or 'S T T'")
     ev.add_argument("--matrix", type=str, default=None, help="matrix literal [[a,b],[c,d]]")
     ev.add_argument("--sign", type=int, default=None, choices=(1, -1), help="cover sign for --matrix (default +1)")
-    ev.add_argument("--form", type=str, default=None, help="eta | e4 | e6 | eta-hat | zn:N")
-    ev.add_argument("--z", type=str, default=None, help="evaluation point 'a+bi'")
+    ev.add_argument("--form", type=str, default=None, help=" | ".join([*NAMED_FORMS, "zn:N"]))
+    ev.add_argument("--z", type=str, default=None, help="evaluation point 'a+bi'; write --z=-0.5+0.8i for Re z < 0")
     ev.add_argument("--min-im", type=float, default=DEFAULT_CONFIG.min_im,
                     help="near-axis refusal threshold (default %(default)s)")
 
     chk = sub.add_parser("check", help="residual of the slash-vs-representation identity")
-    chk.add_argument("--form", type=str, required=True, help="eta | e4 | e6 | eta-hat")
+    chk.add_argument("--form", type=str, required=True, help=" | ".join(NAMED_FORMS))
     chk.add_argument("--weight", type=int, required=True, help="doubled weight w = 2k")
     chk.add_argument("--elem", type=str, required=True, help="generator word")
     chk.add_argument("--rep", type=str, default=None, help="JSON representation file (default: the form's own)")

@@ -229,14 +229,6 @@ def conj_by_reflection(x: MetaElt) -> MetaElt:
 
 GENERATOR_TOKENS = ("S", "S^-1", "T", "T^-1", "R")
 
-TOKEN_MATS: dict[str, Mat2] = {
-    "S": S_MAT,
-    "S^-1": S_MAT.inv(),
-    "T": T_MAT,
-    "T^-1": T_MAT.inv(),
-    "R": R_MAT,
-}
-
 TOKEN_LIFTS: dict[str, MetaElt] = {
     "S": LIFT_S,
     "S^-1": LIFT_S.inv(),
@@ -258,7 +250,7 @@ def parse_word(text: str) -> Word:
     """Parse space-separated generator tokens; empty input is the empty word."""
     tokens = tuple(text.split())
     for tok in tokens:
-        if tok not in TOKEN_MATS:
+        if tok not in GENERATOR_TOKENS:
             raise DomainError(f"unknown generator token {tok!r}; expected one of {GENERATOR_TOKENS}")
     return tokens
 

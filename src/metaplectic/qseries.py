@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .automorphy import AXIS_TOLERANCE, principal_sqrt, require_finite, require_off_axis, require_upper
+from .automorphy import AXIS_TOLERANCE, principal_sqrt, pullback, require_finite, require_off_axis, require_upper
 from .cover import S_MAT, T_MAT, Mat2, _known_mat2, chi_negative
 from .errors import DomainError, ResourceLimitError
 from .reps import Rep, VVForm, extend_form, induce_form, root24
@@ -98,16 +98,13 @@ def _truncation_indices(im: np.ndarray, cfg: QSeriesConfig, extra_log=0.0) -> np
     return n.astype(np.int64)
 
 
-def _reduce(z: complex) -> tuple[Mat2, complex]:
-    """Exact determinant-one matrix g with g.z in the standard fundamental domain, for a point that
-    ``require_upper`` has already returned.
-
-    The matrix is tracked in integers and the moving point is recomputed from
-    the original z at every step, so the pair (g, g.z) is reproducible.
-    """
+def _reduce(z: complex) -> tuple[Mat2, complex, complex]:
+    """Exact determinant-one g with g.z in the standard fundamental domain, g.z and g's argument j = c*z + d, for
+    a point that ``require_upper`` has already returned.  The matrix is tracked in integers and the moving
+    point is recomputed from the original z at every step, so the triple is reproducible."""
     a, b, c, d = 1, 0, 0, 1
     for _ in range(REDUCTION_STEPS):
-        w = (a * z + b) / (c * z + d)
+        w, j = pullback(a, b, c, d, z)
         shift = -round(w.real)
         if shift:
             a, b = a + shift * c, b + shift * d  # T^shift * g
@@ -115,22 +112,22 @@ def _reduce(z: complex) -> tuple[Mat2, complex]:
         if abs(w) < 0.999999:
             a, b, c, d = -c, -d, a, b  # S * g
         else:
-            return _known_mat2(a, b, c, d), w  # products of T^n and S: determinant one
+            return _known_mat2(a, b, c, d), w, j  # products of T^n and S: determinant one; T^n keeps (c, d)
     raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {z}")
 
 
-def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tuple[np.ndarray, ...]:
     """Refuse as ``_require_workable`` does (the first refused point raises), then ``_reduce`` where ``todo``:
-    every point's matrix as a column of int64 rows (a, b, c, d) below 2^31, and the reduced points.  The live
-    points' rows and z are kept compact, shrunk where a point finishes, which writes its column and point."""
+    every point's matrix as a column of int64 rows (a, b, c, d) below 2^31, its reduced point and its j, 1 where
+    nothing was reduced.  The live points' rows and z are kept compact, shrunk where a point finishes."""
     bad = ~np.isfinite(z) | (z.imag <= AXIS_TOLERANCE) | (z.imag < cfg.min_im)
     if bad.any():
         _require_workable(complex(z[np.argmax(bad)]), cfg)
     m = np.repeat(np.array([[1], [0], [0], [1]], dtype=np.int64), z.size, axis=1)
-    w0, todo = z.copy(), np.flatnonzero(todo)
+    w0, j0, todo = z.copy(), np.ones(z.shape, dtype=complex), np.flatnonzero(todo)
     (a, b, c, d), live = m[:, todo], z[todo]
     for _ in range(REDUCTION_STEPS):
-        w = (a * live + b) / (c * live + d)
+        w, j = pullback(a, b, c, d, live)
         shift = -np.round(w.real)
         over = np.maximum.reduce([np.abs(shift), np.abs(a), np.abs(b), np.abs(c), np.abs(d)]) >= 2 ** 31
         if over.any():
@@ -139,10 +136,10 @@ def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tup
         w = w + shift
         flip = np.abs(w) < 0.999999
         done = ~flip
-        m[:, todo[done]], w0[todo[done]] = (a[done], b[done], c[done], d[done]), w[done]
+        m[:, todo[done]], w0[todo[done]], j0[todo[done]] = (a[done], b[done], c[done], d[done]), w[done], j[done]
         (a, b, c, d), live, todo = (-c[flip], -d[flip], a[flip], b[flip]), live[flip], todo[flip]  # S * g
         if not todo.size:
-            return m, w0
+            return m, w0, j0
     raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {complex(live[0])}")
 
 
@@ -236,8 +233,8 @@ def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     """
     z = _require_workable(z, cfg)
     if cfg.reduce and z.imag < 0.25:
-        g, w0 = _reduce(z)
-        return _eta_series(w0, cfg) / (_eta_root(*g.entries()) * principal_sqrt(g.c * z + g.d))
+        g, w0, j = _reduce(z)
+        return _eta_series(w0, cfg) / (_eta_root(*g.entries()) * principal_sqrt(j))
     return _eta_series(z, cfg)
 
 
@@ -256,12 +253,12 @@ def eta_batch(z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
     """``eta`` at every point of the complex array ``z``, with its refusals, reductions and per-point
     truncations: one pass per product term over the points that still need it."""
     todo = (z.imag < 0.25) & cfg.reduce
-    m, arg = _reduce_workable(z, cfg, todo)
+    m, arg, j = _reduce_workable(z, cfg, todo)
     roots = np.ones(z.shape, dtype=complex)  # the identity's root is exactly 1
     roots[todo] = [_eta_root(*g) for g in zip(*m[:, todo].tolist())]
     prod = _live_point_series(arg, _truncation_indices(arg.imag, cfg), 1, np.multiply, lambda qk, k: 1.0 - qk)
-    # c z + d is 1 where nothing was reduced, and off the cut where it was (c != 0, as Im went up)
-    return np.exp(1j * np.pi * arg / 12) * prod / (roots * np.sqrt(m[2] * z + m[3]))
+    # j is 1 where nothing was reduced, and off the cut where it was (c != 0, as Im went up)
+    return np.exp(1j * np.pi * arg / 12) * prod / (roots * np.sqrt(j))
 
 
 def eisenstein(k: int, z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
@@ -278,8 +275,8 @@ def eisenstein(k: int, z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
         raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
     z = _require_workable(z, cfg)
     if cfg.reduce:
-        g, w0 = _reduce(z)
-        return _eisenstein_series(k, w0, cfg) * cpow_int(g.c * z + g.d, -k)
+        _, w0, j = _reduce(z)
+        return _eisenstein_series(k, w0, cfg) * cpow_int(j, -k)
     return _eisenstein_series(k, z, cfg)
 
 
@@ -301,11 +298,11 @@ def eisenstein_batch(k: int, z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG)
     per-point truncations: one pass per Lambert term over the points that still need it."""
     if k not in _EIS_COEFF:
         raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
-    m, arg = _reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
+    _, arg, j = _reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
     base = _truncation_indices(arg.imag, cfg)
     total = _live_point_series(arg, _truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0)),
                                0, np.add, lambda qd, d: float(d) ** (k - 1) * qd / (1.0 - qd))
-    return 2 * _EIS_ZETA[k] * (1 + _EIS_COEFF[k] * total) * cpow_int(m[2] * z + m[3], -k)
+    return 2 * _EIS_ZETA[k] * (1 + _EIS_COEFF[k] * total) * cpow_int(j, -k)
 
 
 def lattice_sum(k: int, z, rows: int) -> complex:

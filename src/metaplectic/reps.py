@@ -88,10 +88,6 @@ class Rep:
             out[flips] = out[flips] @ self._stack[-1]
         return out
 
-    def word_image(self, word: Word) -> np.ndarray:
-        """The product of the stored images along ``word``, the identity for none."""
-        return self.word_images([word])[0]
-
     def evaluate_batch(self, elements: Sequence[MetaElt]) -> np.ndarray:
         """Lift-and-correct values at ``elements``, ``(len(elements), dim, dim)``: each element's generator word
         from ``_word_data``, corrected by the central image where the lifted word lands on the other sign."""

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .automorphy import i_power, mobius, require_off_axis, section_root, section_roots  # mobius is re-exported
+from .automorphy import i_power, mobius, pullback, require_off_axis, section_root, section_roots  # re-exports mobius
 from .cover import Mat2, MetaElt, R_MAT, chi_negative, cocycle, cocycle_bit, minus_t_row
 from .errors import DomainError
 
@@ -119,8 +119,8 @@ def _case_evaluator(src: Optional[Evaluator], gamma: Mat2, i_exp: int, w: int) -
     a, b, c, d = gamma.entries()
 
     def evaluator(z: complex):
-        return src((a * z + b) / (c * z + d)) * (exact * cpow_int(section_root(c, d, z), -w))
-
+        image, j = pullback(a, b, c, d, z)
+        return src(image) * (exact * cpow_int(section_root(c, d, j), -w))
     return evaluator
 
 
@@ -203,8 +203,9 @@ def _pullbacks(rows: np.ndarray, z: np.ndarray, upper: np.ndarray, w: int):
     """One step of the four-case rule at every point, whose element is a column (a, b, c, d, det, e_upper,
     e_lower) of ``rows``: the images, the factors i^e section_root^(-w), and the source's half-planes."""
     a, b, c, d, det, e_upper, e_lower = rows
-    factor = _I_POWER_ARRAY[np.where(upper, e_upper, e_lower) % 4] * cpow_int(section_roots(c, d, z), -w)
-    return (a * z + b) / (c * z + d), factor, upper ^ (det < 0)
+    image, j = pullback(a, b, c, d, z)
+    factor = _I_POWER_ARRAY[np.where(upper, e_upper, e_lower) % 4] * cpow_int(section_roots(c, d, j), -w)
+    return image, factor, upper ^ (det < 0)
 
 
 def holofn_values(f: HoloFn, at: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from metaplectic.automorphy import (
     word_factor,
 )
 from metaplectic.cover import (
-    TOKEN_MATS,
+    TOKEN_LIFTS,
     Mat2,
     R_MAT,
     S_MAT,
@@ -198,7 +198,7 @@ def _mobius_route_factor(word, z):
         if not (cmath.isfinite(w) and w.imag != 0):
             require_off_axis(w)
         fac = factors[tok](w) * fac
-        g = TOKEN_MATS[tok]
+        g = TOKEN_LIFTS[tok].gamma
         w = (g.a * w + g.b) / (g.c * w + g.d)
     return fac
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from metaplectic.cli import main
-from metaplectic.sampling import format_complex, parse_complex
+from metaplectic.sampling import format_complex, parse_complex, upper_grid
 from metaplectic.errors import DomainError
-from metaplectic.qseries import triangular_product
+from metaplectic.qseries import DEFAULT_CONFIG, NAMED_FORMS, triangular_product
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +82,19 @@ def test_eval_triangular(capsys):
     code, out, _ = run_cli(capsys, "eval", "--form", "zn:3", "--z", "0.25")
     assert code == 0
     assert parse_complex(out.strip()) == pytest.approx(triangular_product(3, 0.25))
+
+
+def test_unknown_form_error_names_every_named_form(capsys):
+    code, out, err = run_cli(capsys, "eval", "--form", "nope", "--z", "1i")
+    assert code == 2 and out == ""
+    assert all(name in err for name in NAMED_FORMS) and "zn:N" in err
+
+
+def test_eval_takes_a_negative_real_part_through_the_equals_spelling(capsys):
+    """argparse reads a value that starts with '-' as an option, so --z=a+bi carries Re z < 0."""
+    z = next(p for p in upper_grid() if p.real < 0)
+    code, out, _ = run_cli(capsys, "eval", "--form", "e6", f"--z={format_complex(z)}")
+    assert code == 0 and out.strip() == format_complex(NAMED_FORMS["e6"](DEFAULT_CONFIG).at(z)[0])
 
 
 def test_eval_usage_errors(capsys):

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from metaplectic.certify import run_certification
-from metaplectic.cover import LIFT_R, LIFT_Z
+from metaplectic.cover import LIFT_R, LIFT_S, LIFT_Z
 from metaplectic.slash import HoloFn, Weight
 
 automorphy_module, cover_module, certify_module, slash_module = (
     importlib.import_module(f"metaplectic.{name}") for name in ("automorphy", "cover", "certify", "slash"))
 _RULE = slash_module._case_exponents
 _BIT = cover_module.cocycle_bit
+_CZ_PLUS_D = automorphy_module.cz_plus_d
 
 
 def _drop_b_on_det_plus_lower(w, det_neg, eps, c, d):
@@ -83,3 +84,26 @@ def test_a_cocycle_bit_mutant_fails_its_pinned_checks(monkeypatch, mutant, pinne
     finally:
         automorphy_module._word_data.cache_clear()
     assert pinned <= failed and not passing & failed
+
+
+def _scaled_argument(c, d, z):
+    """c*z + d off by a relative 1e-7: every pullback image and square-root factor moves."""
+    return _CZ_PLUS_D(c, d, z) * (1 + 1e-7)
+
+
+def test_a_pullback_mutant_fails_its_pinned_checks(monkeypatch):
+    """``cz_plus_d`` is the one automorphy argument of ``pullback``, the phi factors and the certify kernels, so
+    a scaled argument moves the scalar f|x and the batch route alike; the checks that write c*z + d out as
+    their independent side (``phi_squaring``, ``phi_branch_profile``) fail with the rest."""
+    f, z = HoloFn.from_scalar(upper=lambda z: z + 2, lower=lambda z: z + 2), 0.3 + 0.8j
+    routes = (lambda: slash_module.slash(f, Weight(1), LIFT_S).at(z)[0],
+              lambda: slash_module.slash_values(f, Weight(1), [z], [LIFT_S])[0, 0])
+    before = [route() for route in routes]
+    for module in (automorphy_module, certify_module):
+        monkeypatch.setattr(module, "cz_plus_d", _scaled_argument)
+    assert all(abs(route() - value) > 1e-9 * abs(value) for route, value in zip(routes, before))
+    failed = {check["check_id"] for check in run_certification(4)["checks"] if not check["pass"]}
+    assert {"action_classical_match", "action_composition", "action_reflection_forms", "eisenstein_even_extension",
+            "eisenstein_lattice_match", "eta_hat_identities", "eta_multiplier_universe", "eta_reduction_agreement",
+            "form_induction_round_trip", "form_restriction_round_trip", "phi_branch_profile",
+            "phi_section_consistency", "phi_squaring", "phi_well_defined"} <= failed

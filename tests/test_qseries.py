@@ -215,11 +215,11 @@ def test_scalar_series_refuse_an_exponent_past_the_float_range(raw_cfg):
 
 
 def test_reduce_to_fundamental():
-    g, w = qseries._reduce(require_upper(0.4 + 0.012j))
+    g, w, _ = qseries._reduce(require_upper(0.4 + 0.012j))
     assert g.det() == 1
     assert abs(mobius(g, 0.4 + 0.012j) - w) < 1e-14
     assert w.imag > 0.5 and abs(w.real) <= 0.5 + 1e-9
-    g0, w0 = qseries._reduce(require_upper(0.1 + 2j))
+    g0, w0, _ = qseries._reduce(require_upper(0.1 + 2j))
     assert g0 == IDENT and w0 == 0.1 + 2j
     # eta and eisenstein validate their point before they reduce it
     for bad in (0.3 - 0.8j, 0.3 + 0j, complex(0.1, math.nan)):
@@ -414,7 +414,7 @@ def _per_term_q_powers(arg, count):
 
 def _masked_eta_batch(z, cfg, q_powers=_anchored_q_powers):
     """``eta_batch`` as a masked loop: every point runs through the largest truncation index."""
-    m, arg = qseries._reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
+    m, arg, _ = qseries._reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
     roots = np.array([qseries._eta_root(*g) for g in zip(*m.tolist())])
     n, prod = qseries._truncation_indices(arg.imag, cfg), np.ones_like(z)
     for k, qk in q_powers(arg, n.max(initial=0)):
@@ -424,7 +424,7 @@ def _masked_eta_batch(z, cfg, q_powers=_anchored_q_powers):
 
 def _masked_eisenstein_batch(k, z, cfg, q_powers=_anchored_q_powers):
     """``eisenstein_batch`` as a masked loop: every point runs through the largest truncation index."""
-    m, arg = qseries._reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
+    m, arg, _ = qseries._reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
     base = qseries._truncation_indices(arg.imag, cfg)
     n = qseries._truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0))
     total = np.zeros_like(z)

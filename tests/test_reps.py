@@ -54,7 +54,7 @@ def test_trivial_rep_evaluation(cover4):
     with pytest.raises(DomainError):
         sl.evaluate(LIFT_R)
     with pytest.raises(DomainError, match="no reflection image"):
-        sl.word_image(("S", "R"))
+        sl.word_images([("S", "R")])
 
 
 def _pairwise_evaluate(rep: Rep, x: MetaElt) -> np.ndarray:
@@ -78,7 +78,8 @@ def test_stacked_fold_equals_the_pairwise_fold(cover7):
         assert images.shape == (len(elts), rep.dim, rep.dim)
         assert all(np.array_equal(image, _pairwise_evaluate(rep, x)) for image, x in zip(images, elts))
         assert all(np.array_equal(rep.evaluate(x), _pairwise_evaluate(rep, x)) for x in elts[::37])
-    assert np.array_equal(hat.word_image(()), np.eye(2)) and np.array_equal(rho.evaluate(MetaElt.identity()), np.eye(1))
+    assert np.array_equal(hat.word_images([()])[0], np.eye(2))
+    assert np.array_equal(rho.evaluate(MetaElt.identity()), np.eye(1))
     assert hat.word_images([]).shape == (0, 2, 2) and hat.evaluate_batch([]).shape == (0, 2, 2)
     with pytest.raises(DomainError, match="^SL-cover representation cannot take determinant -1 elements$"):
         rho.evaluate_batch([LIFT_T, LIFT_R])
@@ -148,7 +149,7 @@ def test_rep_homomorphism_sampled(cover4):
 def test_rep_well_defined_on_alternate_words(cover4):
     rho_hat = eta_character().induce(Weight(1))
     for elt, w1, w2 in cover4.alternates:
-        assert rho_hat.word_image(w1) == pytest.approx(rho_hat.word_image(w2), abs=1e-12)
+        assert rho_hat.word_images([w1])[0] == pytest.approx(rho_hat.word_images([w2])[0], abs=1e-12)
 
 
 def test_r_twist():
