@@ -5,7 +5,6 @@ desk-scale certification suite for the whole stack."""
 __version__ = "0.1.0"
 
 from .automorphy import i_power, phi_lower, phi_upper, principal_sqrt
-from .certify import run_certification
 from .cover import (
     CENTER_FLIP,
     LIFT_R,
@@ -47,4 +46,12 @@ from .slash import (
     slash,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["run_certification"]
+
+
+def __getattr__(name):
+    """``run_certification`` is imported on first use (PEP 562), so importing the package compiles no certify."""
+    if name == "run_certification":
+        from .certify import run_certification
+        return run_certification
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

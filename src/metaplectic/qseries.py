@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .automorphy import AXIS_TOLERANCE, principal_sqrt, pullback, require_finite, require_off_axis, require_upper
-from .cover import S_MAT, T_MAT, Mat2, _known_mat2, chi_negative
+from .cover import S_MAT, T_MAT, Mat2, _known_mat2, chi_negative, minus_t_row
 from .errors import DomainError, ResourceLimitError
 from .reps import Rep, VVForm, extend_form, induce_form, root24
 from .slash import HoloFn, Weight, cpow_int
@@ -55,6 +55,8 @@ class QSeriesConfig:
 DEFAULT_CONFIG = QSeriesConfig()
 
 REDUCTION_STEPS = 500  # cap on the steps of a fundamental-domain reduction
+
+_ETA_ROOTS = np.array([root24(n) for n in range(24)])  # eta_batch's multipliers by index; index 0 is exactly 1
 
 _QPOW_ANCHOR = 8  # the batch series take q^k from one exponential at every 8th k, as q^(k-1) * q in between
 
@@ -116,30 +118,42 @@ def _reduce(z: complex) -> tuple[Mat2, complex, complex]:
     raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {z}")
 
 
+def _eta_s_step(a, c, d):
+    """What S * g adds to ``eta_multiplier_index`` of a determinant-one g = [[a, b], [c, d]], also elementwise: 21 from
+    eta(S w) = e^(2 pi i 21/24) sqrt(w) eta(w) at w = g z, plus 12 where the arguments of sqrt(g z) sqrt(c z + d) add
+    past pi, making it -sqrt(a z + b): c > 0 > a, or (c, d) a -T^n row.  No reduction takes that last term (from the
+    identity, S raises Im and T^s keeps it, so S never meets -T^n there); it keeps the rule true for every S * g."""
+    return 21 + 12 * ((c > 0) & (a < 0) | minus_t_row(c, d))
+
+
 def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tuple[np.ndarray, ...]:
     """Refuse as ``_require_workable`` does (the first refused point raises), then ``_reduce`` where ``todo``:
-    every point's matrix as a column of int64 rows (a, b, c, d) below 2^31, its reduced point and its j, 1 where
-    nothing was reduced.  The live points' rows and z are kept compact, shrunk where a point finishes."""
+    every point's matrix as a column of int64 rows (a, b, c, d) below 2^31, its reduced point, its j and its
+    ``eta_multiplier_index``, 1 and 0 where nothing was reduced.  The index is carried through the steps, s for
+    T^s and ``_eta_s_step`` for S.  The live points' rows and z are kept compact, shrunk where a point finishes."""
     bad = ~np.isfinite(z) | (z.imag <= AXIS_TOLERANCE) | (z.imag < cfg.min_im)
     if bad.any():
         _require_workable(complex(z[np.argmax(bad)]), cfg)
-    m = np.repeat(np.array([[1], [0], [0], [1]], dtype=np.int64), z.size, axis=1)
+    m, n0 = np.repeat(np.array([[1], [0], [0], [1]], dtype=np.int64), z.size, axis=1), np.zeros(z.shape, dtype=np.int64)
     w0, j0, todo = z.copy(), np.ones(z.shape, dtype=complex), np.flatnonzero(todo)
-    (a, b, c, d), live = m[:, todo], z[todo]
+    (a, b, c, d), n, live = m[:, todo], n0[todo], z[todo]
     for _ in range(REDUCTION_STEPS):
         w, j = pullback(a, b, c, d, live)
         shift = -np.round(w.real)
         over = np.maximum.reduce([np.abs(shift), np.abs(a), np.abs(b), np.abs(c), np.abs(d)]) >= 2 ** 31
         if over.any():
             raise ResourceLimitError(f"fundamental-domain reduction of {complex(live[np.argmax(over)])} leaves int64")
-        a, b = a + shift.astype(np.int64) * c, b + shift.astype(np.int64) * d  # T^shift * g
+        s = shift.astype(np.int64)
+        a, b, n = a + s * c, b + s * d, n + s  # T^shift * g
         w = w + shift
         flip = np.abs(w) < 0.999999
         done = ~flip
         m[:, todo[done]], w0[todo[done]], j0[todo[done]] = (a[done], b[done], c[done], d[done]), w[done], j[done]
-        (a, b, c, d), live, todo = (-c[flip], -d[flip], a[flip], b[flip]), live[flip], todo[flip]  # S * g
+        n0[todo[done]] = n[done] % 24
+        n = (n + _eta_s_step(a, c, d))[flip]  # S * g
+        (a, b, c, d), live, todo = (-c[flip], -d[flip], a[flip], b[flip]), live[flip], todo[flip]
         if not todo.size:
-            return m, w0, j0
+            return m, w0, j0, n0
     raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {complex(live[0])}")
 
 
@@ -219,7 +233,8 @@ def eta_multiplier_index(g: Mat2) -> int:
 @lru_cache(maxsize=4096)
 def _eta_root(a: int, b: int, c: int, d: int) -> complex:
     """The 24th root of unity of ``eta_multiplier_index`` at the determinant-one [[a, b], [c, d]], kept
-    process-wide: a certify run reduces its points by a few hundred to a few thousand matrices, again and again."""
+    process-wide for the scalar ``eta`` and ``eta_character``: ``eta_batch`` carries its indices through the
+    reduction and reads ``_ETA_ROOTS``."""
     return root24(eta_multiplier_index(_known_mat2(a, b, c, d)))
 
 
@@ -253,12 +268,10 @@ def eta_batch(z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
     """``eta`` at every point of the complex array ``z``, with its refusals, reductions and per-point
     truncations: one pass per product term over the points that still need it."""
     todo = (z.imag < 0.25) & cfg.reduce
-    m, arg, j = _reduce_workable(z, cfg, todo)
-    roots = np.ones(z.shape, dtype=complex)  # the identity's root is exactly 1
-    roots[todo] = [_eta_root(*g) for g in zip(*m[:, todo].tolist())]
+    _, arg, j, index = _reduce_workable(z, cfg, todo)
     prod = _live_point_series(arg, _truncation_indices(arg.imag, cfg), 1, np.multiply, lambda qk, k: 1.0 - qk)
     # j is 1 where nothing was reduced, and off the cut where it was (c != 0, as Im went up)
-    return np.exp(1j * np.pi * arg / 12) * prod / (roots * np.sqrt(j))
+    return np.exp(1j * np.pi * arg / 12) * prod / (_ETA_ROOTS[index] * np.sqrt(j))
 
 
 def eisenstein(k: int, z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
@@ -298,7 +311,7 @@ def eisenstein_batch(k: int, z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG)
     per-point truncations: one pass per Lambert term over the points that still need it."""
     if k not in _EIS_COEFF:
         raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
-    _, arg, j = _reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
+    _, arg, j, _ = _reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
     base = _truncation_indices(arg.imag, cfg)
     total = _live_point_series(arg, _truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0)),
                                0, np.add, lambda qd, d: float(d) ** (k - 1) * qd / (1.0 - qd))

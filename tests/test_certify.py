@@ -1,5 +1,8 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -421,3 +424,14 @@ def test_batch_nan_reaches_the_pair_and_the_first_witness(cover4, composition_re
     value, witness = certify._worst((r, {"x": x, "y": y}) for (x, y), r in zip(pairs, got))
     first = int(np.argmax(np.isnan(got)))
     assert math.isnan(value) and witness == {"x": pairs[first][0], "y": pairs[first][1]}
+
+
+def test_importing_the_package_leaves_certify_unloaded():
+    """``import metaplectic`` compiles no certification suite (a fresh process, so no test has loaded it);
+    ``run_certification`` still resolves from the package, then from ``metaplectic.certify``."""
+    code = ("import sys, metaplectic; assert 'metaplectic.certify' not in sys.modules; "
+            "from metaplectic import run_certification; from metaplectic.certify import run_certification as r; "
+            "assert run_certification is r is metaplectic.run_certification; "
+            "assert 'run_certification' in metaplectic.__all__")
+    env = {**os.environ, "PYTHONPATH": str(Path(certify.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -15,11 +15,12 @@ from metaplectic.certify import run_certification
 from metaplectic.cover import LIFT_R, LIFT_S, LIFT_Z
 from metaplectic.slash import HoloFn, Weight
 
-automorphy_module, cover_module, certify_module, slash_module = (
-    importlib.import_module(f"metaplectic.{name}") for name in ("automorphy", "cover", "certify", "slash"))
+automorphy_module, cover_module, certify_module, qseries_module, slash_module = (
+    importlib.import_module(f"metaplectic.{name}") for name in ("automorphy", "cover", "certify", "qseries", "slash"))
 _RULE = slash_module._case_exponents
 _BIT = cover_module.cocycle_bit
 _CZ_PLUS_D = automorphy_module.cz_plus_d
+_S_STEP = qseries_module._eta_s_step
 
 
 def _drop_b_on_det_plus_lower(w, det_neg, eps, c, d):
@@ -107,3 +108,20 @@ def test_a_pullback_mutant_fails_its_pinned_checks(monkeypatch):
             "eisenstein_lattice_match", "eta_hat_identities", "eta_multiplier_universe", "eta_reduction_agreement",
             "form_induction_round_trip", "form_restriction_round_trip", "phi_branch_profile",
             "phi_section_consistency", "phi_squaring", "phi_well_defined"} <= failed
+
+
+def _drop_the_half_turn(a, c, d):
+    """The S step without its 12 where c > 0 > a, so sqrt(g z) sqrt(c z + d) is taken for sqrt(a z + b)."""
+    return _S_STEP(a, c, d) - 12 * ((c > 0) & (a < 0))
+
+
+def test_a_batch_eta_step_mutant_fails_only_action_composition(monkeypatch):
+    """``_eta_s_step`` carries eta's multiplier through the batch reduction only, and the mutant flips the sign
+    of the batch value at each S step a reduction takes from c > 0 > a.  Certify sees that only through
+    ``action_composition``, its one comparison of batch eta values with another route: the set is pinned exactly."""
+    z = np.array([0.3 + 0.003j, -0.41 + 0.002j])
+    before = qseries_module.eta_batch(z, qseries_module.CERTIFY_CONFIG)
+    monkeypatch.setattr(qseries_module, "_eta_s_step", _drop_the_half_turn)
+    assert np.allclose(qseries_module.eta_batch(z, qseries_module.CERTIFY_CONFIG), -before, rtol=1e-14, atol=0)
+    failed = {check["check_id"] for check in run_certification(4)["checks"] if not check["pass"]}
+    assert failed == {"action_composition"}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from metaplectic.automorphy import principal_sqrt, require_upper
-from metaplectic.cover import IDENT, LIFT_R, LIFT_S, LIFT_T, NEG_IDENT, S_MAT, T_MAT, Mat2, MetaElt
+from metaplectic.cover import IDENT, LIFT_R, LIFT_S, LIFT_T, NEG_IDENT, S_MAT, T_MAT, Mat2, MetaElt, minus_t_row
 from metaplectic.errors import DomainError, ResourceLimitError
 from metaplectic import qseries
 from metaplectic.qseries import (
@@ -113,18 +113,43 @@ def test_eta_multiplier_index_known_values():
         eta_multiplier_index(Mat2(-1, 0, 0, 1))
 
 
-def test_eta_multiplier_roots_are_kept_across_calls(monkeypatch, qcfg):
-    """eta_batch, eta and eta_character share one process-wide root per reducing matrix: once a batch
-    has seen its points' matrices, neither a second batch nor the scalar path recomputes an index."""
+def test_eta_batch_computes_no_multiplier_index(monkeypatch, qcfg):
+    """eta_batch reads its roots by the indices its reduction carries: it computes no ``eta_multiplier_index``
+    and calls no ``_eta_root``, which serve the scalar eta and ``eta_character`` only."""
     calls = []
-    index = qseries.eta_multiplier_index
-    monkeypatch.setattr(qseries, "eta_multiplier_index", lambda g: calls.append(g) or index(g))
+    monkeypatch.setattr(qseries, "eta_multiplier_index", lambda g: calls.append(g))
+    monkeypatch.setattr(qseries, "_eta_root", lambda *g: calls.append(g))
     z = np.array([complex(x, 0.003) for x in (0.1, 0.37, 0.61)])  # reduced by matrices with c != 0
-    first = qseries.eta_batch(z, qcfg)
-    seen = len(calls)
-    assert np.array_equal(qseries.eta_batch(z, qcfg), first)
-    qseries.eta(complex(z[1]), qcfg)
-    assert len(calls) == seen
+    assert np.all(np.isfinite(qseries.eta_batch(z, qcfg))) and not calls
+
+
+def test_reduction_carries_the_eta_multiplier_index(qcfg):
+    """Every column's carried index is ``eta_multiplier_index`` of its matrix, down to Im 1e-6 and out to
+    |Re| 1e6; the columns left unreduced carry the identity's 0."""
+    rng = np.random.default_rng(20250405)
+    im = 10 ** rng.uniform(-6, math.log10(0.25), 3000)
+    z = rng.choice([-1, 1], im.size) * 10 ** rng.uniform(-3, 6, im.size) + 1j * im
+    m, _, _, index = qseries._reduce_workable(z, qcfg, rng.random(im.size) < 0.9)
+    assert np.abs(m[2]).max() > 500  # deep reductions, far outside any certify universe
+    assert index.tolist() == [eta_multiplier_index(Mat2(*g)) for g in zip(*m.tolist())]
+
+
+def test_eta_step_rule_on_random_words():
+    """The reduction's step rule (s for T^s, ``_eta_s_step`` for S) run on random words of T^s and S from the
+    identity gives ``eta_multiplier_index`` of every prefix, also where S follows a -T^n row, which a
+    reduction never does (S S is -I, so such steps are frequent here)."""
+    rng = np.random.default_rng(4)
+    minus_t_steps = 0
+    for _ in range(5000):
+        a, b, c, d, n = 1, 0, 0, 1, 0
+        for s in rng.integers(-7, 8, rng.integers(1, 12)).tolist():
+            if s % 2:
+                a, b, n = a + s * c, b + s * d, n + s
+            else:
+                minus_t_steps += bool(minus_t_row(c, d))
+                a, b, c, d, n = -c, -d, a, b, n + qseries._eta_s_step(a, c, d)
+            assert n % 24 == eta_multiplier_index(Mat2(a, b, c, d)), (a, b, c, d)
+    assert minus_t_steps > 1000
 
 
 def test_eta_multiplier_index_transforms_raw_eta(cover4, raw_cfg):
@@ -414,7 +439,7 @@ def _per_term_q_powers(arg, count):
 
 def _masked_eta_batch(z, cfg, q_powers=_anchored_q_powers):
     """``eta_batch`` as a masked loop: every point runs through the largest truncation index."""
-    m, arg, _ = qseries._reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
+    m, arg, _, _ = qseries._reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
     roots = np.array([qseries._eta_root(*g) for g in zip(*m.tolist())])
     n, prod = qseries._truncation_indices(arg.imag, cfg), np.ones_like(z)
     for k, qk in q_powers(arg, n.max(initial=0)):
@@ -424,7 +449,7 @@ def _masked_eta_batch(z, cfg, q_powers=_anchored_q_powers):
 
 def _masked_eisenstein_batch(k, z, cfg, q_powers=_anchored_q_powers):
     """``eisenstein_batch`` as a masked loop: every point runs through the largest truncation index."""
-    m, arg, _ = qseries._reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
+    m, arg, _, _ = qseries._reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
     base = qseries._truncation_indices(arg.imag, cfg)
     n = qseries._truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0))
     total = np.zeros_like(z)
