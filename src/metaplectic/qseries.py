@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .automorphy import AXIS_TOLERANCE, principal_sqrt, pullback, require_finite, require_off_axis, require_upper
-from .cover import S_MAT, T_MAT, Mat2, _known_mat2, chi_negative, minus_t_row
+from .cover import S_MAT, T_MAT, Mat2, chi_negative, minus_t_row
 from .errors import DomainError, ResourceLimitError
 from .reps import Rep, VVForm, extend_form, induce_form, root24
 from .slash import HoloFn, Weight, cpow_int
@@ -43,6 +43,8 @@ class QSeriesConfig:
     reduce: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.reduce, bool) or isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int):
+            raise DomainError(f"reduce must be a bool and max_terms an int, got {self.reduce!r}, {self.max_terms!r}")
         for name in ("tail_tolerance", "min_im"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be a finite number, got {getattr(self, name)}")
@@ -56,7 +58,8 @@ DEFAULT_CONFIG = QSeriesConfig()
 
 REDUCTION_STEPS = 500  # cap on the steps of a fundamental-domain reduction
 
-_ETA_ROOTS = np.array([root24(n) for n in range(24)])  # eta_batch's multipliers by index; index 0 is exactly 1
+# eta_batch's multipliers by carried index, 0 exactly 1; the scalar eta takes root24(index), staying in Python complex
+_ETA_ROOTS = np.array([root24(n) for n in range(24)])
 
 _QPOW_ANCHOR = 8  # the batch series take q^k from one exponential at every 8th k, as q^(k-1) * q in between
 
@@ -100,21 +103,22 @@ def _truncation_indices(im: np.ndarray, cfg: QSeriesConfig, extra_log=0.0) -> np
     return n.astype(np.int64)
 
 
-def _reduce(z: complex) -> tuple[Mat2, complex, complex]:
-    """Exact determinant-one g with g.z in the standard fundamental domain, g.z and g's argument j = c*z + d, for
-    a point that ``require_upper`` has already returned.  The matrix is tracked in integers and the moving
-    point is recomputed from the original z at every step, so the triple is reproducible."""
-    a, b, c, d = 1, 0, 0, 1
+def _reduce(z: complex) -> tuple[tuple[int, int, int, int], complex, complex, int]:
+    """Exact determinant-one g = [[a, b], [c, d]] with g.z in the standard fundamental domain, as (a, b, c, d), g.z,
+    g's argument j = c*z + d and ``eta_multiplier_index(g)`` carried by the steps (s for T^s, ``_eta_s_step`` for S),
+    for a point that ``require_upper`` has already returned.  The matrix is tracked in integers and the moving point
+    is recomputed from the original z at every step, so the result is reproducible."""
+    a, b, c, d, n = 1, 0, 0, 1, 0
     for _ in range(REDUCTION_STEPS):
         w, j = pullback(a, b, c, d, z)
         shift = -round(w.real)
         if shift:
-            a, b = a + shift * c, b + shift * d  # T^shift * g
+            a, b, n = a + shift * c, b + shift * d, n + shift  # T^shift * g
             w = w + shift
         if abs(w) < 0.999999:
-            a, b, c, d = -c, -d, a, b  # S * g
+            a, b, c, d, n = -c, -d, a, b, n + _eta_s_step(a, c, d)  # S * g
         else:
-            return _known_mat2(a, b, c, d), w, j  # products of T^n and S: determinant one; T^n keeps (c, d)
+            return (a, b, c, d), w, j, n % 24
     raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {z}")
 
 
@@ -230,26 +234,18 @@ def eta_multiplier_index(g: Mat2) -> int:
     return (n - 3 + turn) % 24
 
 
-@lru_cache(maxsize=4096)
-def _eta_root(a: int, b: int, c: int, d: int) -> complex:
-    """The 24th root of unity of ``eta_multiplier_index`` at the determinant-one [[a, b], [c, d]], kept
-    process-wide for the scalar ``eta`` and ``eta_character``: ``eta_batch`` carries its indices through the
-    reduction and reads ``_ETA_ROOTS``."""
-    return root24(eta_multiplier_index(_known_mat2(a, b, c, d)))
-
-
 def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     """Weight-1/2 eta product on the upper half-plane.
 
     With ``cfg.reduce``, arguments below Im z = 0.25 are moved up by an exact
-    integer matrix and the value is carried back through the exact 24th root
-    of unity of ``eta_multiplier_index`` and the principal sqrt(c z + d); the
+    integer matrix and the value is carried back through ``root24`` of the
+    multiplier index ``_reduce`` carries and the principal sqrt(c z + d); the
     raw product is only ever summed at well-separated points.
     """
     z = _require_workable(z, cfg)
     if cfg.reduce and z.imag < 0.25:
-        g, w0, j = _reduce(z)
-        return _eta_series(w0, cfg) / (_eta_root(*g.entries()) * principal_sqrt(j))
+        _, w0, j, index = _reduce(z)
+        return _eta_series(w0, cfg) / (root24(index) * principal_sqrt(j))
     return _eta_series(z, cfg)
 
 
@@ -288,7 +284,7 @@ def eisenstein(k: int, z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
         raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
     z = _require_workable(z, cfg)
     if cfg.reduce:
-        _, w0, j = _reduce(z)
+        _, w0, j, _ = _reduce(z)
         return _eisenstein_series(k, w0, cfg) * cpow_int(j, -k)
     return _eisenstein_series(k, z, cfg)
 
@@ -382,7 +378,7 @@ def eta_fn(cfg: QSeriesConfig = DEFAULT_CONFIG) -> HoloFn:
 def eta_character() -> Rep:
     """The character of eta on the SL cover: the lifted generators [S,1] and [T,1] carry the
     section sqrt(z) resp. 1, so their images are the closed-form multipliers e^(2 pi i n/24)."""
-    return Rep("SL", 1, {key: np.array([[_eta_root(*g.entries())]], dtype=complex)
+    return Rep("SL", 1, {key: np.array([[root24(eta_multiplier_index(g))]], dtype=complex)
                          for key, g in (("S", S_MAT), ("T", T_MAT))})
 
 

@@ -23,6 +23,11 @@ _CZ_PLUS_D = automorphy_module.cz_plus_d
 _S_STEP = qseries_module._eta_s_step
 
 
+def _failed_checks() -> set[str]:
+    """The checks that fail in a word-length-4 run at the default seed."""
+    return {check["check_id"] for check in run_certification(4)["checks"] if not check["pass"]}
+
+
 def _drop_b_on_det_plus_lower(w, det_neg, eps, c, d):
     """Det +1, lower half-plane without the reflection sign B: the upper exponent."""
     e_upper, e_lower = _RULE(w, det_neg, eps, c, d)
@@ -47,8 +52,7 @@ def test_a_case_exponent_mutant_fails_its_pinned_checks(monkeypatch, mutant, mov
     before = slash_module.slash(f, Weight(1), moved).at(z)
     monkeypatch.setattr(slash_module, "_case_exponents", mutant)
     assert np.array_equal(slash_module.slash(f, Weight(1), moved).at(z), -before)
-    failed = {check["check_id"] for check in run_certification(4)["checks"] if not check["pass"]}
-    assert pinned <= failed
+    assert pinned <= _failed_checks()
 
 
 def _drop_the_det_symbol(da, db, sa, sb, sab):
@@ -81,7 +85,7 @@ def test_a_cocycle_bit_mutant_fails_its_pinned_checks(monkeypatch, mutant, pinne
         monkeypatch.setattr(module, "cocycle_bit", mutant)
     automorphy_module._word_data.cache_clear()
     try:
-        failed = {check["check_id"] for check in run_certification(4)["checks"] if not check["pass"]}
+        failed = _failed_checks()
     finally:
         automorphy_module._word_data.cache_clear()
     assert pinned <= failed and not passing & failed
@@ -103,11 +107,10 @@ def test_a_pullback_mutant_fails_its_pinned_checks(monkeypatch):
     for module in (automorphy_module, certify_module):
         monkeypatch.setattr(module, "cz_plus_d", _scaled_argument)
     assert all(abs(route() - value) > 1e-9 * abs(value) for route, value in zip(routes, before))
-    failed = {check["check_id"] for check in run_certification(4)["checks"] if not check["pass"]}
     assert {"action_classical_match", "action_composition", "action_reflection_forms", "eisenstein_even_extension",
             "eisenstein_lattice_match", "eta_hat_identities", "eta_multiplier_universe", "eta_reduction_agreement",
             "form_induction_round_trip", "form_restriction_round_trip", "phi_branch_profile",
-            "phi_section_consistency", "phi_squaring", "phi_well_defined"} <= failed
+            "phi_section_consistency", "phi_squaring", "phi_well_defined"} <= _failed_checks()
 
 
 def _drop_the_half_turn(a, c, d):
@@ -115,13 +118,14 @@ def _drop_the_half_turn(a, c, d):
     return _S_STEP(a, c, d) - 12 * ((c > 0) & (a < 0))
 
 
-def test_a_batch_eta_step_mutant_fails_only_action_composition(monkeypatch):
-    """``_eta_s_step`` carries eta's multiplier through the batch reduction only, and the mutant flips the sign
-    of the batch value at each S step a reduction takes from c > 0 > a.  Certify sees that only through
-    ``action_composition``, its one comparison of batch eta values with another route: the set is pinned exactly."""
-    z = np.array([0.3 + 0.003j, -0.41 + 0.002j])
-    before = qseries_module.eta_batch(z, qseries_module.CERTIFY_CONFIG)
+def test_an_eta_step_mutant_fails_exactly_its_pinned_checks(monkeypatch):
+    """``_eta_s_step`` carries eta's multiplier through the scalar and the batch reduction alike, and the mutant
+    flips the sign of both values at each S step a reduction takes from c > 0 > a.  Certify sees that through
+    ``action_composition`` and ``eta_reduction_agreement``, whose raw series is an oracle independent of the
+    rule: the set is pinned exactly."""
+    z, cfg = np.array([0.3 + 0.003j, -0.41 + 0.002j]), qseries_module.CERTIFY_CONFIG
+    routes = (lambda: qseries_module.eta_batch(z, cfg), lambda: [qseries_module.eta(p, cfg) for p in z.tolist()])
+    before = [route() for route in routes]
     monkeypatch.setattr(qseries_module, "_eta_s_step", _drop_the_half_turn)
-    assert np.allclose(qseries_module.eta_batch(z, qseries_module.CERTIFY_CONFIG), -before, rtol=1e-14, atol=0)
-    failed = {check["check_id"] for check in run_certification(4)["checks"] if not check["pass"]}
-    assert failed == {"action_composition"}
+    assert all(np.allclose(route(), -np.array(value), rtol=1e-14, atol=0) for route, value in zip(routes, before))
+    assert _failed_checks() == {"action_composition", "eta_reduction_agreement"}

@@ -10,6 +10,7 @@ import pytest
 from metaplectic.automorphy import principal_sqrt, require_upper
 from metaplectic.cover import IDENT, LIFT_R, LIFT_S, LIFT_T, NEG_IDENT, S_MAT, T_MAT, Mat2, MetaElt, minus_t_row
 from metaplectic.errors import DomainError, ResourceLimitError
+from metaplectic.reps import root24
 from metaplectic import qseries
 from metaplectic.qseries import (
     DEFAULT_CONFIG,
@@ -41,6 +42,10 @@ def test_config_validation():
         QSeriesConfig(tail_tolerance=0.0)
     with pytest.raises(DomainError):
         QSeriesConfig(max_terms=0)
+    for bad in ({"reduce": "no"}, {"reduce": 1}, {"reduce": None}, {"max_terms": 1.5}, {"max_terms": True}):
+        with pytest.raises(DomainError, match="reduce must be a bool and max_terms an int"):
+            QSeriesConfig(**bad)
+    assert not QSeriesConfig(tail_tolerance=1e-17, max_terms=2_000_000, min_im=1e-12, reduce=False).reduce
     for name in ("tail_tolerance", "min_im"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match=f"{name} must be a finite number, got {value}"):
@@ -113,25 +118,29 @@ def test_eta_multiplier_index_known_values():
         eta_multiplier_index(Mat2(-1, 0, 0, 1))
 
 
-def test_eta_batch_computes_no_multiplier_index(monkeypatch, qcfg):
-    """eta_batch reads its roots by the indices its reduction carries: it computes no ``eta_multiplier_index``
-    and calls no ``_eta_root``, which serve the scalar eta and ``eta_character`` only."""
+def test_the_eta_routes_compute_no_multiplier_index(monkeypatch, qcfg):
+    """eta and eta_batch read their roots by the indices their reductions carry: neither computes an
+    ``eta_multiplier_index`` at reduced points."""
     calls = []
     monkeypatch.setattr(qseries, "eta_multiplier_index", lambda g: calls.append(g))
-    monkeypatch.setattr(qseries, "_eta_root", lambda *g: calls.append(g))
     z = np.array([complex(x, 0.003) for x in (0.1, 0.37, 0.61)])  # reduced by matrices with c != 0
     assert np.all(np.isfinite(qseries.eta_batch(z, qcfg))) and not calls
+    assert all(cmath.isfinite(eta(p, qcfg)) for p in z.tolist()) and not calls
 
 
 def test_reduction_carries_the_eta_multiplier_index(qcfg):
     """Every column's carried index is ``eta_multiplier_index`` of its matrix, down to Im 1e-6 and out to
-    |Re| 1e6; the columns left unreduced carry the identity's 0."""
+    |Re| 1e6; the columns left unreduced carry the identity's 0.  The scalar ``_reduce`` gives every reduced
+    point the same entries and index as the batch route."""
     rng = np.random.default_rng(20250405)
     im = 10 ** rng.uniform(-6, math.log10(0.25), 3000)
     z = rng.choice([-1, 1], im.size) * 10 ** rng.uniform(-3, 6, im.size) + 1j * im
-    m, _, _, index = qseries._reduce_workable(z, qcfg, rng.random(im.size) < 0.9)
+    todo = rng.random(im.size) < 0.9
+    m, _, _, index = qseries._reduce_workable(z, qcfg, todo)
     assert np.abs(m[2]).max() > 500  # deep reductions, far outside any certify universe
     assert index.tolist() == [eta_multiplier_index(Mat2(*g)) for g in zip(*m.tolist())]
+    scalar = [qseries._reduce(p) for p in z[todo].tolist()]
+    assert [(g, n) for g, _, _, n in scalar] == list(zip(map(tuple, m[:, todo].T.tolist()), index[todo].tolist()))
 
 
 def test_eta_step_rule_on_random_words():
@@ -240,12 +249,13 @@ def test_scalar_series_refuse_an_exponent_past_the_float_range(raw_cfg):
 
 
 def test_reduce_to_fundamental():
-    g, w, _ = qseries._reduce(require_upper(0.4 + 0.012j))
+    g, w, _, _ = qseries._reduce(require_upper(0.4 + 0.012j))
+    g = Mat2(*g)
     assert g.det() == 1
     assert abs(mobius(g, 0.4 + 0.012j) - w) < 1e-14
     assert w.imag > 0.5 and abs(w.real) <= 0.5 + 1e-9
-    g0, w0, _ = qseries._reduce(require_upper(0.1 + 2j))
-    assert g0 == IDENT and w0 == 0.1 + 2j
+    g0, w0, _, n0 = qseries._reduce(require_upper(0.1 + 2j))
+    assert Mat2(*g0) == IDENT and w0 == 0.1 + 2j and n0 == 0
     # eta and eisenstein validate their point before they reduce it
     for bad in (0.3 - 0.8j, 0.3 + 0j, complex(0.1, math.nan)):
         with pytest.raises(DomainError):
@@ -440,7 +450,7 @@ def _per_term_q_powers(arg, count):
 def _masked_eta_batch(z, cfg, q_powers=_anchored_q_powers):
     """``eta_batch`` as a masked loop: every point runs through the largest truncation index."""
     m, arg, _, _ = qseries._reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
-    roots = np.array([qseries._eta_root(*g) for g in zip(*m.tolist())])
+    roots = np.array([root24(eta_multiplier_index(Mat2(*g))) for g in zip(*m.tolist())])
     n, prod = qseries._truncation_indices(arg.imag, cfg), np.ones_like(z)
     for k, qk in q_powers(arg, n.max(initial=0)):
         prod = prod * np.where(k <= n, 1.0 - qk, 1)
