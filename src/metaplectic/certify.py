@@ -86,7 +86,7 @@ class _Env:
         return self._branch_signs.get(g) or branch_profile(g, self.upper)
 
     def form(self, name: str) -> VVForm:
-        """The form registered under ``name`` in ``NAMED_FORMS``, built once."""
+        """The form registered under ``name`` in ``NAMED_FORMS``, built once and unchecked: the checks certify it."""
         if name not in self._forms:
             self._forms[name] = NAMED_FORMS[name](self.qcfg)
         return self._forms[name]
@@ -680,8 +680,10 @@ def check_eta_multiplier_universe(env: _Env) -> dict:
     for x, value in zip(elements, vals.tolist()):
         _, index, dist = snap_to_root_of_unity(value)
         snaps.append((dist, {"x": x, "snap_distance": dist}))
-        flip = x.eps * env.branch_sign(x.gamma) == -1
-        closed = (eta_multiplier_index(x.gamma) + 12 * flip) % 24
+        try:
+            closed = (eta_multiplier_index(x.gamma) + 12 * (x.eps * env.branch_sign(x.gamma) == -1)) % 24
+        except DomainError as exc:  # a matrix the branch pass cannot sign: the refusal stands in for its index
+            closed = str(exc)
         if index != closed:
             mismatches += 1
             index_witness = index_witness or {"x": x, "numeric_index": index, "closed_form_index": closed}

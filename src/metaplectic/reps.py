@@ -214,6 +214,14 @@ class VVForm:
 ISOMORPHISM_TOL = 1e-9  # gate of the construction-time certification of extension and induction
 
 
+def _certify(fn: HoloFn, weight: Weight, rep: Rep, gens: Sequence[MetaElt], points, failure: str) -> None:
+    """Extension's and induction's one certification step: ``fn`` against ``rep`` on ``gens`` over ``points``."""
+    points = tuple(points)
+    res = modularity_residual(fn, weight, rep, gens, points) if points else 0.0  # no points, no check
+    if not res <= ISOMORPHISM_TOL:  # NaN fails too
+        raise ModularityError(f"{failure} (residual {res:.3e} > {ISOMORPHISM_TOL:.1e})", residual=res)
+
+
 def _from_upper(dim: int, upper, weight: Weight, rep: Rep) -> VVForm:
     """The one extension rule: below the axis, F(z) = i^w rep(R~)^(-1) F+(-z), at a point or an (n,) array."""
     phase = i_power(weight.w)
@@ -225,20 +233,16 @@ def extend_form(f_plus: HoloFn, weight: Weight, rep: Rep, *,
                 points: Sequence[complex] | None = None) -> VVForm:
     """Extend an upper-half-plane form to the double half-plane.
 
-    The lower evaluator is z -> i^w rep(R~)^(-1) f+(-z).  The upper function
-    must first certify as modular for the restricted representation on the
-    generators; failure raises ModularityError with the offending residual.
+    The lower evaluator is z -> i^w rep(R~)^(-1) f+(-z).  The upper function must first certify as modular
+    for the restricted representation on S and T over ``points`` (default: the upper grid; empty: no
+    check); failure raises ModularityError with the offending residual.
     """
     if rep.group != "GL":
         raise DomainError("extension needs a GL-cover representation")
     if f_plus.upper is None:
         raise DomainError("extension needs an upper-half-plane evaluator")
-    pts = tuple(points) if points is not None else upper_grid()
-    res = modularity_residual(f_plus, weight, rep.restrict(), (LIFT_S, LIFT_T), pts)
-    if not res <= ISOMORPHISM_TOL:  # NaN fails too
-        raise ModularityError(
-            f"upper function is not modular for the restricted representation "
-            f"(residual {res:.3e} > {ISOMORPHISM_TOL:.1e})", residual=res)
+    _certify(f_plus, weight, rep.restrict(), (LIFT_S, LIFT_T), upper_grid() if points is None else points,
+             "upper function is not modular for the restricted representation")
     return _from_upper(f_plus.dim, f_plus.upper, weight, rep)
 
 
@@ -246,9 +250,9 @@ def induce_form(f: VVForm, g: VVForm, *, points: Sequence[complex] | None = None
     """Stack a pair (f, g) into a double-half-plane form for the induced rep.
 
     Above: (f, g).  Below: ((-i)^w g(-z), i^w f(-z)), which is the extension
-    rule for the induced image of R~, [[0, I], [(-1)^w I, 0]].  ``g`` must
-    carry the reflection twist of ``f``'s representation; the result is
-    certified against the induced representation on the three generators.
+    rule for the induced image of R~, [[0, I], [(-1)^w I, 0]].  ``g`` must carry the reflection twist of
+    ``f``'s representation; the result is certified against the induced representation on the three
+    generators over ``points`` (default: the full grid; empty: no check).
     """
     if f.weight != g.weight:
         raise DomainError(f"weights differ: {f.weight} vs {g.weight}")
@@ -265,13 +269,8 @@ def induce_form(f: VVForm, g: VVForm, *, points: Sequence[complex] | None = None
         raise DomainError("induction needs upper-half-plane evaluators")
     out = _from_upper(2 * f.fn.dim, lambda z: np.concatenate((f_up(z), g_up(z)), axis=-1),
                       f.weight, f.rep.induce(f.weight))
-    pts = tuple(points) if points is not None else full_grid()
-    if pts:
-        res = out.residual((LIFT_S, LIFT_T, LIFT_R), pts)
-        if not res <= ISOMORPHISM_TOL:
-            raise ModularityError(
-                f"induced form fails certification against the induced representation "
-                f"(residual {res:.3e} > {ISOMORPHISM_TOL:.1e})", residual=res)
+    _certify(out.fn, out.weight, out.rep, (LIFT_S, LIFT_T, LIFT_R), full_grid() if points is None else points,
+             "induced form fails certification against the induced representation")
     return out
 
 

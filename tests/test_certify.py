@@ -56,7 +56,9 @@ def test_phi_branch_profile_surfaces_foreign_errors(monkeypatch):
 def test_branch_sign_is_computed_once_per_matrix_but_errors_are_not_kept(monkeypatch):
     """Both checks that need the branch sign read one ``branch_signs`` pass per run over every det +1
     matrix, and call ``branch_profile`` for none; a matrix the pass cannot sign goes to ``branch_profile``
-    on each request, so its refusal is raised again, not remembered."""
+    on each request, so its refusal is raised again, not remembered.  ``eta_multiplier_universe`` reports
+    such a refusal as its own closed-form mismatch, with a numeric verdict, naming the first element and the
+    refusal in place of its closed-form index."""
     passes, calls = [], []
     signs, profile = certify.branch_signs, certify.branch_profile
     monkeypatch.setattr(certify, "branch_signs", lambda mats, points: passes.append(list(mats)) or signs(mats, points))
@@ -77,6 +79,12 @@ def test_branch_sign_is_computed_once_per_matrix_but_errors_are_not_kept(monkeyp
         with pytest.raises(DomainError, match="not a constant sign"):
             env.branch_sign(S_MAT)
     assert calls == [S_MAT, S_MAT] and passes == [enumerate_cover(1).sl_matrices()]
+    report, = run_certification(1, check_filter=["eta_multiplier_universe"])["checks"]
+    elements = enumerate_cover(1).sl_elements()
+    assert report["pass"] is False and isinstance(report["max_residual"], float)
+    assert report["params"]["closed_form_mismatches"] == len(elements)
+    assert report["counterexample"] == {"x": str(elements[0]), "numeric_index": 0,
+                                        "closed_form_index": "not a constant sign"}
 
 
 def test_a_matrix_the_branch_pass_cannot_sign_fails_with_branch_profiles_message():

@@ -2,8 +2,9 @@
 
 Each mutant wraps the rule it breaks and is patched on every module that calls it, looked up by its module
 path: the package re-exports the function ``slash`` under the module's name, so an attribute set on
-``from metaplectic import slash`` would reach nothing.  A pinned set lists checks that fail at word length 4
-with the default seed; more may fail.
+``from metaplectic import slash`` would reach nothing.  A pinned set lists exactly the checks that fail at word
+length 4 with the default seed, each on its own comparison: certify builds its named forms unchecked, so no
+check fails inside a form's builder.
 """
 
 import importlib
@@ -23,9 +24,17 @@ _CZ_PLUS_D = automorphy_module.cz_plus_d
 _S_STEP = qseries_module._eta_s_step
 
 
+# their rebuilds certify with ``extend_form`` and ``induce_form``, so a refused rebuild is their own comparison
+_REBUILDING_CHECKS = {"form_induction_round_trip", "form_restriction_round_trip"}
+
+
 def _failed_checks() -> set[str]:
-    """The checks that fail in a word-length-4 run at the default seed."""
-    return {check["check_id"] for check in run_certification(4)["checks"] if not check["pass"]}
+    """The checks that fail in a word-length-4 run at the default seed.  Each check's verdict is kept, and only
+    the two round trips may fail on ``run_certification``'s "error" verdict for a raising check: every other
+    check must reach its own comparison."""
+    shown = {check["check_id"]: check["max_residual"] for check in run_certification(4)["checks"] if not check["pass"]}
+    assert {name for name, residual in shown.items() if residual == "error"} <= _REBUILDING_CHECKS, shown
+    return set(shown)
 
 
 def _drop_b_on_det_plus_lower(w, det_neg, eps, c, d):
@@ -42,17 +51,17 @@ def _add_2w_on_det_minus_lower(w, det_neg, eps, c, d):
 @pytest.mark.parametrize("mutant, moved, pinned", [
     (_drop_b_on_det_plus_lower, LIFT_Z, {"action_composition", "action_reflection_forms"}),
     (_add_2w_on_det_minus_lower, LIFT_R, {"action_composition", "action_reflection_forms", "eta_hat_identities",
-                                          "form_induction_round_trip", "form_restriction_round_trip"}),
+                                          "form_induction_round_trip"}),
 ], ids=["B dropped on det +1, lower", "2w added on det -1, lower"])
 def test_a_case_exponent_mutant_fails_its_pinned_checks(monkeypatch, mutant, moved, pinned):
     """``_case_exponents`` is the one rule of the scalar ``slash`` and of the batch route that certify
     evaluates: the mutant flips the sign of the scalar value of f|x at weight 1/2 for an element ``moved``
-    of its case, and certify fails at least the pinned checks."""
+    of its case, and certify fails exactly the pinned checks."""
     f, z = HoloFn.from_scalar(upper=lambda z: z + 2, lower=lambda z: z + 2), 0.3 - 0.8j
     before = slash_module.slash(f, Weight(1), moved).at(z)
     monkeypatch.setattr(slash_module, "_case_exponents", mutant)
     assert np.array_equal(slash_module.slash(f, Weight(1), moved).at(z), -before)
-    assert pinned <= _failed_checks()
+    assert _failed_checks() == pinned
 
 
 def _drop_the_det_symbol(da, db, sa, sb, sab):
@@ -65,18 +74,17 @@ def _leave_det_a_out_of_the_second_symbol(da, db, sa, sb, sab):
     return _BIT(da, db, sa, sb, sab) ^ ((sab ^ sa) & da)
 
 
-_BOTH_MUTANTS_FAIL = {"action_composition", "action_reflection_forms", "algebra_conjugation_lemma",
-                      "algebra_generator_inversion", "algebra_order_relations", "algebra_reflection_sign_lemma",
-                      "eta_hat_identities", "form_induction_round_trip", "form_restriction_round_trip",
+_BOTH_MUTANTS_FAIL = {"action_composition", "algebra_conjugation_lemma", "algebra_generator_inversion",
+                      "algebra_order_relations", "algebra_reflection_sign_lemma", "form_induction_round_trip",
                       "rep_homomorphism", "rep_well_defined"}
 
 
-@pytest.mark.parametrize("mutant, pinned, passing", [
-    (_drop_the_det_symbol, _BOTH_MUTANTS_FAIL | {"algebra_unit_values", "rep_induction_matrices",
-                                                 "rep_twist_properties"}, {"algebra_cocycle_triples"}),
-    (_leave_det_a_out_of_the_second_symbol, _BOTH_MUTANTS_FAIL | {"algebra_cocycle_triples"}, set()),
+@pytest.mark.parametrize("mutant, pinned", [
+    (_drop_the_det_symbol, _BOTH_MUTANTS_FAIL | {"algebra_unit_values", "eta_hat_identities", "rep_induction_matrices",
+                                                 "rep_twist_properties"}),
+    (_leave_det_a_out_of_the_second_symbol, _BOTH_MUTANTS_FAIL | {"algebra_cocycle_triples"}),
 ], ids=["(det a, det b) dropped", "det a left out of the second symbol"])
-def test_a_cocycle_bit_mutant_fails_its_pinned_checks(monkeypatch, mutant, pinned, passing):
+def test_a_cocycle_bit_mutant_fails_its_pinned_checks(monkeypatch, mutant, pinned):
     """``cocycle_bit`` is the one sign rule of ``cover.cocycle``, the batch slash rows and the certify kernels.
     A dropped (det a, det b) symbol multiplies the cocycle by a Hilbert symbol, itself a cocycle, so the
     triple identity still holds and ``algebra_cocycle_triples`` passes: only the checks that pin values see it.
@@ -88,7 +96,7 @@ def test_a_cocycle_bit_mutant_fails_its_pinned_checks(monkeypatch, mutant, pinne
         failed = _failed_checks()
     finally:
         automorphy_module._word_data.cache_clear()
-    assert pinned <= failed and not passing & failed
+    assert failed == pinned
 
 
 def _scaled_argument(c, d, z):
@@ -99,7 +107,8 @@ def _scaled_argument(c, d, z):
 def test_a_pullback_mutant_fails_its_pinned_checks(monkeypatch):
     """``cz_plus_d`` is the one automorphy argument of ``pullback``, the phi factors and the certify kernels, so
     a scaled argument moves the scalar f|x and the batch route alike; the checks that write c*z + d out as
-    their independent side (``phi_squaring``, ``phi_branch_profile``) fail with the rest."""
+    their independent side (``phi_squaring``, ``phi_branch_profile``) fail with the rest.  The det -1 routes
+    that ``action_reflection_forms`` compares take the same pullback, so it passes."""
     f, z = HoloFn.from_scalar(upper=lambda z: z + 2, lower=lambda z: z + 2), 0.3 + 0.8j
     routes = (lambda: slash_module.slash(f, Weight(1), LIFT_S).at(z)[0],
               lambda: slash_module.slash_values(f, Weight(1), [z], [LIFT_S])[0, 0])
@@ -107,10 +116,10 @@ def test_a_pullback_mutant_fails_its_pinned_checks(monkeypatch):
     for module in (automorphy_module, certify_module):
         monkeypatch.setattr(module, "cz_plus_d", _scaled_argument)
     assert all(abs(route() - value) > 1e-9 * abs(value) for route, value in zip(routes, before))
-    assert {"action_classical_match", "action_composition", "action_reflection_forms", "eisenstein_even_extension",
-            "eisenstein_lattice_match", "eta_hat_identities", "eta_multiplier_universe", "eta_reduction_agreement",
-            "form_induction_round_trip", "form_restriction_round_trip", "phi_branch_profile",
-            "phi_section_consistency", "phi_squaring", "phi_well_defined"} <= _failed_checks()
+    assert _failed_checks() == {"action_classical_match", "action_composition", "eisenstein_even_extension",
+                                "eisenstein_lattice_match", "eta_hat_identities", "eta_multiplier_universe",
+                                "eta_reduction_agreement", "form_induction_round_trip", "form_restriction_round_trip",
+                                "phi_branch_profile", "phi_section_consistency", "phi_squaring", "phi_well_defined"}
 
 
 def _drop_the_half_turn(a, c, d):

@@ -53,6 +53,12 @@ def test_config_validation():
     with pytest.raises(DomainError, match="min_im must be nonnegative, got -1.0"):
         QSeriesConfig(min_im=-1.0)
     assert QSeriesConfig(min_im=0.0).min_im == 0.0
+    # a real number that is no bool: a string or None is refused, not a bare TypeError, and True is not 1
+    for name, value in (("tail_tolerance", "1e-17"), ("min_im", None), ("tail_tolerance", True), ("min_im", True),
+                        ("min_im", 0.3j)):
+        with pytest.raises(DomainError, match=f"{name} must be a finite number, got {value!r}"):
+            QSeriesConfig(**{name: value})
+    assert QSeriesConfig(tail_tolerance=np.float64(1e-17), min_im=1).min_im == 1
 
 
 def test_near_axis_refusal():

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import json
 import math
 from functools import reduce
@@ -9,7 +10,7 @@ import pytest
 from metaplectic.automorphy import _word_data, i_power
 from metaplectic.cover import CENTER_FLIP, LIFT_R, LIFT_S, LIFT_T, MetaElt
 from metaplectic.errors import DomainError, ModularityError
-from metaplectic.qseries import eta, eta_character, eta_fn, eta_form, eta_hat_form, eisenstein_form
+from metaplectic.qseries import NAMED_FORMS, eta, eta_character, eta_fn, eta_form, eta_hat_form, eisenstein_form
 from metaplectic.reps import (
     Rep,
     VVForm,
@@ -24,6 +25,7 @@ from metaplectic.sampling import full_grid, upper_grid
 from metaplectic.slash import HoloFn, Weight, composition_residuals, slash
 
 T24 = cmath.exp(1j * cmath.pi / 12)
+reps_module = importlib.import_module("metaplectic.reps")
 
 
 def test_rep_validation():
@@ -231,6 +233,37 @@ def test_extend_form_rejects_eta(qcfg):
     with pytest.raises(ModularityError) as err:
         extend_form(eta_fn(qcfg), Weight(1), Rep.trivial("GL"))
     assert err.value.residual > 1e-3
+
+
+def test_an_empty_point_set_skips_certification(monkeypatch, qcfg):
+    """An empty point set builds without a check in both constructions, on inputs that the default grids
+    refuse: z + 2 by scalar extension and as Ind(z + 2, 0) for eta's character, and eta by scalar extension."""
+    rho, shifted = eta_character(), HoloFn.from_scalar(upper=lambda z: z + 2)
+    f, g = VVForm(shifted, Weight(1), rho), VVForm.zero(Weight(1), rho.r_twist())
+    with pytest.raises(ModularityError, match="induced form fails certification against the induced representation"):
+        induce_form(f, g)
+    with pytest.raises(ModularityError, match="upper function is not modular for the restricted representation"):
+        extend_form(shifted, Weight(1), Rep.trivial("GL"))
+
+    def refuses(*args):
+        raise AssertionError("certified on an empty point set")
+
+    monkeypatch.setattr(reps_module, "modularity_residual", refuses)
+    assert np.array_equal(induce_form(f, g, points=()).at(-1 + 0.5j), [1 + 0.5j, 0])
+    assert extend_form(shifted, Weight(1), Rep.trivial("GL"), points=[]).at(-1j)[0] == 1j * (2 + 1j)
+    unchecked = extend_form(eta_fn(qcfg), Weight(1), Rep.trivial("GL"), points=())
+    assert unchecked.at(-1j)[0] == 1j * eta(1j, qcfg)
+
+
+def test_the_named_forms_are_built_unchecked(monkeypatch, qcfg):
+    """The registry builds every form without certifying it: certify's checks certify them."""
+    def refuses(*args):
+        raise AssertionError("a named form was certified while it was built")
+
+    monkeypatch.setattr(reps_module, "modularity_residual", refuses)
+    for name, build in NAMED_FORMS.items():
+        form = build(qcfg)
+        assert form.at(0.2 + 0.9j).shape == (form.rep.dim,), name
 
 
 def test_induce_form_eta_hat(qcfg):
