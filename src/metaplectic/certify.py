@@ -43,7 +43,7 @@ G4_AT_I = 3.151212002153897538217689942248688556646
 
 def require_tolerance(tol: float) -> float:
     """``tol`` if it is a finite number at least 0; a negative one would fail even an exact zero."""
-    if not math.isfinite(tol):
+    if isinstance(tol, bool) or not math.isfinite(tol):
         raise DomainError(f"tolerance must be a finite number, got {tol}")
     if tol < 0:
         raise DomainError(f"tolerance must be nonnegative, got {tol}")
@@ -867,7 +867,9 @@ def run_certification(max_word_len: int = DEFAULT_MAX_WORD_LEN, *, tol: float | 
     """
     if isinstance(check_filter, str):
         raise DomainError(f"check_filter takes a sequence of check ids, not the string {check_filter!r}")
-    wanted = set(check_filter) if check_filter else None
+    wanted = None if check_filter is None else set(check_filter)
+    if wanted is not None and not any(wanted):
+        raise DomainError("check filter names no check")
     unknown = (wanted or set()) - {name for name, _ in CHECKS}
     if unknown:
         raise DomainError(f"unknown check ids: {', '.join(sorted(unknown))}")

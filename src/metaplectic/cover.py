@@ -7,19 +7,24 @@ function.  Everything here is exact: matrix entries are Python integers, and
 the cocycle only sees the sign bits of the determinants and of chi, combined
 in one bit formula (``cocycle_bit``) that also runs on numpy arrays.
 
-Validation happens once, on input: the ``Mat2`` and ``MetaElt`` constructors
-(and so ``Mat2.parse`` and ``MetaElt.parse``) check every element a caller
-supplies.  Results derived from checked elements skip those checks, since
-their entries are ints, their determinant is +-1 and their sign is +-1 by
-construction: ``Mat2`` products, inverses, negations and conjugates
-(``_known_mat2``), and ``MetaElt`` products, inverses and word lifts
-(``_known_metaelt``).
+Both element types are tuples, ``Mat2`` of its entries (a, b, c, d) and
+``MetaElt`` of (gamma, eps), so hashing, equality and unpacking run in C.  An
+element equals the plain tuple of its fields; the tuple's concatenation and
+repetition are refused.  Validation happens once, on input: ``Mat2(...)`` and
+``MetaElt(...)`` (and so both ``parse`` methods) check every element a caller
+supplies.  Results derived from checked elements are built by ``tuple.__new__``
+(``_known_mat2``, ``_known_metaelt``) without those checks, since their
+entries are ints, their determinant is +-1 and their sign is +-1 by
+construction: ``Mat2`` products, inverses, negations and conjugates, and
+``MetaElt`` products, inverses and word lifts.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -27,49 +32,65 @@ from .errors import DomainError, ResourceLimitError
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 integer matrix with determinant +1 or -1, entries row-major."""
+class _Entries(tuple):
+    """A tuple of fixed fields: copied and pickled through the constructor, no concatenation or repetition."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for entry in (self.a, self.b, self.c, self.d):
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __radd__ = __rmul__ = __add__
+
+
+class Mat2(_Entries):
+    """2x2 integer matrix with determinant +1 or -1: the tuple ``(a, b, c, d)``, entries row-major."""
+
+    __slots__ = ()
+    a, b, c, d = (property(itemgetter(i)) for i in range(4))
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "Mat2":
+        for entry in (a, b, c, d):
             if not isinstance(entry, int) or isinstance(entry, bool):
                 raise DomainError(f"matrix entries must be integers, got {entry!r}")
-        if self.det() not in (1, -1):
-            raise DomainError(f"matrix {self} has determinant {self.det()}, need +1 or -1")
+        m = tuple.__new__(cls, (a, b, c, d))
+        if m.det() not in (1, -1):
+            raise DomainError(f"matrix {m} has determinant {m.det()}, need +1 or -1")
+        return m
 
     def det(self) -> int:
-        return self.a * self.d - self.b * self.c
+        return self[0] * self[3] - self[1] * self[2]
 
     def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        """The entries as a plain tuple."""
+        return self[:]
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return _known_mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        (a, b, c, d), (p, q, r, s) = self, other
+        return _known_mat2((a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s))
 
     def __neg__(self) -> "Mat2":
-        return _known_mat2(-self.a, -self.b, -self.c, -self.d)
+        return _known_mat2(-x for x in self)
 
     def inv(self) -> "Mat2":
-        det = self.det()
-        return _known_mat2(self.d * det, -self.b * det, -self.c * det, self.a * det)
+        a, b, c, d = self
+        det = a * d - b * c
+        return _known_mat2((d * det, -b * det, -c * det, a * det))
 
     def reflect_conjugate(self) -> "Mat2":
         """Conjugate by the reflection diag(-1, 1): flips the off-diagonal signs."""
-        return _known_mat2(self.a, -self.b, -self.c, self.d)
+        a, b, c, d = self
+        return _known_mat2((a, -b, -c, d))
 
     def __str__(self) -> str:
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
+        a, b, c, d = self
+        return f"[[{a},{b}],[{c},{d}]]"
+
+    def __repr__(self) -> str:
+        return "Mat2(a={!r}, b={!r}, c={!r}, d={!r})".format(*self)
 
     @classmethod
     def parse(cls, text: str) -> "Mat2":
@@ -88,13 +109,8 @@ class Mat2:
         return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
 
 
-def _known_mat2(a: int, b: int, c: int, d: int) -> Mat2:
-    """A ``Mat2`` built from other ``Mat2`` entries (a product, inverse, negation or conjugate), so its
-    entries are ints and its determinant is +-1 already: skips the checks of ``Mat2.__post_init__``."""
-    m = object.__new__(Mat2)
-    fields = m.__dict__
-    fields["a"], fields["b"], fields["c"], fields["d"] = a, b, c, d
-    return m
+# products, inverses, negations and conjugates of checked matrices, built without ``Mat2.__new__``'s checks
+_known_mat2 = partial(tuple.__new__, Mat2)
 
 
 IDENT = Mat2(1, 0, 0, 1)
@@ -144,8 +160,8 @@ def cocycle(alpha: Mat2, beta: Mat2) -> int:
 
 def _cocycle(alpha: Mat2, beta: Mat2, ab: Mat2) -> int:
     """``cocycle(alpha, beta)`` given the product ``ab = alpha * beta``."""
-    bit = cocycle_bit(alpha.det() < 0, beta.det() < 0, chi_negative(alpha.c, alpha.d),
-                      chi_negative(beta.c, beta.d), chi_negative(ab.c, ab.d))
+    (a, b, c, d), (p, q, r, s) = alpha, beta
+    bit = cocycle_bit(a * d < b * c, p * s < q * r, chi_negative(c, d), chi_negative(r, s), chi_negative(ab[2], ab[3]))
     return -1 if bit else 1
 
 
@@ -163,31 +179,36 @@ def reflection_sign(gamma: Mat2) -> int:
     return -1 if minus_t_row(gamma.c, gamma.d) else 1
 
 
-@dataclass(frozen=True)
-class MetaElt:
-    """Cover element ``[gamma, eps]`` with eps in {+1, -1}."""
+class MetaElt(_Entries):
+    """Cover element ``[gamma, eps]`` with eps in {+1, -1}: the tuple ``(gamma, eps)``."""
 
-    gamma: Mat2
-    eps: int
+    __slots__ = ()
+    gamma, eps = (property(itemgetter(i)) for i in range(2))
 
-    def __post_init__(self):
-        if not isinstance(self.eps, int) or isinstance(self.eps, bool) or self.eps not in (1, -1):
-            raise DomainError(f"cover sign must be +1 or -1, got {self.eps!r}")
+    def __new__(cls, gamma: Mat2, eps: int) -> "MetaElt":
+        if not isinstance(eps, int) or isinstance(eps, bool) or eps not in (1, -1):
+            raise DomainError(f"cover sign must be +1 or -1, got {eps!r}")
+        return tuple.__new__(cls, (gamma, eps))
 
     def __mul__(self, other: "MetaElt") -> "MetaElt":
-        g, h = self.gamma, other.gamma
+        (g, e), (h, f) = self, other
         gh = g * h
-        return _known_metaelt(gh, _cocycle(g, h, gh) * self.eps * other.eps)
+        return _known_metaelt((gh, _cocycle(g, h, gh) * e * f))
 
     def inv(self) -> "MetaElt":
-        ginv = self.gamma.inv()
-        return _known_metaelt(ginv, self.eps * _cocycle(self.gamma, ginv, IDENT))
+        g, e = self
+        ginv = g.inv()
+        return _known_metaelt((ginv, e * _cocycle(g, ginv, IDENT)))
 
     def det(self) -> int:
-        return self.gamma.det()
+        return self[0].det()
 
     def __str__(self) -> str:
-        return f"{self.gamma};{self.eps:+d}"
+        gamma, eps = self
+        return f"{gamma};{eps:+d}"
+
+    def __repr__(self) -> str:
+        return f"MetaElt(gamma={self[0]!r}, eps={self[1]!r})"
 
     @classmethod
     def identity(cls) -> "MetaElt":
@@ -202,13 +223,8 @@ class MetaElt:
         return cls(Mat2.parse(head.strip()), int(tail))
 
 
-def _known_metaelt(gamma: Mat2, eps: int) -> MetaElt:
-    """A ``MetaElt`` built from checked elements (a product, inverse or word lift), so ``gamma`` is a
-    ``Mat2`` and ``eps`` an int sign already: skips the check of ``MetaElt.__post_init__``."""
-    x = object.__new__(MetaElt)
-    fields = x.__dict__
-    fields["gamma"], fields["eps"] = gamma, eps
-    return x
+# products, inverses and word lifts of checked elements, built without ``MetaElt.__new__``'s check
+_known_metaelt = partial(tuple.__new__, MetaElt)
 
 
 LIFT_S = MetaElt(S_MAT, 1)
@@ -271,7 +287,7 @@ def word_lift(word: Sequence[str]) -> MetaElt:
         neg ^= t_neg ^ cocycle_bit(det_neg, t_det, chi_neg, t_chi, chi_ab)
         det_neg ^= t_det
         chi_neg = chi_ab
-    return _known_metaelt(_known_mat2(a, b, c, d), -1 if neg else 1)
+    return _known_metaelt((_known_mat2((a, b, c, d)), -1 if neg else 1))
 
 
 def _free_reduce(tokens: list[str]) -> list[str]:

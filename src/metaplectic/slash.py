@@ -28,7 +28,7 @@ class Weight:
     w: int
 
     def __post_init__(self):
-        if not isinstance(self.w, int):
+        if not isinstance(self.w, int) or isinstance(self.w, bool):
             raise DomainError(f"doubled weight must be an integer, got {self.w!r}")
 
     @property
@@ -76,7 +76,7 @@ class HoloFn:
     lower: Optional[Evaluator]
 
     def __post_init__(self):
-        if self.dim < 1:
+        if isinstance(self.dim, bool) or self.dim < 1:
             raise DomainError("dim must be a positive integer")
         if self.upper is None and self.lower is None:
             raise DomainError("at least one half-plane evaluator is required")

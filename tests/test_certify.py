@@ -26,6 +26,19 @@ def test_check_filter_refuses_unknown_ids():
         run_certification(0, check_filter="algebra_unit_values")
 
 
+def test_check_filter_refuses_a_filter_of_no_check():
+    """An empty filter would run every check; one of empty ids would be refused as an unknown id of no name."""
+    for check_filter in ([], [""], ("", "")):
+        with pytest.raises(DomainError, match="^check filter names no check$"):
+            run_certification(0, check_filter=check_filter)
+
+
+def test_a_bool_is_no_tolerance():
+    with pytest.raises(DomainError, match="tolerance must be a finite number, got True"):
+        certify.require_tolerance(True)
+    assert certify.require_tolerance(0) == 0 and certify.require_tolerance(1e-9) == 1e-9
+
+
 @pytest.mark.parametrize("golden, kwargs", [("certify_w5.json", {}),
                                              ("certify_w2_tol_1e-30.json", {"max_word_len": 2, "tol": 1e-30}),
                                              ("certify_w7.json", {"max_word_len": 7})])

@@ -258,6 +258,10 @@ def test_certify_only_runs_the_named_checks(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: unknown check ids: no_such_check\n")
 
 
+def test_certify_refuses_an_empty_only(capsys):
+    assert run_cli(capsys, "certify", "--max-word-len", "0", "--only", "") == (2, "", "error: check filter names no check\n")
+
+
 def test_certify_depth_bound(capsys):
     assert run_cli(capsys, "certify", "--max-word-len", "9")[0] == 2
     for pairs in ("-1", "0"):

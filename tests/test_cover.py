@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +76,28 @@ def test_internal_products_equal_checked_matrices(cover4):
         checked = MetaElt(Mat2(*x.gamma.entries()), x.eps)
         assert x == checked and hash(x) == hash(checked) and str(x) == str(checked)
         assert type(x.gamma) is Mat2 and type(x.eps) is int
+
+
+def test_elements_survive_copy_and_pickle(cover4):
+    """Copies and pickles go back through the constructors and give equal elements of the same type."""
+    round_trips = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    for x in (Mat2(2, 5, 1, 3), LIFT_S, cover4.elements()[-1]):
+        for round_trip in round_trips:
+            y = round_trip(x)
+            assert y == x and hash(y) == hash(x) and type(y) is type(x) and str(y) == str(x)
+
+
+def test_elements_keep_their_surface():
+    """Fields, repr and immutability as a record; the arithmetic a tuple would add is refused."""
+    assert (S_MAT.a, S_MAT.b, S_MAT.c, S_MAT.d, LIFT_S.gamma, LIFT_S.eps) == (0, -1, 1, 0, S_MAT, 1)
+    assert repr(LIFT_S) == "MetaElt(gamma=Mat2(a=0, b=-1, c=1, d=0), eps=1)"
+    for x, field in ((S_MAT, "a"), (LIFT_S, "eps")):
+        with pytest.raises(AttributeError):
+            setattr(x, field, 1)
+    for x in (S_MAT, LIFT_S):
+        for op in (lambda: 3 * x, lambda: x + x):
+            with pytest.raises(TypeError):
+                op()
 
 
 def test_matrix_text_format():

@@ -41,6 +41,14 @@ def test_weight_semantics():
         Weight(1.5)
 
 
+def test_bools_are_not_numbers():
+    """``True`` is an int to Python but no weight and no dimension: it would print as w=True."""
+    with pytest.raises(DomainError, match="doubled weight must be an integer, got True"):
+        Weight(True)
+    with pytest.raises(DomainError, match="dim must be a positive integer"):
+        HoloFn(True, lambda z: np.array([z]), None)
+
+
 def test_cpow_int():
     rng = np.random.default_rng(3)
     for _ in range(50):
