@@ -24,8 +24,8 @@ from .cover import (CENTER_FLIP, IDENT, LIFT_R, LIFT_S, LIFT_T, LIFT_Z, NEG_IDEN
                     MetaElt, chi_negative, cocycle, cocycle_bit, conj_by_reflection, enumerate_cover, format_word,
                     hilbert_symbol, kubota_chi, minus_t_row, reflection_sign)
 from .errors import DomainError, ModularityError, ResourceLimitError
-from .qseries import (CERTIFY_CONFIG, NAMED_FORMS, QSeriesConfig, eisenstein, eta, eta_character, eta_fn, eta_hat,
-                      eta_multiplier_index, lattice_sum, triangular_product, triangular_product_factored)
+from .qseries import (CERTIFY_CONFIG, NAMED_FORMS, QSeriesConfig, _eta_pentagonal, eisenstein, eta, eta_character,
+                      eta_fn, eta_hat, eta_multiplier_index, lattice_sum, triangular_product, triangular_product_factored)
 from .reps import Rep, VVForm, extend_form, induce_form, project_components, root24, snap_to_root_of_unity
 from .slash import (HoloFn, Weight, admissible_reflection_scalars, composition_residuals, holofn_values,
                     holomorphy_residual, reflection_route, slash, slash_values, worst_residual)
@@ -132,22 +132,30 @@ def _exact(env: _Env, params: dict, bad: Optional[dict], count=1,
     return _verdict(env, params, "exact" if bad is None else count, bad is None, bad, universe)
 
 
-def _worst(cases) -> tuple[float, Optional[dict]]:
-    """The largest residual of ``cases``, pairs (residual, witness), 0.0 for none, and the first witness
-    that reached it (NaN beats any number); a witness of None raises the maximum but keeps the witness so far."""
-    value, kept = 0.0, None
-    for r, witness in cases:
-        if r > value or (math.isnan(r) and not math.isnan(value)):
-            value, kept = r, kept if witness is None else witness
+def _worst(residuals, witness: Callable[..., Optional[dict]]) -> tuple[float, Optional[dict]]:
+    """The largest entry of the array ``residuals``, 0.0 for none, and ``witness`` of the first index that reached it
+    (NaN beats any number), unravelled; a witness of None keeps that of the last record before it, as a scan would."""
+    r = np.asarray(residuals, dtype=float)
+    value, kept, stop = 0.0, None, r.size
+    while stop and kept is None:
+        head = r.ravel()[:stop]
+        k = int(np.argmax(np.isnan(head)) if np.isnan(head).any() else np.argmax(head))
+        if head[k] <= 0:
+            break
+        value, kept, stop = float(head[k]) if stop == r.size else value, witness(*np.unravel_index(k, r.shape)), k
     return value, kept
 
 
-def _sweep(env: _Env, params: dict, pinned: float, cases, universe: Optional[str] = None) -> dict:
-    """Numeric verdict over ``cases``, pairs (residual, witness): the worst residual and the first
-    witness that reached it, within the pinned tolerance (or the override)."""
-    value, witness = _worst(cases)
-    tol, residual = env.tol(pinned), float(value)
-    return _verdict(env, {**params, "tolerance": tol}, residual, residual <= tol, witness, universe)
+def _sweep(env: _Env, params: dict, pinned: float, residuals, witness, universe: Optional[str] = None) -> dict:
+    """Numeric verdict: ``_worst`` of ``residuals`` and ``witness``, within the pinned tolerance (or the override)."""
+    (value, kept), tol = _worst(residuals, witness), env.tol(pinned)
+    return _verdict(env, {**params, "tolerance": tol}, value, value <= tol, kept, universe)
+
+
+def _sweep_cases(env: _Env, params: dict, pinned: float, cases, universe: Optional[str] = None) -> dict:
+    """``_sweep`` over ``cases``, pairs (residual, witness)."""
+    cases = list(cases)
+    return _sweep(env, params, pinned, [r for r, _ in cases], lambda k: cases[k][1], universe)
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +410,17 @@ def check_phi_section(env: _Env) -> dict:
     require_upper(complex(image.flat[np.argmin(image.imag)]))  # refused as by phi_upper(alpha, .)
     gaps = np.abs(section_roots(c_a, d_a, cz_plus_d(c_a, d_a, image)) * section_roots(b_c, b_d, j_b)
                   - sign * section_roots(c_ab, d_ab, cz_plus_d(c_ab, d_ab, z)))
-    cases = ((gaps[i, j], {"alpha": a, "beta": b, "z": z})
-             for i, (a, b, _, _) in enumerate(pairs) for j, z in enumerate(env.upper))
-    return _sweep(env, {"pairs": env.pair_count, "points": len(env.upper)}, 1e-10, cases)
+    return _sweep(env, {"pairs": env.pair_count, "points": len(env.upper)}, 1e-10, gaps,
+                  lambda i, j: {"alpha": pairs[i][0], "beta": pairs[i][1], "z": env.upper[j]})
 
 
 def check_phi_squaring(env: _Env) -> dict:
     mats = env.cover.sl_matrices()
     halves = (("upper", phi_upper, env.upper), ("lower", phi_lower, env.lower))
     # c z + d written out: the independent side of the comparison with phi's cz_plus_d
-    cases = ((abs(phi(g, z) ** 2 - (g.c * z + g.d)), {"gamma": g, "z": z, "half": half})
-             for g in mats for half, phi, points in halves for z in points)
-    return _sweep(env, {"matrices": len(mats)}, 1e-12, cases)
+    gaps = [[[abs(phi(g, z) ** 2 - (g.c * z + g.d)) for z in points] for _, phi, points in halves] for g in mats]
+    return _sweep(env, {"matrices": len(mats)}, 1e-12, gaps,
+                  lambda i, h, j: {"gamma": mats[i], "z": halves[h][2][j], "half": halves[h][0]})
 
 
 def check_phi_well_defined(env: _Env) -> dict:
@@ -426,7 +433,7 @@ def check_phi_well_defined(env: _Env) -> dict:
                 first = word_factor(w1, z)
                 r = worst_residual((abs(first - word_factor(w2, z)), abs(first - elt.eps * phi_upper(elt.gamma, z))))
                 yield r, {"element": elt, "word_1": format_word(w1), "word_2": format_word(w2), "z": z}
-    return _sweep(env, {"word_pairs": len(usable)}, 1e-12, cases())
+    return _sweep_cases(env, {"word_pairs": len(usable)}, 1e-12, cases())
 
 
 def check_phi_branch_profile(env: _Env) -> dict:
@@ -459,14 +466,10 @@ def check_action_composition(env: _Env) -> dict:
     pairs = env.sample_pairs(env.pair_count)
     combos = Counter((x.det(), y.det()) for x, y in pairs)
     det_combinations = {f"({sx},{sy})": c for (sx, sy), c in sorted(combos.items())}
-
-    def cases():
-        for label, name in (("eta_hat", "eta-hat"), ("e4_even", "e4")):
-            form = env.form(name)
-            for (x, y), r in zip(pairs, composition_residuals(form.fn, form.weight, pairs, env.grid)):
-                yield r, {"form": label, "x": x, "y": y}
+    gaps = [composition_residuals(form.fn, form.weight, pairs, env.grid) for form in map(env.form, ("eta-hat", "e4"))]
     return _sweep(env, {"pairs": len(pairs), "forms": ["eta_hat (w=1)", "e4_even (w=8)"],
-                        "det_combinations": det_combinations}, 1e-9, cases())
+                        "det_combinations": det_combinations}, 1e-9, gaps,
+                  lambda f, i: {"form": ("eta_hat", "e4_even")[f], "x": pairs[i][0], "y": pairs[i][1]})
 
 
 def check_action_reflection_forms(env: _Env) -> dict:
@@ -475,12 +478,11 @@ def check_action_reflection_forms(env: _Env) -> dict:
     hat = env.form("eta-hat")
     fn, weight = hat.fn, hat.weight
     direct = slash_values(fn, weight, env.grid, elts)
-    routes = {variant: reflection_route(fn, weight, elts, variant) for variant in ("direct", "inverse")}
-    gaps = {variant: _gap(direct, phase * slash_values(reflected, weight, env.grid, rests), axis=2)
-            for variant, (reflected, rests, phase) in routes.items()}
-    cases = ((gaps[variant][i, j], {"x": x, "variant": variant, "z": z})
-             for i, x in enumerate(elts) for variant in routes for j, z in enumerate(env.grid))
-    return _sweep(env, {"elements": len(elts)}, 1e-9, cases)
+    variants = ("direct", "inverse")
+    gaps = np.stack([_gap(direct, phase * slash_values(reflected, weight, env.grid, rests), axis=2)
+                     for reflected, rests, phase in (reflection_route(fn, weight, elts, v) for v in variants)], axis=1)
+    return _sweep(env, {"elements": len(elts)}, 1e-9, gaps,
+                  lambda i, v, j: {"x": elts[i], "variant": variants[v], "z": env.grid[j]})
 
 
 def check_action_classical_match(env: _Env) -> dict:
@@ -496,8 +498,7 @@ def check_action_classical_match(env: _Env) -> dict:
     image, j = pullback(a, b, c, d, z)  # (elements, points, 1)
     classical = holofn_values(e4.fn, image.ravel(), image.ravel().imag > 0).reshape(image.shape) * (1 / j ** 4)
     gaps = _gap(slash_values(e4.fn, e4.weight, env.upper, elts), classical, axis=2)
-    cases = ((gaps[i, j], {"x": x, "z": z}) for i, x in enumerate(elts) for j, z in enumerate(env.upper))
-    return _sweep(env, {"elements": len(elts)}, 1e-9, cases)
+    return _sweep(env, {"elements": len(elts)}, 1e-9, gaps, lambda i, j: {"x": elts[i], "z": env.upper[j]})
 
 
 def check_action_lambda_sets(env: _Env) -> dict:
@@ -528,17 +529,18 @@ def check_rep_central_scalar(env: _Env) -> dict:
     ]
     cases = ((_gap(rep.evaluate(CENTER_FLIP), ((-1) ** w) * np.eye(rep.dim)), {"rep": name, "w": w})
              for name, rep, w in reps)
-    return _sweep(env, {"reps": len(reps)}, 1e-12, cases,
-                  universe="representations attached to weight-w form spaces")
+    return _sweep_cases(env, {"reps": len(reps)}, 1e-12, cases,
+                        universe="representations attached to weight-w form spaces")
 
 
 def check_rep_well_defined(env: _Env) -> dict:
-    rho_hat = eta_character().induce(Weight(1))
-    images = rho_hat.word_images([word for _, w1, w2 in env.cover.alternates for word in (w1, w2)])
-    gaps = _gap(images[0::2], images[1::2], axis=(1, 2))
-    cases = ((gap, {"element": elt, "word_1": format_word(w1), "word_2": format_word(w2)})
-             for gap, (elt, w1, w2) in zip(gaps, env.cover.alternates))
-    return _sweep(env, {"word_pairs": len(env.cover.alternates)}, 1e-10, cases)
+    alternates = env.cover.alternates
+    images = eta_character().induce(Weight(1)).word_images([word for _, w1, w2 in alternates for word in (w1, w2)])
+
+    def witness(i):
+        elt, w1, w2 = alternates[i]
+        return {"element": elt, "word_1": format_word(w1), "word_2": format_word(w2)}
+    return _sweep(env, {"word_pairs": len(alternates)}, 1e-10, _gap(images[0::2], images[1::2], axis=(1, 2)), witness)
 
 
 def check_rep_homomorphism(env: _Env) -> dict:
@@ -547,16 +549,19 @@ def check_rep_homomorphism(env: _Env) -> dict:
     pairs = env.sample_pairs(env.pair_count)
     sl = env.cover.sl_elements()
     sl_pairs = [(sl[i], sl[j]) for i, j in env.rng.integers(0, len(sl), size=(env.pair_count, 2))]
+    ident, gaps = MetaElt.identity(), []
+    for rep, sample in ((rho_hat, pairs), (rho, sl_pairs)):
+        at = {}  # each distinct factor and product evaluated once, in one batch
+        slots = np.array([[at.setdefault(e, len(at)) for e in (x * y, x, y)] for x, y in sample]).T
+        product, left, right = rep.evaluate_batch(list(at))[slots]
+        gaps.append(_gap(product, left @ right, axis=(1, 2)))
+    gaps.append([_gap(rho_hat.evaluate(ident), np.eye(2))])
+    samples = (("induced_eta", pairs), ("eta_character", sl_pairs), ("induced_eta", [(ident,)]))
 
-    def cases():
-        for name, rep, sample in (("induced_eta", rho_hat, pairs), ("eta_character", rho, sl_pairs)):
-            at = {}  # each distinct factor and product evaluated once, in one batch
-            slots = np.array([[at.setdefault(e, len(at)) for e in (x * y, x, y)] for x, y in sample]).T
-            product, left, right = rep.evaluate_batch(list(at))[slots]
-            yield from zip(_gap(product, left @ right, axis=(1, 2)), ({"rep": name, "x": x, "y": y} for x, y in sample))
-        ident = MetaElt.identity()
-        yield _gap(rho_hat.evaluate(ident), np.eye(2)), {"rep": "induced_eta", "x": ident}
-    return _sweep(env, {"pairs_per_rep": env.pair_count}, 1e-10, cases())
+    def witness(k):  # pair i of sample r at k = r * pair_count + i, the identity last
+        (name, sample), i = samples[k // env.pair_count], k % env.pair_count
+        return {"rep": name, **dict(zip("xy", sample[i]))}
+    return _sweep(env, {"pairs_per_rep": env.pair_count}, 1e-10, np.concatenate(gaps), witness)
 
 
 def check_rep_twist_properties(env: _Env) -> dict:
@@ -567,8 +572,8 @@ def check_rep_twist_properties(env: _Env) -> dict:
     for key in ("S", "T"):
         gaps.append(_gap(triv.r_twist().images[key], triv.images[key]))
         gaps.append(_gap(twist.r_twist().images[key], rho.images[key]))
-    return _sweep(env, {}, 1e-12, [(worst_residual(gaps), {"detail": "twist identities"})],
-                  universe="eta character and the trivial representation")
+    return _sweep_cases(env, {}, 1e-12, [(worst_residual(gaps), {"detail": "twist identities"})],
+                        universe="eta character and the trivial representation")
 
 
 def check_rep_induction_matrices(env: _Env) -> dict:
@@ -581,8 +586,8 @@ def check_rep_induction_matrices(env: _Env) -> dict:
     worst = worst_residual((_gap(rho_hat.images["R"], np.array([[0, 1], [-1, 0]], dtype=complex)),
                             _gap(rho_hat.images["T"], want_t), _gap(res.images["T"], want_t),
                             0.0 if dims_ok and triv_ok else 1.0))
-    return _sweep(env, {"restricted_dim_doubles": dims_ok, "trivial_restricts": triv_ok}, 1e-12, [(worst, None)],
-                  universe="the induced eta character")
+    return _sweep_cases(env, {"restricted_dim_doubles": dims_ok, "trivial_restricts": triv_ok}, 1e-12, [(worst, None)],
+                        universe="the induced eta character")
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +613,7 @@ def check_restriction_round_trip(env: _Env) -> dict:
         except ModularityError:
             return
         yield 1.0, {"detail": "eta must be rejected by scalar extension"}
-    return _sweep(env, {"instances": ["e4_even", "eta_hat", "eta (rejected)"]}, 1e-10, cases())
+    return _sweep_cases(env, {"instances": ["e4_even", "eta_hat", "eta (rejected)"]}, 1e-10, cases())
 
 
 def check_induction_round_trip(env: _Env) -> dict:
@@ -636,7 +641,7 @@ def check_induction_round_trip(env: _Env) -> dict:
         for z in env.lower:
             want = np.concatenate([g_up.at(-z), f_up.at(-z)])  # (-i)^8 = i^8 = 1
             yield _gap(stacked.at(z), want), {"form": "e4 stack", "z": z}
-    return _sweep(env, {"instances": ["Ind(eta, 0)", "Ind(e4, e4/2)"]}, 1e-10, cases())
+    return _sweep_cases(env, {"instances": ["Ind(eta, 0)", "Ind(e4, e4/2)"]}, 1e-10, cases())
 
 
 # ---------------------------------------------------------------------------
@@ -647,19 +652,19 @@ def check_eta_shift_law(env: _Env) -> dict:
     cfg = env.qcfg_raw
     phase = root24(1)
     cases = ((abs(eta(z + 1, cfg) - phase * eta(z, cfg)), {"z": z}) for z in env.upper)
-    return _sweep(env, {"points": len(env.upper)}, 1e-12, cases, universe=f"{len(env.upper)} upper sample points")
+    return _sweep_cases(env, {"points": len(env.upper)}, 1e-12, cases, universe=f"{len(env.upper)} upper sample points")
 
 
 def check_eta_inversion_law(env: _Env) -> dict:
     cfg = env.qcfg_raw
     cases = ((abs(eta(-1 / z, cfg) - principal_sqrt(-1j * z) * eta(z, cfg)), {"z": z}) for z in env.upper)
-    return _sweep(env, {"points": len(env.upper)}, 1e-10, cases, universe=f"{len(env.upper)} upper sample points")
+    return _sweep_cases(env, {"points": len(env.upper)}, 1e-10, cases, universe=f"{len(env.upper)} upper sample points")
 
 
 def check_eta_point_value(env: _Env) -> dict:
     value = eta(1j, env.qcfg_raw)
-    return _sweep(env, {"computed": f"{value.real:.16f}{value.imag:+.3e}i", "frozen": f"{ETA_AT_I:.16f}"}, 1e-12,
-                  [(abs(value - ETA_AT_I), {"computed": str(value)})], universe="the point i")
+    return _sweep_cases(env, {"computed": f"{value.real:.16f}{value.imag:+.3e}i", "frozen": f"{ETA_AT_I:.16f}"}, 1e-12,
+                        [(abs(value - ETA_AT_I), {"computed": str(value)})], universe="the point i")
 
 
 def check_eta_multiplier_universe(env: _Env) -> dict:
@@ -668,18 +673,15 @@ def check_eta_multiplier_universe(env: _Env) -> dict:
     comparison certifies that lift-and-correct along generator words reproduces
     ``eta_multiplier_index``.  phi_g = b sqrt(c z + d) with b from ``branch_profile``, so
     rho([g, eps]) has the index ``eta_multiplier_index(g)``, plus 12 when eps * b = -1.
-    The transform gate slashes the raw-series eta itself, which ties the character to eta."""
-    snap_tol = env.tol(1e-10)
-    transform_tol = env.tol(1e-9)
-    rho = eta_character()
-    f = eta_fn(env.qcfg_raw)
-    snaps = []
-    mismatches, index_witness = 0, None
+    The transform gate slashes eta's raw pentagonal series, which involves no modular transformation."""
+    snap_tol, transform_tol = env.tol(1e-10), env.tol(1e-9)
+    f = HoloFn.from_scalar(upper=lambda z: _eta_pentagonal(z, env.qcfg_raw))
+    mismatches, index_witness, dists = 0, None, []
     elements = env.cover.sl_elements()
-    vals = rho.evaluate_batch(elements)[:, 0, 0]
+    vals = eta_character().evaluate_batch(elements)[:, 0, 0]
     for x, value in zip(elements, vals.tolist()):
         _, index, dist = snap_to_root_of_unity(value)
-        snaps.append((dist, {"x": x, "snap_distance": dist}))
+        dists.append(dist)
         try:
             closed = (eta_multiplier_index(x.gamma) + 12 * (x.eps * env.branch_sign(x.gamma) == -1)) % 24
         except DomainError as exc:  # a matrix the branch pass cannot sign: the refusal stands in for its index
@@ -689,13 +691,11 @@ def check_eta_multiplier_universe(env: _Env) -> dict:
             index_witness = index_witness or {"x": x, "numeric_index": index, "closed_form_index": closed}
     base = holofn_values(f, np.array(env.upper), np.full(len(env.upper), True))
     gaps = _gap(slash_values(f, Weight(1), env.upper, elements), vals[:, None, None] * base, axis=2)
-    worst_transform, transform_witness = _worst((gaps[i, j], {"x": x, "z": z})
-                                                for i, x in enumerate(elements) for j, z in enumerate(env.upper))
-    worst_snap, snap_witness = _worst(snaps)
+    worst_transform, transform_witness = _worst(gaps, lambda i, j: {"x": elements[i], "z": env.upper[j]})
+    worst_snap, snap_witness = _worst(dists, lambda i: {"x": elements[i], "snap_distance": dists[i]})
     snap_ok, transform_ok = worst_snap <= snap_tol, worst_transform <= transform_tol
     witness = index_witness if snap_ok and transform_ok else snap_witness if transform_ok else transform_witness
-    return _verdict(env, {"elements": len(elements), "snap_tolerance": snap_tol,
-                          "transform_tolerance": transform_tol,
+    return _verdict(env, {"elements": len(elements), "snap_tolerance": snap_tol, "transform_tolerance": transform_tol,
                           "worst_snap": worst_snap, "worst_transform": worst_transform,
                           "closed_form_mismatches": mismatches},
                     worst_residual((worst_snap, worst_transform)), snap_ok and transform_ok and mismatches == 0,
@@ -717,8 +717,8 @@ def check_eta_reduction_agreement(env: _Env) -> dict:
             yield abs(a - b) / max(abs(b), 1e-300), {"z": z}
             e4_raw = eisenstein(4, z, raw)
             yield abs(eisenstein(4, z, cfg) - e4_raw) / abs(e4_raw), {"z": z, "series": "e4"}
-    return _sweep(env, {"points": len(points), "relative": True}, 1e-9, cases(),
-                  universe="near-axis points where the raw truncation is still sharp")
+    return _sweep_cases(env, {"points": len(points), "relative": True}, 1e-9, cases(),
+                        universe="near-axis points where the raw truncation is still sharp")
 
 
 def check_eisenstein_lattice_match(env: _Env) -> dict:
@@ -746,7 +746,8 @@ def check_eisenstein_lattice_match(env: _Env) -> dict:
     if not (closed <= tol and sym == 0.0 and laws <= env.tol(1e-9)):
         # the oracle terms raise the residual, with no witness of their own: a lattice witness stays
         cases.append((worst_residual((closed, sym, laws)), None))
-    return _sweep(env, params, 1e-12, cases, universe="60 lattice rows at z in {2i, 0.3+0.9i}; series laws on the upper grid")
+    return _sweep_cases(env, params, 1e-12, cases,
+                        universe="60 lattice rows at z in {2i, 0.3+0.9i}; series laws on the upper grid")
 
 
 def check_eisenstein_even_extension(env: _Env) -> dict:
@@ -758,7 +759,7 @@ def check_eisenstein_even_extension(env: _Env) -> dict:
             yield form.residual(gens, env.grid), {"form": label}
             for z in env.upper:
                 yield _gap(form.at(-z), form.at(z)), {"form": label, "z": z, "detail": "even symmetry"}
-    return _sweep(env, {"forms": ["e4_even (w=8)", "e6_even (w=12)"], "generators": 3}, 1e-9, cases())
+    return _sweep_cases(env, {"forms": ["e4_even (w=8)", "e6_even (w=12)"], "generators": 3}, 1e-9, cases())
 
 
 def check_triangular_parity(env: _Env) -> dict:
@@ -773,8 +774,8 @@ def check_triangular_parity(env: _Env) -> dict:
                        {"n": n, "z": z, "identity": "parity"})
                 yield (abs(direct - triangular_product_factored(n, z)) / scale,
                        {"n": n, "z": z, "identity": "factored form"})
-    return _sweep(env, {"max_factors": 12, "points": len(points), "relative": True}, 1e-12, cases(),
-                  universe="factor counts 0..12 on six grid points")
+    return _sweep_cases(env, {"max_factors": 12, "points": len(points), "relative": True}, 1e-12, cases(),
+                        universe="factor counts 0..12 on six grid points")
 
 
 def check_eta_hat_identities(env: _Env) -> dict:
@@ -795,7 +796,7 @@ def check_eta_hat_identities(env: _Env) -> dict:
             yield _gap(direct, hat.at(z)), {"identity": "direct vs induced evaluator", "z": z}
         for z in env.lower:
             yield _gap(eta_hat(z, cfg), hat.at(z)), {"identity": "direct vs induced evaluator", "z": z}
-    return _sweep(env, {"points": len(env.grid)}, 1e-10, cases())
+    return _sweep_cases(env, {"points": len(env.grid)}, 1e-10, cases())
 
 
 def check_holomorphy_probes(env: _Env) -> dict:
@@ -811,7 +812,8 @@ def check_holomorphy_probes(env: _Env) -> dict:
     }
     cases = ((holomorphy_residual(fn, z, step), {"series": name, "z": z})
              for name, (fn, pts) in series.items() for z in pts)
-    return _sweep(env, {"step": step, "points": len(probes)}, 1e-6, cases, universe="grid points with Im z >= 0.8")
+    return _sweep_cases(env, {"step": step, "points": len(probes)}, 1e-6, cases,
+                        universe="grid points with Im z >= 0.8")
 
 
 CHECKS: tuple[tuple[str, Callable[[_Env], dict]], ...] = (

@@ -11,12 +11,12 @@ Both element types are tuples, ``Mat2`` of its entries (a, b, c, d) and
 ``MetaElt`` of (gamma, eps), so hashing, equality and unpacking run in C.  An
 element equals the plain tuple of its fields; the tuple's concatenation and
 repetition are refused.  Validation happens once, on input: ``Mat2(...)`` and
-``MetaElt(...)`` (and so both ``parse`` methods) check every element a caller
-supplies.  Results derived from checked elements are built by ``tuple.__new__``
-(``_known_mat2``, ``_known_metaelt``) without those checks, since their
-entries are ints, their determinant is +-1 and their sign is +-1 by
-construction: ``Mat2`` products, inverses, negations and conjugates, and
-``MetaElt`` products, inverses and word lifts.
+``MetaElt(...)``, which takes only a ``Mat2`` (and so both ``parse`` methods),
+check every element a caller supplies.  Results derived from checked elements
+are built by ``tuple.__new__`` (``_known_mat2``, ``_known_metaelt``) without
+those checks, since their entries are ints, their determinant is +-1 and their
+sign is +-1 by construction: ``Mat2`` products, inverses, negations and
+conjugates, and ``MetaElt`` products, inverses and word lifts.
 """
 
 from __future__ import annotations
@@ -186,6 +186,8 @@ class MetaElt(_Entries):
     gamma, eps = (property(itemgetter(i)) for i in range(2))
 
     def __new__(cls, gamma: Mat2, eps: int) -> "MetaElt":
+        if not isinstance(gamma, Mat2):
+            raise DomainError(f"cover element needs a Mat2, got {gamma!r}")
         if not isinstance(eps, int) or isinstance(eps, bool) or eps not in (1, -1):
             raise DomainError(f"cover sign must be +1 or -1, got {eps!r}")
         return tuple.__new__(cls, (gamma, eps))

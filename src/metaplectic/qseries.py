@@ -161,34 +161,60 @@ def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tup
     raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {complex(live[0])}")
 
 
-def _live_point_series(arg: np.ndarray, n: np.ndarray, start: complex, combine, term) -> np.ndarray:
-    """Fold ``combine`` over term(q^k, k), q = e^(2 pi i arg), for k = 1..n at every point, each stopping at its
-    own n: the points are sorted by n once, and term k is computed only on the prefix still live.  Multiplying
-    by 1 and adding 0 are exact, so this equals running every point to max(n) with the extra terms masked.
-
-    q^k is q^(k-1) * q, except where k is a multiple of ``_QPOW_ANCHOR``: there it is e^(2 pi i t - 2 pi k Im arg)
-    with t = x k mod 1, x = Re arg - round(Re arg) = hi / 2^26 + lo: |hi| <= 2^25, so hi k mod 2^26 is exact in
-    int64 for any feasible k, and only lo k rounds.  So no q^k carries the rounding of 2 pi arg k, which grows
-    with k.  The first point whose last exponent 2 pi i arg n leaves the floating-point range is refused as the
-    scalar series do."""
+def _by_truncation(arg: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The batch series' layout, refusing as the scalar series do where 2 pi i arg n leaves the float range: the
+    order sorting n descending, arg and -n in it, and ``_qpow``'s x = Re arg - round(Re arg) = hi / 2^26 + lo."""
     with np.errstate(over="ignore", invalid="ignore"):
         bad = ~np.isfinite((2j * np.pi * arg) * n)
     if bad.any():
         _series_argument(complex(arg[np.argmax(bad)]), int(n[np.argmax(bad)]))
     order = np.argsort(-n, kind="stable")
-    arg, acc = arg[order], np.full(arg.shape, start, dtype=complex)
+    arg = arg[order]
     x = arg.real - np.round(arg.real)
     hi = np.round(x * 2 ** 26).astype(np.int64)
-    lo = x - hi / 2 ** 26
+    return order, arg, -n[order], hi, x - hi / 2 ** 26
+
+
+def _qpow(hi: np.ndarray, lo: np.ndarray, im: np.ndarray, k: int) -> np.ndarray:
+    """q^k = e^(2 pi i t - 2 pi k Im arg), t = x k mod 1: |hi| <= 2^25, so hi k mod 2^26 is exact in int64 for any
+    feasible k and only lo k rounds.  So q^k does not carry the rounding of 2 pi arg k, which grows with k."""
+    t = (hi * k) % 2 ** 26 / 2 ** 26 + lo * k
+    return np.exp(2j * np.pi * t - 2 * np.pi * k * im)
+
+
+def _live_point_series(arg: np.ndarray, n: np.ndarray, start: complex, combine, term) -> np.ndarray:
+    """Fold ``combine`` over term(q^k, k), q = e^(2 pi i arg), for k = 1..n at every point, term k on the prefix of
+    ``_by_truncation``'s order still live: as multiplying by 1 and adding 0 are exact, the values of masking every
+    point's terms past its n.  q^k is q^(k-1) * q, or ``_qpow`` at multiples of ``_QPOW_ANCHOR``."""
+    order, arg, neg_n, hi, lo = _by_truncation(arg, n)
+    acc = np.full(arg.shape, start, dtype=complex)
     q = qk = np.exp(2j * np.pi * arg)
-    for k, live in enumerate(np.searchsorted(-n[order], -np.arange(1, n.max(initial=0) + 1), side="right"), 1):
+    for k, live in enumerate(np.searchsorted(neg_n, -np.arange(1, n.max(initial=0) + 1), side="right"), 1):
         if k % _QPOW_ANCHOR == 0:
-            t = (hi[:live] * k) % 2 ** 26 / 2 ** 26 + lo[:live] * k
-            qk = np.exp(2j * np.pi * t - 2 * np.pi * k * arg.imag[:live])
+            qk = _qpow(hi[:live], lo[:live], arg.imag[:live], k)
         elif k > 1:
             qk = qk[:live] * q[:live]
         acc[:live] = combine(acc[:live], term(qk, k))
-    return acc[np.argsort(order)]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+def _eta_pentagonal(z: np.ndarray, cfg: QSeriesConfig) -> np.ndarray:
+    """``eta_batch`` unreduced, refused where it is, as Euler's series e^(pi i z/12) sum_n (-1)^n q^(n(3n-1)/2)
+    (Apostol, Modular Functions and Dirichlet Series, ch. 3) up to the product's truncation index: both drop only
+    powers past it.  A term is one ``_qpow``, and e^(pi i z/12) takes r = round(Re z) as ``_ETA_ROOTS[r mod 24]``."""
+    _, z, _, _ = _reduce_workable(z, cfg, np.zeros(z.shape, dtype=bool))
+    n = _truncation_indices(z.imag, cfg)
+    order, z, neg_n, hi, lo = _by_truncation(z, n)
+    top, acc = int(n.max(initial=0)), np.ones(z.shape, dtype=complex)
+    k = np.outer(np.arange(1, math.isqrt(2 * top // 3) + 2), [1, -1]).ravel()  # 1, -1, 2, -2, ...
+    m = k * (3 * k - 1) // 2  # every generalized pentagonal number up to top, ascending; none is live past top
+    for e, sign, live in zip(m.tolist(), (1 - 2 * (k % 2)).tolist(), np.searchsorted(neg_n, -m, side="right")):
+        acc[:live] += sign * _qpow(hi[:live], lo[:live], z.imag[:live], e)
+    r, out = np.round(z.real), np.empty_like(acc)
+    out[order] = _ETA_ROOTS[np.mod(r, 24).astype(np.int64)] * np.exp(1j * np.pi * (z - r) / 12) * acc
+    return out
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:

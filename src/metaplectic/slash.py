@@ -76,7 +76,7 @@ class HoloFn:
     lower: Optional[Evaluator]
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
             raise DomainError("dim must be a positive integer")
         if self.upper is None and self.lower is None:
             raise DomainError("at least one half-plane evaluator is required")

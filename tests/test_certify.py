@@ -14,7 +14,7 @@ from metaplectic.cli import _strict_json
 from metaplectic.cover import S_MAT, T_MAT, Mat2, enumerate_cover
 from metaplectic.errors import DomainError, ResourceLimitError
 from metaplectic.qseries import CERTIFY_CONFIG
-from metaplectic.sampling import full_grid
+from metaplectic.sampling import format_complex, full_grid, upper_grid
 from metaplectic.slash import HoloFn, Weight, composition_residuals, slash, slash_values
 
 
@@ -143,20 +143,95 @@ def test_eta_multiplier_universe_names_the_element_that_fails_the_snap_gate(monk
     assert check["counterexample"] == {"x": str(elements[target]), "snap_distance": 1.0}
 
 
-def _sweep_of(cases):
+def _scan(cases):
+    """The verdict rule as a scan over pairs (residual, witness): a new record is a larger residual or the first
+    NaN, and it takes its witness unless that is None."""
+    value, kept = 0.0, None
+    for r, witness in cases:
+        if r > value or (math.isnan(r) and not math.isnan(value)):
+            value, kept = r, kept if witness is None else witness
+    return value, kept
+
+
+def _array_rule(cases):
+    return certify._worst(np.array([r for r, _ in cases]), lambda i: cases[i][1])
+
+
+def _sweeps_of(cases):
+    """The verdict of ``_sweep`` on the residual array and of its adapter ``_sweep_cases`` on the pairs."""
     env = certify._Env(0, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG)
-    report = certify._sweep(env, {}, 1.0, cases)
-    assert report["pass"] is False
-    return report["max_residual"], report["counterexample"]
+    reports = (certify._sweep(env, {}, -1.0, [r for r, _ in cases], lambda i: cases[i][1]),
+               certify._sweep_cases(env, {}, -1.0, iter(cases)))
+    return [(report["max_residual"], report["counterexample"]) for report in reports]
 
 
 def test_worst_keeps_the_first_nan():
-    """The first NaN witness wins, and a later larger number does not displace it: in ``_worst`` and
-    in the ``_sweep`` verdict that every numeric check goes through."""
+    """The first NaN witness wins, and a later larger number does not displace it: in the array rule
+    ``_worst``, in the ``_sweep`` verdict and in the ``_sweep_cases`` adapter that every numeric check goes
+    through."""
     cases = [(1.0, {"at": 1}), (float("nan"), {"at": 2}), (5.0, {"at": 3}), (float("nan"), {"at": 4})]
-    for worst_of in (certify._worst, _sweep_of):
-        value, witness = worst_of(cases)
-        assert math.isnan(value) and witness == {"at": 2}, worst_of.__name__
+    for value, witness in (_array_rule(cases), *_sweeps_of(cases)):
+        assert math.isnan(value) and witness == {"at": 2}
+
+
+def test_the_array_rule_is_the_scan():
+    """On seeded cases with ties, NaNs, zeros and None witnesses, ``_worst`` on the residual array and both
+    sweeps give the scan's value and witness: the first maximum, the first NaN, and for a record whose witness
+    is None the witness of the record before it.  Only the records it walks back over are asked for a witness.
+    On a 2-d array the witness takes the unravelled index."""
+    rng, pool = np.random.default_rng(40), [0.0, 1.0, 2.0, 3.0, float("nan")]
+    for _ in range(300):
+        cases = [(pool[rng.integers(0, 5)], None if rng.random() < 0.3 else {"at": i})
+                 for i in range(int(rng.integers(0, 8)))]
+        (value, witness), asked = _scan(cases), []
+        shown = witness or {"detail": "no witness captured; see params"}  # what a failed verdict reports
+        got = [certify._worst(np.array([r for r, _ in cases]), lambda i: asked.append(i) or cases[i][1])]
+        for (got_value, got_witness), want in zip(got + _sweeps_of(cases), (witness, shown, shown)):
+            assert got_witness == want and (got_value == value or math.isnan(got_value) and math.isnan(value))
+        assert all(cases[i][1] is None for i in asked[:-1]) and len(asked) <= len(cases)
+    grid = np.array([[0.5, 2.0, 1.0], [2.0, float("nan"), 0.0]])
+    value, witness = certify._worst(grid, lambda i, j: (i, j))
+    assert math.isnan(value) and witness == (1, 1)
+    assert certify._worst(np.nan_to_num(grid), lambda i, j: (i, j)) == (2.0, (0, 1))
+
+
+def test_a_spike_in_action_composition_is_named_at_its_form_and_pair(monkeypatch):
+    """Equal spikes at E4's pairs 7 and 9 and a smaller one at eta-hat's pair 12: the check's witness is the
+    first maximum, built from the (form, pair) index of the residual array."""
+    residuals, calls = certify.composition_residuals, []
+
+    def spiked(f, weight, pairs, points):
+        out = residuals(f, weight, pairs, points)
+        calls.append(pairs)
+        out[[7, 9] if len(calls) == 2 else [12]] = 1.0 if len(calls) == 2 else 0.5
+        return out
+
+    monkeypatch.setattr(certify, "composition_residuals", spiked)
+    (check,) = run_certification(3, pair_count=40, check_filter=["action_composition"])["checks"]
+    eta_hat_pairs, e4_pairs = calls
+    assert e4_pairs == eta_hat_pairs and check["pass"] is False and check["max_residual"] == 1.0
+    assert check["counterexample"] == {"form": "e4_even", "x": str(e4_pairs[7][0]), "y": str(e4_pairs[7][1])}
+
+
+def test_a_spike_in_phi_section_consistency_is_named_at_its_pair_and_point(monkeypatch):
+    """A spike in alpha's section root at (pair 5, point 3) is named by that pair, as the check drew it, and
+    that point."""
+    roots, cocycle, pairs, calls = certify.section_roots, certify.cocycle, [], []
+
+    def spiked(c, d, j):
+        out = roots(c, d, j)
+        calls.append(out.shape)
+        if len(calls) == 1:  # alpha's factor at the images of beta
+            out[5, 3] += 1e3
+        return out
+
+    monkeypatch.setattr(certify, "section_roots", spiked)
+    monkeypatch.setattr(certify, "cocycle", lambda a, b: pairs.append((a, b)) or cocycle(a, b))
+    (check,) = run_certification(3, pair_count=20, check_filter=["phi_section_consistency"])["checks"]
+    assert len(pairs) == 20 and calls == [(20, len(upper_grid()))] * 3
+    assert check["pass"] is False and check["max_residual"] > 1.0
+    assert check["counterexample"] == {"alpha": str(pairs[5][0]), "beta": str(pairs[5][1]),
+                                       "z": format_complex(upper_grid()[3])}
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
@@ -442,7 +517,7 @@ def test_batch_nan_reaches_the_pair_and_the_first_witness(cover4, composition_re
     want = np.array([composition_residual(f, weight, x, y, points) for x, y in pairs])
     assert np.array_equal(np.isnan(got), np.isnan(want)) and 0 < np.isnan(got).sum() < len(pairs)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True)
-    value, witness = certify._worst((r, {"x": x, "y": y}) for (x, y), r in zip(pairs, got))
+    value, witness = certify._worst(got, lambda i: {"x": pairs[i][0], "y": pairs[i][1]})
     first = int(np.argmax(np.isnan(got)))
     assert math.isnan(value) and witness == {"x": pairs[first][0], "y": pairs[first][1]}
 

@@ -411,3 +411,7 @@ def test_sign_validation():
         MetaElt(S_MAT, 1.0)  # a float sign would break the ;+1 witness format
     with pytest.raises(DomainError):
         MetaElt(S_MAT, True)  # prints as ;+1 but is no int sign
+    # gamma must be a checked Mat2: a plain tuple would equal the identity's matrix without its det check
+    for gamma in ((1, 0, 0, 1), "xy"):
+        with pytest.raises(DomainError, match="cover element needs a Mat2"):
+            MetaElt(gamma, 1)

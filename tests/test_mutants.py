@@ -14,6 +14,7 @@ import pytest
 
 from metaplectic.certify import run_certification
 from metaplectic.cover import LIFT_R, LIFT_S, LIFT_Z
+from metaplectic.qseries import QSeriesConfig
 from metaplectic.slash import HoloFn, Weight
 
 automorphy_module, cover_module, certify_module, qseries_module, slash_module = (
@@ -22,6 +23,7 @@ _RULE = slash_module._case_exponents
 _BIT = cover_module.cocycle_bit
 _CZ_PLUS_D = automorphy_module.cz_plus_d
 _S_STEP = qseries_module._eta_s_step
+_QPOW = qseries_module._qpow
 
 
 # their rebuilds certify with ``extend_form`` and ``induce_form``, so a refused rebuild is their own comparison
@@ -138,3 +140,16 @@ def test_an_eta_step_mutant_fails_exactly_its_pinned_checks(monkeypatch):
     monkeypatch.setattr(qseries_module, "_eta_s_step", _drop_the_half_turn)
     assert all(np.allclose(route(), -np.array(value), rtol=1e-14, atol=0) for route, value in zip(routes, before))
     assert _failed_checks() == {"action_composition", "eta_reduction_agreement"}
+
+
+@pytest.mark.parametrize("dropped", [2, 12], ids=["q^2", "q^12"])
+def test_a_dropped_pentagonal_term_fails_exactly_the_eta_multiplier_universe(monkeypatch, dropped):
+    """``eta_multiplier_universe``'s transform gate slashes Euler's pentagonal series; reading one of its terms
+    as 0 moves that series and no other: the product's q^k steps call ``_qpow`` only at multiples of
+    ``_QPOW_ANCHOR``, which 2 and 12 are not.  The gate is the one check that fails."""
+    z, cfg = np.array([0.3 + 0.05j, -1.7 + 0.02j]), QSeriesConfig(min_im=1e-6, reduce=False)
+    product, series = qseries_module.eta_batch(z, cfg), qseries_module._eta_pentagonal(z, cfg)
+    monkeypatch.setattr(qseries_module, "_qpow", lambda hi, lo, im, k: _QPOW(hi, lo, im, k) * (k != dropped))
+    assert np.array_equal(qseries_module.eta_batch(z, cfg), product)
+    assert np.all(np.abs(qseries_module._eta_pentagonal(z, cfg) - series) > 1e-3)
+    assert _failed_checks() == {"eta_multiplier_universe"}

@@ -47,6 +47,10 @@ def test_bools_are_not_numbers():
         Weight(True)
     with pytest.raises(DomainError, match="dim must be a positive integer"):
         HoloFn(True, lambda z: np.array([z]), None)
+    # nor is a float or a string a dimension: refused at construction, not at the first ``at``
+    for dim in (1.5, "1"):
+        with pytest.raises(DomainError, match="dim must be a positive integer"):
+            HoloFn(dim, lambda z: np.array([z]), None)
 
 
 def test_cpow_int():
