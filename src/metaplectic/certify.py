@@ -4,8 +4,9 @@ and emits machine-readable reports.
 Exact sign/integer algebra is checked exhaustively over an enumerated
 universe (the cocycle triple and B(a)B(b)B(ab) checks are numpy bit kernels);
 numeric checks run over the standard sample grid with tolerances pinned per
-check.  Reports are deterministic for a fixed setup: the random pair draws
-are seeded and check output is sorted by check id.
+check.  Reports are deterministic for a fixed setup: every random sample is
+drawn once from the seed, at setup and in check order, so a check reports
+the same alone as in the full run; check output is sorted by check id.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .cover import (CENTER_FLIP, IDENT, LIFT_R, LIFT_S, LIFT_T, LIFT_Z, NEG_IDEN
                     MetaElt, chi_negative, cocycle, cocycle_bit, conj_by_reflection, enumerate_cover, format_word,
                     hilbert_symbol, kubota_chi, minus_t_row, reflection_sign)
 from .errors import DomainError, ModularityError, ResourceLimitError
-from .qseries import (CERTIFY_CONFIG, NAMED_FORMS, QSeriesConfig, _eta_pentagonal, eisenstein, eta, eta_character,
-                      eta_fn, eta_hat, eta_multiplier_index, lattice_sum, triangular_product, triangular_product_factored)
+from .qseries import (CERTIFY_CONFIG, NAMED_FORMS, _eta_pentagonal, eisenstein, eta, eta_character, eta_hat,
+                      eta_multiplier_index, lattice_sum, triangular_product, triangular_product_factored)
 from .reps import Rep, VVForm, extend_form, induce_form, project_components, root24, snap_to_root_of_unity
 from .slash import (HoloFn, Weight, admissible_reflection_scalars, composition_residuals, holofn_values,
                     holomorphy_residual, reflection_route, slash, slash_values, worst_residual)
@@ -50,28 +51,58 @@ def require_tolerance(tol: float) -> float:
     return tol
 
 
+def _draw_samples(cover: CoverSet, seed: int, pair_count: int) -> tuple[list[tuple], ...]:
+    """``pair_count`` pairs per sample, drawn from ``seed`` in check order so none depends on which checks run:
+    det +1 matrices for phi_section_consistency, elements split over the det combinations (the first take the
+    remainder) for action_composition and then rep_homomorphism, and det +1 elements for its eta character."""
+    rng, plus = np.random.default_rng(seed), cover.sl_elements()
+    minus = [e for e in cover.elements() if e.det() == -1]
+    combos = [(px, py) for px, py in ((plus, plus), (plus, minus), (minus, plus), (minus, minus)) if px and py]
+
+    def square(pool):
+        return [(pool[i], pool[j]) for i, j in rng.integers(0, len(pool), size=(pair_count, 2))]
+
+    def det_split():
+        pairs = []
+        for k, (pool_x, pool_y) in enumerate(combos):
+            size = pair_count // len(combos) + (k < pair_count % len(combos))
+            ix, iy = rng.integers(0, len(pool_x), size=size), rng.integers(0, len(pool_y), size=size)
+            pairs.extend((pool_x[i], pool_y[j]) for i, j in zip(ix, iy))
+        return pairs
+    return square(cover.sl_matrices()), det_split(), det_split(), square(plus)
+
+
 class _Env:
-    """Shared, lazily-built state for the individual checks, from ``run_certification``'s settings."""
+    """Every input of the checks, fixed from ``run_certification``'s settings before any check runs; only the
+    branch-sign table waits for its first use."""
 
     def __init__(self, max_word_len: int, tol: Optional[float], points: Optional[Sequence[complex]], seed: int,
-                 pair_count: int, force: bool, qcfg: QSeriesConfig):
-        if pair_count < 1:
-            raise DomainError(f"pair count must be at least 1, got {pair_count}")
+                 pair_count: int, force: bool, min_im: float):
+        for name, value, least in (("word length bound", max_word_len, 0), ("seed", seed, 0),
+                                   ("pair count", pair_count, 1)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise DomainError(f"{name} must be at least {least}, got {value}")
         self.tol_override = tol if tol is None else require_tolerance(tol)
         self.pair_count = pair_count
-        self.qcfg = qcfg
+        self.qcfg = replace(CERTIFY_CONFIG, min_im=min_im)
+        self.qcfg_raw = replace(self.qcfg, reduce=False)
         self.cover: CoverSet = enumerate_cover(max_word_len, force=force)
         # validated here, so a bad sample is named before any check runs
-        self.upper = tuple(map(require_upper, points)) if points else sampling.upper_grid()
+        self.upper = sampling.upper_grid() if points is None else tuple(map(require_upper, points))
+        if not self.upper:
+            raise DomainError("the sample point set is empty")
         self.lower = tuple(z.conjugate() for z in self.upper)
         self.grid = self.upper + self.lower
-        self.rng = np.random.default_rng(seed)
-        self.qcfg_raw = replace(qcfg, reduce=False)
+        self.section_pairs, self.composition_pairs, self.rep_pairs, self.sl_pairs = _draw_samples(
+            self.cover, seed, pair_count)
+        # built unchecked: the checks certify them
+        self.forms: dict[str, VVForm] = {name: build(self.qcfg) for name, build in NAMED_FORMS.items()}
         cov = self.cover
         self.universe = (f"cover words of length <= {cov.max_len}: {len(cov.words)} elements, "
                          f"{len(cov.matrices())} distinct matrices ({len(cov.sl_matrices())} with det +1); "
                          f"{len(self.upper)} upper sample points plus conjugates")
-        self._forms: dict = {}
         self._branch_signs: Optional[dict[Mat2, int]] = None
 
     def tol(self, pinned: float) -> float:
@@ -84,25 +115,6 @@ class _Env:
             mats = self.cover.sl_matrices()
             self._branch_signs = dict(zip(mats, branch_signs(mats, self.upper).tolist()))
         return self._branch_signs.get(g) or branch_profile(g, self.upper)
-
-    def form(self, name: str) -> VVForm:
-        """The form registered under ``name`` in ``NAMED_FORMS``, built once and unchecked: the checks certify it."""
-        if name not in self._forms:
-            self._forms[name] = NAMED_FORMS[name](self.qcfg)
-        return self._forms[name]
-
-    def sample_pairs(self, count: int) -> list[tuple[MetaElt, MetaElt]]:
-        """``count`` seeded pairs of enumerated elements, split over the det combinations, the first first."""
-        plus = [e for e in self.cover.elements() if e.det() == 1]
-        minus = [e for e in self.cover.elements() if e.det() == -1]
-        combos = [(px, py) for px, py in ((plus, plus), (plus, minus), (minus, plus), (minus, minus)) if px and py]
-        pairs = []
-        for k, (pool_x, pool_y) in enumerate(combos):
-            size = count // len(combos) + (k < count % len(combos))
-            ix = self.rng.integers(0, len(pool_x), size=size)
-            iy = self.rng.integers(0, len(pool_y), size=size)
-            pairs.extend((pool_x[i], pool_y[j]) for i, j in zip(ix, iy))
-        return pairs
 
 
 def _gap(a, b, axis=None):
@@ -400,9 +412,7 @@ def check_inverse_involution(env: _Env) -> dict:
 
 
 def check_phi_section(env: _Env) -> dict:
-    mats = env.cover.sl_matrices()
-    idx = env.rng.integers(0, len(mats), size=(env.pair_count, 2))
-    pairs = [(a, b, cocycle(a, b), a * b) for a, b in ((mats[i], mats[j]) for i, j in idx)]
+    pairs = [(a, b, cocycle(a, b), a * b) for a, b in env.section_pairs]
     rows = np.array([(a.c, a.d, *b.entries(), sign, ab.c, ab.d) for a, b, sign, ab in pairs], dtype=np.int64)
     c_a, d_a, b_a, b_b, b_c, b_d, sign, c_ab, d_ab = rows.T[:, :, None]
     z = np.array(env.upper)
@@ -463,10 +473,10 @@ def check_action_composition(env: _Env) -> dict:
     """(f|x)|y = f|(xy) for eta-hat and E4 on the sampled pairs at every grid point, batched per form by
     ``composition_residuals``.  Both of its routes take the same ``slash_values`` pullback, so an error in
     that pullback that keeps the action law (a wrong det -1 phase) shows only in action_reflection_forms."""
-    pairs = env.sample_pairs(env.pair_count)
+    pairs = env.composition_pairs
     combos = Counter((x.det(), y.det()) for x, y in pairs)
     det_combinations = {f"({sx},{sy})": c for (sx, sy), c in sorted(combos.items())}
-    gaps = [composition_residuals(form.fn, form.weight, pairs, env.grid) for form in map(env.form, ("eta-hat", "e4"))]
+    gaps = [composition_residuals(f.fn, f.weight, pairs, env.grid) for f in map(env.forms.get, ("eta-hat", "e4"))]
     return _sweep(env, {"pairs": len(pairs), "forms": ["eta_hat (w=1)", "e4_even (w=8)"],
                         "det_combinations": det_combinations}, 1e-9, gaps,
                   lambda f, i: {"form": ("eta_hat", "e4_even")[f], "x": pairs[i][0], "y": pairs[i][1]})
@@ -475,7 +485,7 @@ def check_action_composition(env: _Env) -> dict:
 def check_action_reflection_forms(env: _Env) -> dict:
     """The four-case action agrees with both reflection-route formulas on det -1 elements."""
     elts = [e for e in env.cover.elements() if e.det() == -1][:40]
-    hat = env.form("eta-hat")
+    hat = env.forms["eta-hat"]
     fn, weight = hat.fn, hat.weight
     direct = slash_values(fn, weight, env.grid, elts)
     variants = ("direct", "inverse")
@@ -491,7 +501,7 @@ def check_action_classical_match(env: _Env) -> dict:
     Independent route for even doubled weight: the prefactor is an integer
     power of (c z + d), no square roots involved.
     """
-    e4 = env.form("e4")
+    e4 = env.forms["e4"]
     elts = env.cover.sl_elements()[:80]
     a, b, c, d = np.array([x.gamma.entries() for x in elts], dtype=np.int64).T[:, :, None, None]
     z = np.array(env.upper)[:, None]
@@ -546,9 +556,7 @@ def check_rep_well_defined(env: _Env) -> dict:
 def check_rep_homomorphism(env: _Env) -> dict:
     rho = eta_character()
     rho_hat = rho.induce(Weight(1))
-    pairs = env.sample_pairs(env.pair_count)
-    sl = env.cover.sl_elements()
-    sl_pairs = [(sl[i], sl[j]) for i, j in env.rng.integers(0, len(sl), size=(env.pair_count, 2))]
+    pairs, sl_pairs = env.rep_pairs, env.sl_pairs
     ident, gaps = MetaElt.identity(), []
     for rep, sample in ((rho_hat, pairs), (rho, sl_pairs)):
         at = {}  # each distinct factor and product evaluated once, in one batch
@@ -596,20 +604,20 @@ def check_rep_induction_matrices(env: _Env) -> dict:
 
 def check_restriction_round_trip(env: _Env) -> dict:
     def cases():
-        e4 = env.form("e4")
+        e4 = env.forms["e4"]
         upper_only = HoloFn(1, e4.fn.upper, None)
         rebuilt = extend_form(upper_only, e4.weight, Rep.trivial("GL"), points=env.upper)
         if rebuilt.fn.upper is not upper_only.upper:
             yield 1.0, {"detail": "extension must reuse the given upper evaluator"}
         for z in env.lower:
             yield _gap(rebuilt.at(z), e4.at(z)), {"form": "e4_even", "z": z}
-        hat = env.form("eta-hat")
+        hat = env.forms["eta-hat"]
         hat_rebuilt = extend_form(HoloFn(2, hat.fn.upper, None), hat.weight, hat.rep, points=env.upper)
         for z in env.lower:
             yield _gap(hat_rebuilt.at(z), hat.at(z)), {"form": "eta_hat", "z": z}
         # the eta character is no restriction: extension must refuse it
         try:
-            extend_form(eta_fn(env.qcfg), Weight(1), Rep.trivial("GL"), points=env.upper)
+            extend_form(env.forms["eta"].fn, Weight(1), Rep.trivial("GL"), points=env.upper)
         except ModularityError:
             return
         yield 1.0, {"detail": "eta must be rejected by scalar extension"}
@@ -618,9 +626,9 @@ def check_restriction_round_trip(env: _Env) -> dict:
 
 def check_induction_round_trip(env: _Env) -> dict:
     def cases():
-        hat = env.form("eta-hat")
+        hat = env.forms["eta-hat"]
         first, second = project_components(hat)
-        ef = eta_fn(env.qcfg)
+        ef = env.forms["eta"].fn
         for z in env.upper:
             yield (worst_residual((_gap(first.at(z), ef.at(z)), _gap(second.at(z), 0))),
                    {"detail": "projections must recover (eta, 0) exactly", "z": z})
@@ -629,7 +637,7 @@ def check_induction_round_trip(env: _Env) -> dict:
         for z in env.grid:
             yield _gap(rebuilt.at(z), hat.at(z)), {"form": "eta_hat rebuild", "z": z}
         # a second instance with both components nonzero
-        e4 = env.form("e4")
+        e4 = env.forms["e4"]
         f_up = HoloFn(1, e4.fn.upper, None)
         g_up = f_up.scale(0.5)
         stacked = induce_form(VVForm(f_up, Weight(8), Rep.trivial("SL")), VVForm(g_up, Weight(8), Rep.trivial("SL")),
@@ -755,7 +763,7 @@ def check_eisenstein_even_extension(env: _Env) -> dict:
 
     def cases():
         for label, name in (("e4_even", "e4"), ("e6_even", "e6")):
-            form = env.form(name)
+            form = env.forms[name]
             yield form.residual(gens, env.grid), {"form": label}
             for z in env.upper:
                 yield _gap(form.at(-z), form.at(z)), {"form": label, "z": z, "detail": "even symmetry"}
@@ -780,7 +788,7 @@ def check_triangular_parity(env: _Env) -> dict:
 
 def check_eta_hat_identities(env: _Env) -> dict:
     cfg = env.qcfg
-    hat = env.form("eta-hat")
+    hat = env.forms["eta-hat"]
     flip = np.array([[0, -1j], [1j, 0]], dtype=complex)
     r_image = np.array([[0, 1], [-1, 0]], dtype=complex)
 
@@ -800,18 +808,12 @@ def check_eta_hat_identities(env: _Env) -> dict:
 
 
 def check_holomorphy_probes(env: _Env) -> dict:
-    cfg = env.qcfg
     step = 1e-5
     probes = [z for z in env.upper if z.imag >= 0.8][:6]
-    series = {
-        "eta": (lambda z: np.array([eta(z, cfg)]), probes),
-        "e4": (lambda z: np.array([eisenstein(4, z, cfg)]), probes),
-        "e6": (lambda z: np.array([eisenstein(6, z, cfg)]), probes),
-        "eta_hat_upper": (lambda z: eta_hat(z, cfg), probes),
-        "eta_hat_lower": (lambda z: eta_hat(z, cfg), [z.conjugate() for z in probes]),
-    }
-    cases = ((holomorphy_residual(fn, z, step), {"series": name, "z": z})
-             for name, (fn, pts) in series.items() for z in pts)
+    series = (("eta", "eta", probes), ("e4", "e4", probes), ("e6", "e6", probes), ("eta_hat_upper", "eta-hat", probes),
+              ("eta_hat_lower", "eta-hat", [z.conjugate() for z in probes]))
+    cases = ((holomorphy_residual(env.forms[form].at, z, step), {"series": name, "z": z})
+             for name, form, pts in series for z in pts)
     return _sweep_cases(env, {"step": step, "points": len(probes)}, 1e-6, cases,
                         universe="grid points with Im z >= 0.8")
 
@@ -857,12 +859,13 @@ ALGEBRA_CHECK_IDS = tuple(name for name, _ in CHECKS if name.startswith("algebra
 def run_certification(max_word_len: int = DEFAULT_MAX_WORD_LEN, *, tol: float | None = None,
                       points: Sequence[complex] | None = None, seed: int = DEFAULT_SEED,
                       pair_count: int = DEFAULT_PAIR_COUNT, force: bool = False,
-                      qcfg: QSeriesConfig = CERTIFY_CONFIG,
+                      min_im: float = CERTIFY_CONFIG.min_im,
                       check_filter: Sequence[str] | None = None) -> dict:
     """Run the suite and return the report dictionary.
 
     ``tol`` overrides every numeric tolerance when given; exact sign/integer
-    checks are unaffected.  ``check_filter`` restricts to the named checks and
+    checks are unaffected.  ``min_im`` is the q-series' near-axis refusal
+    threshold.  ``check_filter`` restricts to the named checks and
     refuses ids that name no check.  A check that raises one of the package's
     own errors fails with the error text as its counterexample; the others
     still run.
@@ -874,8 +877,8 @@ def run_certification(max_word_len: int = DEFAULT_MAX_WORD_LEN, *, tol: float | 
         raise DomainError("check filter names no check")
     unknown = (wanted or set()) - {name for name, _ in CHECKS}
     if unknown:
-        raise DomainError(f"unknown check ids: {', '.join(sorted(unknown))}")
-    env = _Env(max_word_len, tol, points, seed, pair_count, force, qcfg)
+        raise DomainError(f"unknown check ids: {', '.join(sorted(cid or repr(cid) for cid in unknown))}")
+    env = _Env(max_word_len, tol, points, seed, pair_count, force, min_im)
     reports = []
     for name, fn in CHECKS:
         if wanted is not None and name not in wanted:

@@ -64,7 +64,6 @@ def _strict_json(value) -> str:
 
 
 def _cmd_certify(args) -> int:
-    qcfg = replace(CERTIFY_CONFIG, min_im=args.min_im)
     points = load_points(args.samples) if args.samples else None
     report = run_certification(
         max_word_len=args.max_word_len,
@@ -73,7 +72,7 @@ def _cmd_certify(args) -> int:
         seed=args.seed,
         pair_count=args.pairs,
         force=args.force,
-        qcfg=qcfg,
+        min_im=args.min_im,
         check_filter=args.only.split(",") if args.only is not None else None,
     )
     for check in report["checks"]:

@@ -363,12 +363,13 @@ def lattice_sum(k: int, z, rows: int) -> complex:
 
 
 def _product_in_range(factors: Iterable[complex], lead_exponent: complex = 0j) -> complex:
-    """e^lead_exponent times ``factors``; refused, not inf or NaN, if a factor or the value overflows a float."""
+    """e^lead_exponent times ``factors``; refused, not inf or NaN, if a factor or the value overflows a float, or a
+    phase does (``cmath.exp`` takes no infinite imaginary part)."""
     try:
         out = math.prod(factors, start=cmath.exp(lead_exponent))
         if cmath.isfinite(out):
             return out
-    except OverflowError:
+    except (OverflowError, ValueError):
         pass
     raise ResourceLimitError("the finite product leaves the floating-point range")
 

@@ -1,8 +1,10 @@
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +88,7 @@ def test_branch_sign_is_computed_once_per_matrix_but_errors_are_not_kept(monkeyp
     monkeypatch.setattr(certify, "branch_signs",
                         lambda mats, points: passes.append(list(mats)) or np.zeros(len(mats), dtype=np.int64))
     monkeypatch.setattr(certify, "branch_profile", refuses)
-    env = certify._Env(1, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG)
+    env = certify._Env(1, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG.min_im)
     passes.clear()
     for _ in range(2):
         with pytest.raises(DomainError, match="not a constant sign"):
@@ -159,7 +161,7 @@ def _array_rule(cases):
 
 def _sweeps_of(cases):
     """The verdict of ``_sweep`` on the residual array and of its adapter ``_sweep_cases`` on the pairs."""
-    env = certify._Env(0, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG)
+    env = certify._Env(0, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG.min_im)
     reports = (certify._sweep(env, {}, -1.0, [r for r, _ in cases], lambda i: cases[i][1]),
                certify._sweep_cases(env, {}, -1.0, iter(cases)))
     return [(report["max_residual"], report["counterexample"]) for report in reports]
@@ -444,21 +446,53 @@ def test_algebra_checks_pass_on_the_deep_universe():
 
 @pytest.mark.parametrize("count, combos", [(7, {"(-1,-1)": 1, "(-1,1)": 2, "(1,-1)": 2, "(1,1)": 2}),
                                            (1, {"(1,1)": 1})])
-def test_pair_draws_have_the_asked_count(monkeypatch, count, combos):
+def test_pair_draws_have_the_asked_count(count, combos):
     """``--pairs N`` draws exactly N pairs for each pair-based check, also when 4 does not divide N; the
     first det combinations take the remainder."""
-    sizes, draw = [], certify._Env.sample_pairs
-
-    def spy(env, n):
-        pairs = draw(env, n)
-        sizes.append(len(pairs))
-        return pairs
-
-    monkeypatch.setattr(certify._Env, "sample_pairs", spy)
+    env = certify._Env(2, None, None, certify.DEFAULT_SEED, count, False, CERTIFY_CONFIG.min_im)
+    samples = (env.section_pairs, env.composition_pairs, env.rep_pairs, env.sl_pairs)
+    assert [len(pairs) for pairs in samples] == [count] * 4
+    for pairs in (env.composition_pairs, env.rep_pairs):
+        assert Counter(f"({x.det()},{y.det()})" for x, y in pairs) == combos
+    assert all(x.det() == y.det() == 1 for pairs in (env.section_pairs, env.sl_pairs) for x, y in pairs)
     report = run_certification(2, pair_count=count, check_filter=["action_composition", "rep_homomorphism"])
-    composition, _ = report["checks"]
+    composition, homomorphism = report["checks"]
     assert composition["params"]["pairs"] == count and composition["params"]["det_combinations"] == combos
-    assert sizes == [count, count]
+    assert homomorphism["params"]["pairs_per_rep"] == count
+
+
+def test_each_check_reports_alone_what_it_reports_in_the_full_run():
+    """A check run alone by ``check_filter`` reports exactly its entry of the full run, as the setup draws every
+    sample before any check runs: each check at word length 4, and the three sampling checks at word length 7,
+    seed 4, where action_composition fails narrowly (1.0956e-9 against 1e-9)."""
+    sampling_checks = ["phi_section_consistency", "action_composition", "rep_homomorphism"]
+    for kwargs, ids in (({"max_word_len": 4}, [cid for cid, _ in certify.CHECKS]),
+                        ({"max_word_len": 7, "seed": 4}, sampling_checks)):
+        full = {check["check_id"]: check for check in run_certification(**kwargs)["checks"]}
+        for cid in ids:
+            assert run_certification(**kwargs, check_filter=[cid])["checks"] == [full[cid]], (kwargs, cid)
+    assert (full["action_composition"]["pass"], full["action_composition"]["max_residual"]) == (
+        False, 1.0956025791837782e-09)
+    assert full["rep_homomorphism"]["max_residual"] == 1.6748644393020148e-14
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, "seed must be at least 0, got -1"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": 4.0}, "seed must be an integer, got 4.0"),
+    ({"pair_count": 2.5}, "pair count must be an integer, got 2.5"),
+    ({"pair_count": True}, "pair count must be an integer, got True"),
+    ({"pair_count": 0}, "pair count must be at least 1, got 0"),
+    ({"max_word_len": True}, "word length bound must be an integer, got True"),
+    ({"max_word_len": 2.5}, "word length bound must be an integer, got 2.5"),
+    ({"max_word_len": -1}, "word length bound must be at least 0, got -1"),
+    ({"points": []}, "the sample point set is empty"),
+])
+def test_the_setup_refuses_bad_arguments(kwargs, message):
+    """A seed, pair count or word length bound that is a bool, no int or too small, and an empty point set, are
+    refused before any check runs; ``points=None`` is the standard grid."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        run_certification(**{"max_word_len": 0, **kwargs})
 
 
 def test_a_wrong_det_minus_one_phase_fails_the_reflection_check(monkeypatch):

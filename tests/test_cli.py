@@ -108,7 +108,7 @@ def test_eval_usage_errors(capsys):
         assert f"point {shown} is not a finite complex number" in err
     # the product is finite, but beyond the floating-point range: refused, not printed as NaN
     # and so is a series whose exponent 2 pi i z n overflows at a huge real part
-    for form, z in (("zn:200", "0+1i"), ("zn:60", "0.5+3i"), ("zn:400", "0+1i"),
+    for form, z in (("zn:200", "0+1i"), ("zn:60", "0.5+3i"), ("zn:400", "0+1i"), ("zn:3", "1e308+1i"),
                     ("eta", "1e308+1i"), ("eta", "3e306+0.5i"), ("eta-hat", "1e308-1i")):
         code, out, err = run_cli(capsys, "eval", "--form", form, "--z", z)
         assert code == 2 and out == "" and "leaves the floating-point range" in err, form
@@ -260,6 +260,17 @@ def test_certify_only_runs_the_named_checks(capsys, tmp_path):
 
 def test_certify_refuses_an_empty_only(capsys):
     assert run_cli(capsys, "certify", "--max-word-len", "0", "--only", "") == (2, "", "error: check filter names no check\n")
+    # an empty id beside a named one is named as such
+    assert run_cli(capsys, "certify", "--max-word-len", "0", "--only", "algebra_unit_values,") == (
+        2, "", "error: unknown check ids: ''\n")
+
+
+def test_certify_refuses_a_negative_seed(capsys, tmp_path):
+    """A negative seed is a usage error, exit 2 with one line naming it, not a failed check."""
+    out_path = tmp_path / "report.json"
+    assert run_cli(capsys, "certify", "--max-word-len", "0", "--seed", "-1", "--json", str(out_path)) == (
+        2, "", "error: seed must be at least 0, got -1\n")
+    assert not out_path.exists()
 
 
 def test_certify_depth_bound(capsys):
@@ -305,27 +316,38 @@ def test_non_finite_tolerance_is_refused(capsys, tmp_path):
 
 
 def test_certify_check_error_becomes_that_checks_failure(capsys, tmp_path, monkeypatch):
+    """A check that raises one of the package's own errors fails with it as its counterexample, and the others
+    still run: an eta-hat that raises where it is evaluated fails exactly the checks that evaluate it.  The
+    named forms are built at setup, so a builder that raises refuses the run before any check runs."""
     from metaplectic import qseries
     from metaplectic.certify import CHECKS
     from metaplectic.errors import ModularityError
+    from metaplectic.reps import VVForm
+    from metaplectic.slash import HoloFn
 
-    def broken(cfg):
-        raise ModularityError("induced form fails certification (residual 1.5e+00 > 1.0e-09)")
+    message = "induced form fails certification (residual 1.5e+00 > 1.0e-09)"
+
+    def broken(*args):
+        raise ModularityError(message)
 
     monkeypatch.setitem(qseries.NAMED_FORMS, "eta-hat", broken)
     out_path = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, "certify", "--max-word-len", "1", "--json", str(out_path))
+    argv = ("certify", "--max-word-len", "1", "--json", str(out_path))
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n") and not out_path.exists()
+    hat = qseries.eta_hat_form(qseries.CERTIFY_CONFIG)
+    raising = VVForm(HoloFn(2, broken, broken), hat.weight, hat.rep)
+    monkeypatch.setitem(qseries.NAMED_FORMS, "eta-hat", lambda cfg: raising)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     report = json.loads(out_path.read_text())
     assert report["pass"] is False
     assert sorted(c["check_id"] for c in report["checks"]) == sorted(cid for cid, _ in CHECKS)
     failed = {c["check_id"]: c for c in report["checks"] if not c["pass"]}
     assert set(failed) == {"action_composition", "action_reflection_forms", "form_restriction_round_trip",
-                           "form_induction_round_trip", "eta_hat_identities"}
+                           "form_induction_round_trip", "eta_hat_identities", "holomorphy_probes"}
     for check in failed.values():
         assert set(check) == {"check_id", "params", "universe", "max_residual", "pass", "counterexample"}
-        assert check["counterexample"] == {
-            "error": "ModularityError: induced form fails certification (residual 1.5e+00 > 1.0e-09)"}
+        assert check["counterexample"] == {"error": f"ModularityError: {message}"}
     assert "FAIL  eta_hat_identities" in out
 
 

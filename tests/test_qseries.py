@@ -360,6 +360,10 @@ def test_triangular_product_basics():
         for bad in (complex("nan"), complex(0.1, math.inf)):
             with pytest.raises(DomainError, match="is not a finite complex number"):
                 product(3, bad)
+        # pi n Re z overflows far from the origin, and cmath.exp takes no infinite phase: refused as out of range
+        for far in (1e308 + 1j, -1e308 + 1j, 1e308 - 1e308j):
+            with pytest.raises(ResourceLimitError, match="leaves the floating-point range"):
+                product(3, far)
 
 
 def test_triangular_parity_exact():
