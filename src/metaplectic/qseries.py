@@ -58,8 +58,9 @@ DEFAULT_CONFIG = QSeriesConfig()
 
 REDUCTION_STEPS = 500  # cap on the steps of a fundamental-domain reduction
 
-# eta_batch's multipliers by carried index, 0 exactly 1; the scalar eta takes root24(index), staying in Python complex
-_ETA_ROOTS = np.array([root24(n) for n in range(24)])
+# eta's multipliers by carried index, 0 exactly 1: Python complex for the scalar eta, an array for eta_batch
+_ETA_ROOT_LIST = [root24(n) for n in range(24)]
+_ETA_ROOTS = np.array(_ETA_ROOT_LIST)
 
 _QPOW_ANCHOR = 8  # the batch series take q^k from one exponential at every 8th k, as q^(k-1) * q in between
 
@@ -67,13 +68,16 @@ _QPOW_ANCHOR = 8  # the batch series take q^k from one exponential at every 8th 
 CERTIFY_CONFIG = QSeriesConfig(tail_tolerance=1e-17, max_terms=2_000_000, min_im=1e-6)
 
 
-def _require_workable(z, cfg: QSeriesConfig) -> complex:
+def _require_workable(z, cfg: QSeriesConfig) -> tuple[complex, int]:
+    """z - r and T^-r's eta multiplier index -r mod 24 for r = round(Re z), exact, once z is not refused: eta(z) =
+    e^(2 pi i r/24) eta(z - r) and E4, E6 are 1-periodic, so no series sees |Re z| > 1/2."""
     z = require_upper(z)
     if z.imag < cfg.min_im:
         raise DomainError(
             f"point {z} is closer than {cfg.min_im} to the real axis; "
             "pass a config with a smaller min_im to evaluate here")
-    return z
+    r = round(z.real)
+    return z - r, -r % 24
 
 
 def _truncation_index(im: float, cfg: QSeriesConfig, extra_log: float = 0.0) -> int:
@@ -87,7 +91,7 @@ def _truncation_index(im: float, cfg: QSeriesConfig, extra_log: float = 0.0) -> 
 
 def _series_argument(z: complex, n: int) -> complex:
     """2 pi i z, so that q^k = e^(k arg); refused when the last exponent n arg leaves the floating-point range,
-    as it does at a finite point with a huge real part."""
+    as it does at a finite point with a huge imaginary part."""
     arg = 2j * cmath.pi * z
     if not cmath.isfinite(arg * n):
         raise ResourceLimitError(f"the q-series exponent 2 pi i z * {n} at z = {z} leaves the floating-point range")
@@ -95,20 +99,21 @@ def _series_argument(z: complex, n: int) -> complex:
 
 
 def _truncation_indices(im: np.ndarray, cfg: QSeriesConfig, extra_log=0.0) -> np.ndarray:
-    """``_truncation_index`` elementwise: the point needing the most terms raises its error."""
-    n = np.maximum(np.ceil((math.log(1 / cfg.tail_tolerance) + extra_log) / (2 * math.pi * im)), 1)
+    """``_truncation_index`` elementwise, one term where 2 pi Im overflows: the point needing the most terms raises."""
+    with np.errstate(over="ignore"):
+        n = np.maximum(np.ceil((math.log(1 / cfg.tail_tolerance) + extra_log) / (2 * math.pi * im)), 1)
     if n.max(initial=1) > cfg.max_terms:
         i = np.argmax(n)
         _truncation_index(float(im[i]), cfg, float(np.broadcast_to(extra_log, im.shape)[i]))
     return n.astype(np.int64)
 
 
-def _reduce(z: complex) -> tuple[tuple[int, int, int, int], complex, complex, int]:
+def _reduce(z: complex, n: int = 0) -> tuple[tuple[int, int, int, int], complex, complex, int]:
     """Exact determinant-one g = [[a, b], [c, d]] with g.z in the standard fundamental domain, as (a, b, c, d), g.z,
-    g's argument j = c*z + d and ``eta_multiplier_index(g)`` carried by the steps (s for T^s, ``_eta_s_step`` for S),
-    for a point that ``require_upper`` has already returned.  The matrix is tracked in integers and the moving point
+    g's argument j = c*z + d and n + ``eta_multiplier_index(g)`` carried by the steps (s for T^s, ``_eta_s_step`` for
+    S), for a point and index n from ``_require_workable``.  The matrix is tracked in integers and the moving point
     is recomputed from the original z at every step, so the result is reproducible."""
-    a, b, c, d, n = 1, 0, 0, 1, 0
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(REDUCTION_STEPS):
         w, j = pullback(a, b, c, d, z)
         shift = -round(w.real)
@@ -131,22 +136,22 @@ def _eta_s_step(a, c, d):
 
 
 def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Refuse as ``_require_workable`` does (the first refused point raises), then ``_reduce`` where ``todo``:
-    every point's matrix as a column of int64 rows (a, b, c, d) below 2^31, its reduced point, its j and its
-    ``eta_multiplier_index``, 1 and 0 where nothing was reduced.  The index is carried through the steps, s for
-    T^s and ``_eta_s_step`` for S.  The live points' rows and z are kept compact, shrunk where a point finishes."""
+    """Refuse and take r = round(Re z) off as ``_require_workable`` does (the first refused point raises), then
+    ``_reduce`` where ``todo``: every point's matrix of z - r as a column of int64 rows (a, b, c, d) below 2^31, its
+    reduced point, its j and its carried index -r + ``eta_multiplier_index``; the identity, z - r, 1 and -r mod 24
+    where nothing was reduced.  The live points' rows and z are kept compact, shrunk where a point finishes."""
     bad = ~np.isfinite(z) | (z.imag <= AXIS_TOLERANCE) | (z.imag < cfg.min_im)
     if bad.any():
         _require_workable(complex(z[np.argmax(bad)]), cfg)
-    m, n0 = np.repeat(np.array([[1], [0], [0], [1]], dtype=np.int64), z.size, axis=1), np.zeros(z.shape, dtype=np.int64)
-    w0, j0, todo = z.copy(), np.ones(z.shape, dtype=complex), np.flatnonzero(todo)
-    (a, b, c, d), n, live = m[:, todo], n0[todo], z[todo]
+    r, m = np.round(z.real), np.repeat(np.array([[1], [0], [0], [1]], dtype=np.int64), z.size, axis=1)
+    w0, j0, n0, todo = z - r, np.ones(z.shape, dtype=complex), np.mod(-r, 24).astype(np.int64), np.flatnonzero(todo)
+    (a, b, c, d), n, live = m[:, todo], n0[todo], w0[todo]
     for _ in range(REDUCTION_STEPS):
         w, j = pullback(a, b, c, d, live)
         shift = -np.round(w.real)
         over = np.maximum.reduce([np.abs(shift), np.abs(a), np.abs(b), np.abs(c), np.abs(d)]) >= 2 ** 31
         if over.any():
-            raise ResourceLimitError(f"fundamental-domain reduction of {complex(live[np.argmax(over)])} leaves int64")
+            raise ResourceLimitError(f"fundamental-domain reduction of {complex(z[todo[over]][0])} leaves int64")
         s = shift.astype(np.int64)
         a, b, n = a + s * c, b + s * d, n + s  # T^shift * g
         w = w + shift
@@ -158,21 +163,21 @@ def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tup
         (a, b, c, d), live, todo = (-c[flip], -d[flip], a[flip], b[flip]), live[flip], todo[flip]
         if not todo.size:
             return m, w0, j0, n0
-    raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {complex(live[0])}")
+    raise ResourceLimitError(f"fundamental-domain reduction did not terminate at {complex(z[todo[0]])}")
 
 
 def _by_truncation(arg: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, ...]:
     """The batch series' layout, refusing as the scalar series do where 2 pi i arg n leaves the float range: the
-    order sorting n descending, arg and -n in it, and ``_qpow``'s x = Re arg - round(Re arg) = hi / 2^26 + lo."""
+    order sorting n descending, arg and -n in it, and ``_qpow``'s x = Re arg = hi / 2^26 + lo, as every arg is
+    shifted to |Re arg| <= 1/2 by ``_reduce_workable``."""
     with np.errstate(over="ignore", invalid="ignore"):
         bad = ~np.isfinite((2j * np.pi * arg) * n)
     if bad.any():
         _series_argument(complex(arg[np.argmax(bad)]), int(n[np.argmax(bad)]))
     order = np.argsort(-n, kind="stable")
     arg = arg[order]
-    x = arg.real - np.round(arg.real)
-    hi = np.round(x * 2 ** 26).astype(np.int64)
-    return order, arg, -n[order], hi, x - hi / 2 ** 26
+    hi = np.round(arg.real * 2 ** 26).astype(np.int64)
+    return order, arg, -n[order], hi, arg.real - hi / 2 ** 26
 
 
 def _qpow(hi: np.ndarray, lo: np.ndarray, im: np.ndarray, k: int) -> np.ndarray:
@@ -203,8 +208,8 @@ def _live_point_series(arg: np.ndarray, n: np.ndarray, start: complex, combine, 
 def _eta_pentagonal(z: np.ndarray, cfg: QSeriesConfig) -> np.ndarray:
     """``eta_batch`` unreduced, refused where it is, as Euler's series e^(pi i z/12) sum_n (-1)^n q^(n(3n-1)/2)
     (Apostol, Modular Functions and Dirichlet Series, ch. 3) up to the product's truncation index: both drop only
-    powers past it.  A term is one ``_qpow``, and e^(pi i z/12) takes r = round(Re z) as ``_ETA_ROOTS[r mod 24]``."""
-    _, z, _, _ = _reduce_workable(z, cfg, np.zeros(z.shape, dtype=bool))
+    powers past it.  A term is one ``_qpow`` at z - round(Re z), and the sum is divided by the carried index's root."""
+    _, z, _, index = _reduce_workable(z, cfg, np.zeros(z.shape, dtype=bool))
     n = _truncation_indices(z.imag, cfg)
     order, z, neg_n, hi, lo = _by_truncation(z, n)
     top, acc = int(n.max(initial=0)), np.ones(z.shape, dtype=complex)
@@ -212,9 +217,9 @@ def _eta_pentagonal(z: np.ndarray, cfg: QSeriesConfig) -> np.ndarray:
     m = k * (3 * k - 1) // 2  # every generalized pentagonal number up to top, ascending; none is live past top
     for e, sign, live in zip(m.tolist(), (1 - 2 * (k % 2)).tolist(), np.searchsorted(neg_n, -m, side="right")):
         acc[:live] += sign * _qpow(hi[:live], lo[:live], z.imag[:live], e)
-    r, out = np.round(z.real), np.empty_like(acc)
-    out[order] = _ETA_ROOTS[np.mod(r, 24).astype(np.int64)] * np.exp(1j * np.pi * (z - r) / 12) * acc
-    return out
+    out = np.empty_like(acc)
+    out[order] = np.exp(1j * np.pi * z / 12) * acc
+    return out / _ETA_ROOTS[index]
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -263,16 +268,16 @@ def eta_multiplier_index(g: Mat2) -> int:
 def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     """Weight-1/2 eta product on the upper half-plane.
 
-    With ``cfg.reduce``, arguments below Im z = 0.25 are moved up by an exact
-    integer matrix and the value is carried back through ``root24`` of the
-    multiplier index ``_reduce`` carries and the principal sqrt(c z + d); the
-    raw product is only ever summed at well-separated points.
+    The argument is shifted to |Re z| <= 1/2, and with ``cfg.reduce`` one below
+    Im z = 0.25 is moved up by an exact integer matrix; the value is carried back
+    through the root of the index the shift and ``_reduce`` carry and the
+    principal sqrt(c z + d), so the raw product is summed at well-separated points.
     """
-    z = _require_workable(z, cfg)
+    z, index = _require_workable(z, cfg)
     if cfg.reduce and z.imag < 0.25:
-        _, w0, j, index = _reduce(z)
-        return _eta_series(w0, cfg) / (root24(index) * principal_sqrt(j))
-    return _eta_series(z, cfg)
+        _, z, j, index = _reduce(z, index)
+        return _eta_series(z, cfg) / (_ETA_ROOT_LIST[index] * principal_sqrt(j))
+    return _eta_series(z, cfg) / _ETA_ROOT_LIST[index]
 
 
 def _eta_series(z: complex, cfg: QSeriesConfig) -> complex:
@@ -308,7 +313,7 @@ def eisenstein(k: int, z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     """
     if k not in _EIS_COEFF:
         raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
-    z = _require_workable(z, cfg)
+    z, _ = _require_workable(z, cfg)
     if cfg.reduce:
         _, w0, j, _ = _reduce(z)
         return _eisenstein_series(k, w0, cfg) * cpow_int(j, -k)
@@ -363,31 +368,32 @@ def lattice_sum(k: int, z, rows: int) -> complex:
 
 
 def _product_in_range(factors: Iterable[complex], lead_exponent: complex = 0j) -> complex:
-    """e^lead_exponent times ``factors``; refused, not inf or NaN, if a factor or the value overflows a float, or a
-    phase does (``cmath.exp`` takes no infinite imaginary part)."""
+    """e^lead_exponent times ``factors``; refused, not inf or NaN, if a factor or the value overflows a float."""
     try:
         out = math.prod(factors, start=cmath.exp(lead_exponent))
         if cmath.isfinite(out):
             return out
-    except (OverflowError, ValueError):
+    except OverflowError:
         pass
     raise ResourceLimitError("the finite product leaves the floating-point range")
 
 
 def triangular_product(n_factors: int, z) -> complex:
-    """The finite product prod_{n<=N} (e^{-pi i n z} - e^{pi i n z}); entire in z."""
+    """The finite product prod_{n<=N} (e^{-pi i n z} - e^{pi i n z}); entire in z, taken at z shifted by period 2."""
     if n_factors < 0:
         raise DomainError("the number of factors must be nonnegative")
     z = require_finite(z)
+    z -= 2 * round(z.real / 2)
     args = (1j * cmath.pi * n * z for n in range(1, n_factors + 1))
     return _product_in_range(cmath.exp(-arg) - cmath.exp(arg) for arg in args)
 
 
 def triangular_product_factored(n_factors: int, z) -> complex:
-    """Same product in the pulled-out form e^{-pi i z N(N+1)/2} prod (1 - e^{2 pi i n z})."""
+    """Same product in the pulled-out form e^{-pi i z N(N+1)/2} prod (1 - e^{2 pi i n z}), shifted as it is."""
     if n_factors < 0:
         raise DomainError("the number of factors must be nonnegative")
     z = require_finite(z)
+    z -= 2 * round(z.real / 2)
     return _product_in_range((1 - cmath.exp(2j * cmath.pi * n * z) for n in range(1, n_factors + 1)),
                              -1j * cmath.pi * z * n_factors * (n_factors + 1) / 2)
 

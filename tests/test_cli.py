@@ -97,6 +97,20 @@ def test_eval_takes_a_negative_real_part_through_the_equals_spelling(capsys):
     assert code == 0 and out.strip() == format_complex(NAMED_FORMS["e6"](DEFAULT_CONFIG).at(z)[0])
 
 
+def test_eval_takes_a_huge_real_part_off_exactly(capsys):
+    """eta(z + r) = e^(2 pi i r/24) eta(z) for an integer r, and every factor of zn:N has period 2: 1e12 is 16
+    mod 24, so eta(1e12 + i) = e^(2 pi i 16/24) eta(i) and eta-hat(1e12 - i) = (0, i e^(2 pi i 8/24) eta(i)),
+    and zn:N at 1e200 + i and 1e308 + i is its value at i, 2 sinh(pi) for N = 1."""
+    eta_i, third = 0.7682254223260566590025941795761806445179, np.exp(2j * np.pi / 3)
+    eta_far, zn1 = format_complex(third ** 2 * eta_i), format_complex(complex(2 * np.sinh(np.pi)))
+    assert (eta_far, zn1) == ("-0.384112711163-0.665302731567i", "23.0974787145+0i")
+    for form, z, shown in (("eta", "1e12+1i", eta_far),
+                           ("eta-hat", "1e12-1i", f"(0+0i, {format_complex(1j * third * eta_i)})"),
+                           ("zn:1", "1e200+1i", zn1), ("zn:3", "1e308+1i", format_complex(triangular_product(3, 1j)))):
+        code, out, _ = run_cli(capsys, "eval", "--form", form, "--z", z)
+        assert (code, out) == (0, shown + "\n"), form
+
+
 def test_eval_usage_errors(capsys):
     assert run_cli(capsys, "eval", "--form", "nope", "--z", "1i")[0] == 2
     assert run_cli(capsys, "eval", "--form", "eta", "--z", "0.5")[0] == 2  # on the axis
@@ -107,9 +121,9 @@ def test_eval_usage_errors(capsys):
         assert code == 2 and out == ""
         assert f"point {shown} is not a finite complex number" in err
     # the product is finite, but beyond the floating-point range: refused, not printed as NaN
-    # and so is a series whose exponent 2 pi i z n overflows at a huge real part
-    for form, z in (("zn:200", "0+1i"), ("zn:60", "0.5+3i"), ("zn:400", "0+1i"), ("zn:3", "1e308+1i"),
-                    ("eta", "1e308+1i"), ("eta", "3e306+0.5i"), ("eta-hat", "1e308-1i")):
+    # and so is a series whose exponent 2 pi i z n overflows at a huge imaginary part
+    for form, z in (("zn:200", "0+1i"), ("zn:60", "0.5+3i"), ("zn:400", "0+1i"), ("zn:3", "0.5+1e308i"),
+                    ("eta", "0.3+1e308i"), ("e4", "0.2+3e307i"), ("eta-hat", "0.3-1e308i")):
         code, out, err = run_cli(capsys, "eval", "--form", form, "--z", z)
         assert code == 2 and out == "" and "leaves the floating-point range" in err, form
     assert run_cli(capsys, "eval", "--elem", "Q")[0] == 2

@@ -8,6 +8,7 @@ check fails inside a form's builder.
 """
 
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ _BIT = cover_module.cocycle_bit
 _CZ_PLUS_D = automorphy_module.cz_plus_d
 _S_STEP = qseries_module._eta_s_step
 _QPOW = qseries_module._qpow
+_REQUIRE_WORKABLE, _REDUCE_WORKABLE = qseries_module._require_workable, qseries_module._reduce_workable
 
 
 # their rebuilds certify with ``extend_form`` and ``induce_form``, so a refused rebuild is their own comparison
@@ -153,3 +155,32 @@ def test_a_dropped_pentagonal_term_fails_exactly_the_eta_multiplier_universe(mon
     assert np.array_equal(qseries_module.eta_batch(z, cfg), product)
     assert np.all(np.abs(qseries_module._eta_pentagonal(z, cfg) - series) > 1e-3)
     assert _failed_checks() == {"eta_multiplier_universe"}
+
+
+def _scalar_shift_forward(z, cfg):
+    """The scalar shift carrying +r, not T^-r's -r, into eta's index for r = round(Re z)."""
+    z, n = _REQUIRE_WORKABLE(z, cfg)
+    return z, -n % 24
+
+
+def _batch_shift_forward(z, cfg, todo):
+    """The batch shift carrying +r, not -r, into eta's index: the index moves by 2r mod 24."""
+    m, w, j, n = _REDUCE_WORKABLE(z, cfg, todo)
+    return m, w, j, (n + 2 * np.mod(np.round(z.real), 12).astype(np.int64)) % 24
+
+
+def test_a_shift_mutant_fails_exactly_its_pinned_checks(monkeypatch):
+    """Both routes take r = round(Re z) off first and carry T^-r's index -r; the mutant carries +r on both, so
+    eta moves by e^(-2 pi i 2r/24), reduced or not, and E4 and E6 do not move.  ``eta_reduction_agreement``
+    passes: its two sides take the same shift.  The two round trips fail in their certified rebuilds."""
+    z, cfg = np.array([1.3 + 0.003j, 0.7 + 0.9j, -2.2 + 0.5j]), qseries_module.CERTIFY_CONFIG
+    routes = (lambda: qseries_module.eta_batch(z, cfg), lambda: [qseries_module.eta(p, cfg) for p in z.tolist()],
+              lambda: qseries_module._eta_pentagonal(z, replace(cfg, reduce=False)))
+    before, e4 = [np.array(route()) for route in routes], qseries_module.eisenstein_batch(4, z, cfg)
+    monkeypatch.setattr(qseries_module, "_require_workable", _scalar_shift_forward)
+    monkeypatch.setattr(qseries_module, "_reduce_workable", _batch_shift_forward)
+    turn = np.exp(-2j * np.pi * 2 * np.round(z.real) / 24)
+    assert all(np.allclose(route(), value * turn, rtol=1e-14, atol=0) for route, value in zip(routes, before))
+    assert np.array_equal(qseries_module.eisenstein_batch(4, z, cfg), e4)
+    assert _failed_checks() == {"action_composition", "eta_inversion_law", "eta_multiplier_universe", "eta_shift_law",
+                                *_REBUILDING_CHECKS}

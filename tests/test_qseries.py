@@ -135,17 +135,19 @@ def test_the_eta_routes_compute_no_multiplier_index(monkeypatch, qcfg):
 
 
 def test_reduction_carries_the_eta_multiplier_index(qcfg):
-    """Every column's carried index is ``eta_multiplier_index`` of its matrix, down to Im 1e-6 and out to
-    |Re| 1e6; the columns left unreduced carry the identity's 0.  The scalar ``_reduce`` gives every reduced
-    point the same entries and index as the batch route."""
+    """Every column's matrix reduces z - r, r = round(Re z), and its carried index is ``eta_multiplier_index``
+    of the matrix times T^-r, which takes z itself there, down to Im 1e-6 and out to |Re| 1e6; the columns left
+    unreduced carry T^-r's -r.  The scalar ``_reduce`` of ``_require_workable``'s shifted point and index gives
+    every reduced point the same entries and index as the batch route."""
     rng = np.random.default_rng(20250405)
     im = 10 ** rng.uniform(-6, math.log10(0.25), 3000)
     z = rng.choice([-1, 1], im.size) * 10 ** rng.uniform(-3, 6, im.size) + 1j * im
     todo = rng.random(im.size) < 0.9
     m, _, _, index = qseries._reduce_workable(z, qcfg, todo)
     assert np.abs(m[2]).max() > 500  # deep reductions, far outside any certify universe
-    assert index.tolist() == [eta_multiplier_index(Mat2(*g)) for g in zip(*m.tolist())]
-    scalar = [qseries._reduce(p) for p in z[todo].tolist()]
+    r = np.round(z.real).astype(np.int64).tolist()
+    assert index.tolist() == [eta_multiplier_index(Mat2(*g) * Mat2(1, -s, 0, 1)) for g, s in zip(zip(*m.tolist()), r)]
+    scalar = [qseries._reduce(*qseries._require_workable(p, qcfg)) for p in z[todo].tolist()]
     assert [(g, n) for g, _, _, n in scalar] == list(zip(map(tuple, m[:, todo].T.tolist()), index[todo].tolist()))
 
 
@@ -244,14 +246,20 @@ def test_scalar_series_match_the_numpy_bodies(qcfg, raw_cfg):
 
 
 def test_scalar_series_refuse_an_exponent_past_the_float_range(raw_cfg):
-    """At a finite point with a huge real part the last exponent 2 pi i z n is not finite: the series refuse
-    the point instead of returning NaN or raising cmath's bare ValueError."""
-    for z in (1e308 + 1j, 3e306 + 0.5j):
+    """At a finite point with a huge imaginary part the last exponent 2 pi i z n is not finite: the series refuse
+    the point instead of returning NaN.  A huge real part is taken off exactly before any series runs: eta picks
+    up the root e^(2 pi i r/24) of r = round(Re z), and the 1-periodic E4, E6 sum at z - r bit for bit."""
+    for z in (0.3 + 1e308j, -0.2 + 3e307j):
         with pytest.raises(ResourceLimitError, match="leaves the floating-point range"):
             eta(z)
         for k in (4, 6):
             with pytest.raises(ResourceLimitError, match="leaves the floating-point range"):
                 eisenstein(k, z, raw_cfg)
+    for z in (1e308 + 1j, -3e306 + 0.5j):
+        r = round(z.real)
+        assert eta(z) == pytest.approx(root24(r % 24) * eta(z - r), rel=1e-15, abs=0)  # the roots' rounding
+        for k in (4, 6):
+            assert eisenstein(k, z, raw_cfg) == eisenstein(k, z - r, raw_cfg)
 
 
 def test_reduce_to_fundamental():
@@ -360,8 +368,11 @@ def test_triangular_product_basics():
         for bad in (complex("nan"), complex(0.1, math.inf)):
             with pytest.raises(DomainError, match="is not a finite complex number"):
                 product(3, bad)
-        # pi n Re z overflows far from the origin, and cmath.exp takes no infinite phase: refused as out of range
-        for far in (1e308 + 1j, -1e308 + 1j, 1e308 - 1e308j):
+        # every factor has period 2, so a huge real part is taken off exactly; a huge imaginary part is refused
+        for far in (1e308 + 1j, -1e308 + 1j, 1e200 + 1j):
+            assert product(3, far) == product(3, 1j)
+        assert product(1, 1e200 + 1j) == pytest.approx(2 * math.sinh(math.pi), rel=1e-15)
+        for far in (1e308 - 1e308j, 0.5 + 1e308j):
             with pytest.raises(ResourceLimitError, match="leaves the floating-point range"):
                 product(3, far)
 
@@ -458,13 +469,15 @@ def _per_term_q_powers(arg, count):
 
 
 def _masked_eta_batch(z, cfg, q_powers=_anchored_q_powers):
-    """``eta_batch`` as a masked loop: every point runs through the largest truncation index."""
+    """``eta_batch`` as a masked loop: every point runs through the largest truncation index.  Its matrices
+    reduce z - r, r = round(Re z), so each root is of their multiplier index less r."""
     m, arg, _, _ = qseries._reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
-    roots = np.array([root24(eta_multiplier_index(Mat2(*g))) for g in zip(*m.tolist())])
+    r = np.round(z.real)
+    roots = np.array([root24((eta_multiplier_index(Mat2(*g)) - s) % 24) for g, s in zip(zip(*m.tolist()), r)])
     n, prod = qseries._truncation_indices(arg.imag, cfg), np.ones_like(z)
     for k, qk in q_powers(arg, n.max(initial=0)):
         prod = prod * np.where(k <= n, 1.0 - qk, 1)
-    return np.exp(1j * np.pi * arg / 12) * prod / (roots * np.sqrt(m[2] * z + m[3]))
+    return np.exp(1j * np.pi * arg / 12) * prod / (roots * np.sqrt(m[2] * (z - r) + m[3]))
 
 
 def _masked_eisenstein_batch(k, z, cfg, q_powers=_anchored_q_powers):
@@ -475,7 +488,8 @@ def _masked_eisenstein_batch(k, z, cfg, q_powers=_anchored_q_powers):
     total = np.zeros_like(z)
     for d, qd in q_powers(arg, n.max(initial=0)):
         total = total + np.where(d <= n, float(d) ** (k - 1) * qd / (1.0 - qd), 0)
-    return 2 * qseries._EIS_ZETA[k] * (1 + qseries._EIS_COEFF[k] * total) * cpow_int(m[2] * z + m[3], -k)
+    shifted = z - np.round(z.real)  # the matrices reduce z - round(Re z)
+    return 2 * qseries._EIS_ZETA[k] * (1 + qseries._EIS_COEFF[k] * total) * cpow_int(m[2] * shifted + m[3], -k)
 
 
 def _by_im_bands(masked, z):
@@ -555,8 +569,8 @@ def _error(call):
 
 
 def test_batch_series_refuse_like_the_scalar_series(monkeypatch, composition_residual):
-    """Below min_im, past max_terms, past the reduction cap and where the series exponent overflows, the
-    array evaluators and the batch composition raise what the scalar ones raise."""
+    """Below min_im, past max_terms, past the reduction cap and where the series exponent overflows at a huge
+    imaginary part, the array evaluators and the batch composition raise what the scalar ones raise."""
     good = 0.1 + 1.2j
     cases = [(QSeriesConfig(min_im=0.1), 0.5 + 0.01j, DomainError),
              (QSeriesConfig(max_terms=10, min_im=1e-6, reduce=False), 0.3 + 0.001j, ResourceLimitError),
@@ -573,20 +587,41 @@ def test_batch_series_refuse_like_the_scalar_series(monkeypatch, composition_res
         assert _error(lambda: composition_residuals(f, Weight(1), [(x, y)], points))[0] is kind
         assert _error(lambda: composition_residual(f, Weight(1), x, y, points))[0] is kind
         monkeypatch.undo()
-    # a finite point whose series exponent 2 pi i z n overflows: eta at Im 1 sums unreduced in both configs
-    huge, raw = 1e308 + 1j, QSeriesConfig(reduce=False)
+    # a finite point whose series exponent 2 pi i z n overflows: eta at Im 1e308 sums unreduced in both configs
+    huge, raw = 0.3 + 1e308j, QSeriesConfig(reduce=False)
     for many, one in ((lambda p: eta_batch(p, DEFAULT_CONFIG), lambda p: eta(p, DEFAULT_CONFIG)),
+                      (lambda p: eisenstein_batch(4, p, DEFAULT_CONFIG), lambda p: eisenstein(4, p, DEFAULT_CONFIG)),
                       (lambda p: eta_batch(p, raw), lambda p: eta(p, raw)),
                       (lambda p: eisenstein_batch(4, p, raw), lambda p: eisenstein(4, p, raw))):
         want = _error(lambda: one(huge))
         assert want[0] is ResourceLimitError and _error(lambda: many(np.array([good, huge, good]))) == want
-    # reduced, the scalar E4 shifts by an exact Python integer (1e308 is one) and the batch's int64 rows
-    # refuse, naming the point that overflowed, not the first one still being reduced
-    assert eisenstein(4, huge) == eisenstein(4, 1j)
-    assert _error(lambda: eisenstein_batch(4, np.array([good, huge]))) == (
-        ResourceLimitError, "fundamental-domain reduction of (1e+308+1j) leaves int64")
-    assert _error(lambda: eta_batch(np.array([0.1 + 0.2j, 1e300 + 0.1j, 0.3 + 0.1j]))) == (
-        ResourceLimitError, "fundamental-domain reduction of (1e+300+0.1j) leaves int64")
+    # below Im ~2e-10 a reduction step can shift by 1/(2 Im) > 2^31: the int64 rows refuse, naming the caller's
+    # point, not the shifted one it reduces
+    assert _error(lambda: eta_batch(np.array([good, 3 + 1e-10 + 1.5e-12j]), QSeriesConfig(min_im=0))) == (
+        ResourceLimitError, "fundamental-domain reduction of (3.0000000001+1.5e-12j) leaves int64")
+
+
+def test_scalar_and_batch_series_agree_at_every_real_part(qcfg):
+    """Both routes take r = round(Re z) off first, exactly, so eta, E4 and E6 give the same value on the scalar
+    and the array route, within 2e-15 of max(1, |value|), at +-Re z from 0 to 1e308 and Im 1e-3, 0.219 and 1:
+    none is refused, and |Re z| >= 2^31 does not overflow the batch's int64 rows.  The scale max(1, |value|)
+    leaves out eta(0.001i) = 6e-113, which the two routes' exponentials round 5.7e-14 apart at any real part."""
+    re = np.array([0, 0.5, 12345.678, 909449.61, 2.0 ** 31, 1e12, 1e308])
+    z = (np.concatenate([re, -re])[:, None] + 1j * np.array([1e-3, 0.219, 1])).ravel()
+    for many, one in ((lambda p: eta_batch(p, qcfg), lambda p: eta(p, qcfg)),
+                      (lambda p: eisenstein_batch(4, p, qcfg), lambda p: eisenstein(4, p, qcfg)),
+                      (lambda p: eisenstein_batch(6, p, qcfg), lambda p: eisenstein(6, p, qcfg))):
+        got, want = many(z), np.array([one(p) for p in z.tolist()])
+        assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1, np.abs(want)))
+
+
+def test_raw_eta_is_sharp_far_from_the_origin(raw_cfg):
+    """Raw eta on both routes sums at z - round(Re z) and carries the exact root, so it is within 2e-15 of a
+    40-digit eta far out on the real axis, where phases taken from the float z are off by up to 9.3e-9."""
+    z = np.array([-909449.61 + 0.219j, 12345.678 + 0.05j, 1e9 + 0.5j])
+    want = np.array([_eta_40_digits(p) for p in z.tolist()])
+    for got in (eta_batch(z, raw_cfg), np.array([eta(p, raw_cfg) for p in z.tolist()])):
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
 
 
 def _eta_40_digits(z: complex) -> complex:
@@ -599,9 +634,9 @@ def _eta_40_digits(z: complex) -> complex:
 def test_the_pentagonal_series_matches_40_digits_and_the_product(cover7, raw_cfg):
     """Euler's pentagonal series, which ``eta_multiplier_universe``'s transform gate slashes, is within 4e-15
     relative of a 40-digit eta at the gate's two lowest word-length-7 images (Im 2.5e-3 and 2.8e-3) and at 8
-    seeded points with Im from 2.5e-3 to 0.5 and |Re z| up to 1e6; it measured at most 1.1e-15.  Where
-    |Re z| <= 1, so that the product's float prefactor e^(pi i z/12) is still sharp, it is within 2e-14 of the
-    raw ``eta_batch`` product, its oracle in the suite (measured 4e-15)."""
+    seeded points with Im from 2.5e-3 to 0.5 and |Re z| up to 1e6; it measured at most 8.7e-16.  Both sum at
+    z - round(Re z), so it is within 2e-14 of the raw ``eta_batch`` product, its oracle in the suite, at every
+    point (measured 2.6e-15)."""
     a, b, c, d = np.array([m.entries() for m in cover7.sl_matrices()]).T[:, :, None]
     images = np.unique(pullback(a, b, c, d, np.array(upper_grid()))[0])
     rng = np.random.default_rng(41)
@@ -611,8 +646,7 @@ def test_the_pentagonal_series_matches_40_digits_and_the_product(cover7, raw_cfg
     assert z.imag.min() < 2.6e-3
     got, want = qseries._eta_pentagonal(z, raw_cfg), np.array([_eta_40_digits(p) for p in z])
     assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want))
-    near = np.abs(z.real) <= 1
-    assert near.sum() == 6 and np.all(np.abs(got[near] - eta_batch(z[near], raw_cfg)) <= 2e-14 * np.abs(want[near]))
+    assert np.all(np.abs(got - eta_batch(z, raw_cfg)) <= 2e-14 * np.abs(want))
 
 
 def test_the_pentagonal_series_refuses_where_the_raw_product_does():
@@ -622,7 +656,7 @@ def test_the_pentagonal_series_refuses_where_the_raw_product_does():
     cases = [(QSeriesConfig(min_im=0.1, reduce=False), 0.5 + 0.01j),
              (QSeriesConfig(max_terms=10, min_im=1e-6, reduce=False), 0.3 + 0.001j),
              (QSeriesConfig(reduce=False), complex(math.nan, 1)), (QSeriesConfig(reduce=False), complex(1, math.inf)),
-             (QSeriesConfig(reduce=False), 0.3 - 0.5j), (QSeriesConfig(reduce=False), 1e308 + 1j)]
+             (QSeriesConfig(reduce=False), 0.3 - 0.5j), (QSeriesConfig(reduce=False), 0.3 + 1e308j)]
     kinds = set()
     for cfg, z in cases:
         points = np.array([good, z, good])
