@@ -25,8 +25,9 @@ from .cover import (CENTER_FLIP, IDENT, LIFT_R, LIFT_S, LIFT_T, LIFT_Z, NEG_IDEN
                     MetaElt, chi_negative, cocycle, cocycle_bit, conj_by_reflection, enumerate_cover, format_word,
                     hilbert_symbol, kubota_chi, minus_t_row, reflection_sign)
 from .errors import DomainError, ModularityError, ResourceLimitError
-from .qseries import (CERTIFY_CONFIG, NAMED_FORMS, _eta_pentagonal, eisenstein, eta, eta_character, eta_hat,
-                      eta_multiplier_index, lattice_sum, triangular_product, triangular_product_factored)
+from .qseries import (CERTIFY_CONFIG, NAMED_FORMS, _eisenstein_series, _eta_pentagonal, _eta_series, _require_workable,
+                      eisenstein, eta, eta_character, eta_hat, eta_multiplier_index, lattice_sum, triangular_product,
+                      triangular_product_factored)
 from .reps import Rep, VVForm, extend_form, induce_form, project_components, root24, snap_to_root_of_unity
 from .slash import (HoloFn, Weight, admissible_reflection_scalars, composition_residuals, holofn_values,
                     holomorphy_residual, reflection_route, slash, slash_values, worst_residual)
@@ -657,10 +658,16 @@ def check_induction_round_trip(env: _Env) -> dict:
 
 
 def check_eta_shift_law(env: _Env) -> dict:
-    cfg = env.qcfg_raw
-    phase = root24(1)
-    cases = ((abs(eta(z + 1, cfg) - phase * eta(z, cfg)), {"z": z}) for z in env.upper)
-    return _sweep_cases(env, {"points": len(env.upper)}, 1e-12, cases, universe=f"{len(env.upper)} upper sample points")
+    """The T law on the raw product itself, summed at z and z + 1 as they are once ``eta`` would take z: ``eta``
+    takes round(Re z) off through the root table the law names, so on ``eta`` it would hold by construction."""
+    cfg, phase = env.qcfg_raw, root24(1)
+
+    def cases():
+        for z in env.upper:
+            _require_workable(z, cfg)  # refused where eta refuses z
+            yield abs(_eta_series(z + 1, cfg) - phase * _eta_series(z, cfg)), {"z": z}
+    return _sweep_cases(env, {"points": len(env.upper)}, 1e-12, cases(),
+                        universe=f"{len(env.upper)} upper sample points")
 
 
 def check_eta_inversion_law(env: _Env) -> dict:
@@ -681,7 +688,8 @@ def check_eta_multiplier_universe(env: _Env) -> dict:
     comparison certifies that lift-and-correct along generator words reproduces
     ``eta_multiplier_index``.  phi_g = b sqrt(c z + d) with b from ``branch_profile``, so
     rho([g, eps]) has the index ``eta_multiplier_index(g)``, plus 12 when eps * b = -1.
-    The transform gate slashes eta's raw pentagonal series, which involves no modular transformation."""
+    The transform gate slashes eta's raw pentagonal series, which takes round(Re z) off through the root table it
+    checks: the gate's T images compare that table with itself, and ``eta_shift_law`` holds the series to T."""
     snap_tol, transform_tol = env.tol(1e-10), env.tol(1e-9)
     f = HoloFn.from_scalar(upper=lambda z: _eta_pentagonal(z, env.qcfg_raw))
     mismatches, index_witness, dists = 0, None, []
@@ -741,13 +749,13 @@ def check_eisenstein_lattice_match(env: _Env) -> dict:
         cases.append((rel, {"z": z, "series": str(series), "lattice": str(lattice)}))
     sym = worst_residual(abs(lattice_sum(4, z, 60) - lattice_sum(4, -z, 60)) for z in (2j, 0.4 + 0.8j))
     closed = abs(lattice_sum(4, 1j, 60) - G4_AT_I) / G4_AT_I
-    # series laws with reduction disabled, so they are not built-in
+    # series laws on the series summed at z as it is: neither the reduction nor the shift by round(Re z) builds them in
     raw = env.qcfg_raw
 
     def law_gaps(k, z):
-        value = eisenstein(k, z, raw)
-        return (abs(eisenstein(k, z + 1, raw) - value), abs(eisenstein(k, -1 / z, raw) - z ** k * value) / abs(value),
-                abs(value - eisenstein(k, z, cfg)) / abs(value))
+        reduced, value = eisenstein(k, z, cfg), _eisenstein_series(k, z, raw)
+        return (abs(_eisenstein_series(k, z + 1, raw) - value),
+                abs(eisenstein(k, -1 / z, raw) - z ** k * value) / abs(value), abs(value - reduced) / abs(value))
 
     laws = worst_residual(gap for z in env.upper for k in (4, 6) for gap in law_gaps(k, z))
     params.update(reflection_symmetry=sym, closed_form_at_i=closed, raw_series_laws=laws)

@@ -58,9 +58,8 @@ DEFAULT_CONFIG = QSeriesConfig()
 
 REDUCTION_STEPS = 500  # cap on the steps of a fundamental-domain reduction
 
-# eta's multipliers by carried index, 0 exactly 1: Python complex for the scalar eta, an array for eta_batch
-_ETA_ROOT_LIST = [root24(n) for n in range(24)]
-_ETA_ROOTS = np.array(_ETA_ROOT_LIST)
+# eta_batch's multipliers by carried index, 0 exactly 1; the scalar eta takes root24(index), staying in Python complex
+_ETA_ROOTS = np.array([root24(n) for n in range(24)])
 
 _QPOW_ANCHOR = 8  # the batch series take q^k from one exponential at every 8th k, as q^(k-1) * q in between
 
@@ -276,8 +275,8 @@ def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     z, index = _require_workable(z, cfg)
     if cfg.reduce and z.imag < 0.25:
         _, z, j, index = _reduce(z, index)
-        return _eta_series(z, cfg) / (_ETA_ROOT_LIST[index] * principal_sqrt(j))
-    return _eta_series(z, cfg) / _ETA_ROOT_LIST[index]
+        return _eta_series(z, cfg) / (root24(index) * principal_sqrt(j))
+    return _eta_series(z, cfg) / root24(index)
 
 
 def _eta_series(z: complex, cfg: QSeriesConfig) -> complex:

@@ -372,12 +372,14 @@ def test_conjugation_lemma_fails_without_the_reflection_sign(monkeypatch):
 
 
 def test_lattice_match_fails_on_a_relative_1e9_error_in_the_series(monkeypatch):
-    """E4 scaled by 1 + 1e-9 keeps every series law inside its 1e-9 gate (each compares two scaled
-    values), but the 60-row lattice oracle sees the error against its 1e-12 gate."""
+    """E4 scaled by 1 + 1e-9, on the evaluator and on the unshifted series the T law reads, keeps every series
+    law inside its 1e-9 gate (each compares two scaled values), but the 60-row lattice oracle sees the error
+    against its 1e-12 gate."""
     (check,) = run_certification(2, check_filter=["eisenstein_lattice_match"])["checks"]
     assert check["pass"] is True
-    series = certify.eisenstein
-    monkeypatch.setattr(certify, "eisenstein", lambda k, z, cfg: (1 + 1e-9) * series(k, z, cfg))
+    for name in ("eisenstein", "_eisenstein_series"):
+        series = getattr(certify, name)
+        monkeypatch.setattr(certify, name, lambda k, z, cfg, series=series: (1 + 1e-9) * series(k, z, cfg))
     (check,) = run_certification(2, check_filter=["eisenstein_lattice_match"])["checks"]
     assert check["pass"] is False and check["params"]["raw_series_laws"] < 1e-9
     assert check["max_residual"] == pytest.approx(1e-9, rel=1e-3)

@@ -7,6 +7,7 @@ length 4 with the default seed, each on its own comparison: certify builds its n
 check fails inside a form's builder.
 """
 
+import cmath
 import importlib
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ _BIT = cover_module.cocycle_bit
 _CZ_PLUS_D = automorphy_module.cz_plus_d
 _S_STEP = qseries_module._eta_s_step
 _QPOW = qseries_module._qpow
+_ETA_SERIES = qseries_module._eta_series
 _REQUIRE_WORKABLE, _REDUCE_WORKABLE = qseries_module._require_workable, qseries_module._reduce_workable
 
 
@@ -172,7 +174,8 @@ def _batch_shift_forward(z, cfg, todo):
 def test_a_shift_mutant_fails_exactly_its_pinned_checks(monkeypatch):
     """Both routes take r = round(Re z) off first and carry T^-r's index -r; the mutant carries +r on both, so
     eta moves by e^(-2 pi i 2r/24), reduced or not, and E4 and E6 do not move.  ``eta_reduction_agreement``
-    passes: its two sides take the same shift.  The two round trips fail in their certified rebuilds."""
+    passes: its two sides take the same shift; so does ``eta_shift_law``, which sums the product unshifted and
+    reads no index.  The two round trips fail in their certified rebuilds."""
     z, cfg = np.array([1.3 + 0.003j, 0.7 + 0.9j, -2.2 + 0.5j]), qseries_module.CERTIFY_CONFIG
     routes = (lambda: qseries_module.eta_batch(z, cfg), lambda: [qseries_module.eta(p, cfg) for p in z.tolist()],
               lambda: qseries_module._eta_pentagonal(z, replace(cfg, reduce=False)))
@@ -182,5 +185,22 @@ def test_a_shift_mutant_fails_exactly_its_pinned_checks(monkeypatch):
     turn = np.exp(-2j * np.pi * 2 * np.round(z.real) / 24)
     assert all(np.allclose(route(), value * turn, rtol=1e-14, atol=0) for route, value in zip(routes, before))
     assert np.array_equal(qseries_module.eisenstein_batch(4, z, cfg), e4)
-    assert _failed_checks() == {"action_composition", "eta_inversion_law", "eta_multiplier_universe", "eta_shift_law",
+    assert _failed_checks() == {"action_composition", "eta_inversion_law", "eta_multiplier_universe", *_REBUILDING_CHECKS}
+
+
+def _prefactor_over_24(z, cfg):
+    """The scalar product with e^(pi i z/24) for its prefactor e^(pi i z/12)."""
+    return _ETA_SERIES(z, cfg) * cmath.exp(-1j * cmath.pi * z / 24)
+
+
+def test_a_series_prefactor_mutant_fails_the_shift_law(monkeypatch):
+    """``eta`` takes round(Re z) off through the root table the T law names, so on ``eta`` that law holds for any
+    series: at -0.7+0.3i both sides sum the product at 0.3+0.3i.  ``eta_shift_law`` sums the product unshifted at
+    z and z + 1, so a prefactor exponent that is off fails it on its own comparison."""
+    z, raw, phase = -0.7 + 0.3j, replace(qseries_module.CERTIFY_CONFIG, reduce=False), qseries_module.root24(1)
+    for module in (qseries_module, certify_module):
+        monkeypatch.setattr(module, "_eta_series", _prefactor_over_24)
+    assert abs(qseries_module.eta(z + 1, raw) - phase * qseries_module.eta(z, raw)) < 1e-15
+    assert abs(_prefactor_over_24(z + 1, raw) - phase * _prefactor_over_24(z, raw)) > 0.05
+    assert _failed_checks() == {"eta_inversion_law", "eta_point_value", "eta_reduction_agreement", "eta_shift_law",
                                 *_REBUILDING_CHECKS}

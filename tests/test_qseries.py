@@ -596,8 +596,8 @@ def test_batch_series_refuse_like_the_scalar_series(monkeypatch, composition_res
         want = _error(lambda: one(huge))
         assert want[0] is ResourceLimitError and _error(lambda: many(np.array([good, huge, good]))) == want
     # below Im ~2e-10 a reduction step can shift by 1/(2 Im) > 2^31: the int64 rows refuse, naming the caller's
-    # point, not the shifted one it reduces
-    assert _error(lambda: eta_batch(np.array([good, 3 + 1e-10 + 1.5e-12j]), QSeriesConfig(min_im=0))) == (
+    # point, not the shifted one it reduces, nor 0.1+0.2i, which is still being reduced at that step
+    assert _error(lambda: eta_batch(np.array([0.1 + 0.2j, 3 + 1e-10 + 1.5e-12j]), QSeriesConfig(min_im=0))) == (
         ResourceLimitError, "fundamental-domain reduction of (3.0000000001+1.5e-12j) leaves int64")
 
 
