@@ -73,6 +73,22 @@ def _draw_samples(cover: CoverSet, seed: int, pair_count: int) -> tuple[list[tup
     return square(cover.sl_matrices()), det_split(), det_split(), square(plus)
 
 
+def _with_value_tables(form: VVForm) -> VVForm:
+    """``form`` with a value table per half-plane evaluator: at a point seen before, keyed by the exact point and each
+    part's sign (so a zero's sign stays apart), it returns the stored read-only value; arrays pass through untouched."""
+    def remembered(evaluator, table):
+        def at(z):
+            if isinstance(z, np.ndarray):
+                return evaluator(z)
+            key = (z, math.copysign(1, z.real), math.copysign(1, z.imag))
+            if key not in table:
+                table[key] = evaluator(z)
+                table[key].setflags(write=False)
+            return table[key]
+        return None if evaluator is None else at
+    return replace(form, fn=HoloFn(form.fn.dim, remembered(form.fn.upper, {}), remembered(form.fn.lower, {})))
+
+
 class _Env:
     """Every input of the checks, fixed from ``run_certification``'s settings before any check runs; only the
     branch-sign table waits for its first use."""
@@ -98,8 +114,8 @@ class _Env:
         self.grid = self.upper + self.lower
         self.section_pairs, self.composition_pairs, self.rep_pairs, self.sl_pairs = _draw_samples(
             self.cover, seed, pair_count)
-        # built unchecked: the checks certify them
-        self.forms: dict[str, VVForm] = {name: build(self.qcfg) for name, build in NAMED_FORMS.items()}
+        # built unchecked, as the checks certify them, with value tables that live as long as this run
+        self.forms = {name: _with_value_tables(build(self.qcfg)) for name, build in NAMED_FORMS.items()}
         cov = self.cover
         self.universe = (f"cover words of length <= {cov.max_len}: {len(cov.words)} elements, "
                          f"{len(cov.matrices())} distinct matrices ({len(cov.sl_matrices())} with det +1); "
@@ -471,13 +487,13 @@ def check_phi_branch_profile(env: _Env) -> dict:
 
 
 def check_action_composition(env: _Env) -> dict:
-    """(f|x)|y = f|(xy) for eta-hat and E4 on the sampled pairs at every grid point, batched per form by
-    ``composition_residuals``.  Both of its routes take the same ``slash_values`` pullback, so an error in
-    that pullback that keeps the action law (a wrong det -1 phase) shows only in action_reflection_forms."""
+    """(f|x)|y = f|(xy) for eta-hat and E4 on the sampled pairs at every grid point, in one ``composition_residuals``
+    pass for both forms.  Both routes take the same ``slash._chain`` pullback, so an error in that pullback that
+    keeps the action law (a wrong det -1 phase) shows only in action_reflection_forms."""
     pairs = env.composition_pairs
     combos = Counter((x.det(), y.det()) for x, y in pairs)
     det_combinations = {f"({sx},{sy})": c for (sx, sy), c in sorted(combos.items())}
-    gaps = [composition_residuals(f.fn, f.weight, pairs, env.grid) for f in map(env.forms.get, ("eta-hat", "e4"))]
+    gaps = composition_residuals([(f.fn, f.weight) for f in map(env.forms.get, ("eta-hat", "e4"))], pairs, env.grid)
     return _sweep(env, {"pairs": len(pairs), "forms": ["eta_hat (w=1)", "e4_even (w=8)"],
                         "det_combinations": det_combinations}, 1e-9, gaps,
                   lambda f, i: {"form": ("eta_hat", "e4_even")[f], "x": pairs[i][0], "y": pairs[i][1]})

@@ -107,15 +107,17 @@ def _truncation_indices(im: np.ndarray, cfg: QSeriesConfig, extra_log=0.0) -> np
     return n.astype(np.int64)
 
 
-def _reduce(z: complex, n: int = 0) -> tuple[tuple[int, int, int, int], complex, complex, int]:
+def _reduce(z: complex, n: int = 0, at=None) -> tuple[tuple[int, int, int, int], complex, complex, int]:
     """Exact determinant-one g = [[a, b], [c, d]] with g.z in the standard fundamental domain, as (a, b, c, d), g.z,
     g's argument j = c*z + d and n + ``eta_multiplier_index(g)`` carried by the steps (s for T^s, ``_eta_s_step`` for
-    S), for a point and index n from ``_require_workable``.  The matrix is tracked in integers and the moving point
-    is recomputed from the original z at every step, so the result is reproducible."""
+    S), for the point and index n ``_require_workable`` makes of ``at`` (default z).  The matrix is tracked in
+    integers and the moving point is recomputed from the original z at every step, so the result is reproducible."""
     a, b, c, d = 1, 0, 0, 1
     for _ in range(REDUCTION_STEPS):
         w, j = pullback(a, b, c, d, z)
         shift = -round(w.real)
+        if abs(shift) | abs(c) | abs(d) >= 2 ** 31:  # _reduce_workable's int64 bound; a, b are the last c, d negated
+            raise ResourceLimitError(f"fundamental-domain reduction of {complex(z if at is None else at)} leaves int64")
         if shift:
             a, b, n = a + shift * c, b + shift * d, n + shift  # T^shift * g
             w = w + shift
@@ -272,11 +274,11 @@ def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     through the root of the index the shift and ``_reduce`` carry and the
     principal sqrt(c z + d), so the raw product is summed at well-separated points.
     """
-    z, index = _require_workable(z, cfg)
-    if cfg.reduce and z.imag < 0.25:
-        _, z, j, index = _reduce(z, index)
-        return _eta_series(z, cfg) / (root24(index) * principal_sqrt(j))
-    return _eta_series(z, cfg) / root24(index)
+    w, index = _require_workable(z, cfg)
+    if cfg.reduce and w.imag < 0.25:
+        _, w, j, index = _reduce(w, index, z)
+        return _eta_series(w, cfg) / (root24(index) * principal_sqrt(j))
+    return _eta_series(w, cfg) / root24(index)
 
 
 def _eta_series(z: complex, cfg: QSeriesConfig) -> complex:
@@ -312,11 +314,11 @@ def eisenstein(k: int, z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     """
     if k not in _EIS_COEFF:
         raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
-    z, _ = _require_workable(z, cfg)
+    w, _ = _require_workable(z, cfg)
     if cfg.reduce:
-        _, w0, j, _ = _reduce(z)
+        _, w0, j, _ = _reduce(w, 0, z)
         return _eisenstein_series(k, w0, cfg) * cpow_int(j, -k)
-    return _eisenstein_series(k, z, cfg)
+    return _eisenstein_series(k, w, cfg)
 
 
 def _eisenstein_series(k: int, z: complex, cfg: QSeriesConfig) -> complex:

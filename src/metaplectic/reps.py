@@ -183,9 +183,10 @@ def snap_to_root_of_unity(value: complex) -> tuple[complex, int, float]:
 
 def modularity_residual(f: HoloFn, weight: Weight, rep: Rep,
                         elements: Sequence[MetaElt], points: Sequence[complex]) -> float:
-    """max over elements, points, components of |(f|_k x)(z) - rep(x) f(z)|."""
+    """max over elements, points, components of |(f|_k x)(z) - rep(x) f(z)|, with f(z) evaluated once per point."""
+    values = [f.at(z) for z in points]
     acts = ((slash(f, weight, x), rep.evaluate(x)) for x in elements)
-    return worst_residual(np.max(np.abs(acted.at(z) - mat @ f.at(z))) for acted, mat in acts for z in points)
+    return worst_residual(np.max(np.abs(acted.at(z) - mat @ v)) for acted, mat in acts for z, v in zip(points, values))
 
 
 @dataclass(frozen=True, eq=False)

@@ -199,13 +199,27 @@ def _rows(w: int, elts: Sequence[MetaElt]) -> np.ndarray:
     return np.vstack([a, b, c, d, det, *_case_exponents(w, det < 0, eps, c, d)])
 
 
-def _pullbacks(rows: np.ndarray, z: np.ndarray, upper: np.ndarray, w: int):
-    """One step of the four-case rule at every point, whose element is a column (a, b, c, d, det, e_upper,
-    e_lower) of ``rows``: the images, the factors i^e section_root^(-w), and the source's half-planes."""
-    a, b, c, d, det, e_upper, e_lower = rows
-    image, j = pullback(a, b, c, d, z)
-    factor = _I_POWER_ARRAY[np.where(upper, e_upper, e_lower) % 4] * cpow_int(section_roots(c, d, j), -w)
-    return image, factor, upper ^ (det < 0)
+def _chain(points: np.ndarray, *columns: Sequence[MetaElt]):
+    """Per chunk of rows of ``columns`` (at most ``_CHUNK_POINTS`` points, one row at least): its slice, the images,
+    the source's half-planes and per column, last first, the i-exponents at w = 1 and the section roots."""
+    per_chunk = max(_CHUNK_POINTS // max(points.size, 1), 1)
+    for i in range(0, len(columns[0]), per_chunk):
+        image = np.tile(points, min(per_chunk, len(columns[0]) - i))
+        src, steps = image.imag > 0, []
+        for col in reversed(columns):
+            a, b, c, d, det, e_upper, e_lower = _rows(1, col[i:i + per_chunk]).repeat(points.size, axis=1)
+            image, j = pullback(a, b, c, d, image)
+            steps.append((np.where(src, e_upper, e_lower), section_roots(c, d, j)))
+            src = src ^ (det < 0)
+        del a, b, c, d, det, e_upper, e_lower, j  # a suspended chain holds no row temporaries
+        yield slice(i, i + per_chunk), image, src, steps
+
+
+def _weighted(values: np.ndarray, w: int, steps) -> np.ndarray:
+    """``values`` times weight w's factor i^(w e) root^(-w) of each ``_chain`` step, the first column's first."""
+    for e, roots in reversed(steps):
+        values = values * (_I_POWER_ARRAY[(w * e) % 4] * cpow_int(roots, -w))[:, None]
+    return values
 
 
 def holofn_values(f: HoloFn, at: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -221,35 +235,37 @@ def holofn_values(f: HoloFn, at: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 def slash_values(f: HoloFn, weight: Weight, points: Sequence[complex], *columns: Sequence[MetaElt]) -> np.ndarray:
     """((f|c1[r])|c2[r] ...)(z) for every row r of the equally long element ``columns`` and every point z,
-    as a ``(rows, len(points), dim)`` array: per chunk of rows, one pullback step per column, the last
-    column first, then one call of each of ``f``'s half-plane evaluators; the factors multiply innermost first."""
+    as a ``(rows, len(points), dim)`` array: per chunk of rows, one ``_chain`` and one call of each of ``f``'s
+    half-plane evaluators; the factors multiply innermost first."""
     if not columns or len(set(map(len, columns))) != 1:
         raise DomainError("slash_values needs at least one column of elements, all of one length")
     points = np.array([require_off_axis(z) for z in points], dtype=complex)
-    w, rows = weight.w, len(columns[0])
-    per_chunk = max(_CHUNK_POINTS // max(points.size, 1), 1)
-    out = np.empty((rows, points.size, f.dim), dtype=complex)
-    for i in range(0, rows, per_chunk):
-        n = min(per_chunk, rows - i)
-        image = np.tile(points, n)
-        src, factors = image.imag > 0, []
-        for col in reversed(columns):
-            image, factor, src = _pullbacks(_rows(w, col[i:i + n]).repeat(points.size, axis=1), image, src, w)
-            factors.append(factor)
-        values = holofn_values(f, image, src)
-        for factor in reversed(factors):
-            values = values * factor[:, None]
-        out[i:i + n] = values.reshape(n, points.size, f.dim)
+    out = np.empty((len(columns[0]), points.size, f.dim), dtype=complex)
+    for part, image, src, steps in _chain(points, *columns):
+        out[part] = _weighted(holofn_values(f, image, src), weight.w, steps).reshape(out[part].shape)
     return out
 
 
-def composition_residuals(f: HoloFn, weight: Weight, pairs: Sequence[tuple[MetaElt, MetaElt]],
+def composition_residuals(forms: Sequence[tuple[HoloFn, Weight]], pairs: Sequence[tuple[MetaElt, MetaElt]],
                           points: Sequence[complex]) -> np.ndarray:
-    """max over points and components of |((f|x)|y - f|(x*y))(z)| for every pair (x, y), as an array: the batch
-    (f|x)|y less the batch f|(xy)."""
-    lhs = slash_values(f, weight, points, [x for x, _ in pairs], [y for _, y in pairs])
-    rhs = slash_values(f, weight, points, [x * y for x, y in pairs])
-    return np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0)
+    """max over points and components of |((f|x)|y - f|(x*y))(z)| per form (f, weight) and pair (x, y), as a
+    ``(len(forms), len(pairs))`` array, bit for bit from ``slash_values``' values: x*y formed once, one ``_chain``
+    per chunk for every form, and f summed once per distinct matrix of xy (eps enters only the factor)."""
+    points = np.array([require_off_axis(z) for z in points], dtype=complex)
+    products, first = [x * y for x, y in pairs], {}  # first: a product matrix's slot and its first element
+    slot = np.array([first.setdefault(p.gamma, (len(first), p))[0] for p in products], dtype=np.intp)
+    tables = [np.empty((len(first), points.size, f.dim), dtype=complex) for f, _ in forms]
+    for part, image, src, _ in _chain(points, [p for _, p in first.values()]):
+        for table, (f, _) in zip(tables, forms):
+            table[part] = holofn_values(f, image, src).reshape(table[part].shape)
+    out = np.empty((len(forms), len(pairs)))
+    chains = zip(_chain(points, [x for x, _ in pairs], [y for _, y in pairs]), _chain(points, products))
+    for (part, image, src, steps), (_, _, _, product_steps) in chains:
+        for k, ((f, weight), table) in enumerate(zip(forms, tables)):
+            lhs = _weighted(holofn_values(f, image, src), weight.w, steps)
+            rhs = _weighted(table[slot[part]].reshape(lhs.shape), weight.w, product_steps)
+            out[k, part] = np.abs(lhs - rhs).reshape(len(out[k, part]), -1).max(axis=1, initial=0.0)
+    return out
 
 
 def admissible_reflection_scalars(weight: Weight) -> tuple[complex, ...]:

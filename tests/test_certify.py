@@ -16,9 +16,10 @@ from metaplectic.certify import ALGEBRA_CHECK_IDS, run_certification
 from metaplectic.cli import _strict_json
 from metaplectic.cover import S_MAT, T_MAT, Mat2, enumerate_cover
 from metaplectic.errors import DomainError, ResourceLimitError
-from metaplectic.qseries import CERTIFY_CONFIG
+from metaplectic.qseries import CERTIFY_CONFIG, NAMED_FORMS
+from metaplectic.reps import Rep, VVForm
 from metaplectic.sampling import format_complex, full_grid, upper_grid
-from metaplectic.slash import HoloFn, Weight, composition_residuals, slash, slash_values
+from metaplectic.slash import HoloFn, Weight, composition_residuals, holofn_values, slash, slash_values
 
 
 def test_check_filter_refuses_unknown_ids():
@@ -233,20 +234,21 @@ def test_the_array_rule_is_the_scan():
 
 def test_a_spike_in_action_composition_is_named_at_its_form_and_pair(monkeypatch):
     """Equal spikes at E4's pairs 7 and 9 and a smaller one at eta-hat's pair 12: the check's witness is the
-    first maximum, built from the (form, pair) index of the residual array."""
+    first maximum, built from the (form, pair) index of the residual array, one row per form of the one call."""
     residuals, calls = certify.composition_residuals, []
 
-    def spiked(f, weight, pairs, points):
-        out = residuals(f, weight, pairs, points)
-        calls.append(pairs)
-        out[[7, 9] if len(calls) == 2 else [12]] = 1.0 if len(calls) == 2 else 0.5
+    def spiked(forms, pairs, points):
+        out = residuals(forms, pairs, points)
+        calls.append((forms, pairs))
+        out[1, [7, 9]], out[0, 12] = 1.0, 0.5
         return out
 
     monkeypatch.setattr(certify, "composition_residuals", spiked)
     (check,) = run_certification(3, pair_count=40, check_filter=["action_composition"])["checks"]
-    eta_hat_pairs, e4_pairs = calls
-    assert e4_pairs == eta_hat_pairs and check["pass"] is False and check["max_residual"] == 1.0
-    assert check["counterexample"] == {"form": "e4_even", "x": str(e4_pairs[7][0]), "y": str(e4_pairs[7][1])}
+    ((forms, pairs),) = calls
+    assert [weight for _, weight in forms] == [Weight(1), Weight(8)] and [f.dim for f, _ in forms] == [2, 1]
+    assert check["pass"] is False and check["max_residual"] == 1.0
+    assert check["counterexample"] == {"form": "e4_even", "x": str(pairs[7][0]), "y": str(pairs[7][1])}
 
 
 def test_a_spike_in_phi_section_consistency_is_named_at_its_pair_and_point(monkeypatch):
@@ -271,7 +273,8 @@ def test_a_spike_in_phi_section_consistency_is_named_at_its_pair_and_point(monke
 
 
 def test_nan_residual_fails_its_check(monkeypatch):
-    monkeypatch.setattr(certify, "composition_residuals", lambda f, weight, pairs, points: np.full(len(pairs), np.nan))
+    monkeypatch.setattr(certify, "composition_residuals",
+                        lambda forms, pairs, points: np.full((len(forms), len(pairs)), np.nan))
     report = run_certification(2, check_filter=["action_composition"])
     (check,) = report["checks"]
     assert check["pass"] is False and math.isnan(check["max_residual"])
@@ -557,14 +560,15 @@ def test_batch_composition_matches_the_scalar_slash(monkeypatch):
     calls = []
     batch = certify.composition_residuals
 
-    def spy(f, weight, pairs, points):
-        calls.append((f, weight, pairs, points))
-        return batch(f, weight, pairs, points)
+    def spy(forms, pairs, points):
+        calls.append((forms, pairs, points))
+        return batch(forms, pairs, points)
 
     monkeypatch.setattr(certify, "composition_residuals", spy)
     assert run_certification(5)["pass"] is True
-    assert len(calls) == 2
-    for f, weight, pairs, points in calls:
+    ((forms, pairs, points),) = calls
+    assert len(forms) == 2
+    for f, weight in forms:
         lhs = slash_values(f, weight, points, [x for x, _ in pairs], [y for _, y in pairs])
         rhs = slash_values(f, weight, points, [x * y for x, y in pairs])
         for i, (x, y) in enumerate(pairs):
@@ -572,6 +576,100 @@ def test_batch_composition_matches_the_scalar_slash(monkeypatch):
             for j, z in enumerate(points):
                 for got, want in ((lhs[i, j], nested.at(z)), (rhs[i, j], direct.at(z))):
                     assert np.max(np.abs(got - want) / np.maximum(1, np.abs(want))) <= 1e-12, (str(x), str(y), z)
+
+
+@pytest.mark.parametrize("word_len, seed", [(5, certify.DEFAULT_SEED), (5, 4), (7, certify.DEFAULT_SEED), (7, 4)])
+def test_composition_of_both_forms_at_once_is_the_per_form_route(word_len, seed, monkeypatch):
+    """``composition_residuals`` of eta-hat and E4 together (one chain per chunk, f|xy summed once per distinct
+    product matrix) is, bit for bit, each form's nested two-column ``slash_values`` less its one-column one, also
+    when cut into chunks of 7 pairs."""
+    env = certify._Env(word_len, None, None, seed, certify.DEFAULT_PAIR_COUNT, False, CERTIFY_CONFIG.min_im)
+    pairs, points = env.composition_pairs, env.grid
+    forms = [(form.fn, form.weight) for form in (NAMED_FORMS[name](env.qcfg) for name in ("eta-hat", "e4"))]
+    got = composition_residuals(forms, pairs, points)
+    for (f, weight), row in zip(forms, got):
+        lhs = slash_values(f, weight, points, [x for x, _ in pairs], [y for _, y in pairs])
+        want = np.abs(lhs - slash_values(f, weight, points, [x * y for x, y in pairs])).max(axis=(1, 2), initial=0.0)
+        assert np.array_equal(row.view(np.int64), want.view(np.int64))
+    monkeypatch.setattr(importlib.import_module("metaplectic.slash"), "_CHUNK_POINTS", 7 * len(points))
+    assert np.array_equal(composition_residuals(forms, pairs, points).view(np.int64), got.view(np.int64))
+
+
+def _bits(value):
+    return np.asarray(value).view(np.int64)
+
+
+def test_the_value_tables_are_transparent():
+    """Each form of a run returns, at the grid and at its S and T images, arrays bit for bit those of a fresh
+    registry form, read-only and the stored one on a second call; points that differ only in the sign of a zero
+    part are kept apart."""
+    env = certify._Env(1, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG.min_im)
+    points = env.grid + tuple(-1 / z for z in env.grid) + tuple(z + 1 for z in env.grid)
+    signed = (complex(0.0, 0.8), complex(-0.0, 0.8), complex(0.0, -0.8), complex(-0.0, -0.8))
+    for name, build in NAMED_FORMS.items():
+        fresh, kept = build(env.qcfg).fn, env.forms[name].fn
+        usable = [z for z in points + signed if kept.lower is not None or z.imag > 0]
+        for z in usable:
+            first, want = kept.at(z), fresh.at(z)
+            assert np.array_equal(_bits(first), _bits(want)) and not first.flags.writeable
+            assert kept.at(z) is first and np.array_equal(_bits(kept.at(np.complex128(z))), _bits(want))
+        at = np.array(usable)  # an array call passes through the table
+        assert np.array_equal(_bits(holofn_values(kept, at, at.imag > 0)), _bits(holofn_values(fresh, at, at.imag > 0)))
+    seen = []
+    kept = certify._with_value_tables(VVForm(HoloFn.from_scalar(upper=lambda z: seen.append(z) or math.copysign(1, z.real)),
+                                             Weight(0), Rep.trivial("SL"))).fn
+    assert [kept.at(z)[0] for z in signed[:2] * 2] == [1.0, -1.0] * 2 and len(seen) == 2
+
+
+def _recorded_registry(monkeypatch) -> list:
+    """Patch every ``NAMED_FORMS`` builder so that each half-plane evaluator it builds logs (form, side, point bits)
+    for every scalar point it is given; returns the log."""
+    log = []
+
+    def recorded(name, side, evaluator):
+        def at(z):
+            if not isinstance(z, np.ndarray):
+                log.append((name, side, complex(z).real.hex(), complex(z).imag.hex()))
+            return evaluator(z)
+        return evaluator and at
+
+    for name, build in list(NAMED_FORMS.items()):
+        def builder(cfg, name=name, build=build):
+            form = build(cfg)
+            fn = HoloFn(form.fn.dim, recorded(name, "upper", form.fn.upper), recorded(name, "lower", form.fn.lower))
+            return VVForm(fn, form.weight, form.rep)
+        monkeypatch.setitem(NAMED_FORMS, name, builder)
+    return log
+
+
+def test_no_form_evaluator_sees_a_point_twice_in_a_run_and_each_run_starts_empty(monkeypatch):
+    """Across a whole run, every registry form's half-plane evaluators are handed each scalar point at most once;
+    a second run asks for every point again, as its tables start empty."""
+    log = _recorded_registry(monkeypatch)
+    assert run_certification(4)["pass"] is True
+    first = list(log)
+    assert first and len(set(first)) == len(first)
+    assert {name for name, *_ in first} == set(NAMED_FORMS)
+    log.clear()
+    run_certification(4)
+    assert log == first
+
+
+def test_action_composition_sums_each_series_once_per_lhs_pair_and_distinct_product(monkeypatch):
+    """At word length 4 and the default seed, action_composition hands eta_batch (eta-hat's series) and
+    eisenstein_batch (E4's) (lhs pairs + distinct product matrices) x grid points each: (500 + 236) x 24 = 17,664,
+    where summing f|xy once per pair handed each 2 x 500 x 24 = 24,000."""
+    qseries = importlib.import_module("metaplectic.qseries")
+    counts = Counter()
+    for name in ("eta_batch", "eisenstein_batch"):
+        series = getattr(qseries, name)
+        monkeypatch.setattr(qseries, name, lambda *args, name=name, series=series: counts.update(
+            {name: args[-2].size}) or series(*args))
+    (check,) = run_certification(4, check_filter=["action_composition"])["checks"]
+    env = certify._Env(4, None, None, certify.DEFAULT_SEED, certify.DEFAULT_PAIR_COUNT, False, CERTIFY_CONFIG.min_im)
+    distinct = {(x * y).gamma for x, y in env.composition_pairs}
+    assert check["pass"] is True and len(distinct) == 236 and len(env.grid) == 24
+    assert counts == {"eta_batch": 17_664, "eisenstein_batch": 17_664}
 
 
 def test_batch_nan_reaches_the_pair_and_the_first_witness(cover4, composition_residual):
@@ -583,7 +681,7 @@ def test_batch_nan_reaches_the_pair_and_the_first_witness(cover4, composition_re
     f, weight, points = HoloFn.from_scalar(upper=up, lower=up), Weight(3), full_grid()
     elts = cover4.elements()
     pairs = [(elts[i], elts[(7 * i + 3) % len(elts)]) for i in range(0, len(elts), 9)]
-    got = composition_residuals(f, weight, pairs, points)
+    (got,) = composition_residuals([(f, weight)], pairs, points)
     want = np.array([composition_residual(f, weight, x, y, points) for x, y in pairs])
     assert np.array_equal(np.isnan(got), np.isnan(want)) and 0 < np.isnan(got).sum() < len(pairs)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True)

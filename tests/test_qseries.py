@@ -584,7 +584,7 @@ def test_batch_series_refuse_like_the_scalar_series(monkeypatch, composition_res
             want = _error(lambda: one(z))
             assert want[0] is kind and _error(lambda: many(np.array([good, z, good]))) == want
         f, points = eta_fn(cfg), (1.3 + 0.3j, 0.4 + 0.8j)
-        assert _error(lambda: composition_residuals(f, Weight(1), [(x, y)], points))[0] is kind
+        assert _error(lambda: composition_residuals([(f, Weight(1))], [(x, y)], points))[0] is kind
         assert _error(lambda: composition_residual(f, Weight(1), x, y, points))[0] is kind
         monkeypatch.undo()
     # a finite point whose series exponent 2 pi i z n overflows: eta at Im 1e308 sums unreduced in both configs
@@ -596,9 +596,13 @@ def test_batch_series_refuse_like_the_scalar_series(monkeypatch, composition_res
         want = _error(lambda: one(huge))
         assert want[0] is ResourceLimitError and _error(lambda: many(np.array([good, huge, good]))) == want
     # below Im ~2e-10 a reduction step can shift by 1/(2 Im) > 2^31: the int64 rows refuse, naming the caller's
-    # point, not the shifted one it reduces, nor 0.1+0.2i, which is still being reduced at that step
-    assert _error(lambda: eta_batch(np.array([0.1 + 0.2j, 3 + 1e-10 + 1.5e-12j]), QSeriesConfig(min_im=0))) == (
-        ResourceLimitError, "fundamental-domain reduction of (3.0000000001+1.5e-12j) leaves int64")
+    # point, not the shifted one it reduces, nor 0.1+0.2i, which is still being reduced at that step; the scalar
+    # reduction refuses the same step with the same message
+    far, cfg = 3 + 1e-10 + 1.5e-12j, QSeriesConfig(min_im=0)
+    want = (ResourceLimitError, "fundamental-domain reduction of (3.0000000001+1.5e-12j) leaves int64")
+    for call in (lambda: eta_batch(np.array([0.1 + 0.2j, far]), cfg), lambda: eisenstein_batch(4, np.array([far]), cfg),
+                 lambda: eta(far, cfg), lambda: eisenstein(4, far, cfg)):
+        assert _error(call) == want
 
 
 def test_scalar_and_batch_series_agree_at_every_real_part(qcfg):

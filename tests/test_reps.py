@@ -22,7 +22,7 @@ from metaplectic.reps import (
     snap_to_root_of_unity,
 )
 from metaplectic.sampling import full_grid, upper_grid
-from metaplectic.slash import HoloFn, Weight, composition_residuals, slash
+from metaplectic.slash import HoloFn, Weight, composition_residuals, slash, worst_residual
 
 T24 = cmath.exp(1j * cmath.pi / 12)
 reps_module = importlib.import_module("metaplectic.reps")
@@ -344,8 +344,20 @@ def test_projections_keep_the_batch_contract(cover4, qcfg):
                           VVForm(second, Weight(1), eta_character().r_twist()))
     elts = cover4.elements()
     pairs = [(elts[i], elts[(7 * i + 3) % len(elts)]) for i in range(0, len(elts), 40)]
-    got = composition_residuals(rebuilt.fn, Weight(1), pairs, full_grid())
-    assert np.array_equal(got, composition_residuals(hat.fn, Weight(1), pairs, full_grid()))
+    got = composition_residuals([(rebuilt.fn, Weight(1))], pairs, full_grid())
+    assert np.array_equal(got, composition_residuals([(hat.fn, Weight(1))], pairs, full_grid()))
+
+
+def test_modularity_residual_evaluates_f_once_per_point(monkeypatch, qcfg):
+    """f(z) is evaluated once per point, not once per (element, point), and the residual is bit for bit the one of
+    the per-(element, point) formula."""
+    form, elements, points = eta_form(qcfg), (LIFT_S, LIFT_T, LIFT_S * LIFT_T), upper_grid()
+    want = worst_residual(np.max(np.abs(slash(form.fn, form.weight, x).at(z) - form.rep.evaluate(x) @ form.at(z)))
+                          for x in elements for z in points)
+    at, seen = HoloFn.at, []
+    monkeypatch.setattr(HoloFn, "at", lambda self, z: seen.append(self) or at(self, z))
+    assert form.residual(elements, points) == want < 1e-9
+    assert sum(f is form.fn for f in seen) == len(points) and len(seen) == len(points) * (1 + len(elements))
 
 
 def test_modularity_residual_eta(cover4, qcfg):

@@ -373,6 +373,6 @@ def test_the_case_exponent_rule_equals_the_mat2_oracle(cover7):
 def test_composition_residuals_of_empty_inputs():
     """No pairs give an empty array; no points give a zero residual for every pair."""
     f, pairs = eta_hat_form(CERTIFY_CONFIG).fn, [(LIFT_S, LIFT_R), (LIFT_R, LIFT_R)]
-    assert composition_residuals(f, Weight(1), [], full_grid()).shape == (0,)
-    got = composition_residuals(f, Weight(1), pairs, [])
-    assert got.shape == (2,) and np.array_equal(got, np.zeros(2))
+    assert composition_residuals([(f, Weight(1))], [], full_grid()).shape == (1, 0)
+    got = composition_residuals([(f, Weight(1))], pairs, [])
+    assert got.shape == (1, 2) and np.array_equal(got, np.zeros((1, 2)))
