@@ -61,12 +61,19 @@ def principal_sqrt(w) -> complex:
     return cmath.sqrt(w)
 
 
-_I_POWERS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))  # all zeros +0.0, unlike -1j
+# e^(2 pi i n/24), n = 6q + r: i^q times cmath.exp's root at r = 0..5, exact and with +0.0 zeros as Re > 0 there
+_ROOTS_24 = tuple(i * cmath.exp(2j * cmath.pi * r / 24)
+                  for i in (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)) for r in range(6))
 
 
 def i_power(e: int) -> complex:
     """Exact i**e for an integer e; a sign s in {+1, -1} has s**w = i**(w * (1 - s))."""
-    return _I_POWERS[e % 4]
+    return _ROOTS_24[6 * (e % 4)]
+
+
+def root24(n: int) -> complex:
+    """The 24th root of unity e^(2 pi i n/24) for an integer n, from the one table of exact phases."""
+    return _ROOTS_24[n % 24]
 
 
 def cz_plus_d(c, d, z):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import sampling
 from .automorphy import (branch_profile, branch_signs, cz_plus_d, phi_lower, phi_upper, principal_sqrt, pullback,
-                         require_upper, section_roots, word_factor)
+                         require_upper, root24, section_roots, word_factor)
 from .cover import (CENTER_FLIP, IDENT, LIFT_R, LIFT_S, LIFT_T, LIFT_Z, NEG_IDENT, R_MAT, S_MAT, T_MAT, CoverSet, Mat2,
                     MetaElt, chi_negative, cocycle, cocycle_bit, conj_by_reflection, enumerate_cover, format_word,
                     hilbert_symbol, kubota_chi, minus_t_row, reflection_sign)
@@ -28,7 +28,7 @@ from .errors import DomainError, ModularityError, ResourceLimitError
 from .qseries import (CERTIFY_CONFIG, NAMED_FORMS, _eisenstein_series, _eta_pentagonal, _eta_series, _require_workable,
                       eisenstein, eta, eta_character, eta_hat, eta_multiplier_index, lattice_sum, triangular_product,
                       triangular_product_factored)
-from .reps import Rep, VVForm, extend_form, induce_form, project_components, root24, snap_to_root_of_unity
+from .reps import Rep, VVForm, extend_form, induce_form, project_components, snap_to_root_of_unity
 from .slash import (HoloFn, Weight, admissible_reflection_scalars, composition_residuals, holofn_values,
                     holomorphy_residual, reflection_route, slash, slash_values, worst_residual)
 
@@ -163,16 +163,12 @@ def _exact(env: _Env, params: dict, bad: Optional[dict], count=1,
 
 def _worst(residuals, witness: Callable[..., Optional[dict]]) -> tuple[float, Optional[dict]]:
     """The largest entry of the array ``residuals``, 0.0 for none, and ``witness`` of the first index that reached it
-    (NaN beats any number), unravelled; a witness of None keeps that of the last record before it, as a scan would."""
+    (NaN beats any number), unravelled; none is built when the largest entry is 0.0 or there is none."""
     r = np.asarray(residuals, dtype=float)
-    value, kept, stop = 0.0, None, r.size
-    while stop and kept is None:
-        head = r.ravel()[:stop]
-        k = int(np.argmax(np.isnan(head)) if np.isnan(head).any() else np.argmax(head))
-        if head[k] <= 0:
-            break
-        value, kept, stop = float(head[k]) if stop == r.size else value, witness(*np.unravel_index(k, r.shape)), k
-    return value, kept
+    k = int(np.argmax(np.isnan(r) if np.isnan(r).any() else r)) if r.size else 0
+    if not r.size or r.flat[k] <= 0:
+        return 0.0, None
+    return float(r.flat[k]), witness(*np.unravel_index(k, r.shape))
 
 
 def _sweep(env: _Env, params: dict, pinned: float, residuals, witness, universe: Optional[str] = None) -> dict:
@@ -774,10 +770,10 @@ def check_eisenstein_lattice_match(env: _Env) -> dict:
                 abs(eisenstein(k, -1 / z, raw) - z ** k * value) / abs(value), abs(value - reduced) / abs(value))
 
     laws = worst_residual(gap for z in env.upper for k in (4, 6) for gap in law_gaps(k, z))
-    params.update(reflection_symmetry=sym, closed_form_at_i=closed, raw_series_laws=laws)
+    oracle = {"closed_form_at_i": closed, "reflection_symmetry": sym, "raw_series_laws": laws}
+    params.update(oracle)
     if not (closed <= tol and sym == 0.0 and laws <= env.tol(1e-9)):
-        # the oracle terms raise the residual, with no witness of their own: a lattice witness stays
-        cases.append((worst_residual((closed, sym, laws)), None))
+        cases.append((worst_residual(oracle.values()), oracle))
     return _sweep_cases(env, params, 1e-12, cases,
                         universe="60 lattice rows at z in {2i, 0.3+0.9i}; series laws on the upper grid")
 

@@ -17,10 +17,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .automorphy import AXIS_TOLERANCE, principal_sqrt, pullback, require_finite, require_off_axis, require_upper
+from .automorphy import (AXIS_TOLERANCE, principal_sqrt, pullback, require_finite, require_off_axis, require_upper,
+                         root24)
 from .cover import S_MAT, T_MAT, Mat2, chi_negative, minus_t_row
 from .errors import DomainError, ResourceLimitError
-from .reps import Rep, VVForm, extend_form, induce_form, root24
+from .reps import Rep, VVForm, extend_form, induce_form
 from .slash import HoloFn, Weight, cpow_int
 
 ZETA_4 = math.pi ** 4 / 90
@@ -58,8 +59,7 @@ DEFAULT_CONFIG = QSeriesConfig()
 
 REDUCTION_STEPS = 500  # cap on the steps of a fundamental-domain reduction
 
-# eta_batch's multipliers by carried index, 0 exactly 1; the scalar eta takes root24(index), staying in Python complex
-_ETA_ROOTS = np.array([root24(n) for n in range(24)])
+_ETA_ROOTS = np.array([root24(n) for n in range(24)])  # eta_batch's multipliers by index, a copy of root24's table
 
 _QPOW_ANCHOR = 8  # the batch series take q^k from one exponential at every 8th k, as q^(k-1) * q in between
 
@@ -275,6 +275,8 @@ def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     principal sqrt(c z + d), so the raw product is summed at well-separated points.
     """
     w, index = _require_workable(z, cfg)
+    # only below Im 1/4, unlike E4 and E6, whose Lambert terms weigh d^(k-1): from Im 1/4 up the product needs at most
+    # 25 factors, too few for a reduction to pay for itself, and reducing there too would move no certify report
     if cfg.reduce and w.imag < 0.25:
         _, w, j, index = _reduce(w, index, z)
         return _eta_series(w, cfg) / (root24(index) * principal_sqrt(j))
@@ -360,8 +362,8 @@ def lattice_sum(k: int, z, rows: int) -> complex:
     """
     if k not in _EULERIAN:
         raise DomainError(f"lattice sum weights are {sorted(_EULERIAN)}, got {k}")
-    if rows < 1:
-        raise DomainError(f"the lattice sum needs at least 1 row, got {rows}")
+    if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
+        raise DomainError(f"the lattice sum's row count must be an int of at least 1, got {rows!r}")
     z = require_off_axis(z)
     x = np.exp((2j * np.pi * (z if z.imag > 0 else -z)) * np.arange(rows, 0, -1))
     row_sums = x * np.polyval(_EULERIAN[k], x) / (1 - x) ** k
@@ -381,8 +383,8 @@ def _product_in_range(factors: Iterable[complex], lead_exponent: complex = 0j) -
 
 def triangular_product(n_factors: int, z) -> complex:
     """The finite product prod_{n<=N} (e^{-pi i n z} - e^{pi i n z}); entire in z, taken at z shifted by period 2."""
-    if n_factors < 0:
-        raise DomainError("the number of factors must be nonnegative")
+    if isinstance(n_factors, bool) or not isinstance(n_factors, int) or n_factors < 0:
+        raise DomainError(f"the number of factors must be an int of at least 0, got {n_factors!r}")
     z = require_finite(z)
     z -= 2 * round(z.real / 2)
     args = (1j * cmath.pi * n * z for n in range(1, n_factors + 1))
@@ -391,8 +393,8 @@ def triangular_product(n_factors: int, z) -> complex:
 
 def triangular_product_factored(n_factors: int, z) -> complex:
     """Same product in the pulled-out form e^{-pi i z N(N+1)/2} prod (1 - e^{2 pi i n z}), shifted as it is."""
-    if n_factors < 0:
-        raise DomainError("the number of factors must be nonnegative")
+    if isinstance(n_factors, bool) or not isinstance(n_factors, int) or n_factors < 0:
+        raise DomainError(f"the number of factors must be an int of at least 0, got {n_factors!r}")
     z = require_finite(z)
     z -= 2 * round(z.real / 2)
     return _product_in_range((1 - cmath.exp(2j * cmath.pi * n * z) for n in range(1, n_factors + 1)),

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automorphy import _word_codes, _word_data, i_power
+from .automorphy import _word_codes, _word_data, i_power, root24
 from .cover import (
     GENERATOR_TOKENS,
     LIFT_R,
@@ -168,11 +168,6 @@ class Rep:
         except (OSError, json.JSONDecodeError) as exc:
             raise DomainError(f"cannot read representation file {path}: {exc}") from exc
         return cls.from_json_dict(data)
-
-
-def root24(n: int) -> complex:
-    """The 24th root of unity e^(2 pi i n/24)."""
-    return cmath.exp(2j * cmath.pi * n / 24)
 
 
 def snap_to_root_of_unity(value: complex) -> tuple[complex, int, float]:

@@ -1,6 +1,9 @@
 import cmath
+import importlib
 import math
+import struct
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from metaplectic.automorphy import (
     require_lower,
     require_off_axis,
     require_upper,
+    root24,
     word_factor,
 )
 from metaplectic.cover import (
@@ -78,6 +82,32 @@ def test_i_power():
         value = i_power(e)
         assert type(value) is complex
         assert math.copysign(1.0, value.real if e % 2 else value.imag) == 1.0
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def test_one_table_holds_every_exact_phase():
+    """``i_power``, ``root24`` and their array copies read one tuple of the 24 roots of unity: each within 1.3e-16
+    of its 40-digit value, the powers of i exactly 1, i, -1, -i with +0.0 zeros, and root24(6e) = i^e bit for bit.
+    The first six are ``cmath.exp``'s, and each other root is the one six places back turned exactly by i,
+    i(x + iy) = (0.0 - y) + ix.  eta's multipliers (``qseries._ETA_ROOTS``) and the batch slash's powers of i
+    (``slash._I_POWER_ARRAY``) are copies of it, bit for bit."""
+    table = automorphy._ROOTS_24
+    assert len(table) == 24 and all(type(root) is complex for root in table)
+    assert all(_bits(table[n]) == _bits(cmath.exp(2j * cmath.pi * n / 24)) for n in range(6))
+    assert all(_bits(table[n]) == _bits(complex(0.0 - table[n - 6].imag, table[n - 6].real)) for n in range(6, 24))
+    with mpmath.workdps(40):
+        for n, root in enumerate(table):
+            assert root24(n) is root and root24(n - 24 * 10**20) is root
+            assert abs(mpmath.mpc(root.real, root.imag) - mpmath.expjpi(mpmath.mpf(n) / 12)) < 1.3e-16, n
+    powers = [complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)]
+    for e in range(-41, 42):
+        assert _bits(root24(6 * e)) == _bits(i_power(e)) == _bits(powers[e % 4])
+    for module, name, copied in (("qseries", "_ETA_ROOTS", table), ("slash", "_I_POWER_ARRAY", table[::6])):
+        array = getattr(importlib.import_module(f"metaplectic.{module}"), name)
+        assert array.dtype == complex and array.tobytes() == b"".join(map(_bits, copied))
 
 
 def test_generator_factors():

@@ -19,14 +19,16 @@ from metaplectic.cover import LIFT_R, LIFT_S, LIFT_Z
 from metaplectic.qseries import QSeriesConfig
 from metaplectic.slash import HoloFn, Weight
 
-automorphy_module, cover_module, certify_module, qseries_module, slash_module = (
-    importlib.import_module(f"metaplectic.{name}") for name in ("automorphy", "cover", "certify", "qseries", "slash"))
+automorphy_module, cover_module, certify_module, qseries_module, reps_module, slash_module = (
+    importlib.import_module(f"metaplectic.{name}")
+    for name in ("automorphy", "cover", "certify", "qseries", "reps", "slash"))
 _RULE = slash_module._case_exponents
 _BIT = cover_module.cocycle_bit
 _CZ_PLUS_D = automorphy_module.cz_plus_d
 _S_STEP = qseries_module._eta_s_step
 _QPOW = qseries_module._qpow
 _ETA_SERIES = qseries_module._eta_series
+_ROOT24 = automorphy_module.root24
 _REQUIRE_WORKABLE, _REDUCE_WORKABLE = qseries_module._require_workable, qseries_module._reduce_workable
 
 
@@ -197,10 +199,38 @@ def test_a_series_prefactor_mutant_fails_the_shift_law(monkeypatch):
     """``eta`` takes round(Re z) off through the root table the T law names, so on ``eta`` that law holds for any
     series: at -0.7+0.3i both sides sum the product at 0.3+0.3i.  ``eta_shift_law`` sums the product unshifted at
     z and z + 1, so a prefactor exponent that is off fails it on its own comparison."""
-    z, raw, phase = -0.7 + 0.3j, replace(qseries_module.CERTIFY_CONFIG, reduce=False), qseries_module.root24(1)
+    z, raw, phase = -0.7 + 0.3j, replace(qseries_module.CERTIFY_CONFIG, reduce=False), automorphy_module.root24(1)
     for module in (qseries_module, certify_module):
         monkeypatch.setattr(module, "_eta_series", _prefactor_over_24)
     assert abs(qseries_module.eta(z + 1, raw) - phase * qseries_module.eta(z, raw)) < 1e-15
     assert abs(_prefactor_over_24(z + 1, raw) - phase * _prefactor_over_24(z, raw)) > 0.05
     assert _failed_checks() == {"eta_inversion_law", "eta_point_value", "eta_reduction_agreement", "eta_shift_law",
                                 *_REBUILDING_CHECKS}
+
+
+def _conjugated_root(n):
+    """e^(-2 pi i n/24) for e^(2 pi i n/24)."""
+    return _ROOT24(n).conjugate()
+
+
+def test_a_conjugated_root_table_fails_exactly_its_pinned_checks(monkeypatch):
+    """``root24`` and its array copy ``qseries._ETA_ROOTS`` hand out every 24th root of the one phase table: eta's
+    multipliers on the scalar and batch routes, eta's character, ``snap_to_root_of_unity`` and the phase of
+    ``eta_shift_law``.  Conjugating both, with ``i_power`` left to read the table as it is, moves eta wherever the
+    carried index is not 0 or 12, on both routes alike, and turns its character into its inverse.  The character
+    is rebuilt before and after the run."""
+    z, cfg = np.array([1.3 + 0.003j, 0.7 + 0.9j, -0.41 + 0.002j]), qseries_module.CERTIFY_CONFIG
+    routes = (lambda: qseries_module.eta_batch(z, cfg), lambda: [qseries_module.eta(p, cfg) for p in z.tolist()])
+    before = [np.array(route()) for route in routes]
+    for module in (automorphy_module, reps_module, qseries_module, certify_module):
+        monkeypatch.setattr(module, "root24", _conjugated_root)
+    monkeypatch.setattr(qseries_module, "_ETA_ROOTS", np.conj(qseries_module._ETA_ROOTS))
+    qseries_module.eta_character.cache_clear()
+    try:
+        assert automorphy_module.i_power(1) == 1j and qseries_module.eta_character().images["T"][0, 0] == _ROOT24(-1)
+        assert all(np.all(np.abs(np.array(route()) - value) > 0.1 * np.abs(value)) for route, value in zip(routes, before))
+        failed = _failed_checks()
+    finally:
+        qseries_module.eta_character.cache_clear()
+    assert failed == {"action_composition", "eta_inversion_law", "eta_multiplier_universe", "eta_reduction_agreement",
+                      "eta_shift_law", *_REBUILDING_CHECKS}

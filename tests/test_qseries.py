@@ -7,10 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from metaplectic.automorphy import principal_sqrt, pullback, require_upper
+from metaplectic.automorphy import principal_sqrt, pullback, require_upper, root24
 from metaplectic.cover import IDENT, LIFT_R, LIFT_S, LIFT_T, NEG_IDENT, S_MAT, T_MAT, Mat2, MetaElt, minus_t_row
 from metaplectic.errors import DomainError, ResourceLimitError
-from metaplectic.reps import root24
 from metaplectic import qseries
 from metaplectic.qseries import (
     DEFAULT_CONFIG,
@@ -352,8 +351,9 @@ def test_lattice_validation():
     for k in (3, 2, 8):
         with pytest.raises(DomainError):
             lattice_sum(k, 1j, 10)
-    with pytest.raises(DomainError):
-        lattice_sum(4, 1j, 0)
+    for rows in (0, 2.5, True, 60.0):  # a float would sum 33.68 at i, a bool one row
+        with pytest.raises(DomainError, match=f"row count must be an int of at least 1, got {rows!r}$"):
+            lattice_sum(4, 1j, rows)
 
 
 def test_triangular_product_basics():
@@ -362,9 +362,10 @@ def test_triangular_product_basics():
     z = 0.4 + 0.8j
     one = triangular_product(1, z)
     assert abs(one - (cmath.exp(-1j * cmath.pi * z) - cmath.exp(1j * cmath.pi * z))) == 0
-    with pytest.raises(DomainError):
-        triangular_product(-1, z)
     for product in (triangular_product, triangular_product_factored):
+        for bad in (-1, 2.5, True, 3.0):  # a bool would take one factor
+            with pytest.raises(DomainError, match=f"number of factors must be an int of at least 0, got {bad!r}$"):
+                product(bad, z)
         for bad in (complex("nan"), complex(0.1, math.inf)):
             with pytest.raises(DomainError, match="is not a finite complex number"):
                 product(3, bad)
@@ -472,7 +473,7 @@ def _masked_eta_batch(z, cfg, q_powers=_anchored_q_powers):
     """``eta_batch`` as a masked loop: every point runs through the largest truncation index.  Its matrices
     reduce z - r, r = round(Re z), so each root is of their multiplier index less r."""
     m, arg, _, _ = qseries._reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
-    r = np.round(z.real)
+    r = np.round(z.real).astype(np.int64)
     roots = np.array([root24((eta_multiplier_index(Mat2(*g)) - s) % 24) for g, s in zip(zip(*m.tolist()), r)])
     n, prod = qseries._truncation_indices(arg.imag, cfg), np.ones_like(z)
     for k, qk in q_powers(arg, n.max(initial=0)):

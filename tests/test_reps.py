@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from metaplectic.automorphy import _word_data, i_power
+from metaplectic.automorphy import _word_data, i_power, root24
 from metaplectic.cover import CENTER_FLIP, LIFT_R, LIFT_S, LIFT_T, MetaElt
 from metaplectic.errors import DomainError, ModularityError
 from metaplectic.qseries import NAMED_FORMS, eta, eta_character, eta_fn, eta_form, eta_hat_form, eisenstein_form
@@ -18,7 +18,6 @@ from metaplectic.reps import (
     induce_form,
     modularity_residual,
     project_components,
-    root24,
     snap_to_root_of_unity,
 )
 from metaplectic.sampling import full_grid, upper_grid
