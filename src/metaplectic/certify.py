@@ -36,6 +36,7 @@ REPORT_VERSION = "1"
 DEFAULT_SEED = 20250405
 DEFAULT_MAX_WORD_LEN = 5
 DEFAULT_PAIR_COUNT = 500
+PAIR_COUNT_LIMIT = 10 ** 6  # pairs per sample; the setup draws four samples of them as Python tuples
 
 # frozen from a 60-digit evaluation of the same q-product with tail < 1e-30
 ETA_AT_I = 0.7682254223260566590025941795761806
@@ -101,6 +102,8 @@ class _Env:
                 raise DomainError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise DomainError(f"{name} must be at least {least}, got {value}")
+        if pair_count > PAIR_COUNT_LIMIT:
+            raise ResourceLimitError(f"pair count {pair_count} is above the cap {PAIR_COUNT_LIMIT}")
         self.tol_override = tol if tol is None else require_tolerance(tol)
         self.pair_count = pair_count
         self.qcfg = replace(CERTIFY_CONFIG, min_im=min_im)
@@ -589,12 +592,13 @@ def check_rep_twist_properties(env: _Env) -> dict:
     rho = eta_character()
     twist = rho.r_twist()
     triv = Rep.trivial("SL")
-    gaps = [_gap(twist.images["T"], rho.evaluate(LIFT_T.inv()))]
+    cases = [(_gap(twist.images["T"], rho.evaluate(LIFT_T.inv())), {"identity": "r_twist(eta)(T) = eta(T^-1)"})]
     for key in ("S", "T"):
-        gaps.append(_gap(triv.r_twist().images[key], triv.images[key]))
-        gaps.append(_gap(twist.r_twist().images[key], rho.images[key]))
-    return _sweep_cases(env, {}, 1e-12, [(worst_residual(gaps), {"detail": "twist identities"})],
-                        universe="eta character and the trivial representation")
+        cases.append((_gap(triv.r_twist().images[key], triv.images[key]),
+                      {"identity": "r_twist(trivial) = trivial", "key": key}))
+        cases.append((_gap(twist.r_twist().images[key], rho.images[key]),
+                      {"identity": "r_twist(r_twist(eta)) = eta", "key": key}))
+    return _sweep_cases(env, {}, 1e-12, cases, universe="eta character and the trivial representation")
 
 
 def check_rep_induction_matrices(env: _Env) -> dict:
@@ -604,10 +608,11 @@ def check_rep_induction_matrices(env: _Env) -> dict:
     res = rho_hat.restrict()
     dims_ok = res.dim == 2 * rho.dim and rho_hat.dim == 2 * rho.dim
     triv_ok = Rep.trivial("GL").restrict().images["S"].shape == (1, 1)
-    worst = worst_residual((_gap(rho_hat.images["R"], np.array([[0, 1], [-1, 0]], dtype=complex)),
-                            _gap(rho_hat.images["T"], want_t), _gap(res.images["T"], want_t),
-                            0.0 if dims_ok and triv_ok else 1.0))
-    return _sweep_cases(env, {"restricted_dim_doubles": dims_ok, "trivial_restricts": triv_ok}, 1e-12, [(worst, None)],
+    cases = [(_gap(rho_hat.images["R"], np.array([[0, 1], [-1, 0]], dtype=complex)), {"detail": "induced R image"}),
+             (_gap(rho_hat.images["T"], want_t), {"detail": "induced T image"}),
+             (_gap(res.images["T"], want_t), {"detail": "restricted T image"}),
+             (0.0 if dims_ok and triv_ok else 1.0, {"detail": "dimension flags"})]
+    return _sweep_cases(env, {"restricted_dim_doubles": dims_ok, "trivial_restricts": triv_ok}, 1e-12, cases,
                         universe="the induced eta character")
 
 

@@ -79,6 +79,12 @@ def _require_workable(z, cfg: QSeriesConfig) -> tuple[complex, int]:
     return z - r, -r % 24
 
 
+def _require_weight(k) -> None:
+    """Refuse a weight other than the integer 4 or 6 (a numpy integer passes), a float equal to one too."""
+    if not isinstance(k, (int, np.integer)) or k not in _EIS_COEFF:
+        raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
+
+
 def _truncation_index(im: float, cfg: QSeriesConfig, extra_log: float = 0.0) -> int:
     n = math.ceil((math.log(1 / cfg.tail_tolerance) + extra_log) / (2 * math.pi * im))
     n = max(n, 1)
@@ -136,21 +142,22 @@ def _eta_s_step(a, c, d):
     return 21 + 12 * ((c > 0) & (a < 0) | minus_t_row(c, d))
 
 
-def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig, todo: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Refuse and take r = round(Re z) off as ``_require_workable`` does (the first refused point raises), then
-    ``_reduce`` where ``todo``: every point's matrix of z - r as a column of int64 rows (a, b, c, d) below 2^31, its
-    reduced point, its j and its carried index -r + ``eta_multiplier_index``; the identity, z - r, 1 and -r mod 24
-    where nothing was reduced.  The live points' rows and z are kept compact, shrunk where a point finishes."""
+def _reduce_workable(z: np.ndarray, cfg: QSeriesConfig) -> tuple[np.ndarray, ...]:
+    """Refuse and take r = round(Re z) off as ``_require_workable`` does (the first refused point raises), then,
+    with ``cfg.reduce``, ``_reduce`` every point: its matrix of z - r as a column of int64 rows (a, b, c, d) below
+    2^31, its reduced point, its j and its carried index -r + ``eta_multiplier_index``; without it, the identity,
+    z - r, 1 and -r mod 24.  The live points' rows and z are kept compact, shrunk where a point finishes."""
     bad = ~np.isfinite(z) | (z.imag <= AXIS_TOLERANCE) | (z.imag < cfg.min_im)
     if bad.any():
         _require_workable(complex(z[np.argmax(bad)]), cfg)
     r, m = np.round(z.real), np.repeat(np.array([[1], [0], [0], [1]], dtype=np.int64), z.size, axis=1)
-    w0, j0, n0, todo = z - r, np.ones(z.shape, dtype=complex), np.mod(-r, 24).astype(np.int64), np.flatnonzero(todo)
+    w0, j0, n0 = z - r, np.ones(z.shape, dtype=complex), np.mod(-r, 24).astype(np.int64)
+    todo = np.arange(z.size if cfg.reduce else 0)
     (a, b, c, d), n, live = m[:, todo], n0[todo], w0[todo]
     for _ in range(REDUCTION_STEPS):
         w, j = pullback(a, b, c, d, live)
         shift = -np.round(w.real)
-        over = np.maximum.reduce([np.abs(shift), np.abs(a), np.abs(b), np.abs(c), np.abs(d)]) >= 2 ** 31
+        over = np.maximum.reduce([np.abs(shift), np.abs(c), np.abs(d)]) >= 2 ** 31  # as in ``_reduce``
         if over.any():
             raise ResourceLimitError(f"fundamental-domain reduction of {complex(z[todo[over]][0])} leaves int64")
         s = shift.astype(np.int64)
@@ -207,10 +214,10 @@ def _live_point_series(arg: np.ndarray, n: np.ndarray, start: complex, combine, 
 
 
 def _eta_pentagonal(z: np.ndarray, cfg: QSeriesConfig) -> np.ndarray:
-    """``eta_batch`` unreduced, refused where it is, as Euler's series e^(pi i z/12) sum_n (-1)^n q^(n(3n-1)/2)
-    (Apostol, Modular Functions and Dirichlet Series, ch. 3) up to the product's truncation index: both drop only
-    powers past it.  A term is one ``_qpow`` at z - round(Re z), and the sum is divided by the carried index's root."""
-    _, z, _, index = _reduce_workable(z, cfg, np.zeros(z.shape, dtype=bool))
+    """``eta_batch`` with Euler's series e^(pi i z/12) sum_n (-1)^n q^(n(3n-1)/2) (Apostol, Modular Functions and
+    Dirichlet Series, ch. 3) for the product, up to the product's truncation index: both drop only powers past it.
+    A term is one ``_qpow`` at the point ``_reduce_workable`` gives, and the sum is carried back as ``eta_batch``'s."""
+    _, z, j, index = _reduce_workable(z, cfg)
     n = _truncation_indices(z.imag, cfg)
     order, z, neg_n, hi, lo = _by_truncation(z, n)
     top, acc = int(n.max(initial=0)), np.ones(z.shape, dtype=complex)
@@ -220,7 +227,7 @@ def _eta_pentagonal(z: np.ndarray, cfg: QSeriesConfig) -> np.ndarray:
         acc[:live] += sign * _qpow(hi[:live], lo[:live], z.imag[:live], e)
     out = np.empty_like(acc)
     out[order] = np.exp(1j * np.pi * z / 12) * acc
-    return out / _ETA_ROOTS[index]
+    return out / (_ETA_ROOTS[index] * np.sqrt(j))
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -275,8 +282,8 @@ def eta(z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     principal sqrt(c z + d), so the raw product is summed at well-separated points.
     """
     w, index = _require_workable(z, cfg)
-    # only below Im 1/4, unlike E4 and E6, whose Lambert terms weigh d^(k-1): from Im 1/4 up the product needs at most
-    # 25 factors, too few for a reduction to pay for itself, and reducing there too would move no certify report
+    # only below Im 1/4, unlike the array route and E4, E6: from Im 1/4 up the product needs at most 25 factors, too
+    # few for a reduction to pay for itself in one Python-level call (README gives the timings)
     if cfg.reduce and w.imag < 0.25:
         _, w, j, index = _reduce(w, index, z)
         return _eta_series(w, cfg) / (root24(index) * principal_sqrt(j))
@@ -295,10 +302,9 @@ def _eta_series(z: complex, cfg: QSeriesConfig) -> complex:
 
 
 def eta_batch(z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """``eta`` at every point of the complex array ``z``, with its refusals, reductions and per-point
-    truncations: one pass per product term over the points that still need it."""
-    todo = (z.imag < 0.25) & cfg.reduce
-    _, arg, j, index = _reduce_workable(z, cfg, todo)
+    """``eta`` at every point of the complex array ``z``, with its refusals and per-point truncations, every point
+    reduced under ``cfg.reduce``: one pass per product term over the points that still need it."""
+    _, arg, j, index = _reduce_workable(z, cfg)
     prod = _live_point_series(arg, _truncation_indices(arg.imag, cfg), 1, np.multiply, lambda qk, k: 1.0 - qk)
     # j is 1 where nothing was reduced, and off the cut where it was (c != 0, as Im went up)
     return np.exp(1j * np.pi * arg / 12) * prod / (_ETA_ROOTS[index] * np.sqrt(j))
@@ -314,8 +320,7 @@ def eisenstein(k: int, z, cfg: QSeriesConfig = DEFAULT_CONFIG) -> complex:
     value is carried back through the weight-k cocycle, which keeps the
     evaluation well-conditioned near the real axis.
     """
-    if k not in _EIS_COEFF:
-        raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
+    _require_weight(k)
     w, _ = _require_workable(z, cfg)
     if cfg.reduce:
         _, w0, j, _ = _reduce(w, 0, z)
@@ -339,9 +344,8 @@ def _eisenstein_series(k: int, z: complex, cfg: QSeriesConfig) -> complex:
 def eisenstein_batch(k: int, z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
     """``eisenstein`` at every point of the complex array ``z``, with its refusals, reductions and
     per-point truncations: one pass per Lambert term over the points that still need it."""
-    if k not in _EIS_COEFF:
-        raise DomainError(f"supported Eisenstein weights are {sorted(_EIS_COEFF)}, got {k}")
-    _, arg, j, _ = _reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
+    _require_weight(k)
+    _, arg, j, _ = _reduce_workable(z, cfg)
     base = _truncation_indices(arg.imag, cfg)
     total = _live_point_series(arg, _truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0)),
                                0, np.add, lambda qd, d: float(d) ** (k - 1) * qd / (1.0 - qd))
@@ -360,10 +364,11 @@ def lattice_sum(k: int, z, rows: int) -> complex:
     |Im z| >= 0.1.  They are taken at whichever of z, -z lies above the axis,
     so the sum is exactly invariant under z -> -z.
     """
-    if k not in _EULERIAN:
-        raise DomainError(f"lattice sum weights are {sorted(_EULERIAN)}, got {k}")
+    _require_weight(k)
     if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
         raise DomainError(f"the lattice sum's row count must be an int of at least 1, got {rows!r}")
+    if rows > DEFAULT_CONFIG.max_terms:
+        raise ResourceLimitError(f"the lattice sum's {rows} rows are above the cap {DEFAULT_CONFIG.max_terms}")
     z = require_off_axis(z)
     x = np.exp((2j * np.pi * (z if z.imag > 0 else -z)) * np.arange(rows, 0, -1))
     row_sums = x * np.polyval(_EULERIAN[k], x) / (1 - x) ** k

@@ -20,6 +20,7 @@ from metaplectic.qseries import CERTIFY_CONFIG, NAMED_FORMS
 from metaplectic.reps import Rep, VVForm
 from metaplectic.sampling import format_complex, full_grid, upper_grid
 from metaplectic.slash import HoloFn, Weight, composition_residuals, holofn_values, slash, slash_values
+from report_diff import moved_fields
 
 
 def test_check_filter_refuses_unknown_ids():
@@ -54,27 +55,7 @@ def test_certify_report_matches_its_golden_file(golden, kwargs):
     failure message lists."""
     want = (Path(__file__).parent / "data" / golden).read_text()
     got = _strict_json(run_certification(**kwargs)) + "\n"
-    assert got == want, "\n".join([f"{golden} moved, (check_id, field): golden -> now", *_moved_fields(want, got)])
-
-
-def _moved_fields(want: str, got: str) -> list[str]:
-    """Each (check_id, field) whose value differs between two report texts, with both values; a nested field
-    is its dotted path, the report's own fields have check_id None, and a field one side lacks reads <absent>."""
-    def leaves(value, path):
-        if not isinstance(value, dict):
-            return {path: value}
-        return {key: leaf for name, x in value.items() for key, leaf in leaves(x, f"{path}.{name}".strip(".")).items()}
-
-    def fields(text):
-        report = json.loads(text)
-        out = {(None, key): value for key, value in leaves({k: v for k, v in report.items() if k != "checks"}, "").items()}
-        for check in report["checks"]:
-            out.update({(check["check_id"], key): value for key, value in leaves(check, "").items()})
-        return out
-
-    old, new = fields(want), fields(got)
-    return [f"{key}: {old.get(key, '<absent>')!r} -> {new.get(key, '<absent>')!r}"
-            for key in sorted(old.keys() | new.keys(), key=str) if old.get(key, "<absent>") != new.get(key, "<absent>")]
+    assert got == want, "\n".join([f"{golden} moved, (check_id, field): golden -> now", *moved_fields(want, got)])
 
 
 def test_moved_fields_name_each_value_that_moved():
@@ -83,9 +64,27 @@ def test_moved_fields_name_each_value_that_moved():
                                   {"check_id": "b", "pass": True}], "pass": True})
     got = json.dumps({"checks": [{"check_id": "a", "max_residual": 2.0, "params": {"x": 1, "y": [1, 3], "z": 0}},
                                  {"check_id": "b", "pass": True}], "pass": False})
-    assert _moved_fields(want, got) == ["('a', 'max_residual'): 1.0 -> 2.0", "('a', 'params.y'): [1, 2] -> [1, 3]",
+    assert moved_fields(want, got) == ["('a', 'max_residual'): 1.0 -> 2.0", "('a', 'params.y'): [1, 2] -> [1, 3]",
                                         "('a', 'params.z'): '<absent>' -> 0", "(None, 'pass'): True -> False"]
-    assert _moved_fields(want, want) == []
+    assert moved_fields(want, want) == []
+
+
+@pytest.mark.parametrize("method, image, check_id, witness", [
+    ("restrict", "T", "rep_induction_matrices", {"detail": "restricted T image"}),
+    ("r_twist", "S", "rep_twist_properties", {"identity": "r_twist(trivial) = trivial", "key": "S"})])
+def test_a_rep_check_names_the_identity_that_broke(monkeypatch, method, image, check_id, witness):
+    """The two rep checks hand the sweep one named case per gap, not one folded worst: a restriction that negates
+    the T image fails ``rep_induction_matrices`` on the restricted T image, and an r_twist that negates the S
+    image fails ``rep_twist_properties`` first on the trivial twist at S, each by a gap of 2."""
+    original = getattr(Rep, method)
+
+    def negated(rep):
+        out = original(rep)
+        return Rep(out.group, out.dim, {**out.images, image: -out.images[image]})
+    monkeypatch.setattr(Rep, method, negated)
+    (check,) = run_certification(0, check_filter=[check_id])["checks"]
+    assert not check["pass"] and check["max_residual"] == pytest.approx(2.0, abs=1e-15)
+    assert check["counterexample"] == witness
 
 
 def test_phi_branch_profile_surfaces_foreign_errors(monkeypatch):
@@ -527,11 +526,14 @@ def test_each_check_reports_alone_what_it_reports_in_the_full_run():
     ({"max_word_len": 2.5}, "word length bound must be an integer, got 2.5"),
     ({"max_word_len": -1}, "word length bound must be at least 0, got -1"),
     ({"points": []}, "the sample point set is empty"),
+    ({"pair_count": 99999999999}, "pair count 99999999999 is above the cap 1000000"),
 ])
 def test_the_setup_refuses_bad_arguments(kwargs, message):
     """A seed, pair count or word length bound that is a bool, no int or too small, and an empty point set, are
-    refused before any check runs; ``points=None`` is the standard grid."""
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+    refused before any check runs; ``points=None`` is the standard grid.  A pair count past the cap is refused
+    as a resource limit before any sample is drawn."""
+    kind = ResourceLimitError if "above the cap" in message else DomainError
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
         run_certification(**{"max_word_len": 0, **kwargs})
 
 

@@ -221,10 +221,9 @@ def test_certify_impossible_tolerance(capsys, tmp_path):
     assert "algebra_cocycle_triples" in exact_ids
     for check in failed:
         assert check["counterexample"] is not None
-    # every failing numeric check names its witness; only the induction-matrix
-    # check reports no witness by design
+    # every failing numeric check names its witness, the induction-matrix check included
     placeholder = {"detail": "no witness captured; see params"}
-    assert [c["check_id"] for c in failed if c["counterexample"] == placeholder] == ["rep_induction_matrices"]
+    assert [c["check_id"] for c in failed if c["counterexample"] == placeholder] == []
 
 
 def test_certify_reports_are_reproducible(capsys, tmp_path):
@@ -294,6 +293,9 @@ def test_certify_depth_bound(capsys):
         assert code == 2
         assert out == ""  # refused before any check runs
         assert f"pair count must be at least 1, got {pairs}" in err
+    # refused before numpy is asked for the 1.46 TiB of pair draws
+    assert run_cli(capsys, "certify", "--max-word-len", "1", "--pairs", "99999999999") == (
+        2, "", "error: pair count 99999999999 is above the cap 1000000\n")
 
 
 def test_non_finite_tolerance_is_refused(capsys, tmp_path):

@@ -167,9 +167,9 @@ def _scalar_shift_forward(z, cfg):
     return z, -n % 24
 
 
-def _batch_shift_forward(z, cfg, todo):
+def _batch_shift_forward(z, cfg):
     """The batch shift carrying +r, not -r, into eta's index: the index moves by 2r mod 24."""
-    m, w, j, n = _REDUCE_WORKABLE(z, cfg, todo)
+    m, w, j, n = _REDUCE_WORKABLE(z, cfg)
     return m, w, j, (n + 2 * np.mod(np.round(z.real), 12).astype(np.int64)) % 24
 
 

@@ -133,21 +133,23 @@ def test_the_eta_routes_compute_no_multiplier_index(monkeypatch, qcfg):
     assert all(cmath.isfinite(eta(p, qcfg)) for p in z.tolist()) and not calls
 
 
-def test_reduction_carries_the_eta_multiplier_index(qcfg):
+def test_reduction_carries_the_eta_multiplier_index(qcfg, raw_cfg):
     """Every column's matrix reduces z - r, r = round(Re z), and its carried index is ``eta_multiplier_index``
-    of the matrix times T^-r, which takes z itself there, down to Im 1e-6 and out to |Re| 1e6; the columns left
-    unreduced carry T^-r's -r.  The scalar ``_reduce`` of ``_require_workable``'s shifted point and index gives
-    every reduced point the same entries and index as the batch route."""
+    of the matrix times T^-r, which takes z itself there, down to Im 1e-6 and out to |Re| 1e6; under a raw config
+    every column is the identity and carries T^-r's -r.  The scalar ``_reduce`` of ``_require_workable``'s shifted
+    point and index gives every reduced point the same entries and index as the batch route."""
     rng = np.random.default_rng(20250405)
     im = 10 ** rng.uniform(-6, math.log10(0.25), 3000)
     z = rng.choice([-1, 1], im.size) * 10 ** rng.uniform(-3, 6, im.size) + 1j * im
-    todo = rng.random(im.size) < 0.9
-    m, _, _, index = qseries._reduce_workable(z, qcfg, todo)
+    (m, _, _, index), (raw_m, _, _, raw_index) = (qseries._reduce_workable(z, cfg) for cfg in (qcfg, raw_cfg))
     assert np.abs(m[2]).max() > 500  # deep reductions, far outside any certify universe
+    assert np.array_equal(raw_m, np.repeat([[1], [0], [0], [1]], z.size, axis=1))
     r = np.round(z.real).astype(np.int64).tolist()
-    assert index.tolist() == [eta_multiplier_index(Mat2(*g) * Mat2(1, -s, 0, 1)) for g, s in zip(zip(*m.tolist()), r)]
-    scalar = [qseries._reduce(*qseries._require_workable(p, qcfg)) for p in z[todo].tolist()]
-    assert [(g, n) for g, _, _, n in scalar] == list(zip(map(tuple, m[:, todo].T.tolist()), index[todo].tolist()))
+    for rows, carried in ((m, index), (raw_m, raw_index)):
+        want = [eta_multiplier_index(Mat2(*g) * Mat2(1, -s, 0, 1)) for g, s in zip(zip(*rows.tolist()), r)]
+        assert carried.tolist() == want
+    scalar = [qseries._reduce(*qseries._require_workable(p, qcfg)) for p in z.tolist()]
+    assert [(g, n) for g, _, _, n in scalar] == list(zip(map(tuple, m.T.tolist()), index.tolist()))
 
 
 def test_eta_step_rule_on_random_words():
@@ -231,10 +233,9 @@ def test_scalar_series_match_the_numpy_bodies(qcfg, raw_cfg):
     rng = np.random.default_rng(28)
     z = rng.uniform(-2, 2, 1000) + 1j * np.exp(rng.uniform(math.log(1e-3), math.log(3), 1000))
     for p in map(complex, z):
-        w = qseries._reduce(p)[1] if p.imag < 0.25 else p
+        w = qseries._reduce(p)[1]
         assert qseries._eta_series(w, qcfg) == _eta_series_numpy(w, qcfg), p
         assert qseries._eta_series(p, raw_cfg) == _eta_series_numpy(p, raw_cfg), p
-        w = qseries._reduce(p)[1]
         for k in (4, 6):
             want = _eisenstein_series_numpy(k, w, qcfg)
             assert abs(qseries._eisenstein_series(k, w, qcfg) - want) <= 4e-15 * max(1, abs(want)), (k, p)
@@ -282,6 +283,13 @@ def test_eisenstein_validation():
         eisenstein(5, 1j)
     with pytest.raises(DomainError):
         eisenstein(8, 1j)
+    for k in (4.0, 6.0, True):  # a float weight equal to 4 or 6 is refused, not passed on to cpow_int
+        with pytest.raises(DomainError, match=f"supported Eisenstein weights are \\[4, 6\\], got {k}$"):
+            eisenstein(k, 0.3 + 1j)
+        with pytest.raises(DomainError, match=f"supported Eisenstein weights are \\[4, 6\\], got {k}$"):
+            eisenstein_batch(k, np.array([0.3 + 1j]))
+    assert eisenstein(np.int64(4), 0.3 + 1j) == eisenstein(4, 0.3 + 1j)
+    assert eisenstein_batch(np.int64(6), np.array([0.3 + 1j])) == eisenstein_batch(6, np.array([0.3 + 1j]))
 
 
 def test_eisenstein_periodicity(qcfg):
@@ -348,9 +356,12 @@ def test_lattice_rows_match_whole_grid():
 
 
 def test_lattice_validation():
-    for k in (3, 2, 8):
-        with pytest.raises(DomainError):
+    for k in (3, 2, 8, 4.0, True):
+        with pytest.raises(DomainError, match=f"supported Eisenstein weights are \\[4, 6\\], got {k}$"):
             lattice_sum(k, 1j, 10)
+    assert lattice_sum(np.int64(4), 1j, 60) == lattice_sum(4, 1j, 60)
+    with pytest.raises(ResourceLimitError, match="the lattice sum's 2147483648 rows are above the cap 1000000$"):
+        lattice_sum(4, 1j, 2 ** 31)  # refused before its 16 GiB of rows are allocated
     for rows in (0, 2.5, True, 60.0):  # a float would sum 33.68 at i, a bool one row
         with pytest.raises(DomainError, match=f"row count must be an int of at least 1, got {rows!r}$"):
             lattice_sum(4, 1j, rows)
@@ -472,7 +483,7 @@ def _per_term_q_powers(arg, count):
 def _masked_eta_batch(z, cfg, q_powers=_anchored_q_powers):
     """``eta_batch`` as a masked loop: every point runs through the largest truncation index.  Its matrices
     reduce z - r, r = round(Re z), so each root is of their multiplier index less r."""
-    m, arg, _, _ = qseries._reduce_workable(z, cfg, (z.imag < 0.25) & cfg.reduce)
+    m, arg, _, _ = qseries._reduce_workable(z, cfg)
     r = np.round(z.real).astype(np.int64)
     roots = np.array([root24((eta_multiplier_index(Mat2(*g)) - s) % 24) for g, s in zip(zip(*m.tolist()), r)])
     n, prod = qseries._truncation_indices(arg.imag, cfg), np.ones_like(z)
@@ -483,7 +494,7 @@ def _masked_eta_batch(z, cfg, q_powers=_anchored_q_powers):
 
 def _masked_eisenstein_batch(k, z, cfg, q_powers=_anchored_q_powers):
     """``eisenstein_batch`` as a masked loop: every point runs through the largest truncation index."""
-    m, arg, _, _ = qseries._reduce_workable(z, cfg, np.full(z.shape, cfg.reduce))
+    m, arg, _, _ = qseries._reduce_workable(z, cfg)
     base = qseries._truncation_indices(arg.imag, cfg)
     n = qseries._truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0))
     total = np.zeros_like(z)
@@ -500,6 +511,29 @@ def _by_im_bands(masked, z):
     for band in np.array_split(np.argsort(z.imag), 16):
         out[band] = masked(z[band])
     return out
+
+
+def test_the_batch_series_sum_where_one_reduction_policy_puts_them(monkeypatch, qcfg, raw_cfg):
+    """``eta_batch``, E4 and E6 hand ``_live_point_series`` the points of one policy: under a reducing config every
+    point lies in the standard fundamental domain, at Im from 1e-6 to 2 (eta's point for 0.4+0.8i among them,
+    which an Im 1/4 threshold left at |w| = 0.894), and under a raw config each is z - round(Re z)."""
+    rng = np.random.default_rng(46)
+    z = np.append(rng.uniform(-3, 3, 300) + 1j * 10 ** rng.uniform(-6, math.log10(2), 300), 0.4 + 0.8j)
+    handed = []
+
+    def record(arg, *rest):
+        handed.append(arg)
+        return np.zeros_like(arg)
+    monkeypatch.setattr(qseries, "_live_point_series", record)
+    for cfg, points in ((qcfg, z), (raw_cfg, z[z.imag > 1e-5])):  # raw, Im 1e-6 needs more than max_terms
+        for series in (eta_batch, lambda p, c: eisenstein_batch(4, p, c), lambda p, c: eisenstein_batch(6, p, c)):
+            handed.clear()
+            series(points, cfg)
+            (arg,) = handed
+            if cfg.reduce:
+                assert np.all(np.abs(arg) >= 0.999999) and np.all(np.abs(arg.real) <= 0.5)
+            else:
+                assert np.array_equal(arg, points - np.round(points.real))
 
 
 def test_live_point_series_equal_the_masked_loop(qcfg, raw_cfg):
@@ -636,12 +670,13 @@ def _eta_40_digits(z: complex) -> complex:
         return complex(mpmath.exp(1j * mpmath.pi * zz / 12) * mpmath.qp(mpmath.exp(2j * mpmath.pi * zz)))
 
 
-def test_the_pentagonal_series_matches_40_digits_and_the_product(cover7, raw_cfg):
+def test_the_pentagonal_series_matches_40_digits_and_the_product(cover7, qcfg, raw_cfg):
     """Euler's pentagonal series, which ``eta_multiplier_universe``'s transform gate slashes, is within 4e-15
     relative of a 40-digit eta at the gate's two lowest word-length-7 images (Im 2.5e-3 and 2.8e-3) and at 8
     seeded points with Im from 2.5e-3 to 0.5 and |Re z| up to 1e6; it measured at most 8.7e-16.  Both sum at
     z - round(Re z), so it is within 2e-14 of the raw ``eta_batch`` product, its oracle in the suite, at every
-    point (measured 2.6e-15)."""
+    point (measured 2.6e-15).  Under a reducing config both read one reduction and sum at its point, so at 500
+    seeded points with Im from 1e-5 to 2 they agree within 1e-15 relative (measured 5.8e-16)."""
     a, b, c, d = np.array([m.entries() for m in cover7.sl_matrices()]).T[:, :, None]
     images = np.unique(pullback(a, b, c, d, np.array(upper_grid()))[0])
     rng = np.random.default_rng(41)
@@ -652,6 +687,9 @@ def test_the_pentagonal_series_matches_40_digits_and_the_product(cover7, raw_cfg
     got, want = qseries._eta_pentagonal(z, raw_cfg), np.array([_eta_40_digits(p) for p in z])
     assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want))
     assert np.all(np.abs(got - eta_batch(z, raw_cfg)) <= 2e-14 * np.abs(want))
+    z = rng.uniform(-2, 2, 500) + 1j * 10 ** rng.uniform(-5, math.log10(2), 500)
+    product = eta_batch(z, qcfg)
+    assert np.all(np.abs(qseries._eta_pentagonal(z, qcfg) - product) <= 1e-15 * np.abs(product))
 
 
 def test_the_pentagonal_series_refuses_where_the_raw_product_does():
