@@ -51,9 +51,10 @@ def require_lower(z) -> complex:
 
 
 def principal_sqrt(w) -> complex:
-    """Square root with argument in (-pi, pi]; negative reals map to i*sqrt|w|."""
+    """Square root with argument in (-pi, pi]; negative reals map to i*sqrt|w|.  A non-finite w is refused."""
     w = complex(w)
-    if w == 0:
+    if w == 0 or not cmath.isfinite(w):
+        require_finite(w)
         raise DomainError("principal_sqrt needs a nonzero argument")
     if w.imag == 0.0:
         # normalise -0.0 so the cut is closed at theta = pi

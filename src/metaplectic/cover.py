@@ -262,6 +262,7 @@ _TOKEN_ROWS: dict[str, tuple[int, int, int, int, bool, bool, bool]] = {
 }
 
 _CANCELLING = {("S", "S^-1"), ("S^-1", "S"), ("T", "T^-1"), ("T^-1", "T")}
+WORD_LENGTH_LIMIT = 10 ** 6  # most letters of a word_decompose word, counted before its free reduction
 
 
 def parse_word(text: str) -> Word:
@@ -314,7 +315,9 @@ def word_decompose(m: Mat2) -> Word:
     Euclidean reduction on the bottom row: T-powers shrink |d| mod |c|, S
     swaps the two, and the run ends at c = 0 with a +-T-power residue.  A
     determinant -1 matrix contributes exactly one leading R.  The product of
-    the returned generators equals ``m`` exactly.
+    the returned generators equals ``m`` exactly.  A word of more than
+    ``WORD_LENGTH_LIMIT`` letters is refused with ResourceLimitError before
+    the T-power that would take it past the cap is built.
     """
     a, b, c, d = m.entries()
     head: Word = ()
@@ -329,17 +332,19 @@ def word_decompose(m: Mat2) -> Word:
         n = _best_shift(c, d)
         if n != 0:
             b, d = a * n + b, c * n + d  # times T^n
-            rev_tail.extend(["T^-1"] * n if n > 0 else ["T"] * (-n))
+            rev_tail += _t_letters(-n, len(head) + len(rev_tail), m)
         a, b, c, d = b, -a, d, -c  # times S
         rev_tail.append("S^-1")
-    if a == 1:
-        exp = b
-        core = ["T"] * exp if exp >= 0 else ["T^-1"] * (-exp)
-    else:
-        # (-1, b; 0, -1) = S^2 * T^(-b)
-        exp = -b
-        core = ["S", "S"] + (["T"] * exp if exp >= 0 else ["T^-1"] * (-exp))
+    exp = b if a == 1 else -b  # (-1, b; 0, -1) = S^2 * T^(-b)
+    core = ([] if a == 1 else ["S", "S"]) + _t_letters(exp, len(head) + len(rev_tail) + 2 * (a != 1), m)
     return head + tuple(_free_reduce(core + rev_tail[::-1]))
+
+
+def _t_letters(e: int, before: int, m: Mat2) -> list[str]:
+    """T^e as letters, refused first if with the ``before`` letters of ``m``'s word they pass ``WORD_LENGTH_LIMIT``."""
+    if before + abs(e) > WORD_LENGTH_LIMIT:
+        raise ResourceLimitError(f"the generator word of {m} has more than {WORD_LENGTH_LIMIT} letters")
+    return ["T"] * e if e >= 0 else ["T^-1"] * -e
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -22,7 +23,7 @@ from .automorphy import (AXIS_TOLERANCE, principal_sqrt, pullback, require_finit
 from .cover import S_MAT, T_MAT, Mat2, chi_negative, minus_t_row
 from .errors import DomainError, ResourceLimitError
 from .reps import Rep, VVForm, extend_form, induce_form
-from .slash import HoloFn, Weight, cpow_int
+from .slash import HoloFn, Weight, _shared, cpow_int
 
 ZETA_4 = math.pi ** 4 / 90
 ZETA_6 = math.pi ** 6 / 945
@@ -47,7 +48,7 @@ class QSeriesConfig:
         if not isinstance(self.reduce, bool) or isinstance(self.max_terms, bool) or not isinstance(self.max_terms, int):
             raise DomainError(f"reduce must be a bool and max_terms an int, got {self.reduce!r}, {self.max_terms!r}")
         for name, value in (("tail_tolerance", self.tail_tolerance), ("min_im", self.min_im)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
                 raise DomainError(f"{name} must be a finite number, got {value!r}")
         if self.tail_tolerance <= 0 or self.max_terms <= 0:
             raise DomainError("tail_tolerance and max_terms must be positive")
@@ -217,7 +218,7 @@ def _eta_pentagonal(z: np.ndarray, cfg: QSeriesConfig) -> np.ndarray:
     """``eta_batch`` with Euler's series e^(pi i z/12) sum_n (-1)^n q^(n(3n-1)/2) (Apostol, Modular Functions and
     Dirichlet Series, ch. 3) for the product, up to the product's truncation index: both drop only powers past it.
     A term is one ``_qpow`` at the point ``_reduce_workable`` gives, and the sum is carried back as ``eta_batch``'s."""
-    _, z, j, index = _reduce_workable(z, cfg)
+    _, z, j, index = _shared(_reduce_workable, z, cfg)
     n = _truncation_indices(z.imag, cfg)
     order, z, neg_n, hi, lo = _by_truncation(z, n)
     top, acc = int(n.max(initial=0)), np.ones(z.shape, dtype=complex)
@@ -303,8 +304,9 @@ def _eta_series(z: complex, cfg: QSeriesConfig) -> complex:
 
 def eta_batch(z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG) -> np.ndarray:
     """``eta`` at every point of the complex array ``z``, with its refusals and per-point truncations, every point
-    reduced under ``cfg.reduce``: one pass per product term over the points that still need it."""
-    _, arg, j, index = _reduce_workable(z, cfg)
+    reduced under ``cfg.reduce`` (a ``slash.Points`` z reads its shared reduction, also in E4, E6 and pentagonal eta):
+    one pass per product term over the points that still need it."""
+    _, arg, j, index = _shared(_reduce_workable, z, cfg)
     prod = _live_point_series(arg, _truncation_indices(arg.imag, cfg), 1, np.multiply, lambda qk, k: 1.0 - qk)
     # j is 1 where nothing was reduced, and off the cut where it was (c != 0, as Im went up)
     return np.exp(1j * np.pi * arg / 12) * prod / (_ETA_ROOTS[index] * np.sqrt(j))
@@ -345,7 +347,7 @@ def eisenstein_batch(k: int, z: np.ndarray, cfg: QSeriesConfig = DEFAULT_CONFIG)
     """``eisenstein`` at every point of the complex array ``z``, with its refusals, reductions and
     per-point truncations: one pass per Lambert term over the points that still need it."""
     _require_weight(k)
-    _, arg, j, _ = _reduce_workable(z, cfg)
+    _, arg, j, _ = _shared(_reduce_workable, z, cfg)
     base = _truncation_indices(arg.imag, cfg)
     total = _live_point_series(arg, _truncation_indices(arg.imag, cfg, (k - 1) * np.maximum(np.log(base), 1.0)),
                                0, np.add, lambda qd, d: float(d) ** (k - 1) * qd / (1.0 - qd))
@@ -370,7 +372,7 @@ def lattice_sum(k: int, z, rows: int) -> complex:
     if rows > DEFAULT_CONFIG.max_terms:
         raise ResourceLimitError(f"the lattice sum's {rows} rows are above the cap {DEFAULT_CONFIG.max_terms}")
     z = require_off_axis(z)
-    x = np.exp((2j * np.pi * (z if z.imag > 0 else -z)) * np.arange(rows, 0, -1))
+    x = np.exp(_series_argument(z if z.imag > 0 else -z, rows) * np.arange(rows, 0, -1))  # refused past float range
     row_sums = x * np.polyval(_EULERIAN[k], x) / (1 - x) ** k
     return 2 * _EIS_ZETA[k] + 2 * (-4 * math.pi ** 2) ** (k // 2) / math.factorial(k - 1) * complex(row_sums.sum())
 

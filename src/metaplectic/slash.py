@@ -16,9 +16,53 @@ import numpy as np
 
 from .automorphy import i_power, mobius, pullback, require_off_axis, section_root, section_roots  # re-exports mobius
 from .cover import Mat2, MetaElt, R_MAT, chi_negative, cocycle, cocycle_bit, minus_t_row
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 Evaluator = Callable[[complex], np.ndarray]
+
+
+class Points(np.ndarray):
+    """Points whose batch evaluators share work: ``Points(at, upper)`` is ``at`` with a memo over its upper
+    representatives (z on ``upper``, -z off it, the ``upper`` points first).  ``-p`` and ``p[mask]`` share the
+    memo; any other array made from a Points is plain points to ``_shared``."""
+
+    _memo = _reps = _key = None  # _key: each point's position in _reps, ~position where the point is -rep
+
+    def __new__(cls, at: np.ndarray, upper: np.ndarray):
+        at = np.asarray(at, dtype=complex)
+        rank = np.where(upper, np.cumsum(upper), np.count_nonzero(upper) + np.cumsum(~upper)) - 1
+        return at.view(cls)._share({}, np.concatenate([at[upper], -at[~upper]]), np.where(upper, rank, ~rank))
+
+    def __getitem__(self, item):
+        out = super().__getitem__(item)
+        shares = isinstance(out, Points) and self._key is not None
+        return out._share(self._memo, self._reps, self._key[item]) if shares else out
+
+    def __neg__(self):
+        return super().__neg__()._share(self._memo, self._reps, None if self._key is None else ~self._key)
+
+    def _share(self, memo, reps, key):
+        self._memo, self._reps, self._key = memo, reps, key
+        return self
+
+
+def _shared(compute, z: np.ndarray, *args) -> tuple[np.ndarray, ...]:
+    """compute(z, *args), a tuple of arrays along the points; on a ``Points`` of representatives, read off one
+    read-only compute over its memo's representatives, made on first use per (compute, args), the same bits as
+    compute on each point alone (views where z's positions run on).  Where it refuses, z computes alone."""
+    memo, key = getattr(z, "_memo", None), (compute, *args)
+    if memo is not None and (z._key >= 0).all():
+        try:
+            if key not in memo:
+                memo[key] = compute(z._reps, *args)
+                for part in memo[key]:
+                    part.setflags(write=False)
+        except (DomainError, ResourceLimitError):
+            return compute(np.asarray(z), *args)
+        at = z._key
+        at = slice(at[0], at[-1] + 1) if at.size and (np.diff(at) == 1).all() else at
+        return tuple(part[..., at] for part in memo[key])
+    return compute(np.asarray(z), *args)
 
 
 @dataclass(frozen=True)
@@ -69,7 +113,7 @@ class HoloFn:
     An evaluator returns a complex array of shape ``(dim,)``, also for dim 1 (``from_scalar``
     adapts scalar functions); ``at`` validates the point and the shape once and refuses
     anything else, so derived evaluators pass inner values through as they are.  Given an
-    ``(n,)`` array (``holofn_values``, the batch entry), an evaluator returns ``(n, dim)``."""
+    ``(n,)`` array (``holofn_values``, the batch entry, passes a ``Points``), an evaluator returns ``(n, dim)``."""
 
     dim: int
     upper: Optional[Evaluator]
@@ -200,8 +244,8 @@ def _rows(w: int, elts: Sequence[MetaElt]) -> np.ndarray:
 
 
 def _chain(points: np.ndarray, *columns: Sequence[MetaElt]):
-    """Per chunk of rows of ``columns`` (at most ``_CHUNK_POINTS`` points, one row at least): its slice, the images,
-    the source's half-planes and per column, last first, the i-exponents at w = 1 and the section roots."""
+    """Per chunk of rows of ``columns`` (at most ``_CHUNK_POINTS`` points, one row at least): its slice, the images
+    (a ``Points``), the source's half-planes and per column, last first, the i-exponents at w = 1 and section roots."""
     per_chunk = max(_CHUNK_POINTS // max(points.size, 1), 1)
     for i in range(0, len(columns[0]), per_chunk):
         image = np.tile(points, min(per_chunk, len(columns[0]) - i))
@@ -212,7 +256,7 @@ def _chain(points: np.ndarray, *columns: Sequence[MetaElt]):
             steps.append((np.where(src, e_upper, e_lower), section_roots(c, d, j)))
             src = src ^ (det < 0)
         del a, b, c, d, det, e_upper, e_lower, j  # a suspended chain holds no row temporaries
-        yield slice(i, i + per_chunk), image, src, steps
+        yield slice(i, i + per_chunk), Points(image, src), src, steps
 
 
 def _weighted(values: np.ndarray, w: int, steps) -> np.ndarray:
@@ -223,8 +267,9 @@ def _weighted(values: np.ndarray, w: int, steps) -> np.ndarray:
 
 
 def holofn_values(f: HoloFn, at: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """``f`` at the points ``at`` on half-planes ``upper``, ``(n, dim)``: one call per evaluator; refuses as ``at``."""
-    values = np.empty((at.size, f.dim), dtype=complex)
+    """``f`` at the points ``at`` on half-planes ``upper``, ``(n, dim)``: one call per evaluator, both on one ``Points``
+    (``at`` if it is one), so their series reduce the points once, for both half-planes; refuses as ``at``."""
+    at, values = at if isinstance(at, Points) else Points(at, upper), np.empty((at.size, f.dim), dtype=complex)
     for side, mask, name in ((f.upper, upper, "upper"), (f.lower, ~upper, "lower")):
         if mask.any():
             if side is None:
@@ -250,7 +295,8 @@ def composition_residuals(forms: Sequence[tuple[HoloFn, Weight]], pairs: Sequenc
                           points: Sequence[complex]) -> np.ndarray:
     """max over points and components of |((f|x)|y - f|(x*y))(z)| per form (f, weight) and pair (x, y), as a
     ``(len(forms), len(pairs))`` array, bit for bit from ``slash_values``' values: x*y formed once, one ``_chain``
-    per chunk for every form, and f summed once per distinct matrix of xy (eps enters only the factor)."""
+    and so one reduction per chunk for every form, and f summed once per distinct matrix of xy (eps enters only the
+    factor)."""
     points = np.array([require_off_axis(z) for z in points], dtype=complex)
     products, first = [x * y for x, y in pairs], {}  # first: a product matrix's slot and its first element
     slot = np.array([first.setdefault(p.gamma, (len(first), p))[0] for p in products], dtype=np.intp)

@@ -53,8 +53,10 @@ def _differences(old: tuple[str, str, int], new: tuple[str, str, int]) -> list[s
     named as such."""
     (old_json, old_out, old_code), (new_json, new_out, new_code) = old, new
     lines = []
-    if old_json != new_json:
-        lines += (moved_fields(old_json, new_json) if old_json and new_json else []) or ["json: the reports differ"]
+    if old_json != new_json and not (old_json and new_json):
+        lines.append(f"json: only the {'old' if old_json else 'new'} run wrote a report")
+    elif old_json != new_json:
+        lines += moved_fields(old_json, new_json) or ["json: the reports differ"]
     lines += [f"stdout: {a!r} -> {b!r}" for a, b in zip_longest(old_out.splitlines(), new_out.splitlines()) if a != b]
     if old_code != new_code:
         lines.append(f"exit code: {old_code} -> {new_code}")

@@ -63,6 +63,10 @@ def test_principal_sqrt_branch():
     assert abs(principal_sqrt(-4) - 2j) < 1e-15
     with pytest.raises(DomainError):
         principal_sqrt(0)
+    # a non-finite argument is refused, not returned as nan+nanj or inf
+    for bad in (complex(math.nan, 1), complex(math.inf, 0), complex(1, -math.inf)):
+        with pytest.raises(DomainError, match="is not a finite complex number"):
+            principal_sqrt(bad)
 
 
 def test_i_power():

@@ -20,7 +20,7 @@ from metaplectic.qseries import CERTIFY_CONFIG, NAMED_FORMS
 from metaplectic.reps import Rep, VVForm
 from metaplectic.sampling import format_complex, full_grid, upper_grid
 from metaplectic.slash import HoloFn, Weight, composition_residuals, holofn_values, slash, slash_values
-from report_diff import moved_fields
+from report_diff import _differences, main as report_diff_main, moved_fields
 
 
 def test_check_filter_refuses_unknown_ids():
@@ -67,6 +67,24 @@ def test_moved_fields_name_each_value_that_moved():
     assert moved_fields(want, got) == ["('a', 'max_residual'): 1.0 -> 2.0", "('a', 'params.y'): [1, 2] -> [1, 3]",
                                         "('a', 'params.z'): '<absent>' -> 0", "(None, 'pass'): True -> False"]
     assert moved_fields(want, want) == []
+
+
+def test_report_differences_name_each_part_that_moved(capsys):
+    """``report_diff``'s comparison of two runs' (JSON, stdout, exit code), on hand-made triples and with no
+    subprocess: equal runs give nothing; a moved field, a report only one run wrote, each changed stdout line and
+    a changed exit code are each listed; and the tool refuses any argument count but two with exit code 2."""
+    report = json.dumps({"checks": [{"check_id": "a", "max_residual": 1e-12, "pass": True}], "pass": True})
+    run = (report, "PASS  a\nPASS  overall (1 checks)\n", 0)
+    assert _differences(run, run) == []
+    assert _differences(run, (report.replace("1e-12", "2e-12"), run[1], 0)) == ["('a', 'max_residual'): 1e-12 -> 2e-12"]
+    assert _differences(run, ("", run[1], 0)) == ["json: only the old run wrote a report"]
+    assert _differences(("", run[1], 0), run) == ["json: only the new run wrote a report"]
+    assert _differences(run, (report.replace(": ", ":"), run[1], 0)) == ["json: the reports differ"]  # same fields
+    assert _differences(run, (report, "FAIL  a\nFAIL  overall (1 checks)\nerror\n", 1)) == [
+        "stdout: 'PASS  a' -> 'FAIL  a'", "stdout: 'PASS  overall (1 checks)' -> 'FAIL  overall (1 checks)'",
+        "stdout: None -> 'error'", "exit code: 0 -> 1"]
+    assert report_diff_main([]) == 2 and report_diff_main(["one-tree"]) == 2
+    assert capsys.readouterr().err.startswith("Compare the certify reports of two source trees")
 
 
 @pytest.mark.parametrize("method, image, check_id, witness", [

@@ -332,6 +332,25 @@ def test_word_decompose_exact_on_universe(cover4):
             assert "R" not in word
 
 
+def test_word_decompose_refuses_a_word_past_the_length_cap(monkeypatch):
+    """A word longer than ``WORD_LENGTH_LIMIT`` is refused before the T-power that would take it past the cap is
+    built: with entries past 2^63 ``["T"] * exp`` raised OverflowError, and below that the whole word was built.
+    ``cocycle`` takes the same matrices exactly, and a word at the cap (made small here) is still built."""
+    from metaplectic.qseries import eta_character
+    huge = (Mat2(2 ** 70 + 1, 2 ** 70, 1, 1), Mat2(10 ** 30 + 1, 10 ** 30, 1, 1), Mat2(1, 10 ** 8, 0, 1))
+    for m in huge:
+        with pytest.raises(ResourceLimitError, match=f"has more than {cover.WORD_LENGTH_LIMIT} letters$"):
+            word_decompose(m)
+        assert cocycle(m, S_MAT * m) in (1, -1) and cocycle(R_MAT * m, m) in (1, -1)
+    with pytest.raises(ResourceLimitError, match="letters$"):
+        eta_character().evaluate(MetaElt(huge[1], 1))
+    monkeypatch.setattr(cover, "WORD_LENGTH_LIMIT", 6)
+    assert word_decompose(Mat2(1, -5, 0, 1)) == ("T^-1",) * 5 and len(word_decompose(R_MAT * Mat2(1, 5, 0, 1))) == 6
+    with pytest.raises(ResourceLimitError) as refused:
+        word_decompose(Mat2(1, 7, 0, 1))
+    assert str(refused.value) == "the generator word of [[1,7],[0,1]] has more than 6 letters"
+
+
 @given(sl_words)
 @settings(max_examples=150)
 def test_word_decompose_round_trip_random(word):

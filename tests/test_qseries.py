@@ -58,6 +58,12 @@ def test_config_validation():
         with pytest.raises(DomainError, match=f"{name} must be a finite number, got {value!r}"):
             QSeriesConfig(**{name: value})
     assert QSeriesConfig(tail_tolerance=np.float64(1e-17), min_im=1).min_im == 1
+    # an int past the float range is refused like inf, not by math.isfinite's OverflowError
+    for name in ("tail_tolerance", "min_im"):
+        for value in (10 ** 400, -10 ** 400):
+            with pytest.raises(DomainError, match=f"{name} must be a finite number, got {value}$"):
+                QSeriesConfig(**{name: value})
+    assert QSeriesConfig(min_im=10 ** 300).min_im == 10 ** 300
 
 
 def test_near_axis_refusal():
@@ -362,6 +368,9 @@ def test_lattice_validation():
     assert lattice_sum(np.int64(4), 1j, 60) == lattice_sum(4, 1j, 60)
     with pytest.raises(ResourceLimitError, match="the lattice sum's 2147483648 rows are above the cap 1000000$"):
         lattice_sum(4, 1j, 2 ** 31)  # refused before its 16 GiB of rows are allocated
+    for z in (1e308 + 1e308j, -1e308 - 1e308j, 0.5 + 1e307j):  # refused before the exponentials overflow
+        with pytest.raises(ResourceLimitError, match="leaves the floating-point range$"):
+            lattice_sum(4, z, 3)
     for rows in (0, 2.5, True, 60.0):  # a float would sum 33.68 at i, a bool one row
         with pytest.raises(DomainError, match=f"row count must be an int of at least 1, got {rows!r}$"):
             lattice_sum(4, 1j, rows)

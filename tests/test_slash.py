@@ -9,15 +9,18 @@ import pytest
 
 from metaplectic.automorphy import AXIS_TOLERANCE, i_power, phi_upper
 from metaplectic.cover import LIFT_R, LIFT_S, Mat2, MetaElt, CENTER_FLIP, R_MAT, cocycle, reflection_sign, word_lift
-from metaplectic.errors import DomainError
-from metaplectic.qseries import CERTIFY_CONFIG, eisenstein_form, eta_fn, eta_hat_form
+from metaplectic.errors import DomainError, ResourceLimitError
+from metaplectic.qseries import (CERTIFY_CONFIG, QSeriesConfig, eisenstein_batch, eisenstein_form, eta_batch, eta_fn,
+                                 eta_hat_form)
 from metaplectic.sampling import full_grid, upper_grid
 from metaplectic.slash import (
     HoloFn,
+    Points,
     Weight,
     admissible_reflection_scalars,
     composition_residuals,
     cpow_int,
+    holofn_values,
     holomorphy_residual,
     mobius,
     reflection_route,
@@ -376,3 +379,121 @@ def test_composition_residuals_of_empty_inputs():
     assert composition_residuals([(f, Weight(1))], [], full_grid()).shape == (1, 0)
     got = composition_residuals([(f, Weight(1))], pairs, [])
     assert got.shape == (1, 2) and np.array_equal(got, np.zeros((1, 2)))
+
+
+slash_module, qseries_module = (importlib.import_module(f"metaplectic.{name}") for name in ("slash", "qseries"))
+
+
+def _counted_reductions(monkeypatch) -> list[int]:
+    """Wrap ``qseries._reduce_workable`` so that each call appends its point count to the returned list."""
+    calls, reduce = [], qseries_module._reduce_workable
+
+    def counted(z, cfg):
+        calls.append(z.size)
+        return reduce(z, cfg)
+    monkeypatch.setattr(qseries_module, "_reduce_workable", counted)
+    return calls
+
+
+def _mixed_pairs(cover4):
+    """32 pairs of the word-length-4 cover, 8 per det combination, 31 distinct product matrices."""
+    plus = [e for e in cover4.elements() if e.det() == 1]
+    minus = [e for e in cover4.elements() if e.det() == -1]
+    return [(px[7 * i % len(px)], py[11 * i % len(py)])
+            for px, py in ((plus, plus), (plus, minus), (minus, plus), (minus, minus)) for i in range(1, 9)]
+
+
+def _forms(cfg):
+    return [(f.fn, f.weight) for f in (eta_hat_form(cfg), eisenstein_form(4, cfg))]
+
+
+def test_one_reduction_per_chunk_for_every_form_and_half_plane(cover4, monkeypatch):
+    """``composition_residuals`` on eta-hat and E4 reduces each ``_chain`` chunk's images once, for both forms and
+    both half-planes, where each form's upper and lower evaluator reduced them before (four calls per chunk);
+    ``slash_values`` reduces once per chunk.  The residuals are those of each form alone, bit for bit."""
+    pairs, points, rows = _mixed_pairs(cover4), full_grid(), 8
+    distinct = len({(x * y).gamma for x, y in pairs})
+    alone = [composition_residuals([form], pairs, points) for form in _forms(CERTIFY_CONFIG)]
+    monkeypatch.setattr(slash_module, "_CHUNK_POINTS", rows * len(points))
+    calls = _counted_reductions(monkeypatch)
+    got = composition_residuals(_forms(CERTIFY_CONFIG), pairs, points)
+    chunks = -(-distinct // rows) + -(-len(pairs) // rows)  # the products' chain, then the pairs' chain
+    assert len(calls) == chunks == 8 and sum(calls) == (distinct + len(pairs)) * len(points)
+    assert all(np.array_equal(got[k], row[0]) for k, row in enumerate(alone))
+    calls.clear()
+    slash_values(*_forms(CERTIFY_CONFIG)[0], points, [x for x, _ in pairs])
+    assert calls == [rows * len(points)] * (len(pairs) // rows)
+
+
+def test_the_series_read_the_same_bits_through_one_shared_reduction(monkeypatch):
+    """At 600 seeded points on both half-planes, Im from 1e-6 to 2 and some real parts tied at +-1/2, eta_batch,
+    eisenstein_batch (k = 4, 6) and _eta_pentagonal give the same bits through one ``Points`` as on plain points:
+    the upper points as they are and the lower ones at -z, as the extension rule calls them, with one reduction
+    of all the points per config.  An array computed from a ``Points`` is plain points to them."""
+    rng = np.random.default_rng(20250405)
+    re = np.concatenate([rng.uniform(-3, 3, 560), np.repeat([-1.5, -0.5, 0.5, 1.5], 10)])
+    z = re + 1j * rng.choice([-1, 1], re.size) * 10 ** rng.uniform(-6, math.log10(2), re.size)
+    series = (eta_batch, lambda p, cfg: eisenstein_batch(4, p, cfg), lambda p, cfg: eisenstein_batch(6, p, cfg),
+              qseries_module._eta_pentagonal)
+    raw = replace(CERTIFY_CONFIG, reduce=False, min_im=1e-3)  # the raw series need too many terms below Im 3e-6
+    for cfg, at in ((CERTIFY_CONFIG, z), (raw, z[np.abs(z.imag) >= raw.min_im])):
+        upper = at.imag > 0
+        want = [[f(half, cfg) for half in (at[upper], -at[~upper])] for f in series]
+        calls, p = _counted_reductions(monkeypatch), Points(at, upper)
+        for f, values in zip(series, want):
+            assert all(np.array_equal(got, value) for got, value in zip((f(p[upper], cfg), f(-p[~upper], cfg)), values))
+        assert calls == [at.size]
+        monkeypatch.undo()
+    derived = Points(z, z.imag > 0) + 0
+    assert type(derived) is Points and derived._memo is None
+
+
+def _first_refusal(forms, pairs, points):
+    """What evaluating ``composition_residuals``' chunks on plain points raises first, each form's upper evaluator
+    and then its lower one, as each reduced its own points before: the products' chain, then the pairs' chain.
+    The error type, its message and the half-plane whose evaluator raised it, or None."""
+    first = {}
+    for x, y in pairs:
+        first.setdefault((x * y).gamma, x * y)
+    chains = (slash_module._chain(points, list(first.values())),
+              slash_module._chain(points, [x for x, _ in pairs], [y for _, y in pairs]))
+    for _, image, src, _ in (chunk for chain in chains for chunk in chain):
+        image = np.asarray(image)
+        for f, _ in forms:
+            for side, mask in ((f.upper, src), (f.lower, ~src)):
+                try:
+                    side(image[mask])
+                except (DomainError, ResourceLimitError) as exc:
+                    return type(exc), str(exc), "upper" if mask is src else "lower"
+    return None
+
+
+@pytest.mark.parametrize("min_im, side", [(1e-6, None), (0.01, "lower"), (0.03, "upper")])
+def test_a_shared_reduction_refuses_what_each_half_plane_refused(cover4, monkeypatch, min_im, side):
+    """``composition_residuals`` on eta-hat and E4 raises what evaluating each form's half-planes in turn on plain
+    points raised, the same error and message, as the one reduction puts the upper points first.  The grid plus
+    -1.21-0.004i puts images down to Im 1.9e-4 below the axis in the first chunk, and none under 0.0288 above it:
+    at min_im 0.01 a lower point is refused partway through that chunk, after every upper one passed, and at 0.03
+    an upper point is, where lower points are refused too."""
+    pairs, points = _mixed_pairs(cover4), np.array(full_grid() + (-1.21 - 0.004j,))
+    monkeypatch.setattr(slash_module, "_CHUNK_POINTS", 8 * points.size)
+    forms = _forms(QSeriesConfig(tail_tolerance=1e-17, max_terms=2_000_000, min_im=min_im))
+    want = _first_refusal(forms, pairs, points)
+    if side is None:
+        assert want is None and np.all(np.isfinite(composition_residuals(forms, pairs, points)))
+        return
+    with pytest.raises(want[0]) as got:
+        composition_residuals(forms, pairs, points)
+    assert want[2] == side and str(got.value) == want[1]
+
+
+def test_a_refused_shared_reduction_leaves_each_half_plane_its_own_refusal():
+    """Where the one reduction refuses a point, each evaluator's points are reduced alone, so what each half-plane
+    raised before the reduction was shared is raised: here the upper point's unreduced series needs 3,115 terms,
+    past max_terms, and is refused before the lower point, under min_im, is reached."""
+    f = eta_hat_form(QSeriesConfig(max_terms=10, min_im=1e-3, reduce=False)).fn
+    at = np.array([0.3 + 0.002j, -0.2 - 0.0005j])
+    with pytest.raises(ResourceLimitError, match="^truncation needs 3115 terms at Im z = 2.000e-03, above the cap 10$"):
+        holofn_values(f, at, at.imag > 0)
+    with pytest.raises(DomainError, match="^point \\(0.2\\+0.0005j\\) is closer than 0.001 to the real axis"):
+        holofn_values(f, at[1:], at[1:].imag > 0)
