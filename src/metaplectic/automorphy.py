@@ -23,7 +23,10 @@ AXIS_TOLERANCE = 1e-12
 
 
 def require_finite(z) -> complex:
-    z = complex(z)
+    try:
+        z = complex(z)
+    except OverflowError:  # an int past the float range; its digits are not shown, as there may be thousands
+        raise DomainError("point beyond the floating-point range is not a finite complex number") from None
     if not cmath.isfinite(z):
         raise DomainError(f"point {z} is not a finite complex number")
     return z
@@ -52,7 +55,10 @@ def require_lower(z) -> complex:
 
 def principal_sqrt(w) -> complex:
     """Square root with argument in (-pi, pi]; negative reals map to i*sqrt|w|.  A non-finite w is refused."""
-    w = complex(w)
+    try:
+        w = complex(w)
+    except OverflowError:
+        require_finite(w)  # refuses it as beyond the floating-point range
     if w == 0 or not cmath.isfinite(w):
         require_finite(w)
         raise DomainError("principal_sqrt needs a nonzero argument")
@@ -115,20 +121,19 @@ def word_factor(word: Word, z: complex) -> complex:
 
 
 @lru_cache(maxsize=None)
-def _word_data(gamma: Mat2) -> tuple[Word, int]:
+def _word_data(gamma: Mat2) -> tuple[Word, int, tuple[int, ...]]:
     word = word_decompose(gamma)
     lift = word_lift(word)
     if lift.gamma != gamma:
         raise ArithmeticError(f"generator word {format_word(word)!r} of {gamma} multiplies out to {lift.gamma}")
-    return word, lift.eps
+    return word, lift.eps, tuple(map(GENERATOR_TOKENS.index, word))
 
 
-def _word_codes(words: Sequence[Word]) -> np.ndarray:
-    """``words`` as rows of their tokens' indices in ``GENERATOR_TOKENS``, padded at the end to one width of at
-    least 1 with the index past the tokens, ``len(GENERATOR_TOKENS)``."""
-    width, pad = max(map(len, words), default=0) or 1, len(GENERATOR_TOKENS)
-    return np.array([[GENERATOR_TOKENS.index(tok) for tok in word] + [pad] * (width - len(word)) for word in words],
-                    dtype=np.intp).reshape(len(words), width)
+def _word_codes(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Rows of token codes as one array, padded at the end to one width of at least 1 with the code past the
+    tokens, ``len(GENERATOR_TOKENS)``."""
+    width, pad = max(map(len, rows), default=0) or 1, len(GENERATOR_TOKENS)
+    return np.array([[*row, *[pad] * (width - len(row))] for row in rows], dtype=np.intp).reshape(len(rows), width)
 
 
 def section_root(c: int, d: int, j: complex) -> complex:
@@ -171,7 +176,7 @@ def branch_profile(gamma: Mat2, points) -> int:
     the ratio is not a constant sign (it must be, by holomorphy).  The factor
     comes from the generator word, so the sign measures the constructive section.
     """
-    word, eps = _word_data(gamma)
+    word, eps, _ = _word_data(gamma)
     sign = 0
     for z in points:
         z = require_upper(z)
@@ -194,7 +199,7 @@ def branch_signs(mats: Sequence[Mat2], points) -> np.ndarray:
     z = np.array([require_upper(p) for p in points], dtype=complex)
     data = [_word_data(g) for g in mats]
     # S, S^-1, T, T^-1, R and the padding, which steps nowhere, are the codes 0 to 5
-    codes = _word_codes([word for word, _ in data]).T[::-1, :, None]
+    codes = _word_codes([codes for _, _, codes in data]).T[::-1, :, None]
     w, fac = np.tile(z, (len(mats), 1)), np.ones((len(mats), z.size), dtype=complex)
     clean = (codes != 4).all(axis=(0, 2))
     with np.errstate(all="ignore"):  # a row that leaves the plane is marked, and stepped on regardless
@@ -202,7 +207,7 @@ def branch_signs(mats: Sequence[Mat2], points) -> np.ndarray:
             fac = np.where(code == 0, _principal_sqrts(w), np.where(code == 1, _principal_sqrts(-w), 1)) * fac
             clean &= ((code == 5) | (np.isfinite(w) & (w.imag != 0))).all(axis=1)
             w = np.select([code == 2, code == 3, code == 0, code == 1], [w + 1, w - 1, -1 / w, 1 / -w], w)
-        c, d, eps = np.array([(g.c, g.d, e) for g, (_, e) in zip(mats, data)], np.int64).reshape(-1, 3).T[..., None]
+        c, d, eps = np.array([(g.c, g.d, e) for g, (_, e, _) in zip(mats, data)], np.int64).reshape(-1, 3).T[..., None]
         ratio = eps * fac / _principal_sqrts(cz_plus_d(c, d, z))
     snapped = np.where(np.abs(ratio - 1) < np.abs(ratio + 1), 1, -1)
     clean &= (np.abs(ratio - snapped) <= 1e-9).all(axis=1) & (snapped == snapped[:, :1]).all(axis=1)

@@ -12,8 +12,10 @@ the same alone as in the full run; check output is sorted by check id.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,7 +48,7 @@ G4_AT_I = 3.151212002153897538217689942248688556646
 
 def require_tolerance(tol: float) -> float:
     """``tol`` if it is a finite number at least 0; a negative one would fail even an exact zero."""
-    if isinstance(tol, bool) or not math.isfinite(tol):
+    if isinstance(tol, bool) or not abs(tol) <= sys.float_info.max:  # an int past the float range too
         raise DomainError(f"tolerance must be a finite number, got {tol}")
     if tol < 0:
         raise DomainError(f"tolerance must be nonnegative, got {tol}")
@@ -91,8 +93,8 @@ def _with_value_tables(form: VVForm) -> VVForm:
 
 
 class _Env:
-    """Every input of the checks, fixed from ``run_certification``'s settings before any check runs; only the
-    branch-sign table waits for its first use."""
+    """Every input of the checks, fixed from ``run_certification``'s settings before any check runs; only the two
+    tables over the det +1 matrices, of ``branch_sign`` and of ``phi_plus``, wait for their first use."""
 
     def __init__(self, max_word_len: int, tol: Optional[float], points: Optional[Sequence[complex]], seed: int,
                  pair_count: int, force: bool, min_im: float):
@@ -135,6 +137,11 @@ class _Env:
             mats = self.cover.sl_matrices()
             self._branch_signs = dict(zip(mats, branch_signs(mats, self.upper).tolist()))
         return self._branch_signs.get(g) or branch_profile(g, self.upper)
+
+    @cached_property
+    def phi_plus(self) -> dict[Mat2, tuple[complex, ...]]:
+        """``phi_upper(g, z)`` per det +1 matrix g and upper point z, built on first use; a refusal is not kept."""
+        return {g: tuple([phi_upper(g, z) for z in self.upper]) for g in self.cover.sl_matrices()}
 
 
 def _gap(a, b, axis=None):
@@ -419,7 +426,7 @@ def check_order_relations(env: _Env) -> dict:
 def check_inverse_involution(env: _Env) -> dict:
     ident = MetaElt.identity()
     elts = env.cover.elements()
-    bad = next((x for x in elts if x.inv().inv() != x or x * x.inv() != ident or x.inv() * x != ident), None)
+    bad = next((x for x in elts if (y := x.inv()).inv() != x or x * y != ident or y * x != ident), None)
     return _exact(env, {"elements": len(elts)}, None if bad is None else {"x": bad, "inv": bad.inv()})
 
 
@@ -442,11 +449,12 @@ def check_phi_section(env: _Env) -> dict:
 
 def check_phi_squaring(env: _Env) -> dict:
     mats = env.cover.sl_matrices()
-    halves = (("upper", phi_upper, env.upper), ("lower", phi_lower, env.lower))
-    # c z + d written out: the independent side of the comparison with phi's cz_plus_d
-    gaps = [[[abs(phi(g, z) ** 2 - (g.c * z + g.d)) for z in points] for _, phi, points in halves] for g in mats]
+    halves = (("upper", env.upper), ("lower", env.lower))
+    # phi^+ from the run's table, phi^- per call; c z + d written out: the independent side against phi's cz_plus_d
+    gaps = [[[abs(phi ** 2 - (g.c * z + g.d)) for phi, z in zip(phis, points)] for phis, (_, points)
+             in zip((env.phi_plus[g], [phi_lower(g, z) for z in env.lower]), halves)] for g in mats]
     return _sweep(env, {"matrices": len(mats)}, 1e-12, gaps,
-                  lambda i, h, j: {"gamma": mats[i], "z": halves[h][2][j], "half": halves[h][0]})
+                  lambda i, h, j: {"gamma": mats[i], "z": halves[h][1][j], "half": halves[h][0]})
 
 
 def check_phi_well_defined(env: _Env) -> dict:
@@ -455,9 +463,9 @@ def check_phi_well_defined(env: _Env) -> dict:
 
     def cases():
         for elt, w1, w2 in usable:
-            for z in env.upper[:4]:
+            for z, phi in zip(env.upper[:4], env.phi_plus[elt.gamma]):
                 first = word_factor(w1, z)
-                r = worst_residual((abs(first - word_factor(w2, z)), abs(first - elt.eps * phi_upper(elt.gamma, z))))
+                r = worst_residual((abs(first - word_factor(w2, z)), abs(first - elt.eps * phi)))
                 yield r, {"element": elt, "word_1": format_word(w1), "word_2": format_word(w2), "z": z}
     return _sweep_cases(env, {"word_pairs": len(usable)}, 1e-12, cases())
 
@@ -474,7 +482,7 @@ def check_phi_branch_profile(env: _Env) -> dict:
             break
         signs[sign > 0] += 1
         # c z + d written out: the independent side of the comparison with phi_upper's cz_plus_d
-        if any(phi_upper(g, z) != sign * principal_sqrt(g.c * z + g.d) for z in env.upper):
+        if any(phi != sign * principal_sqrt(g.c * z + g.d) for phi, z in zip(env.phi_plus[g], env.upper)):
             mismatches += 1
             bad = bad or {"gamma": g, "word_route_sign": sign}
     return _exact(env, {"agrees_with_raw_principal_branch": signs[True], "negated": signs[False],

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Sequence
 
@@ -366,20 +366,23 @@ class CoverSet:
     words: dict[MetaElt, Word]
     alternates: tuple[tuple[MetaElt, Word, Word], ...]
 
+    @cached_property
+    def _lists(self) -> tuple[tuple, ...]:
+        """The elements, the distinct matrices, and the det +1 ones of each, in ``words``' order: built once."""
+        matrices = tuple(dict.fromkeys(elt.gamma for elt in self.words))
+        return (tuple(self.words), matrices, *(tuple(x for x in xs if x.det() == 1) for xs in (self.words, matrices)))
+
     def elements(self) -> list[MetaElt]:
-        return list(self.words)
+        return list(self._lists[0])
 
     def matrices(self) -> list[Mat2]:
-        seen: dict[Mat2, None] = {}
-        for elt in self.words:
-            seen.setdefault(elt.gamma, None)
-        return list(seen)
+        return list(self._lists[1])
 
     def sl_elements(self) -> list[MetaElt]:
-        return [e for e in self.words if e.det() == 1]
+        return list(self._lists[2])
 
     def sl_matrices(self) -> list[Mat2]:
-        return [m for m in self.matrices() if m.det() == 1]
+        return list(self._lists[3])
 
 
 def enumerate_cover(max_len: int, *, force: bool = False) -> CoverSet:

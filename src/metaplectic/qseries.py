@@ -364,7 +364,7 @@ def lattice_sum(k: int, z, rows: int) -> complex:
     through 1 + cot^2(pi w) = -4x/(1-x)^2 (Serre, A Course in Arithmetic,
     VII 4).  Rows decay like e^(-2 pi m |Im z|), so 60 rows converge for
     |Im z| >= 0.1.  They are taken at whichever of z, -z lies above the axis,
-    so the sum is exactly invariant under z -> -z.
+    so the sum is exactly invariant under z -> -z, shifted by its exact round(Re) as every row has period 1.
     """
     _require_weight(k)
     if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
@@ -372,7 +372,8 @@ def lattice_sum(k: int, z, rows: int) -> complex:
     if rows > DEFAULT_CONFIG.max_terms:
         raise ResourceLimitError(f"the lattice sum's {rows} rows are above the cap {DEFAULT_CONFIG.max_terms}")
     z = require_off_axis(z)
-    x = np.exp(_series_argument(z if z.imag > 0 else -z, rows) * np.arange(rows, 0, -1))  # refused past float range
+    w = z if z.imag > 0 else -z
+    x = np.exp(_series_argument(w - round(w.real), rows) * np.arange(rows, 0, -1))  # refused past float range
     row_sums = x * np.polyval(_EULERIAN[k], x) / (1 - x) ** k
     return 2 * _EIS_ZETA[k] + 2 * (-4 * math.pi ** 2) ** (k // 2) / math.factorial(k - 1) * complex(row_sums.sum())
 

@@ -80,7 +80,10 @@ class Rep:
         ``words`` by one stacked matmul per token position, times the central image where ``flips`` is set."""
         if self.group == "SL" and any("R" in word for word in words):
             raise DomainError("SL-cover representation has no reflection image")
-        codes = _word_codes(words)
+        return self._code_images(_word_codes([tuple(map(GENERATOR_TOKENS.index, word)) for word in words]), flips)
+
+    def _code_images(self, codes: np.ndarray, flips: np.ndarray | None) -> np.ndarray:
+        """``word_images`` of words given as ``_word_codes``' array."""
         out = self._stack[codes[:, 0]]
         for column in codes.T[1:]:
             out = out @ self._stack[column]
@@ -94,8 +97,8 @@ class Rep:
         if self.group == "SL" and any(x.det() != 1 for x in elements):
             raise DomainError("SL-cover representation cannot take determinant -1 elements")
         data = [_word_data(x.gamma) for x in elements]
-        flips = np.array([eps != x.eps for (_, eps), x in zip(data, elements)], dtype=bool)
-        return self.word_images([word for word, _ in data], flips)
+        flips = np.array([eps != x.eps for (_, eps, _), x in zip(data, elements)], dtype=bool)
+        return self._code_images(_word_codes([codes for _, _, codes in data]), flips)
 
     def evaluate(self, x: MetaElt) -> np.ndarray:
         """Lift-and-correct value at an arbitrary cover element."""

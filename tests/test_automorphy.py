@@ -2,6 +2,7 @@ import cmath
 import importlib
 import math
 import struct
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from metaplectic.automorphy import (
     branch_profile,
     branch_signs,
     i_power,
+    mobius,
     phi_lower,
     phi_upper,
     principal_sqrt,
@@ -22,6 +24,7 @@ from metaplectic.automorphy import (
     word_factor,
 )
 from metaplectic.cover import (
+    IDENT,
     TOKEN_LIFTS,
     Mat2,
     R_MAT,
@@ -52,6 +55,11 @@ def test_point_validation():
         require_upper(1 - 1j)
     with pytest.raises(DomainError):
         require_lower(1 + 1j)
+    # an int past the float range is refused as not finite, not by complex()'s OverflowError
+    for refuse in (require_off_axis, require_upper, partial(phi_upper, IDENT), partial(mobius, IDENT)):
+        for huge in (10 ** 400, -10 ** 400):
+            with pytest.raises(DomainError, match="^point beyond the floating-point range is not a finite complex"):
+                refuse(huge)
 
 
 def test_principal_sqrt_branch():
@@ -64,7 +72,7 @@ def test_principal_sqrt_branch():
     with pytest.raises(DomainError):
         principal_sqrt(0)
     # a non-finite argument is refused, not returned as nan+nanj or inf
-    for bad in (complex(math.nan, 1), complex(math.inf, 0), complex(1, -math.inf)):
+    for bad in (complex(math.nan, 1), complex(math.inf, 0), complex(1, -math.inf), 10 ** 400, -10 ** 400):
         with pytest.raises(DomainError, match="is not a finite complex number"):
             principal_sqrt(bad)
 

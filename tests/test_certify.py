@@ -42,6 +42,11 @@ def test_a_bool_is_no_tolerance():
     with pytest.raises(DomainError, match="tolerance must be a finite number, got True"):
         certify.require_tolerance(True)
     assert certify.require_tolerance(0) == 0 and certify.require_tolerance(1e-9) == 1e-9
+    # an int past the float range is refused like inf, not by math.isfinite's OverflowError
+    for huge in (10 ** 400, -10 ** 400):
+        with pytest.raises(DomainError, match=f"^tolerance must be a finite number, got {huge}$"):
+            run_certification(0, tol=huge)
+    assert certify.require_tolerance(10 ** 300) == 10 ** 300
 
 
 @pytest.mark.parametrize("golden, kwargs", [("certify_w5.json", {}),
@@ -152,6 +157,34 @@ def test_branch_sign_is_computed_once_per_matrix_but_errors_are_not_kept(monkeyp
     assert report["params"]["closed_form_mismatches"] == len(elements)
     assert report["counterexample"] == {"x": str(elements[0]), "numeric_index": 0,
                                         "closed_form_index": "not a constant sign"}
+
+
+def test_the_phi_checks_read_one_table_of_phi_upper_per_run(monkeypatch):
+    """The three phi checks call ``phi_upper`` once per det +1 matrix and upper point of the run, 120 x 12 times
+    at word length 5, and read its table after that.  A refusal leaves no table: each check reports it, as it
+    does alone, and a second read of the table calls ``phi_upper`` again."""
+    calls, phi = [], certify.phi_upper
+    phi_checks = ["phi_squaring", "phi_branch_profile", "phi_well_defined"]
+    monkeypatch.setattr(certify, "phi_upper", lambda gamma, z: calls.append(gamma) or phi(gamma, z))
+    assert run_certification(5, check_filter=phi_checks)["pass"] is True
+    assert len(calls) == len(enumerate_cover(5).sl_matrices()) * len(upper_grid()) == 120 * 12
+
+    def refuses(gamma, z):
+        calls.append(gamma)
+        if gamma == S_MAT:
+            raise DomainError("not at S")
+        return phi(gamma, z)
+
+    monkeypatch.setattr(certify, "phi_upper", refuses)
+    checks = run_certification(5, check_filter=phi_checks)["checks"]
+    refusal = ("error", {"error": "DomainError: not at S"})
+    assert [(check["max_residual"], check["counterexample"]) for check in checks] == [refusal] * 3
+    env = certify._Env(1, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG.min_im)
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(DomainError, match="not at S"):
+            env.phi_plus[T_MAT]
+        assert calls[-1] == S_MAT
 
 
 def test_a_matrix_the_branch_pass_cannot_sign_fails_with_branch_profiles_message():

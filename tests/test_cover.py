@@ -404,6 +404,18 @@ def test_enumeration_small_depths():
     assert two.words[MetaElt.identity()] == ()
 
 
+def test_the_universe_lists_are_fresh_copies_in_enumeration_order(cover4):
+    """Each list is built once per CoverSet, and each call hands out its own list: changing one changes no other."""
+    matrices = list(dict.fromkeys(x.gamma for x in cover4.words))
+    for method, want in ((cover4.elements, list(cover4.words)), (cover4.matrices, matrices),
+                         (cover4.sl_elements, [x for x in cover4.words if x.det() == 1]),
+                         (cover4.sl_matrices, [m for m in matrices if m.det() == 1])):
+        got = method()
+        assert type(got) is list and got == want and got is not method()
+        got.clear()
+        assert method() == want
+
+
 def test_enumeration_shortest_witness(cover4):
     for elt, word in cover4.words.items():
         assert word_lift(word) == elt

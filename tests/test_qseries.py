@@ -277,11 +277,13 @@ def test_reduce_to_fundamental():
     g0, w0, _, n0 = qseries._reduce(require_upper(0.1 + 2j))
     assert Mat2(*g0) == IDENT and w0 == 0.1 + 2j and n0 == 0
     # eta and eisenstein validate their point before they reduce it
-    for bad in (0.3 - 0.8j, 0.3 + 0j, complex(0.1, math.nan)):
+    for bad in (0.3 - 0.8j, 0.3 + 0j, complex(0.1, math.nan), 10 ** 400):
         with pytest.raises(DomainError):
             eta(bad)
         with pytest.raises(DomainError):
             eisenstein(4, bad)
+    with pytest.raises(DomainError, match="beyond the floating-point range"):  # not complex()'s OverflowError
+        eta_hat(10 ** 400)
 
 
 def test_eisenstein_validation():
@@ -322,8 +324,11 @@ def test_lattice_closed_form_at_i():
 
 
 def test_lattice_symmetry_exact():
+    """Exact under z -> -z, and under the period z -> z - round(Re z) far from the origin, bit for bit."""
     for z in (2j, 0.4 + 0.8j, -0.7 + 0.3j):
         assert lattice_sum(4, z, 50) == lattice_sum(4, -z, 50)
+    assert lattice_sum(4, 1e12 + 0.3j, 60) == lattice_sum(4, 0.3j, 60)
+    assert lattice_sum(6, -1e200 - 1e-3j, 60) == lattice_sum(6, -1e-3j, 60) == lattice_sum(6, 1e200 + 1e-3j, 60)
 
 
 def test_lattice_cutoff_drift():
@@ -386,7 +391,7 @@ def test_triangular_product_basics():
         for bad in (-1, 2.5, True, 3.0):  # a bool would take one factor
             with pytest.raises(DomainError, match=f"number of factors must be an int of at least 0, got {bad!r}$"):
                 product(bad, z)
-        for bad in (complex("nan"), complex(0.1, math.inf)):
+        for bad in (complex("nan"), complex(0.1, math.inf), 10 ** 400):
             with pytest.raises(DomainError, match="is not a finite complex number"):
                 product(3, bad)
         # every factor has period 2, so a huge real part is taken off exactly; a huge imaginary part is refused

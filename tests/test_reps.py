@@ -61,7 +61,7 @@ def test_trivial_rep_evaluation(cover4):
 def _pairwise_evaluate(rep: Rep, x: MetaElt) -> np.ndarray:
     """The fold that the stacked one replaced, as the oracle: ``reduce(np.matmul)`` of the images along
     x's generator word, the identity for none, times image(S)^4 where the lifted word has the other sign."""
-    word, eps = _word_data(x.gamma)
+    word, eps, _ = _word_data(x.gamma)
     table = {**rep.images, "S^-1": np.linalg.inv(rep.images["S"]), "T^-1": np.linalg.inv(rep.images["T"])}
     out = reduce(np.matmul, map(table.__getitem__, word)) if word else np.eye(rep.dim, dtype=complex)
     return out @ np.linalg.matrix_power(rep.images["S"], 4) if eps != x.eps else out
