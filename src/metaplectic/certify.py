@@ -97,7 +97,7 @@ class _Env:
     tables over the det +1 matrices, of ``branch_sign`` and of ``phi_plus``, wait for their first use."""
 
     def __init__(self, max_word_len: int, tol: Optional[float], points: Optional[Sequence[complex]], seed: int,
-                 pair_count: int, force: bool, min_im: float):
+                 pair_count: int, force: bool):
         for name, value, least in (("word length bound", max_word_len, 0), ("seed", seed, 0),
                                    ("pair count", pair_count, 1)):
             if isinstance(value, bool) or not isinstance(value, int):
@@ -108,8 +108,8 @@ class _Env:
             raise ResourceLimitError(f"pair count {pair_count} is above the cap {PAIR_COUNT_LIMIT}")
         self.tol_override = tol if tol is None else require_tolerance(tol)
         self.pair_count = pair_count
-        self.qcfg = replace(CERTIFY_CONFIG, min_im=min_im)
-        self.qcfg_raw = replace(self.qcfg, reduce=False)
+        self.qcfg = CERTIFY_CONFIG
+        self.qcfg_raw = replace(CERTIFY_CONFIG, reduce=False)
         self.cover: CoverSet = enumerate_cover(max_word_len, force=force)
         # validated here, so a bad sample is named before any check runs
         self.upper = sampling.upper_grid() if points is None else tuple(map(require_upper, points))
@@ -557,7 +557,7 @@ def check_rep_central_scalar(env: _Env) -> dict:
     reps = [
         ("eta_character", rho, 1),
         ("trivial_SL", Rep.trivial("SL"), 8),
-        ("induced_eta", rho.induce(Weight(1)), 1),
+        ("induced_eta", env.forms["eta-hat"].rep, 1),
         ("trivial_GL", Rep.trivial("GL"), 8),
         ("trivial_GL", Rep.trivial("GL"), 12),
     ]
@@ -569,7 +569,7 @@ def check_rep_central_scalar(env: _Env) -> dict:
 
 def check_rep_well_defined(env: _Env) -> dict:
     alternates = env.cover.alternates
-    images = eta_character().induce(Weight(1)).word_images([word for _, w1, w2 in alternates for word in (w1, w2)])
+    images = env.forms["eta-hat"].rep.word_images([word for _, w1, w2 in alternates for word in (w1, w2)])
 
     def witness(i):
         elt, w1, w2 = alternates[i]
@@ -578,8 +578,7 @@ def check_rep_well_defined(env: _Env) -> dict:
 
 
 def check_rep_homomorphism(env: _Env) -> dict:
-    rho = eta_character()
-    rho_hat = rho.induce(Weight(1))
+    rho, rho_hat = eta_character(), env.forms["eta-hat"].rep
     pairs, sl_pairs = env.rep_pairs, env.sl_pairs
     ident, gaps = MetaElt.identity(), []
     for rep, sample in ((rho_hat, pairs), (rho, sl_pairs)):
@@ -892,16 +891,16 @@ ALGEBRA_CHECK_IDS = tuple(name for name, _ in CHECKS if name.startswith("algebra
 def run_certification(max_word_len: int = DEFAULT_MAX_WORD_LEN, *, tol: float | None = None,
                       points: Sequence[complex] | None = None, seed: int = DEFAULT_SEED,
                       pair_count: int = DEFAULT_PAIR_COUNT, force: bool = False,
-                      min_im: float = CERTIFY_CONFIG.min_im,
                       check_filter: Sequence[str] | None = None) -> dict:
     """Run the suite and return the report dictionary.
 
     ``tol`` overrides every numeric tolerance when given; exact sign/integer
-    checks are unaffected.  ``min_im`` is the q-series' near-axis refusal
-    threshold.  ``check_filter`` restricts to the named checks and
-    refuses ids that name no check.  A check that raises one of the package's
-    own errors fails with the error text as its counterexample; the others
-    still run.
+    checks are unaffected.  The q-series run under ``CERTIFY_CONFIG``, so the
+    report's ``setup`` holds every input that can change a verdict: ``force``
+    and ``check_filter`` change none.  ``check_filter`` restricts to the named
+    checks and refuses ids that name no check.  A check that raises one of the
+    package's own errors fails with the error text as its counterexample; the
+    others still run.
     """
     if isinstance(check_filter, str):
         raise DomainError(f"check_filter takes a sequence of check ids, not the string {check_filter!r}")
@@ -911,7 +910,7 @@ def run_certification(max_word_len: int = DEFAULT_MAX_WORD_LEN, *, tol: float | 
     unknown = (wanted or set()) - {name for name, _ in CHECKS}
     if unknown:
         raise DomainError(f"unknown check ids: {', '.join(sorted(cid or repr(cid) for cid in unknown))}")
-    env = _Env(max_word_len, tol, points, seed, pair_count, force, min_im)
+    env = _Env(max_word_len, tol, points, seed, pair_count, force)
     reports = []
     for name, fn in CHECKS:
         if wanted is not None and name not in wanted:

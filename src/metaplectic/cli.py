@@ -20,10 +20,9 @@ from . import __version__
 from .certify import DEFAULT_MAX_WORD_LEN, DEFAULT_PAIR_COUNT, DEFAULT_SEED, require_tolerance, run_certification
 from .cover import ENUMERATION_LIMIT, Mat2, MetaElt, parse_word, word_lift
 from .errors import DomainError, ModularityError, ResourceLimitError
-from .qseries import CERTIFY_CONFIG, DEFAULT_CONFIG, NAMED_FORMS, QSeriesConfig, triangular_product
+from .qseries import DEFAULT_CONFIG, NAMED_FORMS, QSeriesConfig, triangular_product
 from .reps import Rep, modularity_residual
 from .sampling import format_complex, full_grid, load_points, parse_complex, upper_grid
-from .slash import Weight
 
 USAGE_ERROR = 2
 
@@ -72,7 +71,6 @@ def _cmd_certify(args) -> int:
         seed=args.seed,
         pair_count=args.pairs,
         force=args.force,
-        min_im=args.min_im,
         check_filter=args.only.split(",") if args.only is not None else None,
     )
     for check in report["checks"]:
@@ -115,8 +113,6 @@ def _cmd_check(args) -> int:
     form = _named_form(args.form, cfg)
     if callable(form):
         raise DomainError(f"form {args.form!r} is not modular; nothing to check")
-    if args.weight != form.weight.w:
-        raise DomainError(f"form {args.form!r} has doubled weight {form.weight.w}, got --weight {args.weight}")
     elt = word_lift(parse_word(args.elem))
     rep = Rep.load(args.rep) if args.rep else form.rep
     if rep.dim != form.fn.dim:
@@ -126,10 +122,10 @@ def _cmd_check(args) -> int:
     if form.fn.lower is None and elt.det() == -1:
         raise DomainError(f"form {args.form!r} lives on the upper half-plane only")
     points = upper_grid() if form.fn.lower is None else full_grid()
-    residual = modularity_residual(form.fn, Weight(args.weight), rep, (elt,), points)
+    residual = modularity_residual(form.fn, form.weight, rep, (elt,), points)
     payload = {
         "form": args.form,
-        "weight": args.weight,
+        "weight": form.weight.w,
         "elem": args.elem,
         "element": str(elt),
         "residual": residual,
@@ -139,7 +135,7 @@ def _cmd_check(args) -> int:
     if args.json:
         print(_strict_json(payload))
     else:
-        print(f"{'PASS' if payload['pass'] else 'FAIL'}  |{args.form}|_{{w={args.weight}}} {args.elem!r}: "
+        print(f"{'PASS' if payload['pass'] else 'FAIL'}  |{args.form}|_{{w={form.weight.w}}} {args.elem!r}: "
               f"residual={residual:.3e} (tol {args.tol:.1e})")
     return 0 if payload["pass"] else 1
 
@@ -166,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--pairs", type=int, default=DEFAULT_PAIR_COUNT, help="random pair count per pair-based check (default %(default)s)")
     cert.add_argument("--force", action="store_true",
                       help=f"allow enumeration deeper than the configured bound of {ENUMERATION_LIMIT}")
-    cert.add_argument("--min-im", type=float, default=CERTIFY_CONFIG.min_im,
-                      help="near-axis refusal threshold for the q-series during certification (default %(default)s)")
 
     ev = sub.add_parser("eval", help="evaluate a cover element word or a named form")
     ev.add_argument("--elem", type=str, default=None, help="generator word, e.g. 'R R' or 'S T T'")
@@ -180,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="residual of the slash-vs-representation identity")
     chk.add_argument("--form", type=str, required=True, help=" | ".join(NAMED_FORMS))
-    chk.add_argument("--weight", type=int, required=True, help="doubled weight w = 2k")
     chk.add_argument("--elem", type=str, required=True, help="generator word")
     chk.add_argument("--rep", type=str, default=None, help="JSON representation file (default: the form's own)")
     chk.add_argument("--tol", type=float, default=1e-9)

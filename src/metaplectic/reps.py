@@ -75,15 +75,15 @@ class Rep:
         eye = np.eye(1, dtype=complex)
         return cls(group, 1, {k: eye for k in keys})
 
-    def word_images(self, words: Sequence[Word], flips: np.ndarray | None = None) -> np.ndarray:
+    def word_images(self, words: Sequence[Word]) -> np.ndarray:
         """The one lift-and-correct fold, ``(len(words), dim, dim)``: the products along the identity-padded
-        ``words`` by one stacked matmul per token position, times the central image where ``flips`` is set."""
+        ``words`` by one stacked matmul per token position."""
         if self.group == "SL" and any("R" in word for word in words):
             raise DomainError("SL-cover representation has no reflection image")
-        return self._code_images(_word_codes([tuple(map(GENERATOR_TOKENS.index, word)) for word in words]), flips)
+        return self._code_images(_word_codes([tuple(map(GENERATOR_TOKENS.index, word)) for word in words]), None)
 
     def _code_images(self, codes: np.ndarray, flips: np.ndarray | None) -> np.ndarray:
-        """``word_images`` of words given as ``_word_codes``' array."""
+        """``word_images`` of words given as ``_word_codes``' array, times the central image where ``flips`` is set."""
         out = self._stack[codes[:, 0]]
         for column in codes.T[1:]:
             out = out @ self._stack[column]

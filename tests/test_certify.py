@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import math
 import os
@@ -16,11 +17,11 @@ from metaplectic.certify import ALGEBRA_CHECK_IDS, run_certification
 from metaplectic.cli import _strict_json
 from metaplectic.cover import S_MAT, T_MAT, Mat2, enumerate_cover
 from metaplectic.errors import DomainError, ResourceLimitError
-from metaplectic.qseries import CERTIFY_CONFIG, NAMED_FORMS
+from metaplectic.qseries import NAMED_FORMS
 from metaplectic.reps import Rep, VVForm
 from metaplectic.sampling import format_complex, full_grid, upper_grid
 from metaplectic.slash import HoloFn, Weight, composition_residuals, holofn_values, slash, slash_values
-from report_diff import _differences, main as report_diff_main, moved_fields
+from report_diff import _differences, _stream_differences, main as report_diff_main, moved_fields
 
 
 def test_check_filter_refuses_unknown_ids():
@@ -92,6 +93,36 @@ def test_report_differences_name_each_part_that_moved(capsys):
     assert capsys.readouterr().err.startswith("Compare the certify reports of two source trees")
 
 
+def test_stream_differences_name_each_part_that_moved():
+    """``report_diff``'s comparison of two eval-stream replays, on hand-made replays: equal ones with nothing raised
+    or mismatched give nothing; a failed replay, a raise, a mismatch and each bit-level change are each listed."""
+    served = [["('eta', None, 0, 1j)", 0.7682, 0.0, 0.0, 0.0], ["('e4', None, 0, -1j)", 1.5, -2.0, 0.0, 0.0]]
+    run = {"raised": 0, "mismatched": 0, "worst": 2e-10, "served": served}
+    assert _stream_differences(run, run) == []
+    assert _stream_differences(run, {"error": "the replay exited 1: ImportError"}) == [
+        "new tree: the replay exited 1: ImportError"]
+    moved = [served[0], [served[1][0], 1.5 + 2 ** -50, -2.0, 0.0, -0.0]]  # -0.0 alone would move it too
+    assert _stream_differences(run, {**run, "served": moved}) == [
+        f"1 of 2 requests moved, largest relative change {2 ** -50 / 2.5:.3g}",
+        f"first moved: {served[1]} -> {moved[1]}"]
+    raised = [served[0], [served[1][0], *[math.nan] * 4]]
+    assert _stream_differences(run, {**run, "raised": 1, "mismatched": 1, "worst": 0.1, "served": raised}) == [
+        "new tree: 1 raised, 1 mismatched (worst 0.1)", "1 of 2 requests moved, largest relative change inf",
+        f"first moved: {served[1]} -> {raised[1]}"]
+    assert _stream_differences({**run, "served": raised}, {**run, "served": raised}) == []  # NaN equals NaN
+    assert _stream_differences(run, {**run, "served": served[:1]}) == [
+        "1 of 2 requests moved, largest relative change inf", f"first moved: {served[1]} -> None"]
+
+
+def test_every_verdict_input_is_in_the_setup():
+    """Each ``run_certification`` parameter but ``force`` and ``check_filter``, which change no verdict, has a
+    field in the report's ``setup``, so that a report names everything its verdicts depend on."""
+    names = {"tol": "tolerance_override", "points": "sample_points"}
+    params = set(inspect.signature(run_certification).parameters) - {"force", "check_filter"}
+    setup = run_certification(0, check_filter=["algebra_unit_values"])["setup"]
+    assert {names.get(name, name) for name in params} == set(setup)
+
+
 @pytest.mark.parametrize("method, image, check_id, witness", [
     ("restrict", "T", "rep_induction_matrices", {"detail": "restricted T image"}),
     ("r_twist", "S", "rep_twist_properties", {"identity": "r_twist(trivial) = trivial", "key": "S"})])
@@ -145,7 +176,7 @@ def test_branch_sign_is_computed_once_per_matrix_but_errors_are_not_kept(monkeyp
     monkeypatch.setattr(certify, "branch_signs",
                         lambda mats, points: passes.append(list(mats)) or np.zeros(len(mats), dtype=np.int64))
     monkeypatch.setattr(certify, "branch_profile", refuses)
-    env = certify._Env(1, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG.min_im)
+    env = certify._Env(1, None, None, certify.DEFAULT_SEED, 1, False)
     passes.clear()
     for _ in range(2):
         with pytest.raises(DomainError, match="not a constant sign"):
@@ -179,7 +210,7 @@ def test_the_phi_checks_read_one_table_of_phi_upper_per_run(monkeypatch):
     checks = run_certification(5, check_filter=phi_checks)["checks"]
     refusal = ("error", {"error": "DomainError: not at S"})
     assert [(check["max_residual"], check["counterexample"]) for check in checks] == [refusal] * 3
-    env = certify._Env(1, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG.min_im)
+    env = certify._Env(1, None, None, certify.DEFAULT_SEED, 1, False)
     for _ in range(2):
         calls.clear()
         with pytest.raises(DomainError, match="not at S"):
@@ -246,7 +277,7 @@ def _array_rule(cases):
 
 def _sweeps_of(cases):
     """The verdict of ``_sweep`` on the residual array and of its adapter ``_sweep_cases`` on the pairs."""
-    env = certify._Env(0, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG.min_im)
+    env = certify._Env(0, None, None, certify.DEFAULT_SEED, 1, False)
     reports = (certify._sweep(env, {}, -1.0, [r for r, _ in cases], lambda i: cases[i][1]),
                certify._sweep_cases(env, {}, -1.0, iter(cases)))
     return [(report["max_residual"], report["counterexample"]) for report in reports]
@@ -539,7 +570,7 @@ def test_algebra_checks_pass_on_the_deep_universe():
 def test_pair_draws_have_the_asked_count(count, combos):
     """``--pairs N`` draws exactly N pairs for each pair-based check, also when 4 does not divide N; the
     first det combinations take the remainder."""
-    env = certify._Env(2, None, None, certify.DEFAULT_SEED, count, False, CERTIFY_CONFIG.min_im)
+    env = certify._Env(2, None, None, certify.DEFAULT_SEED, count, False)
     samples = (env.section_pairs, env.composition_pairs, env.rep_pairs, env.sl_pairs)
     assert [len(pairs) for pairs in samples] == [count] * 4
     for pairs in (env.composition_pairs, env.rep_pairs):
@@ -637,7 +668,7 @@ def test_composition_of_both_forms_at_once_is_the_per_form_route(word_len, seed,
     """``composition_residuals`` of eta-hat and E4 together (one chain per chunk, f|xy summed once per distinct
     product matrix) is, bit for bit, each form's nested two-column ``slash_values`` less its one-column one, also
     when cut into chunks of 7 pairs."""
-    env = certify._Env(word_len, None, None, seed, certify.DEFAULT_PAIR_COUNT, False, CERTIFY_CONFIG.min_im)
+    env = certify._Env(word_len, None, None, seed, certify.DEFAULT_PAIR_COUNT, False)
     pairs, points = env.composition_pairs, env.grid
     forms = [(form.fn, form.weight) for form in (NAMED_FORMS[name](env.qcfg) for name in ("eta-hat", "e4"))]
     got = composition_residuals(forms, pairs, points)
@@ -657,7 +688,7 @@ def test_the_value_tables_are_transparent():
     """Each form of a run returns, at the grid and at its S and T images, arrays bit for bit those of a fresh
     registry form, read-only and the stored one on a second call; points that differ only in the sign of a zero
     part are kept apart."""
-    env = certify._Env(1, None, None, certify.DEFAULT_SEED, 1, False, CERTIFY_CONFIG.min_im)
+    env = certify._Env(1, None, None, certify.DEFAULT_SEED, 1, False)
     points = env.grid + tuple(-1 / z for z in env.grid) + tuple(z + 1 for z in env.grid)
     signed = (complex(0.0, 0.8), complex(-0.0, 0.8), complex(0.0, -0.8), complex(-0.0, -0.8))
     for name, build in NAMED_FORMS.items():
@@ -720,7 +751,7 @@ def test_action_composition_sums_each_series_once_per_lhs_pair_and_distinct_prod
         monkeypatch.setattr(qseries, name, lambda *args, name=name, series=series: counts.update(
             {name: args[-2].size}) or series(*args))
     (check,) = run_certification(4, check_filter=["action_composition"])["checks"]
-    env = certify._Env(4, None, None, certify.DEFAULT_SEED, certify.DEFAULT_PAIR_COUNT, False, CERTIFY_CONFIG.min_im)
+    env = certify._Env(4, None, None, certify.DEFAULT_SEED, certify.DEFAULT_PAIR_COUNT, False)
     distinct = {(x * y).gamma for x, y in env.composition_pairs}
     assert check["pass"] is True and len(distinct) == 236 and len(env.grid) == 24
     assert counts == {"eta_batch": 17_664, "eisenstein_batch": 17_664}

@@ -132,7 +132,7 @@ def test_eval_usage_errors(capsys):
 
 
 def test_check_eta_shift(capsys):
-    code, out, _ = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T")
+    code, out, _ = run_cli(capsys, "check", "--form", "eta", "--elem", "T")
     assert code == 0
     assert "PASS" in out
     residual = float(out.split("residual=")[1].split()[0])
@@ -140,18 +140,17 @@ def test_check_eta_shift(capsys):
 
 
 def test_check_e4_inversion(capsys):
-    code, out, _ = run_cli(capsys, "check", "--form", "e4", "--weight", "8", "--elem", "S")
+    code, out, _ = run_cli(capsys, "check", "--form", "e4", "--elem", "S")
     assert code == 0
     residual = float(out.split("residual=")[1].split()[0])
     assert residual < 1e-9
 
 
 def test_check_eta_hat_reflection_json(capsys):
-    code, out, _ = run_cli(capsys, "check", "--form", "eta-hat", "--weight", "1",
-                           "--elem", "R", "--json")
+    code, out, _ = run_cli(capsys, "check", "--form", "eta-hat", "--elem", "R", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["pass"] is True
+    assert payload["pass"] is True and payload["weight"] == 1  # the form's own doubled weight
     assert payload["residual"] < 1e-9
 
 
@@ -161,8 +160,7 @@ def test_check_with_rep_file(capsys, tmp_path):
 
     path = tmp_path / "rep.json"
     eta_character().induce(Weight(1)).save(path)
-    code, out, _ = run_cli(capsys, "check", "--form", "eta-hat", "--weight", "1",
-                           "--elem", "R T", "--rep", str(path))
+    code, out, _ = run_cli(capsys, "check", "--form", "eta-hat", "--elem", "R T", "--rep", str(path))
     assert code == 0 and "PASS" in out
 
 
@@ -170,16 +168,17 @@ def test_check_usage_errors(capsys, tmp_path):
     from metaplectic.qseries import eta_character
     from metaplectic.slash import Weight
 
-    # weight inconsistent with the form
-    assert run_cli(capsys, "check", "--form", "eta", "--weight", "2", "--elem", "T")[0] == 2
+    # the weight is the form's own: --weight is no option
+    code, out, err = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T")
+    assert code == 2 and out == "" and "unrecognized arguments: --weight 1" in err
     # eta is upper-only; determinant -1 cannot be checked
-    assert run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "R")[0] == 2
+    assert run_cli(capsys, "check", "--form", "eta", "--elem", "R")[0] == 2
     # zn is not modular
-    assert run_cli(capsys, "check", "--form", "zn:3", "--weight", "1", "--elem", "T")[0] == 2
+    assert run_cli(capsys, "check", "--form", "zn:3", "--elem", "T")[0] == 2
     # a 2-dimensional SL rep against the scalar eta
     path = tmp_path / "rep2.json"
     eta_character().induce(Weight(1)).restrict().save(path)
-    code, out, err = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T", "--rep", str(path))
+    code, out, err = run_cli(capsys, "check", "--form", "eta", "--elem", "T", "--rep", str(path))
     assert code == 2 and out == ""
     assert "representation has dimension 2, form 'eta' has dimension 1" in err
 
@@ -305,30 +304,28 @@ def test_non_finite_tolerance_is_refused(capsys, tmp_path):
         code, out, err = run_cli(capsys, "certify", "--max-word-len", "0", "--tol", tol, "--json", str(out_path))
         assert code == 2 and out == "" and message in err
         assert not out_path.exists()  # refused before any check runs
-        code, out, err = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T", "--tol", tol)
+        code, out, err = run_cli(capsys, "check", "--form", "eta", "--elem", "T", "--tol", tol)
         assert code == 2 and out == "" and message in err
     # a negative one would fail even an exact zero residual
     message = "tolerance must be nonnegative, got -1.0"
     for argv in (("certify", "--max-word-len", "0", "--json", str(out_path)),
-                 ("check", "--form", "e4", "--weight", "8", "--elem", "S")):
+                 ("check", "--form", "e4", "--elem", "S")):
         code, out, err = run_cli(capsys, *argv, "--tol", "-1")
         assert code == 2 and out == "" and message in err, argv
         assert not out_path.exists()
     # a non-finite near-axis threshold would switch the refusal off
     message = "min_im must be a finite number, got nan"
-    for argv in (("certify", "--max-word-len", "0", "--json", str(out_path)),
-                 ("eval", "--form", "eta", "--z", "0.5+0.01i"),
-                 ("check", "--form", "eta", "--weight", "1", "--elem", "T")):
+    for argv in (("eval", "--form", "eta", "--z", "0.5+0.01i"), ("check", "--form", "eta", "--elem", "T")):
         code, out, err = run_cli(capsys, *argv, "--min-im", "nan")
         assert code == 2 and out == "" and message in err, argv
-        assert not out_path.exists()
     # a negative one would act as zero
-    for argv in (("certify", "--max-word-len", "0", "--json", str(out_path)),
-                 ("eval", "--form", "eta", "--z", "0.2+0.0001i"),
-                 ("check", "--form", "eta", "--weight", "1", "--elem", "T")):
+    for argv in (("eval", "--form", "eta", "--z", "0.2+0.0001i"), ("check", "--form", "eta", "--elem", "T")):
         code, out, err = run_cli(capsys, *argv, "--min-im", "-1")
         assert code == 2 and out == "" and "min_im must be nonnegative, got -1.0" in err, argv
-        assert not out_path.exists()
+    # certify's threshold is CERTIFY_CONFIG's, which every report's setup implies
+    code, out, err = run_cli(capsys, "certify", "--max-word-len", "0", "--json", str(out_path), "--min-im", "1e-6")
+    assert code == 2 and out == "" and "unrecognized arguments: --min-im 1e-6" in err
+    assert not out_path.exists()
 
 
 def test_certify_check_error_becomes_that_checks_failure(capsys, tmp_path, monkeypatch):
@@ -385,7 +382,7 @@ def test_certify_report_is_strict_json(capsys, tmp_path, monkeypatch):
     assert check["max_residual"] == "nan" and check["pass"] is False
     assert [c["check_id"] for c in report["checks"] if not c["pass"]] == ["action_composition"]
     monkeypatch.setattr(cli, "modularity_residual", lambda *args: float("inf"))
-    code, out, _ = run_cli(capsys, "check", "--form", "eta", "--weight", "1", "--elem", "T", "--json")
+    code, out, _ = run_cli(capsys, "check", "--form", "eta", "--elem", "T", "--json")
     assert code == 1 and json.loads(out, parse_constant=refuse)["residual"] == "inf"
 
 
